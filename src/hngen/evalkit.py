@@ -1,11 +1,18 @@
 """Retrieval metrics and embedding diagnostics.
 
-Brute-force exact evaluation: cosine similarities against the full gallery,
-ranked descending with ties broken by gallery index ascending. Recall@K
-counts queries with a same-class item in the top K; R-Precision scores the
-top R where R is the query's same-class gallery count; MAP@R averages
-precision at each relevant rank up to R. Also per-dimension variance
-summaries and a deterministic 2-D principal-component projection.
+Streaming exact evaluation. Items rank by cosine similarity descending, ties
+broken by gallery index ascending. Recall@K counts queries with a same-class
+item in the top K; R-Precision scores the top R, where R is the query's
+same-class gallery count (less the query itself under self-exclusion);
+MAP@R averages precision at each relevant rank up to R. These read only the
+first ``max(max(K), max(R))`` ranks, so ``RetrievalIndex.ranked_hits`` ranks
+only that prefix, one block of query rows at a time: a block's similarities
+against the whole gallery are partitioned at the prefix's cut value, every
+item tied with the cut is kept, and the candidates are sorted by
+(-similarity, index). The result equals the prefix of a full stable sort bit
+for bit, in O(block * n_gallery + n_queries * width) memory. Also
+per-dimension variance summaries and a deterministic 2-D
+principal-component projection.
 """
 
 from __future__ import annotations
@@ -18,6 +25,9 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigurationError, ShapeError
+
+# similarities ranked per block of query rows (8 MiB of float64)
+_BLOCK_SIMS = 1 << 20
 
 
 @dataclass
@@ -56,11 +66,33 @@ class RetrievalIndex:
     def effective_gallery_size(self) -> int:
         return self.gallery_z.shape[0] - (1 if self.exclude_self else 0)
 
-    def ranked_hits(self) -> np.ndarray:
-        sims = self.query_z @ self.gallery_z.T
-        return kernels.ranked_hits(
-            sims, self.query_labels, self.gallery_labels, self.exclude_self
-        )
+    def relevant_counts(self) -> np.ndarray:
+        """R per query: its same-class gallery items, itself excluded."""
+        g = np.sort(self.gallery_labels)
+        r = np.searchsorted(g, self.query_labels, "right") - np.searchsorted(g, self.query_labels)
+        return r - 1 if self.exclude_self else r
+
+    def ranked_hits(self, width: int) -> np.ndarray:
+        """Relevance flags of each query's top ``width`` gallery items,
+        ``(n_queries, width)`` uint8, ranked one block of queries at a time."""
+        if not 0 <= width <= self.effective_gallery_size:
+            raise ValueError(
+                f"prefix width {width} outside [0, {self.effective_gallery_size}]"
+            )
+        nq, ng = self.query_z.shape[0], self.gallery_z.shape[0]
+        rows = max(1, _BLOCK_SIMS // max(ng, 1))
+        hits = np.empty((nq, width), dtype=np.uint8)
+        for q0 in range(0, nq, rows):
+            q1 = min(q0 + rows, nq)
+            sims = self.query_z[q0:q1] @ self.gallery_z.T
+            if self.exclude_self:
+                # similarities are finite and width <= n - 1, so a -inf item
+                # never reaches the prefix: the same as dropping it
+                sims[np.arange(q1 - q0), np.arange(q0, q1)] = -np.inf
+            hits[q0:q1] = kernels.ranked_hits(
+                sims, self.query_labels[q0:q1], self.gallery_labels, width
+            )
+        return hits
 
 
 @dataclass
@@ -84,10 +116,7 @@ class MetricReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def recall_at_k(index: RetrievalIndex, ks: list[int], hits: np.ndarray | None = None) -> dict[int, float]:
-    if hits is None:
-        hits = index.ranked_hits()
-    out: dict[int, float] = {}
+def _check_ks(index: RetrievalIndex, ks: list[int]) -> None:
     for k in ks:
         if k < 1:
             raise ConfigurationError(f"recall K must be >= 1, got {k}")
@@ -95,38 +124,47 @@ def recall_at_k(index: RetrievalIndex, ks: list[int], hits: np.ndarray | None = 
             raise ConfigurationError(
                 f"recall K={k} exceeds gallery size {index.effective_gallery_size}"
             )
-        out[int(k)] = float(hits[:, :k].any(axis=1).mean())
-    return out
 
 
-def _per_query_r(hits: np.ndarray) -> np.ndarray:
-    return hits.sum(axis=1).astype(np.int64)
+def recall_at_k(index: RetrievalIndex, ks: list[int], hits: np.ndarray | None = None) -> dict[int, float]:
+    _check_ks(index, ks)
+    if hits is None and ks:
+        hits = index.ranked_hits(max(ks))
+    return {int(k): float(hits[:, :k].any(axis=1).mean()) for k in ks}
 
 
-def r_precision(index: RetrievalIndex, hits: np.ndarray | None = None) -> float:
-    if hits is None:
-        hits = index.ranked_hits()
-    r = _per_query_r(hits)
+def _scored_queries(r: np.ndarray) -> np.ndarray:
     keep = r > 0
     if not np.all(keep):
         warnings.warn(f"skipping {int((~keep).sum())} queries with no same-class gallery items")
     if not np.any(keep):
         raise ConfigurationError("no query has a same-class gallery item")
-    csum = hits.cumsum(axis=1)
+    return keep
+
+
+def _top_r(index: RetrievalIndex, hits: np.ndarray | None, r: np.ndarray) -> np.ndarray:
+    """The first R_max ranks: all that R-Precision and MAP@R read."""
+    r_max = int(r.max())
+    if hits is None:
+        return index.ranked_hits(r_max)
+    if hits.shape[1] < r_max:
+        raise ShapeError(f"ranked prefix of width {hits.shape[1]} is shorter than R={r_max}")
+    return hits[:, :r_max]
+
+
+def r_precision(index: RetrievalIndex, hits: np.ndarray | None = None) -> float:
+    r = index.relevant_counts()
+    keep = _scored_queries(r)
+    csum = _top_r(index, hits, r).cumsum(axis=1)
     rk = r[keep]
     prec = csum[keep, rk - 1] / rk
     return float(prec.mean())
 
 
 def map_at_r(index: RetrievalIndex, hits: np.ndarray | None = None) -> float:
-    if hits is None:
-        hits = index.ranked_hits()
-    r = _per_query_r(hits)
-    keep = r > 0
-    if not np.all(keep):
-        warnings.warn(f"skipping {int((~keep).sum())} queries with no same-class gallery items")
-    if not np.any(keep):
-        raise ConfigurationError("no query has a same-class gallery item")
+    r = index.relevant_counts()
+    keep = _scored_queries(r)
+    hits = _top_r(index, hits, r)
     csum = hits.astype(np.int64).cumsum(axis=1)
     ranks = np.arange(1, hits.shape[1] + 1)
     prec_at = csum / ranks
@@ -139,13 +177,15 @@ def map_at_r(index: RetrievalIndex, hits: np.ndarray | None = None) -> float:
 
 
 def evaluate_retrieval(index: RetrievalIndex, ks: list[int]) -> MetricReport:
-    hits = index.ranked_hits()
-    r = _per_query_r(hits)
+    _check_ks(index, ks)
+    r = index.relevant_counts()
+    # K <= effective gallery size (checked) and R <= it by construction
+    hits = index.ranked_hits(max(max(ks, default=0), int(r.max(initial=0))))
     return MetricReport(
         recall_at=recall_at_k(index, ks, hits),
         r_precision=r_precision(index, hits),
         map_at_r=map_at_r(index, hits),
-        n_queries=int(hits.shape[0]),
+        n_queries=int(r.shape[0]),
         n_skipped=int((r == 0).sum()),
     )
 

@@ -1,7 +1,7 @@
-"""Hot numeric kernels with paired numba and pure-numpy implementations.
+"""Hot numeric kernels.
 
-Each kernel exists twice: a ``@njit``-compiled loop version and a vectorized
-numpy version. The active backend is chosen once at import time:
+The pairwise kernels exist twice: a ``@njit``-compiled loop version and a
+vectorized numpy version. The active backend is chosen once at import time:
 
 * ``HNGEN_NUMBA=0`` in the environment forces the numpy path;
 * otherwise numba is used when it imports, falling back to numpy (with a
@@ -10,7 +10,8 @@ numpy version. The active backend is chosen once at import time:
 ``set_backend`` switches at runtime, which the test suite uses to check that
 both paths agree. The two paths are numerically interchangeable (same
 formulas, float64-safe) but not guaranteed bit-identical for wide
-reductions; ``benchmarks/bench_kernels.py`` times them side by side.
+reductions. Retrieval ranking (``ranked_hits``) has one numpy
+implementation on every backend.
 """
 
 from __future__ import annotations
@@ -137,51 +138,18 @@ def _pairwise_sqdist_grad_nb(z, grad):
     return out
 
 
-# --- retrieval ranking: relevance of gallery items in similarity order -----
-
-
-def _ranked_hits_np(sim, query_labels, gallery_labels, exclude_self):
-    nq, ng = sim.shape
-    order = np.argsort(-sim, axis=1, kind="stable")
-    matches = gallery_labels[order] == query_labels[:, None]
-    if exclude_self:
-        keep = order != np.arange(nq)[:, None]
-        matches = matches[keep].reshape(nq, ng - 1)
-    return matches.astype(np.uint8)
-
-
-@njit(cache=True)
-def _ranked_hits_nb(sim, query_labels, gallery_labels, exclude_self):
-    nq, ng = sim.shape
-    ng_eff = ng - 1 if exclude_self else ng
-    hits = np.zeros((nq, ng_eff), np.uint8)
-    for q in range(nq):
-        order = np.argsort(-sim[q], kind="mergesort")
-        pos = 0
-        for t in range(ng):
-            g = order[t]
-            if exclude_self and g == q:
-                continue
-            if gallery_labels[g] == query_labels[q]:
-                hits[q, pos] = 1
-            pos += 1
-    return hits
-
-
 _IMPLS = {
     "numpy": {
         "hadamard_pairs": _hadamard_pairs_np,
         "hadamard_pairs_grad": _hadamard_pairs_grad_np,
         "pairwise_sqdist": _pairwise_sqdist_np,
         "pairwise_sqdist_grad": _pairwise_sqdist_grad_np,
-        "ranked_hits": _ranked_hits_np,
     },
     "numba": {
         "hadamard_pairs": _hadamard_pairs_nb,
         "hadamard_pairs_grad": _hadamard_pairs_grad_nb,
         "pairwise_sqdist": _pairwise_sqdist_nb,
         "pairwise_sqdist_grad": _pairwise_sqdist_grad_nb,
-        "ranked_hits": _ranked_hits_nb,
     },
 }
 
@@ -212,17 +180,29 @@ def ranked_hits(
     sim: np.ndarray,
     query_labels: np.ndarray,
     gallery_labels: np.ndarray,
-    exclude_self: bool,
+    width: int,
 ) -> np.ndarray:
-    """Per query, gallery relevance flags in descending-similarity order.
+    """Relevance flags of each query's top ``width`` gallery items, in rank order.
 
-    Ties are broken by gallery index ascending (stable sort of the negated
-    similarities). With ``exclude_self`` the gallery item sharing the query's
-    index is dropped, so rows have length ``n_gallery - 1``.
+    Items rank by descending similarity, ties broken by gallery index
+    ascending: exactly the first ``width`` columns of a stable sort of the
+    negated rows. ``argpartition`` finds each row's cut value; every item
+    tied with the cut stays a candidate, and one ``lexsort`` orders the
+    candidates by (-sim, index). Returns ``(rows, width)`` uint8.
     """
-    sim = np.ascontiguousarray(sim, dtype=np.float64)
-    ql = np.ascontiguousarray(query_labels, dtype=np.int64)
-    gl = np.ascontiguousarray(gallery_labels, dtype=np.int64)
-    if exclude_self and sim.shape[0] != sim.shape[1]:
-        raise ValueError("self-exclusion requires query set == gallery set")
-    return _IMPLS[_BACKEND]["ranked_hits"](sim, ql, gl, exclude_self)
+    neg = -np.asarray(sim, dtype=np.float64)
+    ql = np.asarray(query_labels, dtype=np.int64)
+    gl = np.asarray(gallery_labels, dtype=np.int64)
+    rows, n = neg.shape
+    if not 0 <= width <= n:
+        raise ValueError(f"prefix width must be in [0, {n}], got {width}")
+    if width == 0:
+        return np.zeros((rows, 0), dtype=np.uint8)
+    cut_at = np.argpartition(neg, width - 1, axis=1)[:, width - 1 : width]
+    cand = neg <= np.take_along_axis(neg, cut_at, axis=1)
+    row, col = np.nonzero(cand)  # row-major, so col ascends within a row
+    order = np.lexsort((col, neg[row, col], row))
+    n_cand = cand.sum(axis=1)
+    starts = np.cumsum(n_cand) - n_cand
+    top = col[order[starts[:, None] + np.arange(width)]]
+    return (gl[top] == ql[:, None]).astype(np.uint8)

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
 import struct
 import time
 from dataclasses import dataclass, field
@@ -576,9 +578,17 @@ def _write_group(path: Path, params: dict[str, ad.Tensor]) -> None:
 
 def _read_group(path: Path) -> dict[str, np.ndarray]:
     with open(path, "rb") as fh:
-        if fh.read(4) != CHECKPOINT_MAGIC:
+        size = os.fstat(fh.fileno()).st_size
+
+        def read(n: int) -> bytes:
+            # a corrupt dim can ask for more than the file holds; never try
+            if n > size - fh.tell():
+                raise CheckpointError(f"{path}: truncated or corrupt parameter blob")
+            return fh.read(n)
+
+        if read(4) != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path}: bad parameter blob magic")
-        version, code, count = struct.unpack("<III", fh.read(12))
+        version, code, count = struct.unpack("<III", read(12))
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(
                 f"{path}: checkpoint version {version} needs migration "
@@ -589,12 +599,12 @@ def _read_group(path: Path) -> dict[str, np.ndarray]:
             raise CheckpointError(f"{path}: unknown dtype code {code}")
         out: dict[str, np.ndarray] = {}
         for _ in range(count):
-            (nlen,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(nlen).decode("utf-8")
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim)) if ndim else ()
-            n_items = int(np.prod(shape)) if shape else 1
-            buf = fh.read(n_items * dtype.itemsize)
+            (nlen,) = struct.unpack("<H", read(2))
+            name = read(nlen).decode("utf-8")
+            (ndim,) = struct.unpack("<B", read(1))
+            shape = struct.unpack(f"<{ndim}Q", read(8 * ndim)) if ndim else ()
+            n_items = math.prod(shape)
+            buf = read(n_items * dtype.itemsize)
             out[name] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
     return out
 

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import shutil
 import numpy as np
 import pytest
 
@@ -133,6 +134,15 @@ class TestTrainEvalInspect:
         assert report["recall_at"] == history[0]["recall_at"]
         assert report["r_precision"] == history[0]["r_precision"]
         assert report["map_at_r"] == history[0]["map_at_r"]
+
+    def test_eval_truncated_checkpoint_returns_2(self, trained, tmp_path):
+        _, run_dir = trained
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(run_dir / "checkpoints" / "epoch_001", ckpt)
+        blob = ckpt / "backbone.bin"
+        blob.write_bytes(blob.read_bytes()[:-1])
+        rc = cli.main(["eval", "--checkpoint", str(ckpt), "--out-dir", str(tmp_path / "ev")])
+        assert rc == 2
 
     def test_eval_custom_ks_and_csv(self, trained):
         tmp_path, run_dir = trained

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from hngen import evalkit as ek
+from hngen import kernels
 from hngen.errors import ConfigurationError, ShapeError
+from oracles import full_sort_ranked_hits, full_sort_report
 
 
 def unit_rows(rng, n, d):
@@ -95,11 +97,16 @@ class TestRPrecisionAndMap:
     def test_map_at_r_hand_pattern(self):
         # R=3 with relevance [1, 0, 1] inside the cut -> (1 + 0 + 2/3)/3
         z = unit_rows(np.random.default_rng(2), 6, 4)
-        idx = ek.RetrievalIndex.single_set(z, np.array([1, 1, 1, 1, 2, 2]))
+        # one query of class 1; the gallery holds three class-1 items, so R=3
+        idx = ek.RetrievalIndex.query_gallery(
+            z[:1], np.array([1]), z[1:], np.array([1, 1, 1, 2, 2])
+        )
         hits = np.array([[1, 0, 1, 1, 0]], dtype=np.uint8)  # third hit past R
         val = ek.map_at_r(idx, hits=hits)
         assert val == pytest.approx(0.5556, abs=1e-4)
         assert val == pytest.approx((1.0 + 0.0 + 2.0 / 3.0) / 3.0, abs=1e-12)
+        with pytest.raises(ShapeError, match="shorter than R=3"):
+            ek.map_at_r(idx, hits=hits[:, :2])
 
     def test_all_relevant_first(self):
         z = np.array([[1.0, 0], [1, 0.001], [1, -0.001], [0, 1], [0.001, 1], [-0.001, 1]])
@@ -171,6 +178,127 @@ class TestOracleAgreement:
         rep = ek.evaluate_retrieval(ek.RetrievalIndex.single_set(z, labels), [1, 2])
         for v in list(rep.recall_at.values()) + [rep.r_precision, rep.map_at_r]:
             assert 0.0 <= v <= 1.0
+
+
+def quantized_rows(rng, n, d, levels=2, dup_share=0.3):
+    """Unit-norm rows on a coarse lattice, quantized to multiples of 2**-20,
+    with exact duplicate rows: every similarity is exact and many tie."""
+    z = rng.integers(-levels, levels + 1, size=(n, d)).astype(np.float64)
+    z[np.all(z == 0, axis=1), 0] = 1.0
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    z = np.round(z * 2.0**20) / 2.0**20
+    for i in rng.choice(n, size=int(dup_share * n), replace=False):
+        z[i] = z[rng.integers(n)]
+    return z
+
+
+class TestStreamingParity:
+    """Streaming prefix ranking against a full stable sort, bit for bit."""
+
+    @pytest.fixture(params=[1, 7, 256])
+    def block_rows(self, request, monkeypatch):
+        # several blocks with a ragged last one (1 is one query per block)
+        def set_rows(n_gallery):
+            monkeypatch.setattr(ek, "_BLOCK_SIMS", request.param * n_gallery)
+        return set_rows
+
+    def _assert_same(self, idx, ks, set_rows):
+        set_rows(idx.gallery_z.shape[0])
+        assert ek.evaluate_retrieval(idx, ks) == full_sort_report(idx, ks)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_single_set(self, seed, block_rows):
+        rng = np.random.default_rng(seed)
+        z = quantized_rows(rng, 50, 3)
+        labels = rng.integers(1, 5, size=50)
+        idx = ek.RetrievalIndex.single_set(z, labels)
+        r_max = int(idx.relevant_counts().max())
+        self._assert_same(idx, [1, 2, 4], block_rows)  # width set by R_max
+        self._assert_same(idx, [1, r_max + 3], block_rows)  # width set by K
+        self._assert_same(idx, [1, 49], block_rows)  # width set by the gallery size
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_query_gallery_with_skipped_queries(self, seed, block_rows):
+        rng = np.random.default_rng(100 + seed)
+        gz = quantized_rows(rng, 40, 3)
+        qz = quantized_rows(rng, 23, 3)
+        gl = rng.integers(1, 5, size=40)
+        ql = rng.integers(1, 7, size=23)  # classes 5 and 6 never in the gallery
+        ql[:2] = [1, 6]
+        idx = ek.RetrievalIndex.query_gallery(qz, ql, gz, gl)
+        with pytest.warns(UserWarning, match="skipping"):
+            self._assert_same(idx, [1, 3, 10], block_rows)
+            self._assert_same(idx, [40], block_rows)
+            n_skipped = ek.evaluate_retrieval(idx, [1]).n_skipped
+        assert n_skipped == int(np.isin(ql, [5, 6]).sum())
+
+    def test_all_tied(self, block_rows):
+        z = np.tile([[1.0, 0.0]], (9, 1))
+        labels = np.array([1, 2, 1, 3, 2, 1, 1, 3, 2])
+        idx = ek.RetrievalIndex.single_set(z, labels)
+        for ks in ([1], [5], [8]):
+            self._assert_same(idx, ks, block_rows)
+
+    def test_ranked_hits_is_the_full_sort_prefix(self, block_rows):
+        rng = np.random.default_rng(7)
+        z = quantized_rows(rng, 30, 2)
+        labels = rng.integers(1, 4, size=30)
+        idx = ek.RetrievalIndex.single_set(z, labels)
+        block_rows(30)
+        full = full_sort_ranked_hits(z @ z.T, labels, labels, True)
+        for width in (0, 1, 5, 29):
+            assert np.array_equal(idx.ranked_hits(width), full[:, :width])
+        with pytest.raises(ValueError, match="prefix width"):
+            idx.ranked_hits(30)  # past the gallery once the query is dropped
+
+    def test_relevant_counts_from_labels(self):
+        z = unit_rows(np.random.default_rng(8), 5, 3)
+        single = ek.RetrievalIndex.single_set(z, np.array([1, 1, 2, 1, 3]))
+        assert single.relevant_counts().tolist() == [2, 2, 0, 2, 0]
+        qg = ek.RetrievalIndex.query_gallery(
+            z[:3], np.array([0, 1, 9]), z, np.array([1, 1, 2, 1, 3])
+        )
+        assert qg.relevant_counts().tolist() == [0, 3, 0]
+
+    def test_invalid_k_rejected_before_ranking(self, monkeypatch):
+        z = unit_rows(np.random.default_rng(9), 5, 3)
+        idx = ek.RetrievalIndex.single_set(z, np.array([1, 1, 2, 2, 1]))
+
+        def no_ranking(*args, **kwargs):
+            raise AssertionError("ranked before the Ks were checked")
+
+        monkeypatch.setattr(kernels, "ranked_hits", no_ranking)
+        for ks in ([0], [5]):
+            with pytest.raises(ConfigurationError, match="recall K"):
+                ek.evaluate_retrieval(idx, ks)
+
+
+class TestRankedHitsKernel:
+    def test_tie_break_by_gallery_index(self):
+        # two equal similarities: lower gallery index must rank first
+        sim = np.array([[0.5, 0.5, 0.1]])
+        hits = kernels.ranked_hits(sim, np.array([7]), np.array([7, 3, 7]), 3)
+        assert hits.tolist() == [[1, 0, 1]]
+
+    def test_ties_across_the_cut_kept_in_index_order(self):
+        sim = np.array([[0.2, 0.9, 0.5, 0.5, 0.5, 0.5]])
+        gl = np.array([0, 1, 2, 1, 2, 1])
+        for width in range(7):
+            hits = kernels.ranked_hits(sim, np.array([1]), gl, width)
+            assert hits.tolist() == [[1, 0, 1, 0, 1, 0][:width]]
+
+    def test_prefix_width(self):
+        rng = np.random.default_rng(4)
+        sim = rng.choice([0.1, 0.5, 0.9], size=(12, 12))  # many exact ties
+        labels = rng.integers(1, 4, size=12)
+        full = full_sort_ranked_hits(sim, labels, labels, False)
+        for width in range(13):
+            hits = kernels.ranked_hits(sim, labels, labels, width)
+            assert hits.dtype == np.uint8 and hits.shape == (12, width)
+            assert np.array_equal(hits, full[:, :width])
+        for width in (-1, 13):
+            with pytest.raises(ValueError, match="prefix width"):
+                kernels.ranked_hits(sim, labels, labels, width)
 
 
 class TestEmbeddingStats:

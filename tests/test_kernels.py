@@ -52,38 +52,8 @@ class TestBackendParity:
         a, b = _run_both(kernels.pairwise_sqdist_grad, z, g)
         assert np.allclose(a, b, atol=1e-12)
 
-    def test_ranked_hits_identical_with_ties(self, both_backends):
-        rng = np.random.default_rng(4)
-        sim = rng.choice([0.1, 0.5, 0.9], size=(12, 12))  # many exact ties
-        labels = rng.integers(1, 4, size=12)
-        a, b = _run_both(kernels.ranked_hits, sim, labels, labels, True)
-        assert np.array_equal(a, b)
-
-    def test_ranked_hits_query_gallery_mode(self, both_backends):
-        rng = np.random.default_rng(5)
-        sim = rng.standard_normal((4, 9))
-        ql = rng.integers(1, 3, size=4)
-        gl = rng.integers(1, 3, size=9)
-        a, b = _run_both(kernels.ranked_hits, sim, ql, gl, False)
-        assert np.array_equal(a, b)
-        assert a.shape == (4, 9)
-
 
 class TestContracts:
-    def test_exclude_self_requires_square(self):
-        with pytest.raises(ValueError):
-            kernels.ranked_hits(np.zeros((2, 3)), np.zeros(2, int), np.zeros(3, int), True)
-
     def test_set_backend_rejects_unknown(self):
         with pytest.raises(ValueError):
             kernels.set_backend("cuda")
-
-    def test_tie_break_by_gallery_index(self, both_backends):
-        # two equal similarities: lower gallery index must rank first
-        sim = np.array([[0.5, 0.5, 0.1]])
-        ql = np.array([7])
-        gl = np.array([7, 3, 7])
-        for backend in ("numpy", "numba"):
-            kernels.set_backend(backend)
-            hits = kernels.ranked_hits(sim, ql, gl, False)
-            assert hits.tolist() == [[1, 0, 1]]

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -393,6 +394,33 @@ class TestCheckpointRoundTrip:
         )
         with pytest.raises(CheckpointError, match="magic"):
             trainer.load_checkpoint(ckpt, fresh)
+
+    def test_truncated_blob_rejected_at_every_offset(self, tmp_path):
+        blob = tmp_path / "two.bin"
+        trainer._write_group(blob, {
+            "w": ad.Tensor(np.arange(6.0).reshape(2, 3)),
+            "b": ad.Tensor(np.array([0.5, -1.0])),
+        })
+        raw = blob.read_bytes()
+        assert set(trainer._read_group(blob)) == {"w", "b"}
+        for cut in range(len(raw)):
+            blob.write_bytes(raw[:cut])
+            with pytest.raises(CheckpointError, match="truncated|magic"):
+                trainer._read_group(blob)
+        # first tensor "b": header (16), name length (2), name (1), ndim (1), dim
+        huge_dim = raw[:20] + struct.pack("<Q", 2**62) + raw[28:]
+        blob.write_bytes(huge_dim)
+        with pytest.raises(CheckpointError, match="corrupt"):
+            trainer._read_group(blob)
+
+    def test_truncated_checkpoint_load_rejected(self, tmp_path):
+        tr = make_trainer(tmp_path)
+        ckpt = tmp_path / "ckpt"
+        trainer.save_checkpoint(ckpt, tr.model, tr._manifest(0, []))
+        blob = ckpt / "backbone.bin"
+        blob.write_bytes(blob.read_bytes()[:-3])
+        with pytest.raises(CheckpointError, match="truncated"):
+            trainer.load_checkpoint(ckpt, tr.model)
 
     def test_version_mismatch_migration_error(self, tmp_path):
         tr = make_trainer(tmp_path)
