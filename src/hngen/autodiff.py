@@ -4,7 +4,9 @@ A ``Tensor`` wraps an ndarray plus an optional gradient and a backward
 closure; ``Tensor.backward()`` runs the tape in reverse topological order.
 The op set is exactly what the model needs (broadcast arithmetic, matmul,
 reductions, indexing, the usual nonlinearities, a masked softmax and a
-stable logsumexp). Gradient-blocking (``detach``) is the primitive behind
+stable logsumexp), plus fused ``linear`` and ``layer_norm`` ops that put a
+whole affine map or normalization on the tape as one node with a
+hand-written backward. Gradient-blocking (``detach``) is the primitive behind
 the two-stage training contract, so it is exact: a detached tensor shares
 data but carries no tape.
 
@@ -252,6 +254,33 @@ def matmul(a, b) -> Tensor:
     return _make(out_data, (a, b), backward)
 
 
+def linear(x, w, b) -> Tensor:
+    """Affine map ``x @ w.T + b`` over the last axis of ``x``: one tape node.
+
+    ``w`` is ``(out, in)``. Leading dims of ``x`` are flattened into the
+    rows of a single 2-D product, forward and backward, so an N-D input
+    never forms per-row ``(in, out)`` gradient temporaries. A parent's
+    gradient is computed only when that parent requires grad.
+    """
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    out_dim, in_dim = w.data.shape
+    if x.shape[-1] != in_dim:
+        raise ShapeError(f"linear: input dim {x.shape[-1]} != weight in dim {in_dim}")
+    rows = x.data.reshape(-1, in_dim)
+    out_data = (rows @ w.data.T + b.data).reshape(x.shape[:-1] + (out_dim,))
+
+    def backward(g):
+        g2 = g.reshape(-1, out_dim)
+        if x.requires_grad:
+            _accumulate(x, (g2 @ w.data).reshape(x.data.shape))
+        if w.requires_grad:
+            _accumulate(w, g2.T @ rows)
+        if b.requires_grad:
+            _accumulate(b, g2.sum(axis=0))
+
+    return _make(out_data, (x, w, b), backward)
+
+
 # -- reductions ---------------------------------------------------------------
 
 
@@ -344,17 +373,6 @@ def concatenate(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(lo, hi)
             _accumulate(p, g[tuple(idx)])
-
-    return _make(out_data, parts, backward)
-
-
-def stack(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
-    parts = [as_tensor(p) for p in parts]
-    out_data = np.stack([p.data for p in parts], axis=axis)
-
-    def backward(g):
-        for i, p in enumerate(parts):
-            _accumulate(p, np.take(g, i, axis=axis))
 
     return _make(out_data, parts, backward)
 
@@ -491,10 +509,32 @@ def l2_normalize(x, eps_check: float = 0.0) -> Tensor:
 
 
 def layer_norm(x, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    mu = tmean(x, axis=-1, keepdims=True)
-    centered = x - mu
-    var = tmean(mul(centered, centered), axis=-1, keepdims=True)
-    return add(mul(div(centered, sqrt(add(var, eps))), gain), bias)
+    """Normalize over the last axis, then scale and shift: one tape node.
+
+    The forward pass does the arithmetic of the composed ops (sum times
+    1/n for the means), so its values match them bit for bit; the backward
+    pass is the analytic layer-norm gradient.
+    """
+    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
+    inv_n = 1.0 / float(x.shape[-1])
+    centered = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
+    std = np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * inv_n + eps)
+    xhat = centered / std
+    out_data = xhat * gain.data + bias.data
+
+    def backward(g):
+        if gain.requires_grad:
+            _accumulate(gain, _unbroadcast(g * xhat, gain.data.shape))
+        if bias.requires_grad:
+            _accumulate(bias, _unbroadcast(g, bias.data.shape))
+        if x.requires_grad:
+            gx = g * gain.data
+            _accumulate(x, (
+                gx - gx.mean(axis=-1, keepdims=True)
+                - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
+            ) / std)
+
+    return _make(out_data, (x, gain, bias), backward)
 
 
 def log1p_sum_exp(u, valid: np.ndarray, axis: int = -1) -> Tensor:
@@ -553,7 +593,7 @@ class Linear(Module):
     def __call__(self, x: Tensor, frozen: bool = False) -> Tensor:
         w = self.weight.detach() if frozen else self.weight
         b = self.bias.detach() if frozen else self.bias
-        return add(matmul(x, swapaxes(w, 0, 1)), b)
+        return linear(x, w, b)
 
 
 class Identity(Module):

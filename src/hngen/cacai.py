@@ -226,5 +226,5 @@ def synthesize(
         valid=valid,
         fusion_weights=coeffs,
         member_indices=member_order,
-        interpolants=grouped.data.copy(),
+        interpolants=grouped.data,  # a fresh gather that no op writes to
     )

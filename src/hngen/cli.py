@@ -261,9 +261,12 @@ def _model_from_checkpoint(ckpt_dir: Path):
         raise CheckpointError(f"{ckpt_dir}: manifest has no embedded config")
     tcfg = train_config_from(cfg)
     codec = losses.ClassCodec(np.array(manifest["class_ids"]))
+    # a feature file sets the input dim, not cfg["dataset"]["input_dim"]:
+    # read it off the first backbone weight (out, in); identity keeps embed_dim
+    first = manifest.get("groups", {}).get("backbone", {}).get("layers.0.weight")
+    input_dim = first[1] if first else cfg["backbone"]["embed_dim"]
     model = trainer.HngModel(
-        tcfg, backbone_config_from(cfg), cfg["dataset"]["input_dim"], codec,
-        np.random.default_rng(0),
+        tcfg, backbone_config_from(cfg), input_dim, codec, np.random.default_rng(0),
     )
     trainer.load_checkpoint(ckpt_dir, model)
     return model, manifest, cfg
@@ -362,7 +365,9 @@ def cmd_inspect(args) -> int:
 
     pos = cacai.select_positives(zb.labels, rng)
     d_plus, d_minus = cacai.pair_distances(zb, pos)
-    eta = trainer.eta_for_batch(model.cfg, trainer.RunState())
+    if "eta" not in manifest:
+        raise CheckpointError(f"{ckpt_dir}: manifest stores no schedule state (eta)")
+    eta = manifest["eta"]  # what the batch after this checkpoint trains with
     occupancy = lam.data.mean(axis=2) * eta  # fraction of [d+, d-] gap used
     with open(out_dir / "interval_occupancy.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -392,6 +397,7 @@ def cmd_inspect(args) -> int:
         for row, lab in zip(coords, dataset.labels):
             writer.writerow([repr(float(row[0])), repr(float(row[1])), int(lab)])
 
+    print(f"schedule state: eta={eta!r} avg_metric_loss={manifest['avg_metric_loss']!r}")
     print(f"wrote diagnostics to {out_dir}")
     return 0
 

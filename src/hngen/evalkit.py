@@ -152,18 +152,25 @@ def _top_r(index: RetrievalIndex, hits: np.ndarray | None, r: np.ndarray) -> np.
     return hits[:, :r_max]
 
 
-def r_precision(index: RetrievalIndex, hits: np.ndarray | None = None) -> float:
+def r_precision(
+    index: RetrievalIndex, hits: np.ndarray | None = None, keep: np.ndarray | None = None
+) -> float:
+    """Mean R-Precision; ``keep`` is the scored-query mask when the caller
+    has already computed it (and warned about the skipped queries)."""
     r = index.relevant_counts()
-    keep = _scored_queries(r)
+    keep = _scored_queries(r) if keep is None else keep
     csum = _top_r(index, hits, r).cumsum(axis=1)
     rk = r[keep]
     prec = csum[keep, rk - 1] / rk
     return float(prec.mean())
 
 
-def map_at_r(index: RetrievalIndex, hits: np.ndarray | None = None) -> float:
+def map_at_r(
+    index: RetrievalIndex, hits: np.ndarray | None = None, keep: np.ndarray | None = None
+) -> float:
+    """Mean MAP@R; ``keep`` as in :func:`r_precision`."""
     r = index.relevant_counts()
-    keep = _scored_queries(r)
+    keep = _scored_queries(r) if keep is None else keep
     hits = _top_r(index, hits, r)
     csum = hits.astype(np.int64).cumsum(axis=1)
     ranks = np.arange(1, hits.shape[1] + 1)
@@ -181,10 +188,11 @@ def evaluate_retrieval(index: RetrievalIndex, ks: list[int]) -> MetricReport:
     r = index.relevant_counts()
     # K <= effective gallery size (checked) and R <= it by construction
     hits = index.ranked_hits(max(max(ks, default=0), int(r.max(initial=0))))
+    keep = _scored_queries(r)  # warns once for both R-based metrics
     return MetricReport(
         recall_at=recall_at_k(index, ks, hits),
-        r_precision=r_precision(index, hits),
-        map_at_r=map_at_r(index, hits),
+        r_precision=r_precision(index, hits, keep),
+        map_at_r=map_at_r(index, hits, keep),
         n_queries=int(r.shape[0]),
         n_skipped=int((r == 0).sum()),
     )

@@ -135,19 +135,25 @@ class EdgeBlock(ad.Module):
         self.ffn = ad.FeedForward(dim, ffn_expansion, rng)
 
     def cross_attention(self, e_flat: ad.Tensor, v: ad.Tensor, b: int) -> tuple[ad.Tensor, ad.Tensor]:
-        """Attend each edge query over its endpoint tokens {V_i, V_j}."""
+        """Attend each edge query over its endpoint tokens {V_i, V_j}.
+
+        Returns the output (B^2, D) and the weights (B^2, H, 1, 2) on
+        (V_i, V_j) as an untracked tensor. K and V are projected once per
+        node and broadcast over the edges; with two tokens the softmax is
+        sigmoid(s_i - s_j) on V_i and its complement on V_j.
+        """
         hd = self.dim // self.heads
-        n_pairs = b * b
-        anchor_idx = np.repeat(np.arange(b), b)
-        other_idx = np.tile(np.arange(b), b)
-        tokens = ad.stack([v[anchor_idx], v[other_idx]], axis=1)  # (B^2, 2, D)
-        q = self.wq(e_flat).reshape(n_pairs, self.heads, 1, hd)
-        k = self.wk(tokens).reshape(n_pairs, 2, self.heads, hd).swapaxes(1, 2)
-        val = self.wv(tokens).reshape(n_pairs, 2, self.heads, hd).swapaxes(1, 2)
-        scores = (q @ k.swapaxes(2, 3)) * (1.0 / np.sqrt(hd))
-        probs = ad.masked_softmax(scores, np.zeros(scores.shape, dtype=bool))
-        ctx = (probs @ val).reshape(n_pairs, self.dim)
-        return self.wo(ctx), probs
+        q = self.wq(e_flat).reshape(b, b, self.dim)
+        k = self.wk(v)
+        val = self.wv(v)
+        k_diff = k.reshape(b, 1, self.dim) - k.reshape(1, b, self.dim)  # K_i - K_j
+        s_diff = (q * k_diff).reshape(b, b, self.heads, hd).sum(axis=-1)
+        p_i = ad.sigmoid(s_diff * (1.0 / np.sqrt(hd)))  # (B, B, H)
+        v_i = val.reshape(b, 1, self.heads, hd)
+        v_j = val.reshape(1, b, self.heads, hd)
+        ctx = v_j + p_i.reshape(b, b, self.heads, 1) * (v_i - v_j)
+        probs = np.stack([p_i.data, 1.0 - p_i.data], axis=-1).reshape(b * b, self.heads, 1, 2)
+        return self.wo(ctx.reshape(b * b, self.dim)), ad.Tensor(probs)
 
     def __call__(self, e: ad.Tensor, v: ad.Tensor) -> ad.Tensor:
         b = v.shape[0]

@@ -531,6 +531,8 @@ class Trainer:
             "metric_history": list(history),
             "class_ids": self.codec.ids.tolist(),
             "dtype": "float64",
+            "eta": self.state.eta,
+            "avg_metric_loss": self.state.avg_metric_loss,
         }
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from hngen import evalkit
+from hngen import evalkit, gcl
 
 
 def full_sort_ranked_hits(sim, query_labels, gallery_labels, exclude_self):
@@ -44,3 +44,28 @@ def full_sort_report(index: evalkit.RetrievalIndex, ks: list[int]) -> evalkit.Me
         n_queries=int(hits.shape[0]),
         n_skipped=int((~keep).sum()),
     )
+
+
+def stacked_token_cross_attention(block: gcl.EdgeBlock, e_flat, v, b):
+    """Edge cross-attention by gathering both endpoint tokens per edge.
+
+    Each edge (i, j) stacks (V_i, V_j) into a 2-token sequence, projects K
+    and V for all 2 * B^2 tokens, and takes a max-shifted softmax over the
+    two scores. Returns the output (B^2, D) and the weights (B^2, H, 1, 2).
+    """
+    heads, dim = block.heads, block.dim
+    hd = dim // heads
+    n_pairs = b * b
+
+    def affine(lin, x):
+        return x @ lin.weight.data.T + lin.bias.data
+
+    tokens = np.stack([v[np.repeat(np.arange(b), b)], v[np.tile(np.arange(b), b)]], axis=1)
+    q = affine(block.wq, e_flat).reshape(n_pairs, heads, 1, hd)
+    k = affine(block.wk, tokens).reshape(n_pairs, 2, heads, hd).swapaxes(1, 2)
+    val = affine(block.wv, tokens).reshape(n_pairs, 2, heads, hd).swapaxes(1, 2)
+    scores = (q @ k.swapaxes(2, 3)) / np.sqrt(hd)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    ctx = (probs @ val).reshape(n_pairs, dim)
+    return affine(block.wo, ctx), probs

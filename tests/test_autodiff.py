@@ -65,6 +65,26 @@ class TestMatmulAndShapes:
         b = _param(rng, 4, 5)
         check_gradients(lambda: (a @ b).sum(), [a, b])
 
+    def test_linear_3d_input_gradient(self):
+        rng = np.random.default_rng(17)
+        lin = ad.Linear(4, 3, rng)
+        lin.bias.data = rng.standard_normal(3)
+        x = _param(rng, 2, 5, 4)
+        w = rng.standard_normal((2, 5, 3))
+        check_gradients(lambda: (lin(x) * w).sum(), [x, lin.weight, lin.bias])
+
+    def test_linear_matches_matmul_and_skips_constant_parents(self):
+        rng = np.random.default_rng(18)
+        lin = ad.Linear(4, 3, rng)
+        x = ad.Tensor(rng.standard_normal((6, 4)))
+        out = lin(x, frozen=True)
+        assert np.array_equal(out.data, x.data @ lin.weight.data.T + lin.bias.data)
+        assert not out.requires_grad
+        lin(x).sum().backward()
+        assert x.grad is None and lin.weight.grad is not None
+        with pytest.raises(ShapeError):
+            lin(ad.Tensor(np.zeros((4, 6))))
+
     def test_reshape_swapaxes_getitem(self):
         rng = np.random.default_rng(6)
         a = _param(rng, 4, 6)
@@ -81,7 +101,7 @@ class TestMatmulAndShapes:
         a = _param(rng, 2, 3)
         b = _param(rng, 2, 3)
         check_gradients(
-            lambda: (ad.concatenate([a, b], axis=1) * ad.stack([a, b], axis=0).reshape(2, 6)).sum(),
+            lambda: (ad.concatenate([a, b], axis=1) * ad.concatenate([b, a], axis=0).reshape(2, 6)).sum(),
             [a, b],
         )
 
@@ -120,6 +140,24 @@ class TestReductionsAndComposites:
         g = ad.parameter(rng.standard_normal(6))
         b = ad.parameter(rng.standard_normal(6))
         check_gradients(lambda: (ad.layer_norm(a, g, b) ** 2).sum(), [a, g, b])
+
+    def test_layer_norm_gradient_3d(self):
+        rng = np.random.default_rng(15)
+        a = _param(rng, 2, 3, 6)
+        g = ad.parameter(rng.standard_normal(6))
+        b = ad.parameter(rng.standard_normal(6))
+        w = rng.standard_normal((2, 3, 6))
+        check_gradients(lambda: (ad.layer_norm(a, g, b) * w).sum(), [a, g, b])
+
+    def test_layer_norm_matches_composed_ops_bitwise(self):
+        rng = np.random.default_rng(16)
+        x = ad.Tensor(rng.standard_normal((5, 7)) * 3 + 1)
+        g, b = ad.Tensor(rng.standard_normal(7)), ad.Tensor(rng.standard_normal(7))
+        mu = ad.tmean(x, axis=-1, keepdims=True)
+        centered = x - mu
+        var = ad.tmean(centered * centered, axis=-1, keepdims=True)
+        composed = centered / ad.sqrt(var + 1e-5) * g + b
+        assert np.array_equal(ad.layer_norm(x, g, b).data, composed.data)
 
     def test_l2_normalize_rows_and_zero_row_error(self):
         rng = np.random.default_rng(12)

@@ -5,7 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
-from hngen import cli, datakit
+from hngen import cacai, cli, datakit
 from hngen.errors import ConfigurationError
 
 FAST_TRAIN = {
@@ -242,6 +242,36 @@ class TestTrainEvalInspect:
         assert total > 0
         assert float(rows[0]["bin_left"]) == 0.0
         assert float(rows[-1]["bin_right"]) == 1.0
+
+
+class TestCheckpointReload:
+    def test_inspect_reports_the_eta_training_stored(self, tmp_path):
+        cfg_path = write_cfg(tmp_path, {"train": {"epochs": 2}})
+        assert cli.main(["train", "--config", str(cfg_path),
+                         "--out-dir", str(tmp_path / "runs")]) == 0
+        ckpt = next((tmp_path / "runs").iterdir()) / "checkpoints" / "epoch_002"
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        tcfg = cli.train_config_from(manifest["resolved_config"])
+        assert manifest["avg_metric_loss"] is not None
+        assert manifest["eta"] == cacai.eta_from_avg_loss(tcfg.alpha_pull, manifest["avg_metric_loss"])
+        assert manifest["eta"] != 1.0
+        out = tmp_path / "diag"
+        assert cli.main(["inspect", "--checkpoint", str(ckpt), "--out-dir", str(out)]) == 0
+        etas = {float(r["eta"]) for r in csv.DictReader(open(out / "interval_occupancy.csv"))}
+        assert etas == {manifest["eta"]}
+
+    def test_feature_file_checkpoint_loads_into_eval_and_inspect(self, tmp_path):
+        data = tmp_path / "feats.csv"
+        assert cli.main(["synth-data", "--classes", "4", "--per-class", "12", "--dim", "32",
+                         "--seed", "2", "--out", str(data)]) == 0
+        cfg_path = write_cfg(tmp_path, {"dataset": {"path": str(data)}})
+        assert cli.main(["train", "--config", str(cfg_path),
+                         "--out-dir", str(tmp_path / "runs")]) == 0
+        ckpt = next((tmp_path / "runs").iterdir()) / "checkpoints" / "epoch_001"
+        assert cli.main(["eval", "--checkpoint", str(ckpt),
+                         "--out-dir", str(tmp_path / "ev")]) == 0
+        assert cli.main(["inspect", "--checkpoint", str(ckpt),
+                         "--out-dir", str(tmp_path / "diag")]) == 0
 
 
 class TestTrainOverridesAndErrors:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,17 @@ class TestRPrecisionAndMap:
         idx = ek.RetrievalIndex.query_gallery(z[:2], ql, z, gl)
         with pytest.warns(UserWarning, match="skipping"):
             ek.r_precision(idx)
+
+    def test_evaluate_retrieval_warns_once_about_skipped_queries(self):
+        z = unit_rows(np.random.default_rng(4), 4, 3)
+        idx = ek.RetrievalIndex.query_gallery(z[:2], np.array([1, 3]), z, np.array([1, 1, 2, 2]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rep = ek.evaluate_retrieval(idx, [1])
+        skips = [w for w in caught if "skipping" in str(w.message)]
+        assert len(skips) == 1
+        assert "skipping 1 queries" in str(skips[0].message)
+        assert rep.n_skipped == 1
 
 
 class TestOracleAgreement:

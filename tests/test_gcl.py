@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from hngen.backbone import EmbeddingBatch
 from hngen.errors import ConfigurationError, GraphError, ShapeError
 
 from gradcheck import check_gradients
+from oracles import stacked_token_cross_attention
 
 
 class ZeroFFN(ad.Module):
@@ -164,6 +167,38 @@ class TestEdgePropagation:
         p = p / p.sum()
         expect = (p[:, None] * vv).sum(0) @ wo.T
         assert np.allclose(ca.data[1], expect, atol=1e-12)
+
+
+    def test_matches_stacked_token_oracle_on_every_edge(self):
+        rng = np.random.default_rng(8)
+        b, d = 6, 8
+        block = gcl.EdgeBlock(d, 2, 4, rng)
+        for lin in (block.wq, block.wk, block.wv, block.wo):
+            lin.bias.data = rng.standard_normal(d)
+        v = rng.standard_normal((b, d))
+        e_flat = rng.standard_normal((b * b, d))
+        ca, probs = block.cross_attention(ad.Tensor(e_flat), ad.Tensor(v), b)
+        expect, expect_probs = stacked_token_cross_attention(block, e_flat, v, b)
+        assert probs.shape == expect_probs.shape == (b * b, 2, 1, 2)
+        np.testing.assert_allclose(ca.data, expect, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(probs.data, expect_probs, rtol=0, atol=1e-12)
+
+    def test_forward_backward_peak_memory_below_one_edge_weight_gradient(self):
+        # the old stacked-token path formed a (B^2, D, D) float64 temporary
+        # in the K/V weight gradients; the per-node path must stay below it
+        rng = np.random.default_rng(9)
+        b, d = 32, 128
+        block = gcl.EdgeBlock(d, 2, 4, rng)
+        v = ad.Tensor(unit_rows(rng, b, d), requires_grad=True)
+        e = ad.Tensor(rng.standard_normal((b, b, d)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            block(e, v).sum().backward()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < b * b * d * d * 8, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestPropagate:
