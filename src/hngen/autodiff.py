@@ -10,8 +10,8 @@ hand-written backward. Gradient-blocking (``detach``) is the primitive behind
 the two-stage training contract, so it is exact: a detached tensor shares
 data but carries no tape.
 
-Heavy pairwise ops (``hadamard_pairs``, ``pairwise_sqdist``) route through
-:mod:`hngen.kernels`, which provides numba and pure-numpy backends.
+Heavy pairwise ops (``hadamard_pairs``, ``pairwise_sqdist``) call the numpy
+kernels in :mod:`hngen.kernels`.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .backbone import EmbeddingBatch
-from .errors import ConfigurationError, SamplingError, ShapeError
+from .errors import SamplingError, ShapeError
 
 
 def eta_from_avg_loss(alpha_pull: float, avg_metric_loss: float | None) -> float:
@@ -33,18 +33,6 @@ def eta_from_avg_loss(alpha_pull: float, avg_metric_loss: float | None) -> float
         warnings.warn("average metric loss <= 0; clamping to 1e-8 for eta")
         avg_metric_loss = 1e-8
     return float(np.exp(-alpha_pull / avg_metric_loss))
-
-
-@dataclass(frozen=True)
-class InterpolationContext:
-    """Hardness-interval state: pulling factor and last-epoch mean loss."""
-
-    alpha_pull: float
-    avg_metric_loss: float | None
-
-    @property
-    def eta(self) -> float:
-        return eta_from_avg_loss(self.alpha_pull, self.avg_metric_loss)
 
 
 @dataclass
@@ -104,18 +92,6 @@ def pair_distances(
     return d_plus, d_minus
 
 
-def interpolate_pair(z_i, z_j, lambda_ij, d_plus_i, d_minus_ij, eta: float) -> ad.Tensor:
-    """Single-pair interpolation; returns z_j unchanged when d- <= d+."""
-    z_i, z_j = ad.as_tensor(z_i), ad.as_tensor(z_j)
-    d_plus_i = ad.as_tensor(d_plus_i)
-    d_minus_ij = ad.as_tensor(d_minus_ij)
-    if float(d_minus_ij.data) <= float(d_plus_i.data):
-        return z_j
-    lam = ad.as_tensor(lambda_ij)
-    bracket = d_plus_i + lam * eta * (d_minus_ij - d_plus_i)
-    return z_i + bracket * ((z_j - z_i) / d_minus_ij)
-
-
 def interpolate_all(
     z: ad.Tensor,
     lam: ad.Tensor,
@@ -141,22 +117,6 @@ def interpolate_all(
     return take3 * (z_i + bracket * chord) + (1.0 - take3) * z_j
 
 
-def fuse_random_weighting(
-    interpolants: list[ad.Tensor], rng: np.random.Generator
-) -> tuple[ad.Tensor, np.ndarray]:
-    """Iterated pairwise random fusion; returns the result and the convex
-    coefficients it expands to (one per input, nonnegative, summing to 1)."""
-    if not interpolants:
-        raise ConfigurationError("fuse_random_weighting needs a nonempty set")
-    acc = interpolants[0]
-    coeffs = np.array([1.0])
-    for nxt in interpolants[1:]:
-        w = float(rng.random())
-        acc = w * acc + (1.0 - w) * nxt
-        coeffs = np.append(coeffs * w, 1.0 - w)
-    return acc, coeffs
-
-
 def fusion_coefficients(step_weights: np.ndarray) -> np.ndarray:
     """Expand sequential fusion weights (..., m-1) into convex coefficients
     (..., m): c_0 = prod(w), c_j = (1 - w_{j-1}) * prod(w_{j:})."""
@@ -174,7 +134,7 @@ def fusion_coefficients(step_weights: np.ndarray) -> np.ndarray:
 def synthesize(
     zb: EmbeddingBatch,
     lam: ad.Tensor,
-    ctx: InterpolationContext,
+    eta: float,
     rng: np.random.Generator,
     positive_idx: np.ndarray,
     shuffle_fusion_order: bool = False,
@@ -183,6 +143,8 @@ def synthesize(
 ) -> SyntheticNegatives:
     """Synthetic negatives for every anchor and every other batch class.
 
+    ``eta`` is the hardness-interval factor in [0, 1] (see
+    ``eta_from_avg_loss``); the caller freezes it for the batch.
     ``pick_single`` replaces the fusion with a uniformly chosen single
     interpolant (the no-random-weighting ablation); ``shuffle_fusion_order``
     randomizes the traversal order, which defaults to group order.
@@ -198,7 +160,7 @@ def synthesize(
     slot_labels = labels[:n].copy()
 
     d_plus, d_minus = pair_distances(zb, positive_idx)
-    z_tilde = interpolate_all(z, lam, d_plus, d_minus, ctx.eta)
+    z_tilde = interpolate_all(z, lam, d_plus, d_minus, eta)
 
     member_idx = (np.arange(n)[:, None] + n * np.arange(m)[None, :]).astype(np.int64)
     member_order = np.broadcast_to(member_idx, (b, n, m)).copy()

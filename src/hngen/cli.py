@@ -28,11 +28,12 @@ import csv
 import json
 import logging
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
-from . import cacai, datakit, evalkit, gcl, losses, trainer
+from . import cacai, datakit, evalkit, losses, trainer
 from .backbone import BackboneConfig
 from .errors import (
     CheckpointError,
@@ -45,56 +46,12 @@ from .errors import (
 
 log = logging.getLogger("hngen")
 
+# every default lives on its dataclass; only the file-source and eval keys are here
 DEFAULT_CONFIG: dict = {
-    "dataset": {
-        "path": None,
-        "format": "auto",
-        "num_classes": 8,
-        "samples_per_class": 50,
-        "input_dim": 64,
-        "class_center_scale": 1.0,
-        "within_class_stddev": 0.2,
-        "overlap_factor": 0.0,
-        "seed": 0,
-    },
-    "backbone": {
-        "kind": "mlp",
-        "hidden_dims": [128],
-        "embed_dim": 64,
-        "normalize": True,
-    },
-    "train": {
-        "epochs": 30,
-        "batch_classes": 4,
-        "batch_instances": 3,
-        "lr_f": 1.5e-4,
-        "lr_g": 3e-4,
-        "lr_cz": 1e-3,
-        "lr_cv": 3e-4,
-        "weight_decay": 1e-4,
-        "alpha_pull": 5.0,
-        "beta": 2.0,
-        "gamma_s": 1.0,
-        "gamma_d": None,
-        "k_steps": 1,
-        "heads": 2,
-        "ffn_expansion": 4,
-        "share_weights_across_steps": True,
-        "metric_loss": "np_modified",
-        "ablation": "full",
-        "seed": 0,
-        "pa_alpha": 32.0,
-        "pa_margin": 0.1,
-        "gen_ema_decay": 0.9,
-        "cosine_decay_g": True,
-        "shuffle_fusion_order": False,
-        "renormalize_synthetics": False,
-        "early_stop_patience": None,
-    },
-    "eval": {
-        "ks": [1, 2, 4, 8],
-        "holdout_per_class": 10,
-    },
+    "dataset": {"path": None, "format": "auto", **asdict(datakit.SyntheticDatasetSpec())},
+    "backbone": asdict(BackboneConfig()),
+    "train": asdict(trainer.TrainConfig()),
+    "eval": {"ks": [1, 2, 4, 8], "holdout_per_class": 10},
 }
 
 ABLATE_HEADER = [
@@ -143,13 +100,7 @@ def resolve_config(config_path: str | None, overrides: dict | None = None) -> di
 def _dataset_spec(cfg: dict) -> datakit.SyntheticDatasetSpec:
     d = cfg["dataset"]
     return datakit.SyntheticDatasetSpec(
-        num_classes=d["num_classes"],
-        samples_per_class=d["samples_per_class"],
-        input_dim=d["input_dim"],
-        class_center_scale=d["class_center_scale"],
-        within_class_stddev=d["within_class_stddev"],
-        overlap_factor=d["overlap_factor"],
-        seed=d["seed"],
+        **{f.name: d[f.name] for f in fields(datakit.SyntheticDatasetSpec)}
     )
 
 
@@ -171,12 +122,7 @@ def train_config_from(cfg: dict) -> trainer.TrainConfig:
 
 def backbone_config_from(cfg: dict) -> BackboneConfig:
     b = cfg["backbone"]
-    return BackboneConfig(
-        kind=b["kind"],
-        hidden_dims=list(b["hidden_dims"]),
-        embed_dim=b["embed_dim"],
-        normalize=b["normalize"],
-    )
+    return BackboneConfig(**{**b, "hidden_dims": list(b["hidden_dims"])})
 
 
 def run_dir_for(cfg: dict, out_dir: str) -> Path:
@@ -338,23 +284,17 @@ def cmd_inspect(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    graph0 = gcl.init_graph(zb)
-    maps = model.graph.attention_maps(
-        graph0,
-        node_propagation=model.cfg.ablation != "no_global",
-        include_edge_sum=model.cfg.ablation != "no_hadamard",
-    )
+    graph = model.propagate_graph(zb)
     with open(out_dir / "attention.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "head", "query_row", "key_col", "weight"])
-        for step, probs in enumerate(maps, start=1):
+        for step, probs in enumerate(graph.attention, start=1):
             h, b, _ = probs.shape
             for head in range(h):
                 for i in range(b):
                     for j in range(b):
                         writer.writerow([step, head, i, j, repr(float(probs[head, i, j]))])
 
-    graph = model.propagate_graph(zb)
     lam = model.lambda_for(graph)
     counts, edges = np.histogram(lam.data.ravel(), bins=20, range=(0.0, 1.0))
     with open(out_dir / "lambda_histogram.csv", "w", newline="", encoding="utf-8") as fh:
@@ -482,9 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-class", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--center-scale", type=float, default=1.0)
-    p.add_argument("--stddev", type=float, default=0.2)
-    p.add_argument("--overlap", type=float, default=0.0)
+    spec = datakit.SyntheticDatasetSpec()
+    p.add_argument("--center-scale", type=float, default=spec.class_center_scale)
+    p.add_argument("--stddev", type=float, default=spec.within_class_stddev)
+    p.add_argument("--overlap", type=float, default=spec.overlap_factor)
     p.add_argument("--format", default="auto", choices=["auto", "csv", "binary"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth_data)

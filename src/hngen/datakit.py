@@ -24,9 +24,9 @@ BINARY_VERSION = 1
 class SyntheticDatasetSpec:
     """Recipe for a synthetic labeled dataset; a pure function of its seed."""
 
-    num_classes: int
-    samples_per_class: int
-    input_dim: int
+    num_classes: int = 8
+    samples_per_class: int = 50
+    input_dim: int = 64
     class_center_scale: float = 1.0
     within_class_stddev: float = 0.2
     overlap_factor: float = 0.0

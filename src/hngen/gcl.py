@@ -17,7 +17,7 @@ behind a flag for ablation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,6 +52,7 @@ class CorrelationGraph:
     e: ad.Tensor          # (B, B, D) ordered-pair edge states
     labels: np.ndarray    # (B,) class ids
     step: int = 0
+    attention: tuple[np.ndarray, ...] = ()  # (H, B, B) node weights per node step
 
     @property
     def size(self) -> int:
@@ -109,15 +110,21 @@ class NodeBlock(ad.Module):
         ctx = (probs @ val).swapaxes(0, 1).reshape(v.shape[0], self.dim)
         return self.wo(ctx), probs
 
-    def __call__(
+    def step(
         self, v: ad.Tensor, e: ad.Tensor, labels: np.ndarray, include_edge_sum: bool = True
-    ) -> ad.Tensor:
-        attn, _ = self.attention(v, labels)
+    ) -> tuple[ad.Tensor, ad.Tensor]:
+        """Updated node states (B, D) and the attention weights (H, B, B)."""
+        attn, probs = self.attention(v, labels)
         pre = v + attn
         if include_edge_sum:
             pre = pre + e.sum(axis=1)
         vbar = self.ln1(pre)
-        return self.ln2(self.ffn(vbar) + vbar)
+        return self.ln2(self.ffn(vbar) + vbar), probs
+
+    def __call__(
+        self, v: ad.Tensor, e: ad.Tensor, labels: np.ndarray, include_edge_sum: bool = True
+    ) -> ad.Tensor:
+        return self.step(v, e, labels, include_edge_sum)[0]
 
 
 class EdgeBlock(ad.Module):
@@ -187,13 +194,13 @@ class GraphNet(ad.Module):
         if graph.step >= self.config.k_steps:
             raise GraphError(f"graph already at step {graph.step} of {self.config.k_steps}")
         node_block, _ = self._blocks(graph.step)
-        v = node_block(graph.v, graph.e, graph.labels, include_edge_sum=include_edge_sum)
-        return CorrelationGraph(v=v, e=graph.e, labels=graph.labels, step=graph.step)
+        v, probs = node_block.step(graph.v, graph.e, graph.labels, include_edge_sum)
+        return replace(graph, v=v, attention=graph.attention + (probs.data,))
 
     def edge_propagate(self, graph: CorrelationGraph) -> CorrelationGraph:
         _, edge_block = self._blocks(graph.step)
         e = edge_block(graph.e, graph.v)
-        return CorrelationGraph(v=graph.v, e=e, labels=graph.labels, step=graph.step + 1)
+        return replace(graph, e=e, step=graph.step + 1)
 
     def propagate(
         self,
@@ -202,7 +209,8 @@ class GraphNet(ad.Module):
         include_edge_sum: bool = True,
     ) -> CorrelationGraph:
         """Run all K steps; flags implement the ablation arms (skip node
-        propagation entirely, or drop the incident-edge sum)."""
+        propagation entirely, or drop the incident-edge sum). The returned
+        graph's ``attention`` holds each node step's attention weights."""
         if graph.step != 0:
             raise GraphError("propagate expects a step-0 graph")
         for _ in range(self.config.k_steps):
@@ -210,18 +218,3 @@ class GraphNet(ad.Module):
                 graph = self.node_propagate(graph, include_edge_sum=include_edge_sum)
             graph = self.edge_propagate(graph)
         return graph
-
-    def attention_maps(self, graph: CorrelationGraph, node_propagation: bool = True,
-                       include_edge_sum: bool = True) -> list[np.ndarray]:
-        """Node-attention weights per step, each (H, B, B); diagnostic only."""
-        maps: list[np.ndarray] = []
-        for k in range(self.config.k_steps):
-            node_block, edge_block = self._blocks(k)
-            if node_propagation:
-                _, probs = node_block.attention(graph.v, graph.labels)
-                maps.append(probs.data.copy())
-                v = node_block(graph.v, graph.e, graph.labels, include_edge_sum)
-                graph = CorrelationGraph(v=v, e=graph.e, labels=graph.labels, step=k)
-            e = edge_block(graph.e, graph.v)
-            graph = CorrelationGraph(v=graph.v, e=e, labels=graph.labels, step=k + 1)
-        return maps

@@ -100,38 +100,6 @@ def cross_entropy(logits: ad.Tensor, columns: np.ndarray, reduce: str = "mean") 
     raise ConfigurationError(f"unknown reduction {reduce!r}")
 
 
-def _cosine(a: ad.Tensor, b: ad.Tensor, axis: int = -1) -> ad.Tensor:
-    na = ad.tsum(a * a, axis=axis, keepdims=True)
-    nb = ad.tsum(b * b, axis=axis, keepdims=True)
-    if np.any(na.data <= 0) or np.any(nb.data <= 0):
-        raise ShapeError("cosine similarity of a zero vector")
-    dot = ad.tsum(a * b, axis=axis, keepdims=True)
-    out = dot / (ad.sqrt(na) * ad.sqrt(nb))
-    return out.reshape(out.shape[:-1])
-
-
-def j_ce(z_hat_in: ad.Tensor, class_n: int, head: ClassifierHead,
-         codec: ClassCodec, frozen_head: bool = True) -> ad.Tensor:
-    """Classification loss of one synthetic negative against its class."""
-    logits = head(z_hat_in.reshape(1, z_hat_in.shape[-1]), frozen=frozen_head)
-    return cross_entropy(logits, codec.columns(np.array([class_n])))
-
-
-def j_sim(z_i: ad.Tensor, z_hat_in: ad.Tensor) -> ad.Tensor:
-    """1 - cosine(anchor, synthetic); in [0, 2]."""
-    return 1.0 - _cosine(z_i.reshape(1, -1), z_hat_in.reshape(1, -1)).sum()
-
-
-def j_div(lambda_entries: ad.Tensor) -> ad.Tensor:
-    """1 - population std over all channels of an anchor's lambda vectors."""
-    flat = lambda_entries.reshape(-1)
-    if flat.shape[0] < 2:
-        raise ShapeError("diversity loss needs at least two lambda entries")
-    mu = flat.mean()
-    var = ((flat - mu) ** 2).mean()
-    return 1.0 - ad.sqrt_or_zero(var)
-
-
 def _stage1_lanes(
     z: ad.Tensor,
     synth: SyntheticNegatives,
@@ -251,20 +219,6 @@ def np_loss(z: ad.Tensor, labels: np.ndarray, n_classes: int, n_instances: int) 
     return terms.sum() * (1.0 / ((m - 1) * n))
 
 
-def original_np_loss(z: ad.Tensor, labels: np.ndarray, n_classes: int) -> ad.Tensor:
-    """Classic N-pair loss on an anchor group plus one positive group."""
-    n = n_classes
-    if z.shape[0] != 2 * n:
-        raise ShapeError("original N-pair loss expects exactly two groups")
-    anchors = z[np.arange(n)]
-    positives = z[np.arange(n, 2 * n)]
-    sims = anchors @ positives.T
-    diag = sims[np.arange(n), np.arange(n)]
-    u = sims - diag.reshape(n, 1)
-    terms = ad.log1p_sum_exp(u, ~np.eye(n, dtype=bool), axis=1)
-    return terms.mean()
-
-
 def pa_loss(z: ad.Tensor, labels: np.ndarray, bank: ProxyBank, codec: ClassCodec) -> ad.Tensor:
     """Proxy Anchor loss with cosine similarity, scale alpha, margin delta."""
     cols = codec.columns(labels)
@@ -292,12 +246,6 @@ def gamma_n_from_gen(beta: float, gen_loss_smoothed: float) -> float:
     if gen_loss_smoothed <= 0.0:
         gen_loss_smoothed = 1e-8
     return float(np.exp(-beta / gen_loss_smoothed))
-
-
-def j_m(j_r_term: ad.Tensor, j_gca_term: ad.Tensor, j_syn_term: ad.Tensor,
-        gamma_n: float) -> ad.Tensor:
-    """Stage-2 composite: J_r + J_gca + (1 - gamma_n) * J_syn."""
-    return j_r_term + j_gca_term + (1.0 - gamma_n) * j_syn_term
 
 
 @dataclass

@@ -340,11 +340,10 @@ class Trainer:
     def _stage1(self, zb_sg: EmbeddingBatch, positive_idx: np.ndarray, eta: float) -> dict:
         """Generator and real-head updates on detached embeddings."""
         cfg, model = self.cfg, self.model
-        ctx = _FixedEtaContext(cfg.alpha_pull, eta)
         graph = model.propagate_graph(zb_sg)
         lam = model.lambda_for(graph)
         synth = cacai.synthesize(
-            zb_sg, lam, ctx, self.synth_rng, positive_idx,
+            zb_sg, lam, eta, self.synth_rng, positive_idx,
             shuffle_fusion_order=cfg.shuffle_fusion_order,
             pick_single=cfg.ablation == "no_rw",
             renormalize=cfg.renormalize_synthetics,
@@ -378,9 +377,8 @@ class Trainer:
             out["j_gca"] = float(gca.data)
             if cfg.uses_synthetics:
                 lam_sg = model.lambda_for(graph).detach()
-                ctx = _FixedEtaContext(cfg.alpha_pull, eta)
                 synth = cacai.synthesize(
-                    zb, lam_sg, ctx, self.synth_rng, positive_idx,
+                    zb, lam_sg, eta, self.synth_rng, positive_idx,
                     shuffle_fusion_order=cfg.shuffle_fusion_order,
                     pick_single=cfg.ablation == "no_rw",
                     renormalize=cfg.renormalize_synthetics,
@@ -534,14 +532,6 @@ class Trainer:
             "eta": self.state.eta,
             "avg_metric_loss": self.state.avg_metric_loss,
         }
-
-
-class _FixedEtaContext:
-    """InterpolationContext stand-in with a precomputed eta (frozen per batch)."""
-
-    def __init__(self, alpha_pull: float, eta: float):
-        self.alpha_pull = alpha_pull
-        self.eta = eta
 
 
 def _timestamp() -> str:

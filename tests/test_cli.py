@@ -1,12 +1,75 @@
 import csv
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from hngen import cacai, cli, datakit
+import hngen
+from hngen import cacai, cli, datakit, trainer
+from hngen.backbone import BackboneConfig
 from hngen.errors import ConfigurationError
+
+REPO = Path(__file__).resolve().parent.parent
+
+# DEFAULT_CONFIG as it was written out by hand before it was derived from the
+# dataclass defaults; run directories are named by the hash of this content
+FROZEN_DEFAULT_CONFIG = {
+    "dataset": {
+        "path": None,
+        "format": "auto",
+        "num_classes": 8,
+        "samples_per_class": 50,
+        "input_dim": 64,
+        "class_center_scale": 1.0,
+        "within_class_stddev": 0.2,
+        "overlap_factor": 0.0,
+        "seed": 0,
+    },
+    "backbone": {
+        "kind": "mlp",
+        "hidden_dims": [128],
+        "embed_dim": 64,
+        "normalize": True,
+    },
+    "train": {
+        "epochs": 30,
+        "batch_classes": 4,
+        "batch_instances": 3,
+        "lr_f": 1.5e-4,
+        "lr_g": 3e-4,
+        "lr_cz": 1e-3,
+        "lr_cv": 3e-4,
+        "weight_decay": 1e-4,
+        "alpha_pull": 5.0,
+        "beta": 2.0,
+        "gamma_s": 1.0,
+        "gamma_d": None,
+        "k_steps": 1,
+        "heads": 2,
+        "ffn_expansion": 4,
+        "share_weights_across_steps": True,
+        "metric_loss": "np_modified",
+        "ablation": "full",
+        "seed": 0,
+        "pa_alpha": 32.0,
+        "pa_margin": 0.1,
+        "gen_ema_decay": 0.9,
+        "cosine_decay_g": True,
+        "shuffle_fusion_order": False,
+        "renormalize_synthetics": False,
+        "early_stop_patience": None,
+    },
+    "eval": {
+        "ks": [1, 2, 4, 8],
+        "holdout_per_class": 10,
+    },
+}
 
 FAST_TRAIN = {
     "dataset": {"num_classes": 4, "samples_per_class": 12, "input_dim": 6,
@@ -59,6 +122,20 @@ class TestConfigResolution:
         other["train"]["epochs"] = 99
         assert cli.run_dir_for(other, str(tmp_path / "runs")) != d1
 
+    def test_defaults_match_the_frozen_config_and_hashes(self):
+        cfg = cli.resolve_config(None)
+        assert cfg == FROZEN_DEFAULT_CONFIG
+        assert json.dumps(cfg) == json.dumps(FROZEN_DEFAULT_CONFIG)  # same key order
+        assert trainer.config_hash(cfg) == "30ab36a9f9ebe9b6"
+        smoke = cli.resolve_config(str(REPO / "configs" / "smoke.json"))
+        assert trainer.config_hash(smoke) == "26511d8ac836904f"
+
+    def test_config_sections_build_their_dataclasses(self):
+        cfg = cli.resolve_config(None)
+        assert cli._dataset_spec(cfg) == datakit.SyntheticDatasetSpec()
+        assert cli.backbone_config_from(cfg) == BackboneConfig()
+        assert cli.train_config_from(cfg) == trainer.TrainConfig()
+
     def test_run_dir_refuses_mismatched_config(self, tmp_path):
         cfg = cli.resolve_config(str(write_cfg(tmp_path)))
         d = cli.run_dir_for(cfg, str(tmp_path / "runs"))
@@ -66,6 +143,18 @@ class TestConfigResolution:
         (d / "resolved_config.json").write_text(json.dumps({"something": "else"}))
         with pytest.raises(ConfigurationError, match="refusing to overwrite"):
             cli.run_dir_for(cfg, str(tmp_path / "runs"))
+
+
+def test_import_emits_no_user_warning():
+    # hngen.cli imports every module of the package
+    src = str(Path(hngen.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::UserWarning", "-c", "import hngen.cli"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestSynthData:

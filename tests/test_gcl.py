@@ -9,7 +9,7 @@ from hngen.backbone import EmbeddingBatch
 from hngen.errors import ConfigurationError, GraphError, ShapeError
 
 from gradcheck import check_gradients
-from oracles import stacked_token_cross_attention
+from oracles import recompute_node_attention, stacked_token_cross_attention
 
 
 class ZeroFFN(ad.Module):
@@ -284,6 +284,47 @@ class TestPropagate:
         vbar = block.ln1(graph.v + attn)
         expect = block.ln2(block.ffn(vbar) + vbar)
         assert np.array_equal(without, expect.data)
+
+
+class TestRecordedAttention:
+    @pytest.mark.parametrize("share", [True, False])
+    @pytest.mark.parametrize("include_edge_sum", [True, False])
+    def test_matches_second_pass_oracle_bitwise(self, share, include_edge_sum):
+        rng = np.random.default_rng(23)
+        z = unit_rows(rng, 6, 4)
+        labels = np.array([1, 2, 3, 1, 2, 3])
+        net = gcl.GraphNet(4, gcl.GraphNetConfig(
+            k_steps=2, heads=2, share_weights_across_steps=share), rng)
+        graph = gcl.init_graph(embed_batch(z, labels, 3, 2))
+        out = net.propagate(graph, include_edge_sum=include_edge_sum)
+        expect = recompute_node_attention(net, graph, include_edge_sum=include_edge_sum)
+        assert len(out.attention) == len(expect) == 2
+        for got, want in zip(out.attention, expect):
+            assert got.shape == (2, 6, 6)
+            assert np.array_equal(got, want)
+        assert not np.array_equal(out.attention[0], out.attention[1])
+        assert graph.attention == ()
+
+    def test_no_global_records_nothing(self):
+        rng = np.random.default_rng(24)
+        z = unit_rows(rng, 4, 4)
+        net = gcl.GraphNet(4, gcl.GraphNetConfig(k_steps=2, heads=2), rng)
+        graph = gcl.init_graph(embed_batch(z, [1, 2, 1, 2], 2, 2))
+        out = net.propagate(graph, node_propagation=False)
+        assert out.attention == ()
+        assert recompute_node_attention(net, graph, node_propagation=False) == []
+
+    def test_node_block_call_returns_the_step_states(self):
+        rng = np.random.default_rng(25)
+        v = ad.Tensor(unit_rows(rng, 4, 4))
+        e = ad.Tensor(rng.standard_normal((4, 4, 4)))
+        labels = np.array([1, 2, 1, 2])
+        block = gcl.NodeBlock(4, 2, 4, rng)
+        out = block(v, e, labels)
+        assert isinstance(out, ad.Tensor)
+        states, probs = block.step(v, e, labels)
+        assert np.array_equal(out.data, states.data)
+        assert np.array_equal(probs.data, block.attention(v, labels)[1].data)
 
 
 class TestGradients:

@@ -9,6 +9,8 @@ from hngen import cacai, datakit, losses, trainer
 from hngen.backbone import BackboneConfig, EmbeddingBatch
 from hngen.errors import CheckpointError, ConfigurationError, NumericError
 
+from oracles import j_m
+
 
 def tiny_dataset(seed=0, classes=4, per_class=8, dim=5):
     return datakit.make_synthetic(
@@ -138,10 +140,10 @@ class TestStopGradientContracts:
         graph = model.propagate_graph(zb)
         lam_sg = model.lambda_for(graph).detach()
         synth = cacai.synthesize(
-            zb, lam_sg, cacai.InterpolationContext(5.0, 5.0),
+            zb, lam_sg, cacai.eta_from_avg_loss(5.0, 5.0),
             np.random.default_rng(3), pos,
         )
-        total = losses.j_m(
+        total = j_m(
             model.metric_loss_term(zb),
             losses.j_gca(graph.v, zb.labels, model.head_cv, tr.codec),
             losses.j_syn(zb.z, pos, synth),
@@ -166,10 +168,10 @@ class TestStopGradientContracts:
             graph = model.propagate_graph(zb)
             lam = lam_source(graph)
             synth = cacai.synthesize(
-                zb, lam, cacai.InterpolationContext(5.0, 5.0),
+                zb, lam, cacai.eta_from_avg_loss(5.0, 5.0),
                 np.random.default_rng(7), pos,
             )
-            total = losses.j_m(
+            total = j_m(
                 model.metric_loss_term(zb),
                 losses.j_gca(graph.v, zb.labels, model.head_cv, tr.codec),
                 losses.j_syn(zb.z, pos, synth),
@@ -198,7 +200,7 @@ class TestStopGradientContracts:
         graph = tr.model.propagate_graph(zb_sg)
         lam = tr.model.lambda_for(graph)
         synth = cacai.synthesize(
-            zb_sg, lam, cacai.InterpolationContext(5.0, 5.0),
+            zb_sg, lam, cacai.eta_from_avg_loss(5.0, 5.0),
             np.random.default_rng(5), pos,
         )
         gen_loss, _ = losses.j_gen(
