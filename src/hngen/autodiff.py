@@ -596,13 +596,6 @@ class Linear(Module):
         return linear(x, w, b)
 
 
-class Identity(Module):
-    """Drop-in stand-in for LayerNorm/FFN in algebra tests."""
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return x
-
-
 class LayerNorm(Module):
     def __init__(self, dim: int, eps: float = 1e-5):
         self.gain = parameter(np.ones(dim))

@@ -51,10 +51,6 @@ class SyntheticNegatives:
     member_indices: np.ndarray     # (B, N, m) batch indices fused per slot
     interpolants: np.ndarray       # (B, N, m, D) values entering the fusion
 
-    @property
-    def per_anchor_negatives(self) -> int:
-        return self.slot_labels.shape[0] - 1
-
 
 class LambdaHead(ad.Module):
     """Edge state -> per-channel interpolation vector, via sigmoid(FC)."""

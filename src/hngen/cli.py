@@ -200,12 +200,31 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _embedded_config(ckpt_dir: Path, manifest: dict) -> dict:
+    """The manifest's resolved config, with exactly the sections and keys of
+    DEFAULT_CONFIG (every resolved config has them all)."""
+    cfg = manifest.get("resolved_config")
+    if not cfg or not isinstance(cfg, dict):
+        raise CheckpointError(f"{ckpt_dir}: manifest has no embedded config")
+    for section, defaults in DEFAULT_CONFIG.items():
+        values = cfg.get(section)
+        if not isinstance(values, dict):
+            raise CheckpointError(f"{ckpt_dir}: embedded config has no {section!r} section")
+        if values.keys() != defaults.keys():
+            odd = sorted(values.keys() ^ defaults.keys())
+            raise CheckpointError(
+                f"{ckpt_dir}: embedded {section!r} config has unknown or missing keys {odd}"
+            )
+    return cfg
+
+
 def _model_from_checkpoint(ckpt_dir: Path):
     manifest = trainer.load_manifest(ckpt_dir)
-    cfg = manifest.get("resolved_config") or {}
-    if not cfg:
-        raise CheckpointError(f"{ckpt_dir}: manifest has no embedded config")
+    cfg = _embedded_config(ckpt_dir, manifest)
+    if "class_ids" not in manifest:
+        raise CheckpointError(f"{ckpt_dir}: manifest has no class_ids")
     tcfg = train_config_from(cfg)
+    tcfg.validate()
     codec = losses.ClassCodec(np.array(manifest["class_ids"]))
     # a feature file sets the input dim, not cfg["dataset"]["input_dim"]:
     # read it off the first backbone weight (out, in); identity keeps embed_dim
@@ -226,7 +245,7 @@ def cmd_eval(args) -> int:
         if trainer.config_hash(current) != manifest.get("config_hash"):
             log.warning("checkpoint config hash differs from --config; evaluating anyway")
 
-    ks = [int(k) for k in args.ks.split(",")] if args.ks else cfg["eval"]["ks"]
+    ks = args.ks or cfg["eval"]["ks"]
     if args.data:
         dataset = datakit.load_features(args.data)
         if args.gallery:
@@ -361,10 +380,9 @@ def cmd_ablate(args) -> int:
             raise ConfigurationError(
                 f"unknown arm {arm!r}; valid arms: {', '.join(trainer.ABLATION_ARMS)}"
             )
-    seeds = [int(s) for s in args.seeds.split(",")]
     jobs = []
     for arm in arms:
-        for seed in seeds:
+        for seed in args.seeds:
             cfg = resolve_config(args.config, {
                 "train": {"ablation": arm, "seed": seed},
             })
@@ -400,6 +418,16 @@ def cmd_ablate(args) -> int:
 
 
 # -- argument parsing -------------------------------------------------------------
+
+
+def _int_list(text: str) -> list[int]:
+    """argparse type for comma-separated integers such as ``1,2,4``."""
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -444,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--data", help="feature file to evaluate (default: the run's holdout)")
     p.add_argument("--gallery", help="separate gallery feature file (query/gallery mode)")
-    p.add_argument("--ks", help="comma-separated recall cutoffs")
+    p.add_argument("--ks", type=_int_list, help="comma-separated recall cutoffs")
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=cmd_eval, default_out_dir="eval_out")
 
@@ -457,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="train and compare ablation arms")
     p.add_argument("--config")
     p.add_argument("--arms", required=True)
-    p.add_argument("--seeds", default="1,2,3")
+    p.add_argument("--seeds", type=_int_list, default="1,2,3")
     p.add_argument("--parallel", action="store_true")
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=cmd_ablate, default_out_dir="ablate_out")

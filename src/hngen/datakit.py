@@ -270,14 +270,15 @@ def _parse_binary(path) -> Dataset:
 
 def load_features(path, fmt: str = "auto") -> Dataset:
     """Read a feature file; fmt is 'csv', 'binary', or 'auto' (sniff magic)."""
-    if fmt == "auto":
-        with open(path, "rb") as fh:
-            fmt = "binary" if fh.read(4) == BINARY_MAGIC else "csv"
-    if fmt == "csv":
-        return _parse_csv(path)
-    if fmt == "binary":
-        return _parse_binary(path)
-    raise ConfigurationError(f"unknown feature format {fmt!r}")
+    if fmt not in ("auto", "csv", "binary"):
+        raise ConfigurationError(f"unknown feature format {fmt!r}")
+    try:
+        if fmt == "auto":
+            with open(path, "rb") as fh:
+                fmt = "binary" if fh.read(4) == BINARY_MAGIC else "csv"
+        return _parse_csv(path) if fmt == "csv" else _parse_binary(path)
+    except OSError as exc:
+        raise DataFormatError(f"{path}: cannot read feature file: {exc.strerror}") from exc
 
 
 def save_features(dataset: Dataset, path, fmt: str = "auto") -> None:

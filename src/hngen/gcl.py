@@ -11,8 +11,10 @@ nodes first, then edges:
 * edges attend from a single query (the edge state) over exactly its two
   endpoint nodes, through the same sublayer pattern.
 
-Blocks are shared across the K steps by default; per-step weights are kept
-behind a flag for ablation.
+One node block and one edge block serve all K steps, unless per-step
+weights are asked for (an ablation). The settings themselves (K, heads, FFN
+width, weight sharing) have their defaults and range checks on
+``trainer.TrainConfig``.
 """
 
 from __future__ import annotations
@@ -24,26 +26,6 @@ import numpy as np
 from . import autodiff as ad
 from .backbone import EmbeddingBatch
 from .errors import ConfigurationError, GraphError, ShapeError
-
-
-@dataclass
-class GraphNetConfig:
-    k_steps: int = 1
-    heads: int = 2
-    ffn_expansion: int = 4
-    share_weights_across_steps: bool = True
-
-    def validate(self, dim: int) -> None:
-        if self.k_steps < 1:
-            raise ConfigurationError("k_steps must be >= 1")
-        if self.heads < 1:
-            raise ConfigurationError("heads must be >= 1")
-        if dim % self.heads != 0:
-            raise ConfigurationError(
-                f"embed dim {dim} not divisible by {self.heads} heads"
-            )
-        if self.ffn_expansion < 1:
-            raise ConfigurationError("ffn_expansion must be >= 1")
 
 
 @dataclass
@@ -82,8 +64,9 @@ def _split_heads(x: ad.Tensor, heads: int) -> ad.Tensor:
     return x.reshape(b, heads, d // heads).swapaxes(0, 1)  # (H, B, hd)
 
 
-class NodeBlock(ad.Module):
-    """One node-propagation step: masked self-attention + edge sum + FFN."""
+class _Block(ad.Module):
+    """The sublayer pattern both steps share: Q/K/V/O projections for the
+    attention, then a post-norm residual FFN tail."""
 
     def __init__(self, dim: int, heads: int, ffn_expansion: int, rng: np.random.Generator):
         self.dim = dim
@@ -95,6 +78,15 @@ class NodeBlock(ad.Module):
         self.ln1 = ad.LayerNorm(dim)
         self.ln2 = ad.LayerNorm(dim)
         self.ffn = ad.FeedForward(dim, ffn_expansion, rng)
+
+    def _tail(self, pre: ad.Tensor) -> ad.Tensor:
+        """LN2(FFN(x) + x) with x = LN1(pre)."""
+        bar = self.ln1(pre)
+        return self.ln2(self.ffn(bar) + bar)
+
+
+class NodeBlock(_Block):
+    """One node-propagation step: masked self-attention + edge sum + FFN."""
 
     def attention(self, v: ad.Tensor, labels: np.ndarray) -> tuple[ad.Tensor, ad.Tensor]:
         """Multi-head attention output (B, D) and its weights (H, B, B)."""
@@ -118,8 +110,7 @@ class NodeBlock(ad.Module):
         pre = v + attn
         if include_edge_sum:
             pre = pre + e.sum(axis=1)
-        vbar = self.ln1(pre)
-        return self.ln2(self.ffn(vbar) + vbar), probs
+        return self._tail(pre), probs
 
     def __call__(
         self, v: ad.Tensor, e: ad.Tensor, labels: np.ndarray, include_edge_sum: bool = True
@@ -127,19 +118,8 @@ class NodeBlock(ad.Module):
         return self.step(v, e, labels, include_edge_sum)[0]
 
 
-class EdgeBlock(ad.Module):
+class EdgeBlock(_Block):
     """One edge-propagation step: cross-attention over the two endpoints."""
-
-    def __init__(self, dim: int, heads: int, ffn_expansion: int, rng: np.random.Generator):
-        self.dim = dim
-        self.heads = heads
-        self.wq = ad.Linear(dim, dim, rng)
-        self.wk = ad.Linear(dim, dim, rng)
-        self.wv = ad.Linear(dim, dim, rng)
-        self.wo = ad.Linear(dim, dim, rng)
-        self.ln1 = ad.LayerNorm(dim)
-        self.ln2 = ad.LayerNorm(dim)
-        self.ffn = ad.FeedForward(dim, ffn_expansion, rng)
 
     def cross_attention(self, e_flat: ad.Tensor, v: ad.Tensor, b: int) -> tuple[ad.Tensor, ad.Tensor]:
         """Attend each edge query over its endpoint tokens {V_i, V_j}.
@@ -166,33 +146,37 @@ class EdgeBlock(ad.Module):
         b = v.shape[0]
         e_flat = e.reshape(b * b, self.dim)
         ca, _ = self.cross_attention(e_flat, v, b)
-        ebar = self.ln1(e_flat + ca)
-        out = self.ln2(self.ffn(ebar) + ebar)
-        return out.reshape(b, b, self.dim)
+        return self._tail(e_flat + ca).reshape(b, b, self.dim)
 
 
 class GraphNet(ad.Module):
     """K iterations of node-then-edge propagation over the batch graph."""
 
-    def __init__(self, dim: int, config: GraphNetConfig, rng: np.random.Generator):
-        config.validate(dim)
-        self.config = config
+    def __init__(
+        self,
+        dim: int,
+        rng: np.random.Generator,
+        *,
+        k_steps: int,
+        heads: int,
+        ffn_expansion: int,
+        share_weights_across_steps: bool,
+    ):
+        if dim % heads != 0:
+            raise ConfigurationError(f"embed dim {dim} not divisible by {heads} heads")
         self.dim = dim
-        n_blocks = 1 if config.share_weights_across_steps else config.k_steps
-        self.node_blocks = [
-            NodeBlock(dim, config.heads, config.ffn_expansion, rng) for _ in range(n_blocks)
-        ]
-        self.edge_blocks = [
-            EdgeBlock(dim, config.heads, config.ffn_expansion, rng) for _ in range(n_blocks)
-        ]
+        self.k_steps = k_steps
+        n_blocks = 1 if share_weights_across_steps else k_steps
+        self.node_blocks = [NodeBlock(dim, heads, ffn_expansion, rng) for _ in range(n_blocks)]
+        self.edge_blocks = [EdgeBlock(dim, heads, ffn_expansion, rng) for _ in range(n_blocks)]
 
     def _blocks(self, k: int) -> tuple[NodeBlock, EdgeBlock]:
-        i = 0 if self.config.share_weights_across_steps else k
+        i = k if len(self.node_blocks) > 1 else 0  # one shared pair, or one per step
         return self.node_blocks[i], self.edge_blocks[i]
 
     def node_propagate(self, graph: CorrelationGraph, include_edge_sum: bool = True) -> CorrelationGraph:
-        if graph.step >= self.config.k_steps:
-            raise GraphError(f"graph already at step {graph.step} of {self.config.k_steps}")
+        if graph.step >= self.k_steps:
+            raise GraphError(f"graph already at step {graph.step} of {self.k_steps}")
         node_block, _ = self._blocks(graph.step)
         v, probs = node_block.step(graph.v, graph.e, graph.labels, include_edge_sum)
         return replace(graph, v=v, attention=graph.attention + (probs.data,))
@@ -213,7 +197,7 @@ class GraphNet(ad.Module):
         graph's ``attention`` holds each node step's attention weights."""
         if graph.step != 0:
             raise GraphError("propagate expects a step-0 graph")
-        for _ in range(self.config.k_steps):
+        for _ in range(self.k_steps):
             if node_propagation:
                 graph = self.node_propagate(graph, include_edge_sum=include_edge_sum)
             graph = self.edge_propagate(graph)

@@ -17,25 +17,13 @@ synthetic samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .cacai import SyntheticNegatives
 from .errors import ConfigurationError, ShapeError
-
-
-@dataclass
-class Stage1Weights:
-    gamma_s: float = 1.0
-    gamma_d: float = 0.01
-
-    def validate(self) -> None:
-        if not (np.isfinite(self.gamma_s) and self.gamma_s >= 0):
-            raise ConfigurationError("gamma_s must be finite and >= 0")
-        if not (np.isfinite(self.gamma_d) and self.gamma_d >= 0):
-            raise ConfigurationError("gamma_d must be finite and >= 0")
 
 
 class ClassCodec:
@@ -75,7 +63,7 @@ class ProxyBank(ad.Module):
     """One trainable proxy embedding per class, with PA scale and margin."""
 
     def __init__(self, num_classes: int, dim: int, rng: np.random.Generator,
-                 alpha: float = 32.0, margin: float = 0.1):
+                 *, alpha: float, margin: float):
         raw = rng.standard_normal((num_classes, dim))
         raw /= np.linalg.norm(raw, axis=1, keepdims=True)
         self.proxies = ad.parameter(raw)
@@ -143,7 +131,9 @@ def j_gen(
     lam: ad.Tensor,
     head_cz: ClassifierHead,
     codec: ClassCodec,
-    weights: Stage1Weights,
+    *,
+    gamma_s: float,
+    gamma_d: float,
 ) -> tuple[ad.Tensor, dict[str, float]]:
     """Stage-1 generator objective with the 1/(B*N) normalization.
 
@@ -151,14 +141,13 @@ def j_gen(
     network through the synthetics, never the head parameters. Returns the
     scalar plus the averaged components for logging.
     """
-    weights.validate()
     b, n, _ = synth.z_hat.shape
     valid = synth.valid.astype(np.float64)
     n_valid = valid.sum()
     ce, sim = _stage1_lanes(z, synth, head_cz, codec)
     div = j_div_per_anchor(lam, _batch_labels(synth, b))
-    lane = ce + weights.gamma_s * sim
-    total = ad.tsum(lane * valid) + weights.gamma_d * (float(n) - 1.0) * ad.tsum(div)
+    lane = ce + gamma_s * sim
+    total = ad.tsum(lane * valid) + gamma_d * (float(n) - 1.0) * ad.tsum(div)
     scalar = total * (1.0 / (b * n))
     parts = {
         "j_ce": float((ce.data * valid).sum() / n_valid),

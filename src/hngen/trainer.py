@@ -81,6 +81,8 @@ class TrainConfig:
     early_stop_patience: int | None = None
 
     def validate(self) -> None:
+        """Every range check on a training setting; the modules that take
+        these settings assume they passed."""
         if self.epochs < 0:
             raise ConfigurationError("epochs must be >= 0")
         if self.batch_classes < 2:
@@ -98,6 +100,12 @@ class TrainConfig:
             )
         if not 0.0 <= self.gen_ema_decay < 1.0:
             raise ConfigurationError("gen_ema_decay must lie in [0, 1)")
+        for name in ("k_steps", "heads", "ffn_expansion"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1")
+        for name, value in (("gamma_s", self.gamma_s), ("gamma_d", self.resolved_gamma_d())):
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigurationError(f"{name} must be finite and >= 0")
 
     def resolved_gamma_d(self) -> float:
         if self.gamma_d is not None:
@@ -175,7 +183,8 @@ def cosine_lr(base: float, epoch: int, total_epochs: int) -> float:
 
 
 class HngModel(ad.Module):
-    """All trainable components for one ablation arm."""
+    """All trainable components for one ablation arm; ``cfg`` must have
+    passed ``TrainConfig.validate``."""
 
     def __init__(
         self,
@@ -185,7 +194,6 @@ class HngModel(ad.Module):
         codec: losses.ClassCodec,
         rng: np.random.Generator,
     ):
-        cfg.validate()
         self.cfg = cfg
         self.codec = codec
         self.backbone = Backbone(backbone_cfg, input_dim, rng)
@@ -198,13 +206,11 @@ class HngModel(ad.Module):
         if cfg.uses_graph:
             self.graph = gcl.GraphNet(
                 dim,
-                gcl.GraphNetConfig(
-                    k_steps=cfg.k_steps,
-                    heads=cfg.heads,
-                    ffn_expansion=cfg.ffn_expansion,
-                    share_weights_across_steps=cfg.share_weights_across_steps,
-                ),
                 rng,
+                k_steps=cfg.k_steps,
+                heads=cfg.heads,
+                ffn_expansion=cfg.ffn_expansion,
+                share_weights_across_steps=cfg.share_weights_across_steps,
             )
             self.head_cv = losses.ClassifierHead("C_v", codec.num_classes, dim, rng)
         if cfg.uses_synthetics:
@@ -260,6 +266,19 @@ class HngModel(ad.Module):
         assert self.lambda_head is not None
         return self.lambda_head(graph.e)
 
+    def synthesize(
+        self, zb: EmbeddingBatch, lam: ad.Tensor, eta: float,
+        rng: np.random.Generator, positive_idx: np.ndarray,
+    ) -> cacai.SyntheticNegatives:
+        """``cacai.synthesize`` with this arm's fusion flags."""
+        cfg = self.cfg
+        return cacai.synthesize(
+            zb, lam, eta, rng, positive_idx,
+            shuffle_fusion_order=cfg.shuffle_fusion_order,
+            pick_single=cfg.ablation == "no_rw",
+            renormalize=cfg.renormalize_synthetics,
+        )
+
     def metric_loss_term(self, zb: EmbeddingBatch) -> ad.Tensor:
         if self.cfg.metric_loss == "proxy_anchor":
             assert self.proxies is not None
@@ -273,10 +292,6 @@ class FitResult:
     history: list[dict] = field(default_factory=list)
     checkpoint_dirs: list[Path] = field(default_factory=list)
     log_path: Path | None = None
-
-    @property
-    def final_checkpoint(self) -> Path:
-        return self.checkpoint_dirs[-1]
 
 
 class Trainer:
@@ -334,33 +349,25 @@ class Trainer:
 
     # -- stages ---------------------------------------------------------------
 
-    def _zero_all(self) -> None:
-        self.model.zero_grad()
-
     def _stage1(self, zb_sg: EmbeddingBatch, positive_idx: np.ndarray, eta: float) -> dict:
         """Generator and real-head updates on detached embeddings."""
         cfg, model = self.cfg, self.model
         graph = model.propagate_graph(zb_sg)
         lam = model.lambda_for(graph)
-        synth = cacai.synthesize(
-            zb_sg, lam, eta, self.synth_rng, positive_idx,
-            shuffle_fusion_order=cfg.shuffle_fusion_order,
-            pick_single=cfg.ablation == "no_rw",
-            renormalize=cfg.renormalize_synthetics,
-        )
-        weights = losses.Stage1Weights(cfg.gamma_s, cfg.resolved_gamma_d())
+        synth = model.synthesize(zb_sg, lam, eta, self.synth_rng, positive_idx)
         gen_loss, parts = losses.j_gen(
-            zb_sg.z, synth, lam, model.head_cz, self.codec, weights
+            zb_sg.z, synth, lam, model.head_cz, self.codec,
+            gamma_s=cfg.gamma_s, gamma_d=cfg.resolved_gamma_d(),
         )
         if gen_loss.requires_grad:
             gen_loss.backward()
             self.opt_g.step()
-        self._zero_all()
+        model.zero_grad()
 
         cz_loss = losses.j_cz(zb_sg.z, zb_sg.labels, model.head_cz, self.codec)
         cz_loss.backward()
         self.opt_cz.step()
-        self._zero_all()
+        model.zero_grad()
         return {"j_gen": float(gen_loss.data), "j_cz": float(cz_loss.data), **parts}
 
     def _stage2(self, zb: EmbeddingBatch, positive_idx: np.ndarray, eta: float) -> dict:
@@ -377,12 +384,7 @@ class Trainer:
             out["j_gca"] = float(gca.data)
             if cfg.uses_synthetics:
                 lam_sg = model.lambda_for(graph).detach()
-                synth = cacai.synthesize(
-                    zb, lam_sg, eta, self.synth_rng, positive_idx,
-                    shuffle_fusion_order=cfg.shuffle_fusion_order,
-                    pick_single=cfg.ablation == "no_rw",
-                    renormalize=cfg.renormalize_synthetics,
-                )
+                synth = model.synthesize(zb, lam_sg, eta, self.synth_rng, positive_idx)
                 syn = losses.j_syn(zb.z, positive_idx, synth)
                 gamma_n = self.state.gamma_n if self.state.gamma_n is not None else 0.0
                 total = total + (1.0 - gamma_n) * syn
@@ -394,7 +396,7 @@ class Trainer:
             self.opt_cv.step()
         if self.opt_prox is not None:
             self.opt_prox.step()
-        self._zero_all()
+        model.zero_grad()
         out["j_m"] = float(total.data)
         return out
 
@@ -619,7 +621,12 @@ def load_manifest(ckpt_dir: Path) -> dict:
     path = Path(ckpt_dir) / "manifest.json"
     if not path.exists():
         raise CheckpointError(f"{ckpt_dir}: no manifest.json")
-    manifest = json.loads(path.read_text())
+    try:
+        manifest = json.loads(path.read_text())
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise CheckpointError(f"{path}: not a valid JSON manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"{path}: manifest is not a JSON object")
     version = manifest.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(

@@ -82,7 +82,7 @@ def recompute_node_attention(net: gcl.GraphNet, graph: gcl.CorrelationGraph,
     nodes and edges with the blocks' ``__call__``.
     """
     maps: list[np.ndarray] = []
-    for k in range(net.config.k_steps):
+    for k in range(net.k_steps):
         node_block, edge_block = net._blocks(k)
         if node_propagation:
             _, probs = node_block.attention(graph.v, graph.labels)

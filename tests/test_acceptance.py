@@ -107,7 +107,8 @@ def test_03_mask_exactness():
         d = 8
         z = unit_rows(rng, b, d)
         labels = np.tile(rng.permutation(np.arange(1, n + 1)), m)
-        net = gcl.GraphNet(d, gcl.GraphNetConfig(k_steps=1, heads=2), rng)
+        net = gcl.GraphNet(d, rng, k_steps=1, heads=2, ffn_expansion=4,
+                           share_weights_across_steps=True)
         _, probs = net.node_blocks[0].attention(ad.Tensor(z), labels)
         p = probs.data  # (H, B, B)
         same = labels[:, None] == labels[None, :]
@@ -170,7 +171,7 @@ def test_04_gradient_checks_all_losses_and_blocks():
             interpolants=np.zeros((b, n, m, d)),
         )
         return losses.j_gen(z_const, synth, lam, head, codec,
-                            losses.Stage1Weights(1.0, 0.3))[0]
+                            gamma_s=1.0, gamma_d=0.3)[0]
 
     worst["j_gen"] = _check(gen_loss, [z_hat, lam], 1e-4)
 
@@ -207,14 +208,15 @@ def test_04_gradient_checks_all_losses_and_blocks():
     worst["np"] = _check(lambda: losses.np_loss(z_np, labels, n, m), [z_np], 1e-4)
 
     # Eq. 16: proxy anchor
-    bank = losses.ProxyBank(3, d, rng)
+    bank = losses.ProxyBank(3, d, rng, alpha=32.0, margin=0.1)
     raw = ad.parameter(unit_rows(rng, b, d) * 1.2)
     worst["pa"] = _check(
         lambda: losses.pa_loss(ad.l2_normalize(raw), labels, bank, codec),
         [raw, bank.proxies], 1e-4)
 
     # graph blocks: scalar of V^K and E^K w.r.t. all block parameters
-    net = gcl.GraphNet(d, gcl.GraphNetConfig(k_steps=1, heads=2), rng)
+    net = gcl.GraphNet(d, rng, k_steps=1, heads=2, ffn_expansion=4,
+                       share_weights_across_steps=True)
     zg = unit_rows(rng, b, d)
     wv = rng.standard_normal((b, d))
     we = rng.standard_normal((b, b, d))
@@ -305,8 +307,9 @@ def test_05_loss_loop_oracles():
             member_indices=np.zeros((b, n, m), np.int64),
             interpolants=np.zeros((b, n, m, d)),
         )
-        weights = losses.Stage1Weights(gamma_s=1.0, gamma_d=0.5)
-        got = losses.j_gen(zt, synth, ad.Tensor(lam), head, codec, weights)[0].data
+        gamma_s, gamma_d = 1.0, 0.5
+        got = losses.j_gen(zt, synth, ad.Tensor(lam), head, codec,
+                           gamma_s=gamma_s, gamma_d=gamma_d)[0].data
         slot_cols = codec.columns(slots)
         total = 0.0
         for i in range(b):
@@ -320,7 +323,7 @@ def test_05_loss_loop_oracles():
                 ce = _ce_scalar(logits, slot_cols[s])
                 sim = 1.0 - z[i] @ z_hat[i, s] / (
                     np.linalg.norm(z[i]) * np.linalg.norm(z_hat[i, s]))
-                total += ce + weights.gamma_s * sim + weights.gamma_d * div_i
+                total += ce + gamma_s * sim + gamma_d * div_i
         assert abs(got - total / (b * n)) < 1e-6
 
         # j_syn against the direct formula
@@ -346,7 +349,7 @@ def test_05_loss_loop_oracles():
         assert abs(got - total / ((m - 1) * n)) < 1e-6
 
         # proxy anchor against the direct formula
-        bank = losses.ProxyBank(c_total, d, rng)
+        bank = losses.ProxyBank(c_total, d, rng, alpha=32.0, margin=0.1)
         got = losses.pa_loss(zt, labels, bank, codec).data
         p = bank.proxies.data / np.linalg.norm(bank.proxies.data, axis=1, keepdims=True)
         sims = z @ p.T
@@ -468,7 +471,7 @@ def test_08_stop_gradient_contract(tmp_path):
     synth1 = cacai.synthesize(zb_sg, lam1, cacai.eta_from_avg_loss(5.0, 5.0),
                               np.random.default_rng(2), pos)
     gen_loss, _ = losses.j_gen(zb_sg.z, synth1, lam1, tr.model.head_cz, tr.codec,
-                               losses.Stage1Weights())
+                               gamma_s=1.0, gamma_d=0.01)
     gen_loss.backward()
     assert tr.model.head_cz.linear.weight.grad is None
     assert tr.model.head_cz.linear.bias.grad is None

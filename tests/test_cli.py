@@ -398,6 +398,72 @@ class TestTrainOverridesAndErrors:
                        "--out-dir", str(tmp_path / "ev")])
         assert rc == 2
 
+    @pytest.mark.parametrize("train, backbone", [
+        ({"gamma_s": -1}, {}),
+        ({"gamma_d": -1}, {}),
+        ({"gamma_d": float("nan")}, {}),
+        ({"k_steps": 0}, {}),
+        ({"heads": 0}, {}),
+        ({"ffn_expansion": 0}, {}),
+        ({"heads": 3}, {"embed_dim": 64}),
+    ], ids=["gamma_s", "gamma_d", "gamma_d_nan", "k_steps", "heads", "ffn_expansion",
+            "heads_divide_dim"])
+    def test_bad_setting_returns_2_before_any_file(self, tmp_path, train, backbone):
+        cfg_path = write_cfg(tmp_path, {"train": train, "backbone": backbone})
+        out = tmp_path / "runs"
+        assert cli.main(["train", "--config", str(cfg_path), "--out-dir", str(out)]) == 2
+        assert not out.exists()
+
+    def test_missing_data_file_returns_2(self, trained, tmp_path):
+        _, run_dir = trained
+        rc = cli.main(["eval", "--checkpoint", str(run_dir / "checkpoints" / "epoch_001"),
+                       "--data", str(tmp_path / "missing.csv"),
+                       "--out-dir", str(tmp_path / "ev")])
+        assert rc == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--checkpoint", "ckpt", "--ks", "1,x"],
+        ["ablate", "--arms", "full", "--seeds", "1,a"],
+    ], ids=["eval_ks", "ablate_seeds"])
+    def test_malformed_int_list_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "comma-separated integers" in capsys.readouterr().err
+
+
+def _break_class_ids(m):
+    del m["class_ids"]
+
+
+def _unknown_train_key(m):
+    m["resolved_config"]["train"]["bogus"] = 1
+
+
+def _backbone_without_hidden_dims(m):
+    del m["resolved_config"]["backbone"]["hidden_dims"]
+
+
+class TestMalformedManifest:
+    @pytest.mark.parametrize("command", ["eval", "inspect"])
+    @pytest.mark.parametrize("damage", [
+        None, _break_class_ids, _unknown_train_key, _backbone_without_hidden_dims,
+    ], ids=["invalid_json", "no_class_ids", "unknown_train_key", "no_hidden_dims"])
+    def test_returns_2(self, trained, tmp_path, command, damage, capsys):
+        _, run_dir = trained
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(run_dir / "checkpoints" / "epoch_001", ckpt)
+        manifest_path = ckpt / "manifest.json"
+        if damage is None:
+            manifest_path.write_text(manifest_path.read_text()[:-10])
+        else:
+            manifest = json.loads(manifest_path.read_text())
+            damage(manifest)
+            manifest_path.write_text(json.dumps(manifest))
+        rc = cli.main([command, "--checkpoint", str(ckpt), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestAblate:
     def test_two_arm_table_schema(self, tmp_path):

@@ -92,6 +92,13 @@ class TestFeatureIO:
         assert np.array_equal(back.labels, ds.labels)
         assert np.allclose(back.features, ds.features, atol=1e-6, rtol=1e-6)
 
+    @pytest.mark.parametrize("fmt", ["auto", "csv", "binary"])
+    def test_unreadable_file_is_data_format_error(self, tmp_path, fmt):
+        with pytest.raises(DataFormatError, match="cannot read"):
+            dk.load_features(tmp_path / "missing.csv", fmt)
+        with pytest.raises(DataFormatError, match="cannot read"):
+            dk.load_features(tmp_path, fmt)  # a directory
+
     def test_binary_bad_magic(self, tmp_path):
         p = tmp_path / "bad.bin"
         p.write_bytes(b"NOPE" + b"\x00" * 16)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hngen import autodiff as ad
-from hngen import gcl
+from hngen import gcl, trainer
 from hngen.backbone import EmbeddingBatch
 from hngen.errors import ConfigurationError, GraphError, ShapeError
 
@@ -12,11 +12,26 @@ from gradcheck import check_gradients
 from oracles import recompute_node_attention, stacked_token_cross_attention
 
 
+class Identity(ad.Module):
+    """Drop-in stand-in for LayerNorm/FFN in algebra tests."""
+
+    def __call__(self, x):
+        return x
+
+
 class ZeroFFN(ad.Module):
     """Makes the FFN sublayer a no-op (residual passes through)."""
 
     def __call__(self, x):
         return x * 0.0
+
+
+def graph_net(dim, rng, **settings):
+    """GraphNet with the TrainConfig defaults, overridden by ``settings``."""
+    cfg = trainer.TrainConfig(**settings)
+    return gcl.GraphNet(dim, rng, k_steps=cfg.k_steps, heads=cfg.heads,
+                        ffn_expansion=cfg.ffn_expansion,
+                        share_weights_across_steps=cfg.share_weights_across_steps)
 
 
 def unit_rows(rng, b, d):
@@ -57,7 +72,7 @@ class TestNodePropagation:
     def test_mask_blocks_self_and_positives(self):
         rng = np.random.default_rng(1)
         z = unit_rows(rng, 4, 4)
-        net = gcl.GraphNet(4, gcl.GraphNetConfig(k_steps=1, heads=2), rng)
+        net = graph_net(4, rng, k_steps=1, heads=2)
         graph = gcl.init_graph(embed_batch(z, [1, 1, 2, 2], 2, 2))
         _, probs = net.node_blocks[0].attention(graph.v, graph.labels)
         p = probs.data  # (H, B, B)
@@ -67,7 +82,7 @@ class TestNodePropagation:
     def test_single_class_batch_raises(self):
         rng = np.random.default_rng(2)
         z = unit_rows(rng, 3, 4)
-        net = gcl.GraphNet(4, gcl.GraphNetConfig(heads=2), rng)
+        net = graph_net(4, rng, heads=2)
         graph = gcl.CorrelationGraph(ad.Tensor(z), ad.hadamard_pairs(ad.Tensor(z)),
                                      np.array([5, 5, 5]))
         with pytest.raises(GraphError, match="no negatives"):
@@ -76,10 +91,10 @@ class TestNodePropagation:
     def test_zero_edges_identity_sublayers_reduce_to_residual_attention(self):
         rng = np.random.default_rng(3)
         z = unit_rows(rng, 4, 4)
-        net = gcl.GraphNet(4, gcl.GraphNetConfig(heads=2), rng)
+        net = graph_net(4, rng, heads=2)
         block = net.node_blocks[0]
-        block.ln1 = ad.Identity()
-        block.ln2 = ad.Identity()
+        block.ln1 = Identity()
+        block.ln2 = Identity()
         block.ffn = ZeroFFN()
         labels = np.array([1, 2, 1, 2])
         v = ad.Tensor(z)
@@ -93,7 +108,7 @@ class TestNodePropagation:
         rng = np.random.default_rng(4)
         z = unit_rows(rng, 3, 2)
         labels = np.array([1, 2, 3])
-        net = gcl.GraphNet(2, gcl.GraphNetConfig(heads=1), rng)
+        net = graph_net(2, rng, heads=1)
         block = net.node_blocks[0]
         wq = np.array([[0.3, -0.2], [0.5, 0.1]])
         wk = np.array([[-0.4, 0.6], [0.2, 0.2]])
@@ -122,7 +137,7 @@ class TestEdgePropagation:
     def test_two_weights_sum_to_one(self):
         rng = np.random.default_rng(5)
         z = unit_rows(rng, 4, 4)
-        net = gcl.GraphNet(4, gcl.GraphNetConfig(heads=2), rng)
+        net = graph_net(4, rng, heads=2)
         graph = gcl.init_graph(embed_batch(z, [1, 2, 1, 2], 2, 2))
         _, probs = net.edge_blocks[0].cross_attention(
             graph.e.reshape(16, 4), graph.v, 4
@@ -136,7 +151,7 @@ class TestEdgePropagation:
         rng = np.random.default_rng(6)
         z = unit_rows(rng, 1, 4)
         v = np.vstack([z, z])  # V_i == V_j
-        net = gcl.GraphNet(4, gcl.GraphNetConfig(heads=2), rng)
+        net = graph_net(4, rng, heads=2)
         e0 = ad.hadamard_pairs(ad.Tensor(v))  # symmetric since rows equal
         graph = gcl.CorrelationGraph(ad.Tensor(v), e0, np.array([1, 2]))
         out = net.edge_propagate(graph)
@@ -144,7 +159,7 @@ class TestEdgePropagation:
 
     def test_matches_hand_evaluated_cross_attention(self):
         rng = np.random.default_rng(7)
-        net = gcl.GraphNet(2, gcl.GraphNetConfig(heads=1), rng)
+        net = graph_net(2, rng, heads=1)
         block = net.edge_blocks[0]
         wq = np.array([[0.2, 0.4], [-0.6, 0.1]])
         wk = np.array([[0.9, -0.5], [0.3, 0.7]])
@@ -204,16 +219,16 @@ class TestEdgePropagation:
 class TestPropagate:
     def test_k0_rejected(self):
         with pytest.raises(ConfigurationError):
-            gcl.GraphNetConfig(k_steps=0).validate(4)
+            trainer.TrainConfig(k_steps=0).validate()
 
     def test_dim_head_divisibility(self):
         with pytest.raises(ConfigurationError):
-            gcl.GraphNetConfig(heads=3).validate(4)
+            graph_net(4, np.random.default_rng(0), heads=3)
 
     def test_k1_is_node_then_edge(self):
         rng = np.random.default_rng(8)
         z = unit_rows(rng, 4, 4)
-        net = gcl.GraphNet(4, gcl.GraphNetConfig(k_steps=1, heads=2), rng)
+        net = graph_net(4, rng, k_steps=1, heads=2)
         graph = gcl.init_graph(embed_batch(z, [1, 2, 1, 2], 2, 2))
         out = net.propagate(graph)
         manual = net.edge_propagate(net.node_propagate(graph))
@@ -224,8 +239,8 @@ class TestPropagate:
     def test_k2_shared_weights_composes_k1(self):
         z = unit_rows(np.random.default_rng(9), 4, 4)
         labels = np.array([1, 2, 1, 2])
-        net1 = gcl.GraphNet(4, gcl.GraphNetConfig(k_steps=1, heads=2), np.random.default_rng(42))
-        net2 = gcl.GraphNet(4, gcl.GraphNetConfig(k_steps=2, heads=2), np.random.default_rng(42))
+        net1 = graph_net(4, np.random.default_rng(42), k_steps=1, heads=2)
+        net2 = graph_net(4, np.random.default_rng(42), k_steps=2, heads=2)
         graph = gcl.init_graph(embed_batch(z, labels, 2, 2))
         out2 = net2.propagate(graph)
         mid = net1.propagate(graph)
@@ -238,9 +253,7 @@ class TestPropagate:
         rng = np.random.default_rng(21)
         z = unit_rows(rng, 4, 4)
         labels = np.array([1, 2, 1, 2])
-        net = gcl.GraphNet(
-            4, gcl.GraphNetConfig(k_steps=2, heads=2, share_weights_across_steps=False), rng
-        )
+        net = graph_net(4, rng, k_steps=2, heads=2, share_weights_across_steps=False)
         assert len(net.node_blocks) == 2 and len(net.edge_blocks) == 2
         assert not np.array_equal(
             net.node_blocks[0].wq.weight.data, net.node_blocks[1].wq.weight.data
@@ -252,7 +265,7 @@ class TestPropagate:
         rng = np.random.default_rng(10)
         z = unit_rows(rng, 6, 4)
         labels = np.array([1, 2, 3, 1, 2, 3])
-        net = gcl.GraphNet(4, gcl.GraphNetConfig(k_steps=2, heads=2), rng)
+        net = graph_net(4, rng, k_steps=2, heads=2)
         out = net.propagate(gcl.init_graph(embed_batch(z, labels, 3, 2)))
         perm = rng.permutation(6)
         zp = z[perm]
@@ -264,7 +277,7 @@ class TestPropagate:
     def test_no_global_keeps_nodes_fixed(self):
         rng = np.random.default_rng(11)
         z = unit_rows(rng, 4, 4)
-        net = gcl.GraphNet(4, gcl.GraphNetConfig(k_steps=2, heads=2), rng)
+        net = graph_net(4, rng, k_steps=2, heads=2)
         graph = gcl.init_graph(embed_batch(z, [1, 2, 1, 2], 2, 2))
         out = net.propagate(graph, node_propagation=False)
         assert np.array_equal(out.v.data, z)
@@ -274,7 +287,7 @@ class TestPropagate:
         rng = np.random.default_rng(12)
         z = unit_rows(rng, 4, 4)
         labels = np.array([1, 2, 1, 2])
-        net = gcl.GraphNet(4, gcl.GraphNetConfig(heads=2), rng)
+        net = graph_net(4, rng, heads=2)
         graph = gcl.init_graph(embed_batch(z, labels, 2, 2))
         with_sum = net.node_propagate(graph).v.data
         without = net.node_propagate(graph, include_edge_sum=False).v.data
@@ -293,8 +306,7 @@ class TestRecordedAttention:
         rng = np.random.default_rng(23)
         z = unit_rows(rng, 6, 4)
         labels = np.array([1, 2, 3, 1, 2, 3])
-        net = gcl.GraphNet(4, gcl.GraphNetConfig(
-            k_steps=2, heads=2, share_weights_across_steps=share), rng)
+        net = graph_net(4, rng, k_steps=2, heads=2, share_weights_across_steps=share)
         graph = gcl.init_graph(embed_batch(z, labels, 3, 2))
         out = net.propagate(graph, include_edge_sum=include_edge_sum)
         expect = recompute_node_attention(net, graph, include_edge_sum=include_edge_sum)
@@ -308,7 +320,7 @@ class TestRecordedAttention:
     def test_no_global_records_nothing(self):
         rng = np.random.default_rng(24)
         z = unit_rows(rng, 4, 4)
-        net = gcl.GraphNet(4, gcl.GraphNetConfig(k_steps=2, heads=2), rng)
+        net = graph_net(4, rng, k_steps=2, heads=2)
         graph = gcl.init_graph(embed_batch(z, [1, 2, 1, 2], 2, 2))
         out = net.propagate(graph, node_propagation=False)
         assert out.attention == ()
@@ -333,7 +345,7 @@ class TestGradients:
         b, d = 6, 8
         z = unit_rows(rng, b, d)
         labels = np.array([1, 2, 3, 1, 2, 3])
-        net = gcl.GraphNet(d, gcl.GraphNetConfig(k_steps=1, heads=2), rng)
+        net = graph_net(d, rng, k_steps=1, heads=2)
         wv = rng.standard_normal((b, d))
         we = rng.standard_normal((b, b, d))
 
@@ -349,7 +361,7 @@ class TestGradients:
         b, d = 6, 8
         z = ad.parameter(unit_rows(rng, b, d))
         labels = np.array([1, 2, 3, 1, 2, 3])
-        net = gcl.GraphNet(d, gcl.GraphNetConfig(k_steps=1, heads=2), rng)
+        net = graph_net(d, rng, k_steps=1, heads=2)
         wv = rng.standard_normal((b, d))
 
         def loss():

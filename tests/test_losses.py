@@ -127,8 +127,7 @@ class TestJgen:
         z, labels, slots, codec, synth = balanced_setup(rng)
         head = losses.ClassifierHead("C_z", codec.num_classes, 6, rng)
         lam = ad.Tensor(rng.uniform(0.1, 0.9, (6, 6, 6)))
-        w0 = losses.Stage1Weights(gamma_s=0.0, gamma_d=0.0)
-        out, parts = losses.j_gen(z, synth, lam, head, codec, w0)
+        out, parts = losses.j_gen(z, synth, lam, head, codec, gamma_s=0.0, gamma_d=0.0)
         # literal 1/(B*N) normalization over the B*(N-1) valid lanes
         assert out.data == pytest.approx(parts["j_ce"] * synth.valid.sum() / (6 * 3))
 
@@ -138,11 +137,11 @@ class TestJgen:
         head = losses.ClassifierHead("C_z", codec.num_classes, 6, rng)
         lam = ad.Tensor(rng.uniform(0.1, 0.9, (6, 6, 6)))
         base = losses.j_gen(z, synth, lam, head, codec,
-                            losses.Stage1Weights(0.0, 0.0))[0].data
+                            gamma_s=0.0, gamma_d=0.0)[0].data
         one = losses.j_gen(z, synth, lam, head, codec,
-                           losses.Stage1Weights(1.0, 0.0))[0].data
+                           gamma_s=1.0, gamma_d=0.0)[0].data
         two = losses.j_gen(z, synth, lam, head, codec,
-                           losses.Stage1Weights(2.0, 0.0))[0].data
+                           gamma_s=2.0, gamma_d=0.0)[0].data
         assert two - base == pytest.approx(2 * (one - base), rel=1e-10)
 
     def test_matches_loop_oracle(self):
@@ -150,8 +149,9 @@ class TestJgen:
         z, labels, slots, codec, synth = balanced_setup(rng)
         head = losses.ClassifierHead("C_z", codec.num_classes, 6, rng)
         lam_np = rng.uniform(0.1, 0.9, (6, 6, 6))
-        weights = losses.Stage1Weights(gamma_s=1.3, gamma_d=0.7)
-        out, _ = losses.j_gen(z, synth, ad.Tensor(lam_np), head, codec, weights)
+        gamma_s, gamma_d = 1.3, 0.7
+        out, _ = losses.j_gen(z, synth, ad.Tensor(lam_np), head, codec,
+                              gamma_s=gamma_s, gamma_d=gamma_d)
 
         w = head.linear.weight.data
         bb = head.linear.bias.data
@@ -167,7 +167,7 @@ class TestJgen:
                 logits = w @ zh + bb
                 ce = softmax_ce_scalar(logits, codec.columns(np.array([slots[s]]))[0])
                 sim = 1.0 - float(z.data[i] @ zh / (np.linalg.norm(z.data[i]) * np.linalg.norm(zh)))
-                total += ce + weights.gamma_s * sim + weights.gamma_d * div_i
+                total += ce + gamma_s * sim + gamma_d * div_i
         assert out.data == pytest.approx(total / (6 * 3), abs=1e-6)
 
     def test_head_is_frozen_in_stage1(self):
@@ -175,7 +175,7 @@ class TestJgen:
         z, labels, slots, codec, synth = balanced_setup(rng)
         head = losses.ClassifierHead("C_z", codec.num_classes, 6, rng)
         lam = ad.parameter(rng.uniform(0.1, 0.9, (6, 6, 6)))
-        out, _ = losses.j_gen(z, synth, lam, head, codec, losses.Stage1Weights())
+        out, _ = losses.j_gen(z, synth, lam, head, codec, gamma_s=1.0, gamma_d=0.01)
         out.backward()
         assert head.linear.weight.grad is None
         assert head.linear.bias.grad is None
@@ -196,7 +196,7 @@ class TestJgen:
             synth = make_synth(z_hat.data, slots, labels)
             synth.z_hat = z_hat  # keep the tracked tensor
             return losses.j_gen(z, synth, lam, head, codec,
-                                losses.Stage1Weights(0.8, 0.3))[0]
+                                gamma_s=0.8, gamma_d=0.3)[0]
 
         check_gradients(loss, [z_hat, lam], tol=1e-4)
 
@@ -496,7 +496,7 @@ class TestJmAndSchedules:
         z = ad.Tensor(unit_rows(rng, n * m, d))
         labels = np.tile(np.arange(1, n + 1), m)
         codec = losses.ClassCodec(np.arange(1, 4))
-        bank = losses.ProxyBank(3, d, rng)
+        bank = losses.ProxyBank(3, d, rng, alpha=32.0, margin=0.1)
         assert losses.np_loss(z, labels, n, m).data >= 0
         assert losses.pa_loss(z, labels, bank, codec).data >= 0
 

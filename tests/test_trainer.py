@@ -63,6 +63,36 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             tiny_config(epochs=-1).validate()
 
+    @pytest.mark.parametrize("kw, msg", [
+        ({"heads": 0}, "heads"),
+        ({"ffn_expansion": 0}, "ffn_expansion"),
+        ({"gamma_s": -1.0}, "gamma_s"),
+        ({"gamma_s": float("inf")}, "gamma_s"),
+        ({"gamma_d": -1.0}, "gamma_d"),
+        ({"gamma_d": float("nan")}, "gamma_d"),
+    ])
+    def test_graph_and_stage1_settings_checked(self, kw, msg):
+        with pytest.raises(ConfigurationError, match=msg):
+            tiny_config(**kw).validate()
+
+    def test_trainer_validates_once_before_building_anything(self, tmp_path, monkeypatch):
+        calls = []
+        real = trainer.TrainConfig.validate
+
+        def counted(cfg):
+            calls.append(cfg)
+            real(cfg)
+
+        monkeypatch.setattr(trainer.TrainConfig, "validate", counted)
+        tr = trainer.Trainer(tiny_dataset(), tiny_dataset(seed=1), tiny_config(),
+                             tiny_backbone(), tmp_path / "run")
+        assert calls == [tr.cfg]
+        tr.fit()  # the per-epoch evaluation models reuse the checked config
+        assert calls == [tr.cfg]
+        with pytest.raises(ConfigurationError, match="gamma_d"):
+            make_trainer(tmp_path / "bad", gamma_d=-1.0)
+        assert not (tmp_path / "bad").exists()
+
 
 class TestSchedules:
     def test_eta_reference_value(self):
@@ -204,7 +234,7 @@ class TestStopGradientContracts:
             np.random.default_rng(5), pos,
         )
         gen_loss, _ = losses.j_gen(
-            zb_sg.z, synth, lam, tr.model.head_cz, tr.codec, losses.Stage1Weights()
+            zb_sg.z, synth, lam, tr.model.head_cz, tr.codec, gamma_s=1.0, gamma_d=0.01
         )
         gen_loss.backward()
         # synthetic-sample loss leaves the real-sample head untouched
