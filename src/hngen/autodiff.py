@@ -16,6 +16,7 @@ kernels in :mod:`hngen.kernels`.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -618,7 +619,27 @@ class FeedForward(Module):
 
 
 class AdamW:
-    """AdamW with decoupled weight decay over an explicit parameter list."""
+    """AdamW with decoupled weight decay (Loshchilov & Hutter, ICLR 2019)
+    over an explicit parameter list, stepping only what got a gradient.
+
+    The parameters, first moments ``m`` and second moments ``v`` live in
+    three flat float64 buffers, each parameter at ``segments[i]``; every
+    ``params[i].data`` is a reshaped view into ``data``, so code that sets a
+    parameter writes in place (``p.data[...] = x``). ``step`` raises if a
+    parameter's data no longer views its segment.
+
+    Skip rule: a parameter whose ``grad`` is None keeps its data, moments
+    and step count ``steps[i]``; the others advance their own count and take
+    the update (PyTorch's form, with c_k = 1 - beta_k^t)::
+
+        m = g + b1 (m - g);  v = g^2 + b2 (v - g^2)
+        x *= 1 - lr wd
+        x -= (lr sqrt(c2) / c1) m / (sqrt(v) + eps sqrt(c2))
+
+    The gradients are gathered into one scratch buffer, allocated once, and
+    the update runs in place over each maximal run of adjacent parameters
+    that got a gradient and share a step count.
+    """
 
     def __init__(
         self,
@@ -633,24 +654,60 @@ class AdamW:
         self.weight_decay = float(weight_decay)
         self.betas = betas
         self.eps = eps
-        self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        bounds = np.cumsum([0] + [p.data.size for p in self.params]).tolist()
+        self.segments = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        self.data = np.empty(bounds[-1])
+        self.m = np.zeros(bounds[-1])
+        self.v = np.zeros(bounds[-1])
+        self.steps = [0] * len(self.params)
+        self._grad = np.empty(bounds[-1])
+        self._grad_views = []
+        for p, seg in zip(self.params, self.segments):
+            self.data[seg] = p.data.ravel()
+            p.data = self.data[seg].reshape(p.data.shape)
+            self._grad_views.append(self._grad[seg].reshape(p.data.shape))
+        self._views = [p.data for p in self.params]
 
     def step(self) -> None:
-        b1, b2 = self.betas
-        self.t += 1
+        present = []
         for i, p in enumerate(self.params):
-            g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
-            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1.0 - b2) * g * g
-            mhat = self.m[i] / (1.0 - b1**self.t)
-            vhat = self.v[i] / (1.0 - b2**self.t)
-            p.data = p.data - self.lr * (
-                mhat / (np.sqrt(vhat) + self.eps) + self.weight_decay * p.data
-            )
+            if p.data is not self._views[i]:
+                raise RuntimeError(
+                    f"parameter {i} {p.data.shape} no longer views the optimizer "
+                    "buffer; write parameters in place"
+                )
+            if p.grad is not None:
+                self._grad_views[i][...] = p.grad
+                present.append(i)
+        runs: list[list[int]] = []  # [start, stop, step count]
+        for i in present:
+            t = self.steps[i] = self.steps[i] + 1
+            seg = self.segments[i]
+            if runs and runs[-1][1] == seg.start and runs[-1][2] == t:
+                runs[-1][1] = seg.stop
+            else:
+                runs.append([seg.start, seg.stop, t])
+        for lo, hi, t in runs:
+            self._update(slice(lo, hi), t)
+
+    def _update(self, seg: slice, t: int) -> None:
+        b1, b2 = self.betas
+        x, m, v, g = self.data[seg], self.m[seg], self.v[seg], self._grad[seg]
+        m -= g
+        m *= b1
+        m += g
+        g *= g
+        v -= g
+        v *= b2
+        v += g
+        c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+        np.sqrt(v, out=g)  # g is scratch from here on
+        g += self.eps * math.sqrt(c2)
+        np.divide(m, g, out=g)
+        g *= self.lr * math.sqrt(c2) / c1
+        if self.weight_decay:
+            x *= 1.0 - self.lr * self.weight_decay
+        x -= g
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -51,8 +51,9 @@ class EmbeddingBatch:
 
 
 class Backbone(ad.Module):
+    """``config`` must have passed ``BackboneConfig.validate``."""
+
     def __init__(self, config: BackboneConfig, input_dim: int, rng: np.random.Generator):
-        config.validate()
         self.config = config
         self.input_dim = input_dim
         self.layers: list[ad.Linear] = []

@@ -163,7 +163,21 @@ def cmd_synth_data(args) -> int:
     return 0
 
 
+def _check_eval_section(cfg: dict) -> None:
+    """Range checks on the eval settings, so a bad one fails before training."""
+    ks, holdout = cfg["eval"]["ks"], cfg["eval"]["holdout_per_class"]
+
+    def positive_int(value) -> bool:
+        return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+    if not isinstance(ks, list) or not all(positive_int(k) for k in ks):
+        raise ConfigurationError(f"eval.ks must be a list of integers >= 1, got {ks!r}")
+    if not positive_int(holdout):
+        raise ConfigurationError(f"eval.holdout_per_class must be an integer >= 1, got {holdout!r}")
+
+
 def _fit_one(cfg: dict, out_dir: str, quiet: bool = False) -> tuple[trainer.FitResult, dict]:
+    _check_eval_section(cfg)
     dataset = build_dataset(cfg)
     train_set, val_set = split_for_eval(cfg, dataset)
     tcfg = train_config_from(cfg)
@@ -225,14 +239,14 @@ def _model_from_checkpoint(ckpt_dir: Path):
         raise CheckpointError(f"{ckpt_dir}: manifest has no class_ids")
     tcfg = train_config_from(cfg)
     tcfg.validate()
+    bcfg = backbone_config_from(cfg)
+    bcfg.validate()
     codec = losses.ClassCodec(np.array(manifest["class_ids"]))
     # a feature file sets the input dim, not cfg["dataset"]["input_dim"]:
     # read it off the first backbone weight (out, in); identity keeps embed_dim
     first = manifest.get("groups", {}).get("backbone", {}).get("layers.0.weight")
     input_dim = first[1] if first else cfg["backbone"]["embed_dim"]
-    model = trainer.HngModel(
-        tcfg, backbone_config_from(cfg), input_dim, codec, np.random.default_rng(0),
-    )
+    model = trainer.HngModel(tcfg, bcfg, input_dim, codec, np.random.default_rng(0))
     trainer.load_checkpoint(ckpt_dir, model)
     return model, manifest, cfg
 

@@ -2,12 +2,15 @@
 
 Every batch runs the stop-gradient protocol: stage 1 builds the graph on
 detached embeddings, synthesizes negatives, and updates only the graph
-network on the generator objective (then the real-sample head on its own
-loss); stage 2 rebuilds the graph with gradients flowing, synthesizes with
-detached interpolation vectors, and updates the backbone, graph network,
-node head, and proxies on the composite metric objective. Backbone
-parameters are untouched by stage 1 by construction, and the interpolation
-head receives no gradient in stage 2.
+network and interpolation head on the generator objective (then the
+real-sample head on its own loss); stage 2 rebuilds the graph with gradients
+flowing, synthesizes with detached interpolation vectors, and updates the
+backbone, graph network, node head, and proxies on the composite metric
+objective. Each stage updates only the parameters its loss reaches: the
+optimizers skip a parameter with no gradient, keeping its data, moments and
+step count. So the backbone never moves in stage 1, and the interpolation
+head, and at K=1 the last edge block (which feeds only the detached
+interpolation vectors), move only in stage 1.
 
 Schedules: the interpolation interval factor eta is recomputed from the
 previous epoch's mean metric loss (bootstrapped from the running mean
@@ -21,6 +24,7 @@ parameter group; loading is bit-exact.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import math
@@ -294,6 +298,26 @@ class FitResult:
     log_path: Path | None = None
 
 
+def _keep_heap_top_mapped() -> None:
+    """Stop glibc from handing freed heap memory back to the OS every step.
+
+    A step allocates and frees its temporaries at the top of the heap: a
+    few MB at the smoke size, hundreds of MB at B=80. With nothing
+    long-lived allocated above them, glibc trims that memory when the step
+    ends, and the next step faults every page in again (hundreds of minor
+    faults per smoke step, tens of thousands per B=80 step). So arrays up to
+    32 MiB, glibc's own ceiling for its dynamic threshold, come from the
+    heap, and the heap is never trimmed: the process keeps its peak, which
+    the next step reuses. A C library without ``mallopt`` is left alone.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 2**31 - 1)  # M_TRIM_THRESHOLD: never trim
+
+
 class Trainer:
     def __init__(
         self,
@@ -309,6 +333,7 @@ class Trainer:
         backbone_cfg.validate()
         if len(train_set) < cfg.batch_classes * cfg.batch_instances:
             raise ConfigurationError("dataset smaller than one batch")
+        _keep_heap_top_mapped()
         self.cfg = cfg
         self.backbone_cfg = backbone_cfg
         self.train_set = train_set
@@ -346,8 +371,13 @@ class Trainer:
             if self.model.proxies is not None
             else None
         )
+        self._params = self.model.parameters()
 
     # -- stages ---------------------------------------------------------------
+
+    def _clear_grads(self) -> None:
+        for p in self._params:
+            p.grad = None
 
     def _stage1(self, zb_sg: EmbeddingBatch, positive_idx: np.ndarray, eta: float) -> dict:
         """Generator and real-head updates on detached embeddings."""
@@ -362,12 +392,12 @@ class Trainer:
         if gen_loss.requires_grad:
             gen_loss.backward()
             self.opt_g.step()
-        model.zero_grad()
+        self._clear_grads()
 
         cz_loss = losses.j_cz(zb_sg.z, zb_sg.labels, model.head_cz, self.codec)
         cz_loss.backward()
         self.opt_cz.step()
-        model.zero_grad()
+        self._clear_grads()
         return {"j_gen": float(gen_loss.data), "j_cz": float(cz_loss.data), **parts}
 
     def _stage2(self, zb: EmbeddingBatch, positive_idx: np.ndarray, eta: float) -> dict:
@@ -396,7 +426,7 @@ class Trainer:
             self.opt_cv.step()
         if self.opt_prox is not None:
             self.opt_prox.step()
-        model.zero_grad()
+        self._clear_grads()
         out["j_m"] = float(total.data)
         return out
 
@@ -657,5 +687,5 @@ def load_checkpoint(ckpt_dir: Path, model: HngModel) -> dict:
                     f"group {g!r} tensor {name!r}: shape "
                     f"{stored[name].shape} != {p.data.shape}"
                 )
-            p.data = stored[name].astype(np.float64)
+            p.data[...] = stored[name]  # in place: optimizers hold views
     return manifest

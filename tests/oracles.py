@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from hngen import autodiff as ad
@@ -175,3 +177,33 @@ def j_m(j_r_term: ad.Tensor, j_gca_term: ad.Tensor, j_syn_term: ad.Tensor,
         gamma_n: float) -> ad.Tensor:
     """Stage-2 composite: J_r + J_gca + (1 - gamma_n) * J_syn."""
     return j_r_term + j_gca_term + (1.0 - gamma_n) * j_syn_term
+
+
+class LoopAdamW:
+    """Per-parameter AdamW with the flat optimizer's arithmetic and skip rule:
+    a parameter given no gradient keeps its data, moments and step count."""
+
+    def __init__(self, datas, lr: float, weight_decay: float = 0.0,
+                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+        self.data = [np.array(d, dtype=np.float64) for d in datas]
+        self.m = [np.zeros_like(d) for d in self.data]
+        self.v = [np.zeros_like(d) for d in self.data]
+        self.steps = [0] * len(self.data)
+        self.lr, self.weight_decay, self.betas, self.eps = lr, weight_decay, betas, eps
+
+    def step(self, grads) -> None:
+        b1, b2 = self.betas
+        for i, g in enumerate(grads):
+            if g is None:
+                continue
+            self.steps[i] += 1
+            t = self.steps[i]
+            self.m[i] = g + b1 * (self.m[i] - g)
+            g2 = g * g
+            self.v[i] = g2 + b2 * (self.v[i] - g2)
+            c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+            update = (self.m[i] / (np.sqrt(self.v[i]) + self.eps * math.sqrt(c2))
+                      * (self.lr * math.sqrt(c2) / c1))
+            if self.weight_decay:
+                self.data[i] = self.data[i] * (1.0 - self.lr * self.weight_decay)
+            self.data[i] = self.data[i] - update

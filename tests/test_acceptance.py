@@ -475,6 +475,33 @@ def test_08_stop_gradient_contract(tmp_path):
     gen_loss.backward()
     assert tr.model.head_cz.linear.weight.grad is None
     assert tr.model.head_cz.linear.bias.grad is None
+
+    # stage 2 moves neither the lambda head nor (at K=1) the edge block,
+    # whose output feeds only sg(lambda): data, moments and step counts hold
+    tr.model.zero_grad()
+    tr.train_step(datakit.sample_balanced(ds, 3, 2, tr.sampler_rng))
+    groups = tr.model.parameter_groups()
+    stage1_only = [p for name, p in groups["gcl"].items() if name.startswith("edge_blocks.")]
+    stage1_only += list(groups["cacai_fc"].values())
+    opt = tr.opt_g
+    held = [i for i, p in enumerate(opt.params) if any(p is q for q in stage1_only)]
+    # stepped by the _stage1 call above and this step's stage 1 only
+    assert len(held) == len(stage1_only) and all(opt.steps[i] == 2 for i in held)
+
+    def state(i):
+        seg = opt.segments[i]
+        return (opt.params[i].data.tobytes(), opt.m[seg].tobytes(),
+                opt.v[seg].tobytes(), opt.steps[i])
+
+    before = [state(i) for i in range(len(opt.params))]
+    batch2 = datakit.sample_balanced(ds, 3, 2, tr.sampler_rng)
+    zb2 = tr.model.backbone.embed(batch2, mode="train")
+    tr._stage2(zb2, cacai.select_positives(zb2.labels, tr.positive_rng), eta=0.7)
+    for i in range(len(opt.params)):
+        if i in held:
+            assert state(i) == before[i]
+        else:  # the node block is in the stage-2 loss and steps
+            assert state(i)[0] != before[i][0] and state(i)[3] == before[i][3] + 1
     _passline(8, "stop-gradient isolation holds in both stages")
 
 

@@ -5,6 +5,7 @@ from hngen import autodiff as ad
 from hngen.errors import ShapeError
 
 from gradcheck import check_gradients
+from oracles import LoopAdamW
 
 
 def _param(rng, *shape):
@@ -248,3 +249,52 @@ class TestOptimizer:
             loss.backward()
             opt.step()
         assert abs(p.data[0]) < 0.1
+
+    def test_adamw_skips_a_parameter_without_gradient(self):
+        rng = np.random.default_rng(0)
+        params = [_param(rng, 3), _param(rng, 2, 2), _param(rng, 4)]
+        opt = ad.AdamW(params, lr=0.1, weight_decay=0.5)
+        for p in params:
+            p.grad = rng.standard_normal(p.shape)
+        opt.step()
+        mid, seg = params[1], opt.segments[1]
+        kept = (mid.data.copy(), opt.m[seg].copy(), opt.v[seg].copy())
+        outer = [params[0].data.copy(), params[2].data.copy()]
+        mid.grad = None
+        opt.step()
+        assert opt.steps == [2, 1, 2]
+        for before, after in zip(kept, (mid.data, opt.m[seg], opt.v[seg])):
+            assert np.array_equal(before, after)
+        assert not np.array_equal(outer[0], params[0].data)
+        assert not np.array_equal(outer[1], params[2].data)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_adamw_flat_update_matches_per_parameter_loop(self, weight_decay):
+        rng = np.random.default_rng(3)
+        shapes = [(4, 3), (3,), (2, 2, 2), (5,), (1,), (3, 2)]
+        params = [_param(rng, *s) for s in shapes]
+        loop = LoopAdamW([p.data for p in params], lr=0.01, weight_decay=weight_decay)
+        opt = ad.AdamW(params, lr=0.01, weight_decay=weight_decay)
+        for _ in range(12):
+            grads = [rng.standard_normal(s) if rng.random() < 0.6 else None for s in shapes]
+            for p, g in zip(params, grads):
+                p.grad = g
+            opt.step()
+            loop.step(grads)
+        assert opt.steps == loop.steps
+        assert len(set(opt.steps)) > 2  # mixed runs and unequal counts were exercised
+        for i, p in enumerate(params):
+            seg = opt.segments[i]
+            assert np.array_equal(p.data, loop.data[i])
+            assert np.array_equal(opt.m[seg].reshape(p.shape), loop.m[i])
+            assert np.array_equal(opt.v[seg].reshape(p.shape), loop.v[i])
+
+    def test_adamw_rejects_a_parameter_no_longer_in_its_buffer(self):
+        p = ad.parameter(np.ones(3))
+        opt = ad.AdamW([p], lr=0.1)
+        p.data[...] = 2.0  # in place: still the buffer view
+        p.grad = np.ones(3)
+        opt.step()
+        p.data = p.data.copy()
+        with pytest.raises(RuntimeError, match="in place"):
+            opt.step()

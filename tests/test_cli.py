@@ -362,6 +362,21 @@ class TestCheckpointReload:
         assert cli.main(["inspect", "--checkpoint", str(ckpt),
                          "--out-dir", str(tmp_path / "diag")]) == 0
 
+    @pytest.mark.parametrize("command", ["eval", "inspect"])
+    def test_load_validates_backbone_once(self, trained, tmp_path, command, monkeypatch):
+        _, run_dir = trained
+        calls = []
+        real = BackboneConfig.validate
+
+        def counted(cfg):
+            calls.append(cfg)
+            real(cfg)
+
+        monkeypatch.setattr(BackboneConfig, "validate", counted)
+        assert cli.main([command, "--checkpoint", str(run_dir / "checkpoints" / "epoch_001"),
+                         "--out-dir", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1
+
 
 class TestTrainOverridesAndErrors:
     def test_train_ablation_flag(self, tmp_path):
@@ -398,18 +413,21 @@ class TestTrainOverridesAndErrors:
                        "--out-dir", str(tmp_path / "ev")])
         assert rc == 2
 
-    @pytest.mark.parametrize("train, backbone", [
-        ({"gamma_s": -1}, {}),
-        ({"gamma_d": -1}, {}),
-        ({"gamma_d": float("nan")}, {}),
-        ({"k_steps": 0}, {}),
-        ({"heads": 0}, {}),
-        ({"ffn_expansion": 0}, {}),
-        ({"heads": 3}, {"embed_dim": 64}),
+    @pytest.mark.parametrize("train, backbone, eval_", [
+        ({"gamma_s": -1}, {}, {}),
+        ({"gamma_d": -1}, {}, {}),
+        ({"gamma_d": float("nan")}, {}, {}),
+        ({"k_steps": 0}, {}, {}),
+        ({"heads": 0}, {}, {}),
+        ({"ffn_expansion": 0}, {}, {}),
+        ({"heads": 3}, {"embed_dim": 64}, {}),
+        ({}, {}, {"ks": [0, 1]}),
+        ({}, {}, {"ks": [1, 2.5]}),
+        ({}, {}, {"holdout_per_class": 0}),
     ], ids=["gamma_s", "gamma_d", "gamma_d_nan", "k_steps", "heads", "ffn_expansion",
-            "heads_divide_dim"])
-    def test_bad_setting_returns_2_before_any_file(self, tmp_path, train, backbone):
-        cfg_path = write_cfg(tmp_path, {"train": train, "backbone": backbone})
+            "heads_divide_dim", "eval_ks_zero", "eval_ks_float", "eval_holdout_zero"])
+    def test_bad_setting_returns_2_before_any_file(self, tmp_path, train, backbone, eval_):
+        cfg_path = write_cfg(tmp_path, {"train": train, "backbone": backbone, "eval": eval_})
         out = tmp_path / "runs"
         assert cli.main(["train", "--config", str(cfg_path), "--out-dir", str(out)]) == 2
         assert not out.exists()

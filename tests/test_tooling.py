@@ -2,10 +2,14 @@
 tracer wraps attributes listed in ``tracer.TARGETS`` and its block probes
 build ``NodeBlock``, ``EdgeBlock`` and ``LambdaHead`` directly. These checks
 fail the fast suite when a rename or a signature change would break
-``perfbench/run.py --trace 1``. They only read ``perfbench/``."""
+``perfbench/run.py --trace 1``. They only read ``perfbench/``.
+
+The pytest settings in ``pyproject.toml`` are checked here too."""
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +18,8 @@ import pytest
 from hngen import autodiff as ad
 from hngen import cacai, gcl
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+REPO = Path(__file__).resolve().parent.parent
+TRACER = REPO / "perfbench" / "tracer.py"
 
 
 def tracer_targets() -> list[tuple[str, str, str]]:
@@ -50,3 +55,18 @@ def test_block_probe_constructors_build():
     for out, shape in probes:
         assert out.shape == shape
         out.sum().backward()
+
+
+def test_mistyped_marker_fails_collection(tmp_path):
+    # a typo in ``slow`` must not silently put the smoke run in the fast set
+    (tmp_path / "test_typo.py").write_text(
+        "import pytest\n\n@pytest.mark.slwo\ndef test_x():\n    pass\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(REPO / "pyproject.toml"), "--rootdir", str(tmp_path),
+         str(tmp_path / "test_typo.py")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode != 0
+    assert "'slwo' not found in `markers`" in run.stdout

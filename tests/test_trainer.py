@@ -1,5 +1,9 @@
+import ctypes
 import json
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,18 +81,17 @@ class TestConfigValidation:
 
     def test_trainer_validates_once_before_building_anything(self, tmp_path, monkeypatch):
         calls = []
-        real = trainer.TrainConfig.validate
+        for cls in (trainer.TrainConfig, BackboneConfig):
+            def counted(cfg, real=cls.validate):
+                calls.append(cfg)
+                real(cfg)
 
-        def counted(cfg):
-            calls.append(cfg)
-            real(cfg)
-
-        monkeypatch.setattr(trainer.TrainConfig, "validate", counted)
+            monkeypatch.setattr(cls, "validate", counted)
         tr = trainer.Trainer(tiny_dataset(), tiny_dataset(seed=1), tiny_config(),
                              tiny_backbone(), tmp_path / "run")
-        assert calls == [tr.cfg]
-        tr.fit()  # the per-epoch evaluation models reuse the checked config
-        assert calls == [tr.cfg]
+        assert calls == [tr.cfg, tr.backbone_cfg]
+        tr.fit()  # the per-epoch evaluation models reuse the checked configs
+        assert calls == [tr.cfg, tr.backbone_cfg]
         with pytest.raises(ConfigurationError, match="gamma_d"):
             make_trainer(tmp_path / "bad", gamma_d=-1.0)
         assert not (tmp_path / "bad").exists()
@@ -337,6 +340,45 @@ class TestOtherConfigurations:
         assert log1 == log2
 
 
+# A fresh process, so that no earlier test has shaped the heap, compiling
+# the package from source as a fresh checkout does (the compiler's garbage
+# decides what lies at the heap top): build a smoke-sized trainer (B=12,
+# D=64), warm up, then count minor page faults over 20 steps.
+_FAULT_PROBE = """
+import resource, sys, tempfile
+from pathlib import Path
+from hngen import datakit, trainer
+from hngen.backbone import BackboneConfig
+ds = datakit.make_synthetic(datakit.SyntheticDatasetSpec(
+    num_classes=8, samples_per_class=20, input_dim=64, seed=0))
+cfg = trainer.TrainConfig(epochs=1, batch_classes=4, batch_instances=3, lr_f=1e-3, lr_g=1e-3)
+tr = trainer.Trainer(ds, None, cfg, BackboneConfig(hidden_dims=[128], embed_dim=64),
+                     Path(tempfile.mkdtemp()))
+step = lambda: tr.train_step(datakit.sample_balanced(ds, 4, 3, tr.sampler_rng))
+for _ in range(5):
+    step()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    step()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="needs mallopt")
+def test_training_steps_reuse_heap_pages(tmp_path):
+    # glibc would otherwise return each step's freed temporaries to the OS
+    # and fault them back in the next step: hundreds of faults per step
+    src = Path(__file__).resolve().parent.parent / "src"
+    run = subprocess.run(
+        [sys.executable, "-c", _FAULT_PROBE], capture_output=True, text=True, timeout=300,
+        env={"PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1",
+             "PYTHONPYCACHEPREFIX": str(tmp_path / "no_pycache"),
+             "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) < 20 * 50
+
+
 class TestFit:
     def test_zero_epochs_initial_checkpoint_only(self, tmp_path):
         ds = tiny_dataset()
@@ -412,6 +454,28 @@ class TestCheckpointRoundTrip:
             assert g1 == g2
             for name in p1:
                 assert np.array_equal(p1[name].data, p2[name].data)
+
+    def test_load_into_live_trainer_keeps_optimizer_views(self, tmp_path):
+        tr = make_trainer(tmp_path)
+
+        def step():
+            tr.train_step(datakit.sample_balanced(tr.train_set, 3, 2, tr.sampler_rng))
+
+        step()
+        ckpt = tmp_path / "ckpt"
+        trainer.save_checkpoint(ckpt, tr.model, tr._manifest(1, []))
+        saved = snapshot(tr.model.backbone.named_parameters())
+        step()
+        trainer.load_checkpoint(ckpt, tr.model)
+        assert_bit_identical(saved, snapshot(tr.model.backbone.named_parameters()))
+        optimizers = [tr.opt_f, tr.opt_g, tr.opt_cz, tr.opt_cv]
+        for opt in optimizers:
+            for p, seg in zip(opt.params, opt.segments):
+                assert np.shares_memory(p.data, opt.data[seg])
+                assert np.array_equal(p.data.ravel(), opt.data[seg])
+        step()  # the optimizers move the loaded values, not a stale copy
+        for name, p in tr.model.backbone.named_parameters().items():
+            assert not np.array_equal(p.data, saved[name]), name
 
     def test_corrupted_magic_rejected(self, tmp_path):
         tr = make_trainer(tmp_path)
