@@ -60,9 +60,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self.data, requires_grad=False)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -580,7 +577,7 @@ class Module:
 
     def zero_grad(self) -> None:
         for p in self.parameters():
-            p.zero_grad()
+            p.grad = None
 
 
 class Linear(Module):
@@ -620,13 +617,16 @@ class FeedForward(Module):
 
 class AdamW:
     """AdamW with decoupled weight decay (Loshchilov & Hutter, ICLR 2019)
-    over an explicit parameter list, stepping only what got a gradient.
+    over named parameter groups, stepping only what got a gradient.
 
-    The parameters, first moments ``m`` and second moments ``v`` live in
-    three flat float64 buffers, each parameter at ``segments[i]``; every
-    ``params[i].data`` is a reshaped view into ``data``, so code that sets a
-    parameter writes in place (``p.data[...] = x``). ``step`` raises if a
-    parameter's data no longer views its segment.
+    ``groups`` maps a name to ``(params, lr)``. ``lr[name]`` holds each
+    group's rate, which a schedule may change between steps, and
+    ``group_of[i]`` names the group of ``params[i]``. The parameters, first
+    moments ``m`` and second moments ``v`` live in three flat float64
+    buffers, each parameter at ``segments[i]``; every ``params[i].data`` is
+    a reshaped view into ``data``, so code that sets a parameter writes in
+    place (``p.data[...] = x``). ``step`` raises if a parameter's data no
+    longer views its segment.
 
     Skip rule: a parameter whose ``grad`` is None keeps its data, moments
     and step count ``steps[i]``; the others advance their own count and take
@@ -636,21 +636,23 @@ class AdamW:
         x *= 1 - lr wd
         x -= (lr sqrt(c2) / c1) m / (sqrt(v) + eps sqrt(c2))
 
-    The gradients are gathered into one scratch buffer, allocated once, and
-    the update runs in place over each maximal run of adjacent parameters
-    that got a gradient and share a step count.
+    So one optimizer serves every stage of a training step. The gradients
+    are gathered into one scratch buffer, allocated once, and the update
+    runs in place over each maximal run of adjacent parameters that got a
+    gradient and share a step count and a group.
     """
 
     def __init__(
         self,
-        params: Sequence[Tensor],
-        lr: float,
+        groups: dict[str, tuple[Sequence[Tensor], float]],
         weight_decay: float = 0.0,
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
     ):
-        self.params = list(params)
-        self.lr = float(lr)
+        self.lr = {name: float(lr) for name, (_, lr) in groups.items()}
+        members = {name: list(params) for name, (params, _) in groups.items()}
+        self.params = [p for params in members.values() for p in params]
+        self.group_of = [name for name, params in members.items() for _ in params]
         self.weight_decay = float(weight_decay)
         self.betas = betas
         self.eps = eps
@@ -679,18 +681,18 @@ class AdamW:
             if p.grad is not None:
                 self._grad_views[i][...] = p.grad
                 present.append(i)
-        runs: list[list[int]] = []  # [start, stop, step count]
+        runs: list[list] = []  # [start, stop, step count, group]
         for i in present:
             t = self.steps[i] = self.steps[i] + 1
-            seg = self.segments[i]
-            if runs and runs[-1][1] == seg.start and runs[-1][2] == t:
+            seg, group = self.segments[i], self.group_of[i]
+            if runs and runs[-1][1:] == [seg.start, t, group]:
                 runs[-1][1] = seg.stop
             else:
-                runs.append([seg.start, seg.stop, t])
-        for lo, hi, t in runs:
-            self._update(slice(lo, hi), t)
+                runs.append([seg.start, seg.stop, t, group])
+        for lo, hi, t, group in runs:
+            self._update(slice(lo, hi), t, self.lr[group])
 
-    def _update(self, seg: slice, t: int) -> None:
+    def _update(self, seg: slice, t: int, lr: float) -> None:
         b1, b2 = self.betas
         x, m, v, g = self.data[seg], self.m[seg], self.v[seg], self._grad[seg]
         m -= g
@@ -704,11 +706,11 @@ class AdamW:
         np.sqrt(v, out=g)  # g is scratch from here on
         g += self.eps * math.sqrt(c2)
         np.divide(m, g, out=g)
-        g *= self.lr * math.sqrt(c2) / c1
+        g *= lr * math.sqrt(c2) / c1
         if self.weight_decay:
-            x *= 1.0 - self.lr * self.weight_decay
+            x *= 1.0 - lr * self.weight_decay
         x -= g
 
     def zero_grad(self) -> None:
         for p in self.params:
-            p.zero_grad()
+            p.grad = None

@@ -30,6 +30,8 @@ class BackboneConfig:
             raise ConfigurationError("embed_dim must be >= 2")
         if self.kind == "mlp" and not self.hidden_dims:
             raise ConfigurationError("mlp backbone needs at least one hidden dim")
+        if self.normalize is not True:  # the graph, losses and retrieval need unit rows
+            raise ConfigurationError("backbone.normalize must be true")
 
 
 @dataclass
@@ -76,9 +78,7 @@ class Backbone(ad.Module):
             h = ad.relu(layer(h))
         if self.layers:
             h = self.layers[-1](h)
-        if self.config.normalize:
-            h = ad.l2_normalize(h)
-        return h
+        return ad.l2_normalize(h)
 
     def embed(self, batch: LabeledBatch, mode: str = "train") -> EmbeddingBatch:
         """Embed a batch; eval mode runs untracked (and is deterministic)."""

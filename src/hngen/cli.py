@@ -244,8 +244,8 @@ def _model_from_checkpoint(ckpt_dir: Path):
     codec = losses.ClassCodec(np.array(manifest["class_ids"]))
     # a feature file sets the input dim, not cfg["dataset"]["input_dim"]:
     # read it off the first backbone weight (out, in); identity keeps embed_dim
-    first = manifest.get("groups", {}).get("backbone", {}).get("layers.0.weight")
-    input_dim = first[1] if first else cfg["backbone"]["embed_dim"]
+    first = manifest["groups"].get("backbone", {}).get("layers.0.weight")
+    input_dim = first[-1] if first else cfg["backbone"]["embed_dim"]
     model = trainer.HngModel(tcfg, bcfg, input_dim, codec, np.random.default_rng(0))
     trainer.load_checkpoint(ckpt_dir, model)
     return model, manifest, cfg

@@ -6,11 +6,13 @@ network and interpolation head on the generator objective (then the
 real-sample head on its own loss); stage 2 rebuilds the graph with gradients
 flowing, synthesizes with detached interpolation vectors, and updates the
 backbone, graph network, node head, and proxies on the composite metric
-objective. Each stage updates only the parameters its loss reaches: the
-optimizers skip a parameter with no gradient, keeping its data, moments and
-step count. So the backbone never moves in stage 1, and the interpolation
-head, and at K=1 the last edge block (which feeds only the detached
-interpolation vectors), move only in stage 1.
+objective. One AdamW holds every parameter, in groups named after the
+learning-rate fields of ``TrainConfig``, and steps once after each backward.
+Where the stop-gradients sit decides what moves: the optimizer skips a
+parameter with no gradient, keeping its data, moments and step count. So the
+backbone never moves in stage 1, and the interpolation head, and at K=1 the
+last edge block (which feeds only the detached interpolation vectors), move
+only in stage 1.
 
 Schedules: the interpolation interval factor eta is recomputed from the
 previous epoch's mean metric loss (bootstrapped from the running mean
@@ -186,6 +188,10 @@ def cosine_lr(base: float, epoch: int, total_epochs: int) -> float:
     return base * 0.5 * (1.0 + np.cos(np.pi * frac))
 
 
+def _params_of(module: ad.Module | None) -> list[ad.Tensor]:
+    return module.parameters() if module is not None else []
+
+
 class HngModel(ad.Module):
     """All trainable components for one ablation arm; ``cfg`` must have
     passed ``TrainConfig.validate``."""
@@ -246,12 +252,7 @@ class HngModel(ad.Module):
         return groups
 
     def generator_params(self) -> list[ad.Tensor]:
-        params: list[ad.Tensor] = []
-        if self.graph is not None:
-            params.extend(self.graph.parameters())
-        if self.lambda_head is not None:
-            params.extend(self.lambda_head.parameters())
-        return params
+        return _params_of(self.graph) + _params_of(self.lambda_head)
 
     def propagate_graph(self, zb: EmbeddingBatch) -> gcl.CorrelationGraph:
         assert self.graph is not None
@@ -352,32 +353,16 @@ class Trainer:
 
         self.model = HngModel(cfg, backbone_cfg, train_set.dim, self.codec, self.init_rng)
         self.state = RunState()
-        wd = cfg.weight_decay
-        self.opt_f = ad.AdamW(self.model.backbone.parameters(), cfg.lr_f, wd)
-        self.opt_g = ad.AdamW(self.model.generator_params(), cfg.lr_g, wd)
-        self.opt_cz = (
-            ad.AdamW(self.model.head_cz.parameters(), cfg.lr_cz, wd)
-            if self.model.head_cz is not None
-            else None
-        )
-        self.opt_cv = (
-            ad.AdamW(self.model.head_cv.parameters(), cfg.lr_cv, wd)
-            if self.model.head_cv is not None
-            else None
-        )
-        # proxies ride the stage-2 update at the backbone rate
-        self.opt_prox = (
-            ad.AdamW(self.model.proxies.parameters(), cfg.lr_f, wd)
-            if self.model.proxies is not None
-            else None
-        )
-        self._params = self.model.parameters()
+        m = self.model
+        # proxies train at the backbone rate
+        self.opt = ad.AdamW({
+            "lr_f": (m.backbone.parameters() + _params_of(m.proxies), cfg.lr_f),
+            "lr_g": (m.generator_params(), cfg.lr_g),
+            "lr_cz": (_params_of(m.head_cz), cfg.lr_cz),
+            "lr_cv": (_params_of(m.head_cv), cfg.lr_cv),
+        }, cfg.weight_decay)
 
     # -- stages ---------------------------------------------------------------
-
-    def _clear_grads(self) -> None:
-        for p in self._params:
-            p.grad = None
 
     def _stage1(self, zb_sg: EmbeddingBatch, positive_idx: np.ndarray, eta: float) -> dict:
         """Generator and real-head updates on detached embeddings."""
@@ -391,13 +376,13 @@ class Trainer:
         )
         if gen_loss.requires_grad:
             gen_loss.backward()
-            self.opt_g.step()
-        self._clear_grads()
+            self.opt.step()
+            self.opt.zero_grad()
 
         cz_loss = losses.j_cz(zb_sg.z, zb_sg.labels, model.head_cz, self.codec)
         cz_loss.backward()
-        self.opt_cz.step()
-        self._clear_grads()
+        self.opt.step()
+        self.opt.zero_grad()
         return {"j_gen": float(gen_loss.data), "j_cz": float(cz_loss.data), **parts}
 
     def _stage2(self, zb: EmbeddingBatch, positive_idx: np.ndarray, eta: float) -> dict:
@@ -420,13 +405,8 @@ class Trainer:
                 total = total + (1.0 - gamma_n) * syn
                 out["j_syn"] = float(syn.data)
         total.backward()
-        self.opt_f.step()
-        if cfg.uses_graph:
-            self.opt_g.step()
-            self.opt_cv.step()
-        if self.opt_prox is not None:
-            self.opt_prox.step()
-        self._clear_grads()
+        self.opt.step()
+        self.opt.zero_grad()
         out["j_m"] = float(total.data)
         return out
 
@@ -434,31 +414,19 @@ class Trainer:
 
     def train_step(self, batch: datakit.LabeledBatch) -> losses.LossReport:
         cfg = self.cfg
-        eta = eta_for_batch(cfg, self.state)
-        self.state.eta = eta
-        report = losses.LossReport(step=self.state.step, epoch=self.state.epoch, eta=eta)
-        report.lr_g = self.opt_g.lr if self.model.graph is not None else None
-
+        eta = self.state.eta = eta_for_batch(cfg, self.state)
         zb = self.model.backbone.embed(batch, mode="train")
         positive_idx = cacai.select_positives(zb.labels, self.positive_rng)
-
+        terms: dict = {}
         if cfg.uses_synthetics:
-            zb_sg = EmbeddingBatch(
-                zb.z.detach(), zb.labels, zb.n_classes, zb.n_instances
-            )
-            s1 = self._stage1(zb_sg, positive_idx, eta)
-            report.j_gen = s1["j_gen"]
-            report.j_cz = s1["j_cz"]
-            report.j_ce = s1["j_ce"]
-            report.j_sim = s1["j_sim"]
-            report.j_div = s1["j_div"]
-            report.gamma_n = update_gen_tracker(cfg, self.state, s1["j_gen"])
-
-        s2 = self._stage2(zb, positive_idx, eta)
-        report.j_r = s2.get("j_r")
-        report.j_gca = s2.get("j_gca")
-        report.j_syn = s2.get("j_syn")
-        report.j_m = s2.get("j_m")
+            zb_sg = EmbeddingBatch(zb.z.detach(), zb.labels, zb.n_classes, zb.n_instances)
+            terms = self._stage1(zb_sg, positive_idx, eta)
+            terms["gamma_n"] = update_gen_tracker(cfg, self.state, terms["j_gen"])
+        terms.update(self._stage2(zb, positive_idx, eta))
+        report = losses.LossReport(
+            step=self.state.step, epoch=self.state.epoch, eta=eta,
+            lr_g=self.opt.lr["lr_g"] if self.model.graph is not None else None, **terms,
+        )
 
         try:
             report.assert_finite()
@@ -466,7 +434,7 @@ class Trainer:
             self._dump_diagnostics(report, str(exc))
             raise NumericError(f"aborting step {self.state.step}: {exc}") from exc
 
-        record_metric_loss(self.state, s2["j_r"])
+        record_metric_loss(self.state, report.j_r)
         self.state.step += 1
         return report
 
@@ -517,7 +485,7 @@ class Trainer:
             for epoch in range(cfg.epochs):
                 self.state.epoch = epoch
                 if cfg.cosine_decay_g:
-                    self.opt_g.lr = cosine_lr(cfg.lr_g, epoch, cfg.epochs)
+                    self.opt.lr["lr_g"] = cosine_lr(cfg.lr_g, epoch, cfg.epochs)
                 for _ in range(steps_per_epoch):
                     batch = datakit.sample_balanced(
                         self.train_set, cfg.batch_classes, cfg.batch_instances,
@@ -624,7 +592,10 @@ def _read_group(path: Path) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {}
         for _ in range(count):
             (nlen,) = struct.unpack("<H", read(2))
-            name = read(nlen).decode("utf-8")
+            try:
+                name = read(nlen).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(f"{path}: tensor name is not UTF-8") from exc
             (ndim,) = struct.unpack("<B", read(1))
             shape = struct.unpack(f"<{ndim}Q", read(8 * ndim)) if ndim else ()
             n_items = math.prod(shape)
@@ -663,7 +634,22 @@ def load_manifest(ckpt_dir: Path) -> dict:
             f"{ckpt_dir}: manifest version {version} needs migration "
             f"(supported: {CHECKPOINT_VERSION})"
         )
+    groups = manifest.get("groups")
+    if not isinstance(groups, dict) or not all(
+        isinstance(shapes, dict) and all(_is_int_list(s, 0) for s in shapes.values())
+        for shapes in groups.values()
+    ):
+        raise CheckpointError(f"{path}: groups must map each group to tensor shapes")
+    # only eval and inspect need class_ids, so their presence is checked there
+    if not _is_int_list(manifest.get("class_ids", []), -(2**63)):
+        raise CheckpointError(f"{path}: class_ids must be a list of integers")
     return manifest
+
+
+def _is_int_list(value, low: int) -> bool:
+    return isinstance(value, list) and all(
+        type(x) is int and low <= x < 2**63 for x in value
+    )
 
 
 def load_checkpoint(ckpt_dir: Path, model: HngModel) -> dict:
@@ -671,7 +657,7 @@ def load_checkpoint(ckpt_dir: Path, model: HngModel) -> dict:
     ckpt_dir = Path(ckpt_dir)
     manifest = load_manifest(ckpt_dir)
     groups = model.parameter_groups()
-    saved_groups = manifest.get("groups", {})
+    saved_groups = manifest["groups"]
     if sorted(saved_groups) != sorted(groups):
         raise CheckpointError(
             f"parameter groups differ: checkpoint has {sorted(saved_groups)}, "

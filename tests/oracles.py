@@ -181,15 +181,16 @@ def j_m(j_r_term: ad.Tensor, j_gca_term: ad.Tensor, j_syn_term: ad.Tensor,
 
 class LoopAdamW:
     """Per-parameter AdamW with the flat optimizer's arithmetic and skip rule:
-    a parameter given no gradient keeps its data, moments and step count."""
+    a parameter given no gradient keeps its data, moments and step count.
+    ``lr[i]`` is parameter i's learning rate."""
 
-    def __init__(self, datas, lr: float, weight_decay: float = 0.0,
+    def __init__(self, datas, lr: list[float], weight_decay: float = 0.0,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
         self.data = [np.array(d, dtype=np.float64) for d in datas]
         self.m = [np.zeros_like(d) for d in self.data]
         self.v = [np.zeros_like(d) for d in self.data]
         self.steps = [0] * len(self.data)
-        self.lr, self.weight_decay, self.betas, self.eps = lr, weight_decay, betas, eps
+        self.lr, self.weight_decay, self.betas, self.eps = list(lr), weight_decay, betas, eps
 
     def step(self, grads) -> None:
         b1, b2 = self.betas
@@ -202,8 +203,9 @@ class LoopAdamW:
             g2 = g * g
             self.v[i] = g2 + b2 * (self.v[i] - g2)
             c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+            lr = self.lr[i]
             update = (self.m[i] / (np.sqrt(self.v[i]) + self.eps * math.sqrt(c2))
-                      * (self.lr * math.sqrt(c2) / c1))
+                      * (lr * math.sqrt(c2) / c1))
             if self.weight_decay:
-                self.data[i] = self.data[i] * (1.0 - self.lr * self.weight_decay)
+                self.data[i] = self.data[i] * (1.0 - lr * self.weight_decay)
             self.data[i] = self.data[i] - update

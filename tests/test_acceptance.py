@@ -483,7 +483,8 @@ def test_08_stop_gradient_contract(tmp_path):
     groups = tr.model.parameter_groups()
     stage1_only = [p for name, p in groups["gcl"].items() if name.startswith("edge_blocks.")]
     stage1_only += list(groups["cacai_fc"].values())
-    opt = tr.opt_g
+    opt = tr.opt
+    generator = [i for i, group in enumerate(opt.group_of) if group == "lr_g"]
     held = [i for i, p in enumerate(opt.params) if any(p is q for q in stage1_only)]
     # stepped by the _stage1 call above and this step's stage 1 only
     assert len(held) == len(stage1_only) and all(opt.steps[i] == 2 for i in held)
@@ -493,11 +494,11 @@ def test_08_stop_gradient_contract(tmp_path):
         return (opt.params[i].data.tobytes(), opt.m[seg].tobytes(),
                 opt.v[seg].tobytes(), opt.steps[i])
 
-    before = [state(i) for i in range(len(opt.params))]
+    before = {i: state(i) for i in generator}
     batch2 = datakit.sample_balanced(ds, 3, 2, tr.sampler_rng)
     zb2 = tr.model.backbone.embed(batch2, mode="train")
     tr._stage2(zb2, cacai.select_positives(zb2.labels, tr.positive_rng), eta=0.7)
-    for i in range(len(opt.params)):
+    for i in generator:
         if i in held:
             assert state(i) == before[i]
         else:  # the node block is in the stage-2 loss and steps

@@ -234,7 +234,7 @@ class TestDetachAndAccumulation:
 class TestOptimizer:
     def test_adamw_decoupled_decay(self):
         p = ad.parameter(np.array([1.0]))
-        opt = ad.AdamW([p], lr=0.1, weight_decay=0.5)
+        opt = ad.AdamW({"all": ([p], 0.1)}, weight_decay=0.5)
         p.grad = np.array([0.0])
         opt.step()
         # zero gradient: update is pure decay, theta -= lr * wd * theta
@@ -242,7 +242,7 @@ class TestOptimizer:
 
     def test_adamw_descends_quadratic(self):
         p = ad.parameter(np.array([5.0]))
-        opt = ad.AdamW([p], lr=0.2)
+        opt = ad.AdamW({"all": ([p], 0.2)})
         for _ in range(200):
             opt.zero_grad()
             loss = (p * p).sum()
@@ -253,7 +253,7 @@ class TestOptimizer:
     def test_adamw_skips_a_parameter_without_gradient(self):
         rng = np.random.default_rng(0)
         params = [_param(rng, 3), _param(rng, 2, 2), _param(rng, 4)]
-        opt = ad.AdamW(params, lr=0.1, weight_decay=0.5)
+        opt = ad.AdamW({"all": (params, 0.1)}, weight_decay=0.5)
         for p in params:
             p.grad = rng.standard_normal(p.shape)
         opt.step()
@@ -273,10 +273,20 @@ class TestOptimizer:
         rng = np.random.default_rng(3)
         shapes = [(4, 3), (3,), (2, 2, 2), (5,), (1,), (3, 2)]
         params = [_param(rng, *s) for s in shapes]
-        loop = LoopAdamW([p.data for p in params], lr=0.01, weight_decay=weight_decay)
-        opt = ad.AdamW(params, lr=0.01, weight_decay=weight_decay)
-        for _ in range(12):
-            grads = [rng.standard_normal(s) if rng.random() < 0.6 else None for s in shapes]
+        # two groups at different rates: a run that spanned the boundary
+        # would update one group at the other's rate
+        loop = LoopAdamW([p.data for p in params], lr=[0.01] * 3 + [0.003] * 3,
+                         weight_decay=weight_decay)
+        opt = ad.AdamW({"a": (params[:3], 0.01), "b": (params[3:], 0.003)},
+                       weight_decay=weight_decay)
+        assert opt.group_of == ["a"] * 3 + ["b"] * 3
+        for n in range(12):
+            if n == 6:  # a schedule changes one group's rate part-way
+                opt.lr["b"] = 0.02
+                loop.lr[3:] = [0.02] * 3
+            # every parameter steps first, so both groups start at count 1
+            grads = [rng.standard_normal(s) if n == 0 or rng.random() < 0.6 else None
+                     for s in shapes]
             for p, g in zip(params, grads):
                 p.grad = g
             opt.step()
@@ -291,7 +301,7 @@ class TestOptimizer:
 
     def test_adamw_rejects_a_parameter_no_longer_in_its_buffer(self):
         p = ad.parameter(np.ones(3))
-        opt = ad.AdamW([p], lr=0.1)
+        opt = ad.AdamW({"all": ([p], 0.1)})
         p.data[...] = 2.0  # in place: still the buffer view
         p.grad = np.ones(3)
         opt.step()

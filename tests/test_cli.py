@@ -424,8 +424,10 @@ class TestTrainOverridesAndErrors:
         ({}, {}, {"ks": [0, 1]}),
         ({}, {}, {"ks": [1, 2.5]}),
         ({}, {}, {"holdout_per_class": 0}),
+        ({}, {"normalize": False}, {}),
     ], ids=["gamma_s", "gamma_d", "gamma_d_nan", "k_steps", "heads", "ffn_expansion",
-            "heads_divide_dim", "eval_ks_zero", "eval_ks_float", "eval_holdout_zero"])
+            "heads_divide_dim", "eval_ks_zero", "eval_ks_float", "eval_holdout_zero",
+            "backbone_not_normalized"])
     def test_bad_setting_returns_2_before_any_file(self, tmp_path, train, backbone, eval_):
         cfg_path = write_cfg(tmp_path, {"train": train, "backbone": backbone, "eval": eval_})
         out = tmp_path / "runs"
@@ -462,11 +464,30 @@ def _backbone_without_hidden_dims(m):
     del m["resolved_config"]["backbone"]["hidden_dims"]
 
 
+def _groups_not_an_object(m):
+    m["groups"] = 5
+
+
+def _groups_a_list(m):
+    m["groups"] = ["backbone"]
+
+
+def _class_ids_not_integers(m):
+    m["class_ids"] = ["a", "b"]
+
+
+def _first_weight_one_dim(m):
+    m["groups"]["backbone"]["layers.0.weight"] = [128]
+
+
 class TestMalformedManifest:
     @pytest.mark.parametrize("command", ["eval", "inspect"])
     @pytest.mark.parametrize("damage", [
         None, _break_class_ids, _unknown_train_key, _backbone_without_hidden_dims,
-    ], ids=["invalid_json", "no_class_ids", "unknown_train_key", "no_hidden_dims"])
+        _groups_not_an_object, _groups_a_list, _class_ids_not_integers,
+        _first_weight_one_dim,
+    ], ids=["invalid_json", "no_class_ids", "unknown_train_key", "no_hidden_dims",
+            "groups_number", "groups_list", "class_ids_strings", "weight_one_dim"])
     def test_returns_2(self, trained, tmp_path, command, damage, capsys):
         _, run_dir = trained
         ckpt = tmp_path / "ckpt"

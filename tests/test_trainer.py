@@ -147,6 +147,27 @@ class TestSchedules:
         assert trainer.cosine_lr(1.0, 0, 1) == 1.0
 
 
+class TestOneOptimizer:
+    @pytest.mark.parametrize("metric_loss", ["np_modified", "proxy_anchor"])
+    @pytest.mark.parametrize("ablation", trainer.ABLATION_ARMS)
+    def test_every_parameter_once_in_the_group_of_its_rate(self, tmp_path, ablation,
+                                                            metric_loss):
+        tr = make_trainer(tmp_path, ablation=ablation, metric_loss=metric_loss,
+                          lr_f=1e-3, lr_g=2e-3, lr_cz=3e-3, lr_cv=4e-3)
+        m = tr.model
+        owners = {"lr_f": [m.backbone, m.proxies], "lr_g": [m.graph, m.lambda_head],
+                  "lr_cz": [m.head_cz], "lr_cv": [m.head_cv]}
+        expected = {id(p): group for group, modules in owners.items()
+                    for module in modules if module is not None
+                    for p in module.parameters()}
+        held = [id(p) for p in tr.opt.params]
+        assert len(held) == len(set(held))
+        assert sorted(held) == sorted(id(p) for p in m.parameters())
+        assert tr.opt.group_of == [expected[id(p)] for p in tr.opt.params]
+        assert tr.opt.lr == {group: getattr(tr.cfg, group) for group in owners}
+        assert [v for v in vars(tr).values() if isinstance(v, ad.AdamW)] == [tr.opt]
+
+
 class TestStopGradientContracts:
     def test_stage1_leaves_backbone_bit_identical(self, tmp_path):
         tr = make_trainer(tmp_path)
@@ -468,7 +489,7 @@ class TestCheckpointRoundTrip:
         step()
         trainer.load_checkpoint(ckpt, tr.model)
         assert_bit_identical(saved, snapshot(tr.model.backbone.named_parameters()))
-        optimizers = [tr.opt_f, tr.opt_g, tr.opt_cz, tr.opt_cv]
+        optimizers = [tr.opt]
         for opt in optimizers:
             for p, seg in zip(opt.params, opt.segments):
                 assert np.shares_memory(p.data, opt.data[seg])
@@ -507,6 +528,15 @@ class TestCheckpointRoundTrip:
         huge_dim = raw[:20] + struct.pack("<Q", 2**62) + raw[28:]
         blob.write_bytes(huge_dim)
         with pytest.raises(CheckpointError, match="corrupt"):
+            trainer._read_group(blob)
+
+    def test_tensor_name_not_utf8_rejected(self, tmp_path):
+        blob = tmp_path / "one.bin"
+        trainer._write_group(blob, {"w": ad.Tensor(np.arange(3.0))})
+        raw = bytearray(blob.read_bytes())
+        raw[18] = 0xFF  # the name's byte, after header (16) and name length (2)
+        blob.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="not UTF-8"):
             trainer._read_group(blob)
 
     def test_truncated_checkpoint_load_rejected(self, tmp_path):
