@@ -308,6 +308,11 @@ def cmd_inspect(args) -> int:
         raise ConfigurationError(
             f"checkpoint arm {manifest.get('ablation')!r} has no graph to inspect"
         )
+    missing = [key for key in ("eta", "avg_metric_loss") if key not in manifest]
+    if missing:
+        raise CheckpointError(
+            f"{ckpt_dir}: manifest stores no schedule state ({', '.join(missing)})"
+        )
     dataset = build_dataset(cfg)
     rng = np.random.default_rng(args.seed)
     batch = datakit.sample_balanced(
@@ -338,8 +343,6 @@ def cmd_inspect(args) -> int:
 
     pos = cacai.select_positives(zb.labels, rng)
     d_plus, d_minus = cacai.pair_distances(zb, pos)
-    if "eta" not in manifest:
-        raise CheckpointError(f"{ckpt_dir}: manifest stores no schedule state (eta)")
     eta = manifest["eta"]  # what the batch after this checkpoint trains with
     occupancy = lam.data.mean(axis=2) * eta  # fraction of [d+, d-] gap used
     with open(out_dir / "interval_occupancy.csv", "w", newline="", encoding="utf-8") as fh:

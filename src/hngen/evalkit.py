@@ -6,13 +6,14 @@ item in the top K; R-Precision scores the top R, where R is the query's
 same-class gallery count (less the query itself under self-exclusion);
 MAP@R averages precision at each relevant rank up to R. These read only the
 first ``max(max(K), max(R))`` ranks, so ``RetrievalIndex.ranked_hits`` ranks
-only that prefix, one block of query rows at a time: a block's similarities
-against the whole gallery are partitioned at the prefix's cut value, every
-item tied with the cut is kept, and the candidates are sorted by
-(-similarity, index). The result equals the prefix of a full stable sort bit
-for bit, in O(block * n_gallery + n_queries * width) memory. Also
-per-dimension variance summaries and a deterministic 2-D
-principal-component projection.
+only that prefix, one block of query rows at a time: one partition of a
+block's similarities against the whole gallery leaves each row's ``width``
+best items, which alone are sorted by (-similarity, index). Only rows with
+an item outside them tied with the cut value take a tie path, which keeps
+every tied item in index order. The result equals the prefix of a full
+stable sort bit for bit, in O(block * n_gallery + n_queries * width) memory.
+Rows must be finite and unit-norm. Also per-dimension variance summaries and
+a deterministic 2-D principal-component projection.
 """
 
 from __future__ import annotations
@@ -46,6 +47,9 @@ class RetrievalIndex:
         if self.gallery_z.shape[1] != self.query_z.shape[1]:
             raise ShapeError("query and gallery dims differ")
         for z in (self.gallery_z, self.query_z):
+            # the ranking kernel needs finite similarities (-inf aside)
+            if not np.all(np.isfinite(z)):
+                raise ShapeError("retrieval index expects finite rows")
             norms = np.linalg.norm(z, axis=1)
             if np.any(np.abs(norms - 1.0) > 1e-5):
                 raise ShapeError("retrieval index expects unit-norm rows")
@@ -152,13 +156,21 @@ def _top_r(index: RetrievalIndex, hits: np.ndarray | None, r: np.ndarray) -> np.
     return hits[:, :r_max]
 
 
+def _relevant(index: RetrievalIndex, r: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """R per query and the scored-query mask. A caller that passes ``r`` has
+    already checked it with :func:`_scored_queries`, which warns once."""
+    if r is None:
+        r = index.relevant_counts()
+        return r, _scored_queries(r)
+    return r, r > 0
+
+
 def r_precision(
-    index: RetrievalIndex, hits: np.ndarray | None = None, keep: np.ndarray | None = None
+    index: RetrievalIndex, hits: np.ndarray | None = None, r: np.ndarray | None = None
 ) -> float:
-    """Mean R-Precision; ``keep`` is the scored-query mask when the caller
-    has already computed it (and warned about the skipped queries)."""
-    r = index.relevant_counts()
-    keep = _scored_queries(r) if keep is None else keep
+    """Mean R-Precision; ``r`` is ``index.relevant_counts()`` when the caller
+    already has it (see :func:`_relevant`)."""
+    r, keep = _relevant(index, r)
     csum = _top_r(index, hits, r).cumsum(axis=1)
     rk = r[keep]
     prec = csum[keep, rk - 1] / rk
@@ -166,11 +178,10 @@ def r_precision(
 
 
 def map_at_r(
-    index: RetrievalIndex, hits: np.ndarray | None = None, keep: np.ndarray | None = None
+    index: RetrievalIndex, hits: np.ndarray | None = None, r: np.ndarray | None = None
 ) -> float:
-    """Mean MAP@R; ``keep`` as in :func:`r_precision`."""
-    r = index.relevant_counts()
-    keep = _scored_queries(r) if keep is None else keep
+    """Mean MAP@R; ``r`` as in :func:`r_precision`."""
+    r, keep = _relevant(index, r)
     hits = _top_r(index, hits, r)
     csum = hits.astype(np.int64).cumsum(axis=1)
     ranks = np.arange(1, hits.shape[1] + 1)
@@ -188,11 +199,11 @@ def evaluate_retrieval(index: RetrievalIndex, ks: list[int]) -> MetricReport:
     r = index.relevant_counts()
     # K <= effective gallery size (checked) and R <= it by construction
     hits = index.ranked_hits(max(max(ks, default=0), int(r.max(initial=0))))
-    keep = _scored_queries(r)  # warns once for both R-based metrics
+    _scored_queries(r)  # warns once for both R-based metrics
     return MetricReport(
         recall_at=recall_at_k(index, ks, hits),
-        r_precision=r_precision(index, hits, keep),
-        map_at_r=map_at_r(index, hits, keep),
+        r_precision=r_precision(index, hits, r),
+        map_at_r=map_at_r(index, hits, r),
         n_queries=int(r.shape[0]),
         n_skipped=int((r == 0).sum()),
     )

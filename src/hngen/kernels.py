@@ -53,23 +53,39 @@ def ranked_hits(
 
     Items rank by descending similarity, ties broken by gallery index
     ascending: exactly the first ``width`` columns of a stable sort of the
-    negated rows. ``argpartition`` finds each row's cut value; every item
-    tied with the cut stays a candidate, and one ``lexsort`` orders the
-    candidates by (-sim, index). Returns ``(rows, width)`` uint8.
+    negated rows. Every similarity must be finite or -inf. One
+    ``argpartition`` at column ``n - width`` leaves each row's ``width``
+    largest similarities in its last columns, the first of them the cut
+    value. A row with no other item equal to the cut holds exactly its
+    prefix there: the survivors are sorted by index, then stably by
+    descending similarity. Only rows tied across the cut take the tie
+    path, which keeps every item at or above the cut and orders them by
+    (-sim, index). Returns ``(rows, width)`` uint8.
     """
-    neg = -np.asarray(sim, dtype=np.float64)
+    sim = np.asarray(sim, dtype=np.float64)
     ql = np.asarray(query_labels, dtype=np.int64)
     gl = np.asarray(gallery_labels, dtype=np.int64)
-    rows, n = neg.shape
+    rows, n = sim.shape
     if not 0 <= width <= n:
         raise ValueError(f"prefix width must be in [0, {n}], got {width}")
     if width == 0:
         return np.zeros((rows, 0), dtype=np.uint8)
-    cut_at = np.argpartition(neg, width - 1, axis=1)[:, width - 1 : width]
-    cand = neg <= np.take_along_axis(neg, cut_at, axis=1)
-    row, col = np.nonzero(cand)  # row-major, so col ascends within a row
-    order = np.lexsort((col, neg[row, col], row))
-    n_cand = cand.sum(axis=1)
-    starts = np.cumsum(n_cand) - n_cand
-    top = col[order[starts[:, None] + np.arange(width)]]
+    part = np.argpartition(sim, n - width, axis=1)
+    cut = np.take_along_axis(sim, part[:, n - width : n - width + 1], axis=1)
+    tied = np.count_nonzero(sim >= cut, axis=1) > width
+    top = np.sort(part[:, n - width :], axis=1)
+    order = np.argsort(-np.take_along_axis(sim, top, axis=1), axis=1, kind="stable")
+    top = np.take_along_axis(top, order, axis=1)
+    if tied.any():
+        top[tied] = _tied_prefix(sim[tied], cut[tied], width)
     return (gl[top] == ql[:, None]).astype(np.uint8)
+
+
+def _tied_prefix(sim: np.ndarray, cut: np.ndarray, width: int) -> np.ndarray:
+    """Top ``width`` columns of rows with items tied across their cut: every
+    item at or above the cut is a candidate, ordered by (-sim, index)."""
+    row, col = np.nonzero(sim >= cut)  # row-major, so col ascends within a row
+    order = np.lexsort((-sim[row, col], row))  # stable: ties keep index order
+    n_cand = np.bincount(row, minlength=sim.shape[0])
+    starts = np.cumsum(n_cand) - n_cand
+    return col[order[starts[:, None] + np.arange(width)]]

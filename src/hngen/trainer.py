@@ -643,7 +643,21 @@ def load_manifest(ckpt_dir: Path) -> dict:
     # only eval and inspect need class_ids, so their presence is checked there
     if not _is_int_list(manifest.get("class_ids", []), -(2**63)):
         raise CheckpointError(f"{path}: class_ids must be a list of integers")
+    # only inspect reads the schedule state, so its presence is checked there
+    if "eta" in manifest and not _is_finite_real(manifest["eta"]):
+        raise CheckpointError(f"{path}: eta must be a finite number")
+    loss = manifest.get("avg_metric_loss")
+    if loss is not None and not _is_finite_real(loss):
+        raise CheckpointError(f"{path}: avg_metric_loss must be a finite number or null")
     return manifest
+
+
+def _is_finite_real(value) -> bool:
+    """A JSON number, not a bool, that converts to a finite float."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an integer past the float range
+        return False
 
 
 def _is_int_list(value, low: int) -> bool:

@@ -452,6 +452,9 @@ class TestTrainOverridesAndErrors:
         assert "comma-separated integers" in capsys.readouterr().err
 
 
+_DROP = object()  # a manifest key removed rather than set
+
+
 def _break_class_ids(m):
     del m["class_ids"]
 
@@ -502,6 +505,32 @@ class TestMalformedManifest:
         rc = cli.main([command, "--checkpoint", str(ckpt), "--out-dir", str(tmp_path / "out")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("eta", "x"), ("eta", True), ("eta", None), ("eta", float("nan")), ("eta", 10**400),
+        ("eta", _DROP), ("avg_metric_loss", "x"), ("avg_metric_loss", False),
+        ("avg_metric_loss", float("inf")), ("avg_metric_loss", _DROP),
+    ])
+    def test_bad_schedule_state_exits_2_before_inspect_writes(
+        self, trained, tmp_path, key, value, capsys
+    ):
+        _, run_dir = trained
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(run_dir / "checkpoints" / "epoch_001", ckpt)
+        manifest_path = ckpt / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        if value is _DROP:
+            del manifest[key]
+        else:
+            manifest[key] = value
+        manifest_path.write_text(json.dumps(manifest))
+        out = tmp_path / "out"
+        assert cli.main(["inspect", "--checkpoint", str(ckpt), "--out-dir", str(out)]) == 2
+        assert not out.exists()
+        assert key in capsys.readouterr().err
+        # eval needs no schedule state, but a present one must be well-typed
+        rc = cli.main(["eval", "--checkpoint", str(ckpt), "--out-dir", str(tmp_path / "ev")])
+        assert rc == (0 if value is _DROP else 2)
 
 
 class TestAblate:

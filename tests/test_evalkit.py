@@ -252,6 +252,18 @@ class TestStreamingParity:
         for ks in ([1], [5], [8]):
             self._assert_same(idx, ks, block_rows)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_duplicate_heavy(self, seed, block_rows):
+        # most rows copy another, so most queries are tied at their cut
+        rng = np.random.default_rng(300 + seed)
+        gz = quantized_rows(rng, 60, 4, levels=1, dup_share=0.7)
+        gl = rng.integers(1, 4, size=60)
+        self._assert_same(ek.RetrievalIndex.single_set(gz, gl), [1, 2, 8], block_rows)
+        qz = np.concatenate([gz[rng.choice(60, size=15)], quantized_rows(rng, 10, 4, levels=1)])
+        ql = rng.integers(1, 4, size=25)
+        idx = ek.RetrievalIndex.query_gallery(qz, ql, gz, gl)
+        self._assert_same(idx, [1, 3, 16], block_rows)
+
     def test_ranked_hits_is_the_full_sort_prefix(self, block_rows):
         rng = np.random.default_rng(7)
         z = quantized_rows(rng, 30, 2)
@@ -286,7 +298,43 @@ class TestStreamingParity:
                 ek.evaluate_retrieval(idx, ks)
 
 
+def ranked_columns(sim, width):
+    """Gallery index at each rank, read back from ``ranked_hits`` one bit at
+    a time: with gallery label ``(index >> bit) & 1`` and every query
+    labelled 1, the flags are that bit of each ranked index."""
+    rows, n = sim.shape
+    ones = np.ones(rows, dtype=np.int64)
+    cols = np.zeros((rows, width), dtype=np.int64)
+    for bit in range(max(n - 1, 1).bit_length()):
+        flags = kernels.ranked_hits(sim, ones, (np.arange(n) >> bit) & 1, width)
+        cols |= flags.astype(np.int64) << bit
+    return cols
+
+
 class TestRankedHitsKernel:
+    def test_matches_full_sort_on_tie_heavy_blocks(self):
+        rng = np.random.default_rng(11)
+        tied_rows = clear_rows = 0
+        for trial in range(80):
+            rows, n = int(rng.integers(1, 10)), int(rng.integers(1, 14))
+            sim = rng.integers(-3, 4, size=(rows, n)).astype(np.float64)
+            if trial % 2:
+                sim[rng.random((rows, n)) < 0.25] = -np.inf
+            sim[0] = sim[0, 0]  # one all-tied row (all -inf on some trials)
+            ql, gl = rng.integers(1, 4, size=rows), rng.integers(1, 4, size=n)
+            full = full_sort_ranked_hits(sim, ql, gl, False)
+            order = np.argsort(-sim, axis=1, kind="stable")
+            desc = -np.sort(-sim, axis=1)
+            for width in range(n + 1):
+                assert np.array_equal(kernels.ranked_hits(sim, ql, gl, width), full[:, :width])
+                assert np.array_equal(ranked_columns(sim, width), order[:, :width])
+                if width:
+                    tied = np.count_nonzero(sim >= desc[:, width - 1 : width], axis=1) > width
+                    tied_rows += int(tied.sum())
+                    clear_rows += int((~tied).sum())
+        # both the fast path and the tie path ran many times
+        assert tied_rows > 500 and clear_rows > 500
+
     def test_tie_break_by_gallery_index(self):
         # two equal similarities: lower gallery index must rank first
         sim = np.array([[0.5, 0.5, 0.1]])
@@ -312,6 +360,20 @@ class TestRankedHitsKernel:
         for width in (-1, 13):
             with pytest.raises(ValueError, match="prefix width"):
                 kernels.ranked_hits(sim, labels, labels, width)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_rows_rejected_in_both_protocols(bad):
+    # a NaN row has a NaN norm, which slips past the unit-norm check
+    z = np.eye(4)
+    z[1] = bad
+    labels = np.array([1, 1, 2, 2])
+    with pytest.raises(ShapeError, match="finite rows"):
+        ek.RetrievalIndex.single_set(z, labels)
+    with pytest.raises(ShapeError, match="finite rows"):
+        ek.RetrievalIndex.query_gallery(z, labels, np.eye(4), labels)
+    with pytest.raises(ShapeError, match="finite rows"):
+        ek.RetrievalIndex.query_gallery(np.eye(4)[:2], labels[:2], z, labels)
 
 
 class TestEmbeddingStats:
