@@ -252,6 +252,8 @@ def _model_from_checkpoint(ckpt_dir: Path):
 
 
 def cmd_eval(args) -> int:
+    if args.gallery and not args.data:
+        raise ConfigurationError("--gallery needs --data (the query set)")
     ckpt_dir = Path(args.checkpoint)
     model, manifest, cfg = _model_from_checkpoint(ckpt_dir)
     if args.config:
@@ -281,16 +283,23 @@ def cmd_eval(args) -> int:
     report = evalkit.evaluate_retrieval(index, ks)
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report_path = out_dir / "metric_report.json"
-    report_path.write_text(report.to_json())
     csv_path = out_dir / "metrics.csv"
     header = (["checkpoint", "epoch"] + [f"r_at_{k}" for k in ks]
               + ["r_precision", "map_at_r", "n_queries"])
-    new_file = not csv_path.exists()
+    existing = None
+    if csv_path.exists():
+        with open(csv_path, newline="", encoding="utf-8", errors="replace") as fh:
+            existing = next(csv.reader(fh), None)
+    if existing not in (None, header):
+        raise ConfigurationError(
+            f"{csv_path} has columns {','.join(existing)}, this run writes "
+            f"{','.join(header)}: use another --out-dir"
+        )
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "metric_report.json").write_text(report.to_json())
     with open(csv_path, "a", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        if new_file:
+        if existing is None:
             writer.writerow(header)
         writer.writerow(
             [str(ckpt_dir), manifest.get("epoch")]

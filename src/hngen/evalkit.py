@@ -6,12 +6,12 @@ item in the top K; R-Precision scores the top R, where R is the query's
 same-class gallery count (less the query itself under self-exclusion);
 MAP@R averages precision at each relevant rank up to R. These read only the
 first ``max(max(K), max(R))`` ranks, so ``RetrievalIndex.ranked_hits`` ranks
-only that prefix, one block of query rows at a time: one partition of a
-block's similarities against the whole gallery leaves each row's ``width``
-best items, which alone are sorted by (-similarity, index). Only rows with
-an item outside them tied with the cut value take a tie path, which keeps
-every tied item in index order. The result equals the prefix of a full
-stable sort bit for bit, in O(block * n_gallery + n_queries * width) memory.
+only that prefix, one block of query rows at a time. Each row's cut is the
+``width``-th largest maximum over strided groups of gallery columns, a lower
+bound on its ``width``-th similarity; only the items at or above the cut are
+stably sorted by -similarity, so ties at the cut need no path of their own.
+The result equals the prefix of a full stable sort bit for bit, in
+O(block * n_gallery + n_queries * width) memory.
 Rows must be finite and unit-norm. Also per-dimension variance summaries and
 a deterministic 2-D principal-component projection.
 """

@@ -53,14 +53,16 @@ def ranked_hits(
 
     Items rank by descending similarity, ties broken by gallery index
     ascending: exactly the first ``width`` columns of a stable sort of the
-    negated rows. Every similarity must be finite or -inf. One
-    ``argpartition`` at column ``n - width`` leaves each row's ``width``
-    largest similarities in its last columns, the first of them the cut
-    value. A row with no other item equal to the cut holds exactly its
-    prefix there: the survivors are sorted by index, then stably by
-    descending similarity. Only rows tied across the cut take the tie
-    path, which keeps every item at or above the cut and orders them by
-    (-sim, index). Returns ``(rows, width)`` uint8.
+    negated rows. Every similarity must be finite or -inf. The columns
+    split into ``c >= width`` strided groups (column ``j`` in group
+    ``j % c``, the ragged tail past ``c * (n // c)`` left out), and each
+    row's cut is the ``width``-th largest group maximum. Those ``width``
+    groups hold distinct items at or above the cut, so the row's whole
+    prefix, and every item tied with its last entry, is too. Strided groups
+    spread a class-sorted gallery's adjacent items over many groups, which
+    keeps the cut close. The candidates at or above the cut, in index
+    order, are padded per row with +inf keys after the real ones and
+    stably sorted by -similarity. Returns ``(rows, width)`` uint8.
     """
     sim = np.asarray(sim, dtype=np.float64)
     ql = np.asarray(query_labels, dtype=np.int64)
@@ -70,22 +72,15 @@ def ranked_hits(
         raise ValueError(f"prefix width must be in [0, {n}], got {width}")
     if width == 0:
         return np.zeros((rows, 0), dtype=np.uint8)
-    part = np.argpartition(sim, n - width, axis=1)
-    cut = np.take_along_axis(sim, part[:, n - width : n - width + 1], axis=1)
-    tied = np.count_nonzero(sim >= cut, axis=1) > width
-    top = np.sort(part[:, n - width :], axis=1)
-    order = np.argsort(-np.take_along_axis(sim, top, axis=1), axis=1, kind="stable")
-    top = np.take_along_axis(top, order, axis=1)
-    if tied.any():
-        top[tied] = _tied_prefix(sim[tied], cut[tied], width)
-    return (gl[top] == ql[:, None]).astype(np.uint8)
-
-
-def _tied_prefix(sim: np.ndarray, cut: np.ndarray, width: int) -> np.ndarray:
-    """Top ``width`` columns of rows with items tied across their cut: every
-    item at or above the cut is a candidate, ordered by (-sim, index)."""
-    row, col = np.nonzero(sim >= cut)  # row-major, so col ascends within a row
-    order = np.lexsort((-sim[row, col], row))  # stable: ties keep index order
-    n_cand = np.bincount(row, minlength=sim.shape[0])
-    starts = np.cumsum(n_cand) - n_cand
-    return col[order[starts[:, None] + np.arange(width)]]
+    c = min(n, max(4 * width, 256))
+    gmax = sim[:, : c * (n // c)].reshape(rows, n // c, c).max(axis=1)
+    cut = np.partition(gmax, c - width, axis=1)[:, c - width, None]
+    row, col = np.divmod(np.flatnonzero(sim >= cut), n)  # col ascends in a row
+    count = np.bincount(row, minlength=rows)  # each row has >= width
+    slot = np.arange(row.size) - (np.cumsum(count) - count)[row]
+    keys = np.full((rows, count.max(initial=width)), np.inf)
+    keys[row, slot] = -sim[row, col]
+    cols = np.zeros(keys.shape, dtype=np.int64)
+    cols[row, slot] = col
+    order = np.argsort(keys, axis=1, kind="stable")[:, :width]
+    return (gl[np.take_along_axis(cols, order, axis=1)] == ql[:, None]).astype(np.uint8)

@@ -21,7 +21,8 @@ generator loss, refreshed every step. The graph network's learning rate
 follows cosine decay over epochs.
 
 Checkpoints are directories with a JSON manifest and one binary blob per
-parameter group; loading is bit-exact.
+parameter group, written beside the target and renamed into place; loading
+is bit-exact.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import struct
 import time
 from dataclasses import dataclass, field
@@ -605,17 +607,33 @@ def _read_group(path: Path) -> dict[str, np.ndarray]:
 
 
 def save_checkpoint(ckpt_dir: Path, model: HngModel, manifest: dict) -> None:
+    """Write the checkpoint into a hidden sibling directory, then rename it
+    into place, so a killed run never leaves a torn ``ckpt_dir``. A checkpoint
+    already there is moved aside first and deleted after the rename."""
     ckpt_dir = Path(ckpt_dir)
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
-    groups = model.parameter_groups()
-    manifest = dict(manifest)
-    manifest["groups"] = {
-        g: {name: list(p.data.shape) for name, p in params.items()}
-        for g, params in groups.items()
-    }
-    (ckpt_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    for g, params in groups.items():
-        _write_group(ckpt_dir / f"{g}.bin", params)
+    ckpt_dir.parent.mkdir(parents=True, exist_ok=True)
+    tmp = ckpt_dir.with_name(f".{ckpt_dir.name}.tmp")
+    old = ckpt_dir.with_name(f".{ckpt_dir.name}.old")
+    for stale in (tmp, old):  # left by a killed run
+        shutil.rmtree(stale, ignore_errors=True)
+    tmp.mkdir()
+    try:
+        groups = model.parameter_groups()
+        manifest = dict(manifest)
+        manifest["groups"] = {
+            g: {name: list(p.data.shape) for name, p in params.items()}
+            for g, params in groups.items()
+        }
+        (tmp / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        for g, params in groups.items():
+            _write_group(tmp / f"{g}.bin", params)
+        if ckpt_dir.exists():
+            ckpt_dir.rename(old)
+        tmp.rename(ckpt_dir)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    shutil.rmtree(old, ignore_errors=True)
 
 
 def load_manifest(ckpt_dir: Path) -> dict:

@@ -246,6 +246,36 @@ class TestTrainEvalInspect:
         assert rows[0][:2] == ["checkpoint", "epoch"]
         assert len(rows) == 2
 
+    def test_eval_csv_with_other_columns_returns_2_before_writing(self, trained, tmp_path, capsys):
+        _, run_dir = trained
+        ckpt = run_dir / "checkpoints" / "epoch_001"
+        out = tmp_path / "ev"
+        argv = ["eval", "--checkpoint", str(ckpt), "--out-dir", str(out)]
+        assert cli.main(argv + ["--ks", "1,2,4"]) == 0
+        assert cli.main(argv + ["--ks", "1,2,4"]) == 0  # same columns: one more row
+        rows = list(csv.reader((out / "metrics.csv").read_text().splitlines()))
+        assert len(rows) == 3 and all(len(row) == len(rows[0]) == 8 for row in rows)
+        (out / "metric_report.json").unlink()
+        before = (out / "metrics.csv").read_bytes()
+        capsys.readouterr()
+        assert cli.main(argv + ["--ks", "1"]) == 2
+        assert "use another --out-dir" in capsys.readouterr().err
+        assert (out / "metrics.csv").read_bytes() == before
+        assert not (out / "metric_report.json").exists()
+
+    def test_eval_gallery_without_data_returns_2_before_any_file(self, trained, tmp_path, capsys):
+        _, run_dir = trained
+        g = datakit.make_synthetic(datakit.SyntheticDatasetSpec(
+            num_classes=3, samples_per_class=6, input_dim=6, seed=11))
+        gpath = tmp_path / "g.csv"
+        datakit.save_csv(g, gpath)
+        out = tmp_path / "ev_g"
+        rc = cli.main(["eval", "--checkpoint", str(run_dir / "checkpoints" / "epoch_001"),
+                       "--gallery", str(gpath), "--out-dir", str(out)])
+        assert rc == 2
+        assert "--gallery needs --data" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_eval_query_gallery_matches_single_set_when_compensated(self, trained, tmp_path):
         # same embeddings as query and gallery: with self-exclusion handled by
         # the protocol, a disjoint copy must reproduce single-set numbers when

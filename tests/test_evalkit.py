@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -332,8 +333,54 @@ class TestRankedHitsKernel:
                     tied = np.count_nonzero(sim >= desc[:, width - 1 : width], axis=1) > width
                     tied_rows += int(tied.sum())
                     clear_rows += int((~tied).sum())
-        # both the fast path and the tie path ran many times
+        # many rows had items tied across the cut, and many did not
         assert tied_rows > 500 and clear_rows > 500
+
+    @pytest.mark.parametrize("seed, pattern", enumerate(
+        ["ties_and_neg_inf", "contiguous_hot", "hot_tail", "hot_residue", "all_tied"]
+    ))
+    def test_matches_full_sort_where_the_bound_is_loose(self, seed, pattern):
+        # galleries wider than the 256 strided groups, so groups span several
+        # columns and the bound leaves more candidates than the prefix
+        rng = np.random.default_rng(seed)
+        for _ in range(8):
+            n = int(rng.integers(300, 1501))
+            while n % 256 == 0 or n % 260 == 0:  # ragged for every width below
+                n = int(rng.integers(300, 1501))
+            rows = int(rng.integers(1, 9))
+            sim = rng.integers(-3, 4, size=(rows, n)).astype(np.float64)
+            if pattern == "ties_and_neg_inf":
+                sim[rng.random((rows, n)) < 0.25] = -np.inf
+            elif pattern == "contiguous_hot":  # a class-sorted gallery
+                start, size = int(rng.integers(0, n - 200)), int(rng.integers(40, 200))
+                sim[:, start : start + size] += rng.integers(10, 13, size=(rows, size))
+            elif pattern == "hot_tail":  # hot items only past the last whole group
+                sim[:, 256 * (n // 256) :] += 10
+            elif pattern == "hot_residue":  # hot items all in one strided group
+                sim[:, int(rng.integers(0, 256)) :: 256] += 10
+            else:
+                sim[:] = sim[:, :1]
+                sim[rows // 2 :] = -np.inf
+            ql, gl = rng.integers(1, 4, size=rows), rng.integers(1, 4, size=n)
+            full = full_sort_ranked_hits(sim, ql, gl, False)
+            order = np.argsort(-sim, axis=1, kind="stable")
+            for width in (0, 1, 63, 64, 65, n - 1, n):
+                assert np.array_equal(kernels.ranked_hits(sim, ql, gl, width), full[:, :width])
+                assert np.array_equal(ranked_columns(sim, width), order[:, :width])
+
+    def test_ranking_memory_stays_below_a_rows_by_n_index(self):
+        # a (200, 5000) int64 index array alone would take 7.6 MiB
+        rng = np.random.default_rng(12)
+        sim = rng.permutation(200 * 5000).reshape(200, 5000) / (200 * 5000)
+        labels = rng.integers(0, 100, size=5000)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            kernels.ranked_hits(sim, labels[:200], labels, 63)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_tie_break_by_gallery_index(self):
         # two equal similarities: lower gallery index must rank first

@@ -476,6 +476,40 @@ class TestCheckpointRoundTrip:
             for name in p1:
                 assert np.array_equal(p1[name].data, p2[name].data)
 
+    def test_failed_write_leaves_no_checkpoint_and_rerun_loads(self, tmp_path, monkeypatch):
+        tr = make_trainer(tmp_path)
+        ckpt = tmp_path / "run" / "checkpoints" / "epoch_001"
+        write_group = trainer._write_group
+        calls = []
+
+        def fail_on_second_group(path, params):
+            calls.append(path)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            write_group(path, params)
+
+        monkeypatch.setattr(trainer, "_write_group", fail_on_second_group)
+        with pytest.raises(OSError, match="disk full"):
+            trainer.save_checkpoint(ckpt, tr.model, tr._manifest(1, []))
+        assert list(ckpt.parent.iterdir()) == []  # no final-name or temporary directory
+        monkeypatch.setattr(trainer, "_write_group", write_group)
+        trainer.save_checkpoint(ckpt, tr.model, tr._manifest(1, []))
+        tr.train_step(datakit.sample_balanced(tr.train_set, 3, 2, tr.sampler_rng))
+        saved = snapshot(tr.model.backbone.named_parameters())
+        trainer.save_checkpoint(ckpt, tr.model, tr._manifest(2, []))  # over the old one
+        assert [p.name for p in ckpt.parent.iterdir()] == ["epoch_001"]
+        fresh = trainer.HngModel(
+            tr.cfg, tr.backbone_cfg, tr.train_set.dim, tr.codec, np.random.default_rng(999)
+        )
+        assert trainer.load_checkpoint(ckpt, fresh)["epoch"] == 2
+        assert_bit_identical(saved, snapshot(fresh.backbone.named_parameters()))
+        monkeypatch.setattr(trainer, "_write_group", fail_on_second_group)
+        calls.clear()
+        with pytest.raises(OSError, match="disk full"):
+            trainer.save_checkpoint(ckpt, tr.model, tr._manifest(3, []))
+        assert [p.name for p in ckpt.parent.iterdir()] == ["epoch_001"]
+        assert trainer.load_manifest(ckpt)["epoch"] == 2  # the old checkpoint is intact
+
     def test_load_into_live_trainer_keeps_optimizer_views(self, tmp_path):
         tr = make_trainer(tmp_path)
 
