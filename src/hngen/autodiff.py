@@ -50,13 +50,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    def item(self) -> float:
-        return float(self.data)
-
     def detach(self) -> "Tensor":
         return Tensor(self.data, requires_grad=False)
 
@@ -234,18 +227,6 @@ def matmul(a, b) -> Tensor:
     out_data = a.data @ b.data
 
     def backward(g):
-        if b.ndim == 1 and a.ndim == 1:
-            _accumulate(a, g * b.data)
-            _accumulate(b, g * a.data)
-            return
-        if b.ndim == 1:
-            _accumulate(a, g[..., None] * b.data)
-            _accumulate(b, _unbroadcast((a.data * g[..., None]).reshape(-1, b.shape[0]).sum(0), b.data.shape))
-            return
-        if a.ndim == 1:
-            _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-            _accumulate(b, _unbroadcast(a.data[:, None] * g[..., None, :], b.data.shape))
-            return
         _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
         _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
@@ -378,26 +359,6 @@ def concatenate(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
 # -- elementwise nonlinearities ----------------------------------------------
 
 
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def backward(g):
-        _accumulate(a, g * out_data)
-
-    return _make(out_data, (a,), backward)
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.log(a.data)
-
-    def backward(g):
-        _accumulate(a, g / a.data)
-
-    return _make(out_data, (a,), backward)
-
-
 def sqrt(a) -> Tensor:
     a = as_tensor(a)
     out_data = np.sqrt(a.data)
@@ -496,12 +457,11 @@ def pairwise_sqdist(z) -> Tensor:
 # -- composite helpers --------------------------------------------------------
 
 
-def l2_normalize(x, eps_check: float = 0.0) -> Tensor:
-    """Row-normalize to unit L2 norm; raises on (near-)zero rows."""
+def l2_normalize(x) -> Tensor:
+    """Row-normalize to unit L2 norm; raises on zero rows."""
     x = as_tensor(x)
     sq = tsum(mul(x, x), axis=-1, keepdims=True)
-    norms = np.sqrt(sq.data)
-    if np.any(norms <= eps_check):
+    if np.any(sq.data <= 0.0):
         raise ShapeError("cannot L2-normalize a zero-norm row")
     return div(x, sqrt(sq))
 

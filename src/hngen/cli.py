@@ -28,6 +28,8 @@ import csv
 import json
 import logging
 import sys
+import types
+import typing
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -73,7 +75,9 @@ def _merge_config(base: dict, override: dict, path: str = "") -> dict:
         where = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigurationError(f"unknown config key {where!r}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
+        if isinstance(base[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigurationError(f"config section {where!r} must be a JSON object")
             out[key] = _merge_config(base[key], value, where)
         else:
             out[key] = value
@@ -87,8 +91,12 @@ def resolve_config(config_path: str | None, overrides: dict | None = None) -> di
             loaded = json.loads(Path(config_path).read_text())
         except FileNotFoundError as exc:
             raise ConfigurationError(f"config file not found: {config_path}") from exc
-        except json.JSONDecodeError as exc:
+        except OSError as exc:
+            raise ConfigurationError(f"cannot read config file {config_path}: {exc.strerror}") from exc
+        except ValueError as exc:  # bad JSON or bad UTF-8
             raise ConfigurationError(f"config file is not valid JSON: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ConfigurationError(f"config file {config_path} must hold a JSON object")
         resolved = _merge_config(resolved, loaded)
     for section, values in (overrides or {}).items():
         clean = {k: v for k, v in values.items() if v is not None}
@@ -97,17 +105,37 @@ def resolve_config(config_path: str | None, overrides: dict | None = None) -> di
     return resolved
 
 
+def _conforms(value, hint) -> bool:
+    """Whether a JSON value has a config field's declared type; an int
+    passes for a float, a bool for no number."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:
+        return any(_conforms(value, h) for h in args)
+    if origin is list:
+        return isinstance(value, list) and all(_conforms(v, args[0]) for v in value)
+    return type(value) in ((int, float) if hint is float else (hint,))
+
+
+def _section(cfg: dict, name: str, cls):
+    """Config section ``name`` as the dataclass ``cls``, whose ``validate``
+    then checks the ranges; a wrongly typed value is a ConfigurationError."""
+    hints = typing.get_type_hints(cls)
+    values = {f.name: cfg[name][f.name] for f in fields(cls)}
+    for f in fields(cls):
+        if not _conforms(values[f.name], hints[f.name]):
+            raise ConfigurationError(f"{name}.{f.name} must be {f.type}, got {values[f.name]!r}")
+    return cls(**copy.deepcopy(values))
+
+
 def _dataset_spec(cfg: dict) -> datakit.SyntheticDatasetSpec:
-    d = cfg["dataset"]
-    return datakit.SyntheticDatasetSpec(
-        **{f.name: d[f.name] for f in fields(datakit.SyntheticDatasetSpec)}
-    )
+    return _section(cfg, "dataset", datakit.SyntheticDatasetSpec)
 
 
 def build_dataset(cfg: dict) -> datakit.Dataset:
+    spec = _dataset_spec(cfg)  # type-checked even for a file: the split reads its seed
     if cfg["dataset"]["path"]:
         return datakit.load_features(cfg["dataset"]["path"], cfg["dataset"]["format"])
-    return datakit.make_synthetic(_dataset_spec(cfg))
+    return datakit.make_synthetic(spec)
 
 
 def split_for_eval(cfg: dict, dataset: datakit.Dataset) -> tuple[datakit.Dataset, datakit.Dataset]:
@@ -117,12 +145,11 @@ def split_for_eval(cfg: dict, dataset: datakit.Dataset) -> tuple[datakit.Dataset
 
 
 def train_config_from(cfg: dict) -> trainer.TrainConfig:
-    return trainer.TrainConfig(**cfg["train"])
+    return _section(cfg, "train", trainer.TrainConfig)
 
 
 def backbone_config_from(cfg: dict) -> BackboneConfig:
-    b = cfg["backbone"]
-    return BackboneConfig(**{**b, "hidden_dims": list(b["hidden_dims"])})
+    return _section(cfg, "backbone", BackboneConfig)
 
 
 def run_dir_for(cfg: dict, out_dir: str) -> Path:
@@ -131,7 +158,10 @@ def run_dir_for(cfg: dict, out_dir: str) -> Path:
     run_dir = Path(out_dir) / f"{h}-s{cfg['train']['seed']}"
     marker = run_dir / "resolved_config.json"
     if marker.exists():
-        existing = json.loads(marker.read_text())
+        try:
+            existing = json.loads(marker.read_text())
+        except (OSError, ValueError):  # unreadable, bad JSON or bad UTF-8
+            existing = None
         if existing != cfg:
             raise ConfigurationError(
                 f"run dir {run_dir} holds a different resolved config; "
@@ -235,6 +265,7 @@ def _embedded_config(ckpt_dir: Path, manifest: dict) -> dict:
 def _model_from_checkpoint(ckpt_dir: Path):
     manifest = trainer.load_manifest(ckpt_dir)
     cfg = _embedded_config(ckpt_dir, manifest)
+    _check_eval_section(cfg)
     if "class_ids" not in manifest:
         raise CheckpointError(f"{ckpt_dir}: manifest has no class_ids")
     tcfg = train_config_from(cfg)
@@ -393,9 +424,9 @@ def _ablate_job(payload: tuple[dict, str]) -> dict:
     return {
         "arm": cfg["train"]["ablation"],
         "seed": cfg["train"]["seed"],
-        "r_at_1": final["recall_at"].get("1", 0.0) if final else 0.0,
-        "r_precision": final.get("r_precision", 0.0),
-        "map_at_r": final.get("map_at_r", 0.0),
+        "r_at_1": final["recall_at"]["1"],
+        "r_precision": final["r_precision"],
+        "map_at_r": final["map_at_r"],
     }
 
 
@@ -406,6 +437,9 @@ def cmd_ablate(args) -> int:
             raise ConfigurationError(
                 f"unknown arm {arm!r}; valid arms: {', '.join(trainer.ABLATION_ARMS)}"
             )
+    base = train_config_from(resolve_config(args.config))
+    if base.epochs < 1:
+        raise ConfigurationError("ablate scores each arm on its last epoch: train.epochs must be >= 1")
     jobs = []
     for arm in arms:
         for seed in args.seeds:
@@ -424,7 +458,6 @@ def cmd_ablate(args) -> int:
 
     out_path = Path(args.out_dir) / "ablation_table.csv"
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    metric_loss = resolve_config(args.config)["train"]["metric_loss"]
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(ABLATE_HEADER)
@@ -434,7 +467,7 @@ def cmd_ablate(args) -> int:
             rp = np.array([v["r_precision"] for v in vals])
             mp = np.array([v["map_at_r"] for v in vals])
             writer.writerow([
-                arm, metric_loss, len(vals),
+                arm, base.metric_loss, len(vals),
                 f"{r1.mean():.6f}", f"{r1.std():.6f}",
                 f"{rp.mean():.6f}", f"{rp.std():.6f}",
                 f"{mp.mean():.6f}", f"{mp.std():.6f}",

@@ -9,6 +9,7 @@ across the batch.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -50,12 +51,6 @@ class SyntheticDatasetSpec:
             raise ConfigurationError("class_center_scale must be > 0")
 
 
-@dataclass(frozen=True)
-class LabeledSample:
-    features: np.ndarray
-    label: int
-
-
 class Dataset:
     """Immutable feature matrix plus integer class labels in {1..C}."""
 
@@ -75,9 +70,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.features.shape[0]
-
-    def __getitem__(self, i: int) -> LabeledSample:
-        return LabeledSample(self.features[i], int(self.labels[i]))
 
     def __eq__(self, other) -> bool:
         return (
@@ -188,11 +180,8 @@ def sample_balanced(
 # --- feature file formats ----------------------------------------------------
 
 
-def save_csv(dataset: Dataset, path, header: bool = False) -> None:
+def save_csv(dataset: Dataset, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            cols = ",".join(f"feat_{i}" for i in range(dataset.dim))
-            fh.write(f"label,{cols}\n")
         for label, row in zip(dataset.labels, dataset.features):
             feats = ",".join(repr(float(v)) for v in row)
             fh.write(f"{int(label)},{feats}\n")
@@ -259,9 +248,10 @@ def _parse_binary(path) -> Dataset:
         if count == 0:
             raise DataFormatError(f"{path}: no records")
         record = 4 + 4 * dim
-        blob = fh.read(record * count)
-        if len(blob) != record * count:
+        # a corrupt header can claim more than the file holds; never try
+        if record * count > os.fstat(fh.fileno()).st_size - fh.tell():
             raise DataFormatError(f"{path}: truncated records")
+        blob = fh.read(record * count)
     raw = np.frombuffer(blob, dtype=np.uint8).reshape(count, record)
     labels = raw[:, :4].copy().view("<u4").reshape(count).astype(np.int64)
     feats = raw[:, 4:].copy().view("<f4").reshape(count, dim).astype(np.float64)

@@ -5,15 +5,18 @@ broken by gallery index ascending. Recall@K counts queries with a same-class
 item in the top K; R-Precision scores the top R, where R is the query's
 same-class gallery count (less the query itself under self-exclusion);
 MAP@R averages precision at each relevant rank up to R. These read only the
-first ``max(max(K), max(R))`` ranks, so ``RetrievalIndex.ranked_hits`` ranks
-only that prefix, one block of query rows at a time. Each row's cut is the
-``width``-th largest maximum over strided groups of gallery columns, a lower
-bound on its ``width``-th similarity; only the items at or above the cut are
-stably sorted by -similarity, so ties at the cut need no path of their own.
+first ``max(max(K), max(R))`` ranks, so ``evaluate_retrieval`` has
+``RetrievalIndex.ranked_hits`` rank only that prefix, one block of query
+rows at a time, and computes every metric from its relevance flags (the
+metric functions are pure functions of those flags and of R). Each row's
+cut is the ``width``-th largest maximum over strided groups of gallery
+columns, a lower bound on its ``width``-th similarity; only the items at or
+above the cut are stably sorted by -similarity, so ties at the cut need no
+path of their own.
 The result equals the prefix of a full stable sort bit for bit, in
 O(block * n_gallery + n_queries * width) memory.
-Rows must be finite and unit-norm. Also per-dimension variance summaries and
-a deterministic 2-D principal-component projection.
+Rows must be finite and unit-norm. Also per-dimension means and variances
+and a deterministic 2-D principal-component projection.
 """
 
 from __future__ import annotations
@@ -120,69 +123,25 @@ class MetricReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _check_ks(index: RetrievalIndex, ks: list[int]) -> None:
-    for k in ks:
-        if k < 1:
-            raise ConfigurationError(f"recall K must be >= 1, got {k}")
-        if k > index.effective_gallery_size:
-            raise ConfigurationError(
-                f"recall K={k} exceeds gallery size {index.effective_gallery_size}"
-            )
-
-
-def recall_at_k(index: RetrievalIndex, ks: list[int], hits: np.ndarray | None = None) -> dict[int, float]:
-    _check_ks(index, ks)
-    if hits is None and ks:
-        hits = index.ranked_hits(max(ks))
+def recall_at_k(hits: np.ndarray, ks: list[int]) -> dict[int, float]:
+    """Share of queries with a relevant item among their first K ranks."""
     return {int(k): float(hits[:, :k].any(axis=1).mean()) for k in ks}
 
 
-def _scored_queries(r: np.ndarray) -> np.ndarray:
+def r_precision(hits: np.ndarray, r: np.ndarray) -> float:
+    """Mean R-Precision over the queries with R > 0; ``hits`` holds at
+    least the first ``max(r)`` ranks."""
     keep = r > 0
-    if not np.all(keep):
-        warnings.warn(f"skipping {int((~keep).sum())} queries with no same-class gallery items")
-    if not np.any(keep):
-        raise ConfigurationError("no query has a same-class gallery item")
-    return keep
-
-
-def _top_r(index: RetrievalIndex, hits: np.ndarray | None, r: np.ndarray) -> np.ndarray:
-    """The first R_max ranks: all that R-Precision and MAP@R read."""
-    r_max = int(r.max())
-    if hits is None:
-        return index.ranked_hits(r_max)
-    if hits.shape[1] < r_max:
-        raise ShapeError(f"ranked prefix of width {hits.shape[1]} is shorter than R={r_max}")
-    return hits[:, :r_max]
-
-
-def _relevant(index: RetrievalIndex, r: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """R per query and the scored-query mask. A caller that passes ``r`` has
-    already checked it with :func:`_scored_queries`, which warns once."""
-    if r is None:
-        r = index.relevant_counts()
-        return r, _scored_queries(r)
-    return r, r > 0
-
-
-def r_precision(
-    index: RetrievalIndex, hits: np.ndarray | None = None, r: np.ndarray | None = None
-) -> float:
-    """Mean R-Precision; ``r`` is ``index.relevant_counts()`` when the caller
-    already has it (see :func:`_relevant`)."""
-    r, keep = _relevant(index, r)
-    csum = _top_r(index, hits, r).cumsum(axis=1)
+    csum = hits[:, : int(r.max())].cumsum(axis=1)
     rk = r[keep]
     prec = csum[keep, rk - 1] / rk
     return float(prec.mean())
 
 
-def map_at_r(
-    index: RetrievalIndex, hits: np.ndarray | None = None, r: np.ndarray | None = None
-) -> float:
-    """Mean MAP@R; ``r`` as in :func:`r_precision`."""
-    r, keep = _relevant(index, r)
-    hits = _top_r(index, hits, r)
+def map_at_r(hits: np.ndarray, r: np.ndarray) -> float:
+    """Mean MAP@R over the queries with R > 0; ``hits`` as in :func:`r_precision`."""
+    keep = r > 0
+    hits = hits[:, : int(r.max())]
     csum = hits.astype(np.int64).cumsum(axis=1)
     ranks = np.arange(1, hits.shape[1] + 1)
     prec_at = csum / ranks
@@ -195,36 +154,38 @@ def map_at_r(
 
 
 def evaluate_retrieval(index: RetrievalIndex, ks: list[int]) -> MetricReport:
-    _check_ks(index, ks)
+    """Every metric from one ranked prefix. The Ks are checked, R counted and
+    queries with R = 0 skipped (with one warning) before anything is ranked."""
+    for k in ks:
+        if k < 1:
+            raise ConfigurationError(f"recall K must be >= 1, got {k}")
+        if k > index.effective_gallery_size:
+            raise ConfigurationError(
+                f"recall K={k} exceeds gallery size {index.effective_gallery_size}"
+            )
     r = index.relevant_counts()
+    skipped = int((r == 0).sum())
+    if skipped:
+        warnings.warn(f"skipping {skipped} queries with no same-class gallery items")
+    if skipped == r.shape[0]:
+        raise ConfigurationError("no query has a same-class gallery item")
     # K <= effective gallery size (checked) and R <= it by construction
-    hits = index.ranked_hits(max(max(ks, default=0), int(r.max(initial=0))))
-    _scored_queries(r)  # warns once for both R-based metrics
+    hits = index.ranked_hits(max(max(ks, default=0), int(r.max())))
     return MetricReport(
-        recall_at=recall_at_k(index, ks, hits),
-        r_precision=r_precision(index, hits, r),
-        map_at_r=map_at_r(index, hits, r),
+        recall_at=recall_at_k(hits, ks),
+        r_precision=r_precision(hits, r),
+        map_at_r=map_at_r(hits, r),
         n_queries=int(r.shape[0]),
-        n_skipped=int((r == 0).sum()),
+        n_skipped=skipped,
     )
 
 
-def embedding_stats(embeddings: np.ndarray, hist_bins: int = 10) -> dict:
-    """Per-dimension mean/variance plus a variance histogram and quantiles."""
+def embedding_stats(embeddings: np.ndarray) -> dict:
+    """Per-dimension mean and variance."""
     x = np.asarray(embeddings, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ShapeError("embedding_stats needs a 2-D array with >= 2 rows")
-    var = x.var(axis=0)
-    counts, edges = np.histogram(var, bins=hist_bins)
-    qs = np.quantile(var, [0.0, 0.25, 0.5, 0.75, 1.0])
-    return {
-        "per_dim_mean": x.mean(axis=0),
-        "per_dim_var": var,
-        "var_hist_counts": counts,
-        "var_hist_edges": edges,
-        "var_quantiles": qs,
-        "total_var": float(var.sum()),
-    }
+    return {"per_dim_mean": x.mean(axis=0), "per_dim_var": x.var(axis=0)}
 
 
 def project_2d(embeddings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -11,15 +11,17 @@ nodes first, then edges:
 * edges attend from a single query (the edge state) over exactly its two
   endpoint nodes, through the same sublayer pattern.
 
-One node block and one edge block serve all K steps, unless per-step
-weights are asked for (an ablation). The settings themselves (K, heads, FFN
-width, weight sharing) have their defaults and range checks on
-``trainer.TrainConfig``.
+``GraphNet.propagate`` runs the K steps in one loop. One node block and one
+edge block serve all of them, unless per-step weights are asked for (an
+ablation). The returned graph keeps each node step's attention weights, which
+``hngen inspect`` writes out; the edge weights are not kept. The settings
+themselves (K, heads, FFN width, weight sharing) have their defaults and
+range checks on ``trainer.TrainConfig``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +35,6 @@ class CorrelationGraph:
     v: ad.Tensor          # (B, D) node states
     e: ad.Tensor          # (B, B, D) ordered-pair edge states
     labels: np.ndarray    # (B,) class ids
-    step: int = 0
     attention: tuple[np.ndarray, ...] = ()  # (H, B, B) node weights per node step
 
     @property
@@ -121,13 +122,13 @@ class NodeBlock(_Block):
 class EdgeBlock(_Block):
     """One edge-propagation step: cross-attention over the two endpoints."""
 
-    def cross_attention(self, e_flat: ad.Tensor, v: ad.Tensor, b: int) -> tuple[ad.Tensor, ad.Tensor]:
-        """Attend each edge query over its endpoint tokens {V_i, V_j}.
+    def cross_attention(self, e_flat: ad.Tensor, v: ad.Tensor, b: int) -> ad.Tensor:
+        """Attend each edge query over its endpoint tokens {V_i, V_j}; the
+        output is (B^2, D).
 
-        Returns the output (B^2, D) and the weights (B^2, H, 1, 2) on
-        (V_i, V_j) as an untracked tensor. K and V are projected once per
-        node and broadcast over the edges; with two tokens the softmax is
-        sigmoid(s_i - s_j) on V_i and its complement on V_j.
+        K and V are projected once per node and broadcast over the edges;
+        with two tokens the softmax is sigmoid(s_i - s_j) on V_i and its
+        complement on V_j.
         """
         hd = self.dim // self.heads
         q = self.wq(e_flat).reshape(b, b, self.dim)
@@ -139,13 +140,12 @@ class EdgeBlock(_Block):
         v_i = val.reshape(b, 1, self.heads, hd)
         v_j = val.reshape(1, b, self.heads, hd)
         ctx = v_j + p_i.reshape(b, b, self.heads, 1) * (v_i - v_j)
-        probs = np.stack([p_i.data, 1.0 - p_i.data], axis=-1).reshape(b * b, self.heads, 1, 2)
-        return self.wo(ctx.reshape(b * b, self.dim)), ad.Tensor(probs)
+        return self.wo(ctx.reshape(b * b, self.dim))
 
     def __call__(self, e: ad.Tensor, v: ad.Tensor) -> ad.Tensor:
         b = v.shape[0]
         e_flat = e.reshape(b * b, self.dim)
-        ca, _ = self.cross_attention(e_flat, v, b)
+        ca = self.cross_attention(e_flat, v, b)
         return self._tail(e_flat + ca).reshape(b, b, self.dim)
 
 
@@ -174,31 +174,21 @@ class GraphNet(ad.Module):
         i = k if len(self.node_blocks) > 1 else 0  # one shared pair, or one per step
         return self.node_blocks[i], self.edge_blocks[i]
 
-    def node_propagate(self, graph: CorrelationGraph, include_edge_sum: bool = True) -> CorrelationGraph:
-        if graph.step >= self.k_steps:
-            raise GraphError(f"graph already at step {graph.step} of {self.k_steps}")
-        node_block, _ = self._blocks(graph.step)
-        v, probs = node_block.step(graph.v, graph.e, graph.labels, include_edge_sum)
-        return replace(graph, v=v, attention=graph.attention + (probs.data,))
-
-    def edge_propagate(self, graph: CorrelationGraph) -> CorrelationGraph:
-        _, edge_block = self._blocks(graph.step)
-        e = edge_block(graph.e, graph.v)
-        return replace(graph, e=e, step=graph.step + 1)
-
     def propagate(
         self,
         graph: CorrelationGraph,
         node_propagation: bool = True,
         include_edge_sum: bool = True,
     ) -> CorrelationGraph:
-        """Run all K steps; flags implement the ablation arms (skip node
-        propagation entirely, or drop the incident-edge sum). The returned
-        graph's ``attention`` holds each node step's attention weights."""
-        if graph.step != 0:
-            raise GraphError("propagate expects a step-0 graph")
-        for _ in range(self.k_steps):
+        """Run all K node-then-edge steps from ``graph``'s states; flags
+        implement the ablation arms (skip node propagation entirely, or drop
+        the incident-edge sum). The returned graph's ``attention`` holds each
+        node step's attention weights."""
+        v, e, attention = graph.v, graph.e, []
+        for k in range(self.k_steps):
+            node_block, edge_block = self._blocks(k)
             if node_propagation:
-                graph = self.node_propagate(graph, include_edge_sum=include_edge_sum)
-            graph = self.edge_propagate(graph)
-        return graph
+                v, probs = node_block.step(v, e, graph.labels, include_edge_sum)
+                attention.append(probs.data)
+            e = edge_block(e, v)
+        return CorrelationGraph(v, e, graph.labels, tuple(attention))

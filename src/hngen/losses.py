@@ -71,21 +71,14 @@ class ProxyBank(ad.Module):
         self.margin = float(margin)
 
 
-def cross_entropy(logits: ad.Tensor, columns: np.ndarray, reduce: str = "mean") -> ad.Tensor:
-    """Stable softmax cross-entropy against integer column targets."""
+def cross_entropy(logits: ad.Tensor, columns: np.ndarray) -> ad.Tensor:
+    """Per-sample stable softmax cross-entropy against integer column targets."""
     columns = np.asarray(columns, dtype=np.int64)
     if columns.min() < 0 or columns.max() >= logits.shape[-1]:
         raise ConfigurationError("target column outside classifier range")
     lse = ad.logsumexp(logits, axis=-1)
     picked = logits[np.arange(logits.shape[0]), columns]
-    per_sample = lse - picked
-    if reduce == "none":
-        return per_sample
-    if reduce == "mean":
-        return per_sample.mean()
-    if reduce == "sum":
-        return per_sample.sum()
-    raise ConfigurationError(f"unknown reduction {reduce!r}")
+    return lse - picked
 
 
 def _stage1_lanes(
@@ -98,7 +91,7 @@ def _stage1_lanes(
     b, n, d = synth.z_hat.shape
     logits = head_cz(synth.z_hat.reshape(b * n, d), frozen=True)
     cols = np.broadcast_to(codec.columns(synth.slot_labels), (b, n)).reshape(-1)
-    ce = cross_entropy(logits, cols, reduce="none").reshape(b, n)
+    ce = cross_entropy(logits, cols).reshape(b, n)
 
     dots = ad.tsum(z.reshape(b, 1, d) * synth.z_hat, axis=-1)
     z_norm = ad.sqrt(ad.tsum(z * z, axis=-1, keepdims=True))
@@ -164,13 +157,13 @@ def _batch_labels(synth: SyntheticNegatives, b: int) -> np.ndarray:
 
 def j_cz(z: ad.Tensor, labels: np.ndarray, head: ClassifierHead, codec: ClassCodec) -> ad.Tensor:
     """Head classification loss over real embeddings (mean reduction)."""
-    return cross_entropy(head(z), codec.columns(labels))
+    return cross_entropy(head(z), codec.columns(labels)).mean()
 
 
 def j_gca(v_final: ad.Tensor, labels: np.ndarray, head: ClassifierHead,
           codec: ClassCodec) -> ad.Tensor:
     """Node classification loss over final graph node states."""
-    return cross_entropy(head(v_final), codec.columns(labels))
+    return cross_entropy(head(v_final), codec.columns(labels)).mean()
 
 
 def j_syn(z: ad.Tensor, positive_idx: np.ndarray, synth: SyntheticNegatives) -> ad.Tensor:

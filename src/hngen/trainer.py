@@ -1,13 +1,14 @@
 """Two-stage training orchestration, schedules, and checkpoints.
 
 Every batch runs the stop-gradient protocol: stage 1 builds the graph on
-detached embeddings, synthesizes negatives, and updates only the graph
-network and interpolation head on the generator objective (then the
-real-sample head on its own loss); stage 2 rebuilds the graph with gradients
+detached embeddings, synthesizes negatives, and updates the graph network
+and interpolation head on the generator objective and the real-sample head
+on its own loss; the two objectives share no parameter, so one backward of
+their sum and one step do both. Stage 2 rebuilds the graph with gradients
 flowing, synthesizes with detached interpolation vectors, and updates the
 backbone, graph network, node head, and proxies on the composite metric
 objective. One AdamW holds every parameter, in groups named after the
-learning-rate fields of ``TrainConfig``, and steps once after each backward.
+learning-rate fields of ``TrainConfig``, and steps once per stage.
 Where the stop-gradients sit decides what moves: the optimizer skips a
 parameter with no gradient, keeping its data, moments and step count. So the
 backbone never moves in stage 1, and the interpolation head, and at K=1 the
@@ -367,7 +368,8 @@ class Trainer:
     # -- stages ---------------------------------------------------------------
 
     def _stage1(self, zb_sg: EmbeddingBatch, positive_idx: np.ndarray, eta: float) -> dict:
-        """Generator and real-head updates on detached embeddings."""
+        """Generator and real-head updates on detached embeddings; the two
+        objectives share no parameter, so one backward and one step do both."""
         cfg, model = self.cfg, self.model
         graph = model.propagate_graph(zb_sg)
         lam = model.lambda_for(graph)
@@ -376,13 +378,8 @@ class Trainer:
             zb_sg.z, synth, lam, model.head_cz, self.codec,
             gamma_s=cfg.gamma_s, gamma_d=cfg.resolved_gamma_d(),
         )
-        if gen_loss.requires_grad:
-            gen_loss.backward()
-            self.opt.step()
-            self.opt.zero_grad()
-
         cz_loss = losses.j_cz(zb_sg.z, zb_sg.labels, model.head_cz, self.codec)
-        cz_loss.backward()
+        (gen_loss + cz_loss).backward()
         self.opt.step()
         self.opt.zero_grad()
         return {"j_gen": float(gen_loss.data), "j_cz": float(cz_loss.data), **parts}
@@ -464,7 +461,8 @@ class Trainer:
         z = model.backbone.embed_array(self.val_set.features)
         index = evalkit.RetrievalIndex.single_set(z, self.val_set.labels)
         ks = [k for k in self.eval_ks if k <= index.effective_gallery_size]
-        return evalkit.evaluate_retrieval(index, ks)
+        # early stopping reads R@1 whatever eval.ks lists
+        return evalkit.evaluate_retrieval(index, ks if 1 in ks else [1] + ks)
 
     def fit(self, on_epoch=None) -> FitResult:
         cfg = self.cfg
@@ -507,7 +505,7 @@ class Trainer:
                     result.history.append(entry)
                     if on_epoch is not None:
                         on_epoch(entry)
-                    r1 = metrics.recall_at.get(1, 0.0)
+                    r1 = metrics.recall_at[1]
                     if r1 > best_r1 + 1e-12:
                         best_r1, stale = r1, 0
                     else:

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from hngen import autodiff as ad
-from hngen import evalkit, gcl, losses
+from hngen import evalkit, gcl, losses, trainer
 from hngen.errors import ConfigurationError, ShapeError
 
 
@@ -90,10 +90,35 @@ def recompute_node_attention(net: gcl.GraphNet, graph: gcl.CorrelationGraph,
             _, probs = node_block.attention(graph.v, graph.labels)
             maps.append(probs.data.copy())
             v = node_block(graph.v, graph.e, graph.labels, include_edge_sum)
-            graph = gcl.CorrelationGraph(v=v, e=graph.e, labels=graph.labels, step=k)
+            graph = gcl.CorrelationGraph(v=v, e=graph.e, labels=graph.labels)
         e = edge_block(graph.e, graph.v)
-        graph = gcl.CorrelationGraph(v=graph.v, e=e, labels=graph.labels, step=k + 1)
+        graph = gcl.CorrelationGraph(v=graph.v, e=e, labels=graph.labels)
     return maps
+
+
+class TwoStepStage1Trainer(trainer.Trainer):
+    """The trainer with stage 1 as two updates: a backward and an optimizer
+    step on the generator objective (skipped when it carries no gradient),
+    then a backward and a step on the real-sample head's loss."""
+
+    def _stage1(self, zb_sg, positive_idx, eta):
+        cfg, model = self.cfg, self.model
+        graph = model.propagate_graph(zb_sg)
+        lam = model.lambda_for(graph)
+        synth = model.synthesize(zb_sg, lam, eta, self.synth_rng, positive_idx)
+        gen_loss, parts = losses.j_gen(
+            zb_sg.z, synth, lam, model.head_cz, self.codec,
+            gamma_s=cfg.gamma_s, gamma_d=cfg.resolved_gamma_d(),
+        )
+        if gen_loss.requires_grad:
+            gen_loss.backward()
+            self.opt.step()
+            self.opt.zero_grad()
+        cz_loss = losses.j_cz(zb_sg.z, zb_sg.labels, model.head_cz, self.codec)
+        cz_loss.backward()
+        self.opt.step()
+        self.opt.zero_grad()
+        return {"j_gen": float(gen_loss.data), "j_cz": float(cz_loss.data), **parts}
 
 
 # -- scalar forms of the vectorized interpolation, fusion and losses -------------
@@ -141,7 +166,7 @@ def j_ce(z_hat_in: ad.Tensor, class_n: int, head: losses.ClassifierHead,
          codec: losses.ClassCodec, frozen_head: bool = True) -> ad.Tensor:
     """Classification loss of one synthetic negative against its class."""
     logits = head(z_hat_in.reshape(1, z_hat_in.shape[-1]), frozen=frozen_head)
-    return losses.cross_entropy(logits, codec.columns(np.array([class_n])))
+    return losses.cross_entropy(logits, codec.columns(np.array([class_n]))).mean()
 
 
 def j_sim(z_i: ad.Tensor, z_hat_in: ad.Tensor) -> ad.Tensor:

@@ -25,13 +25,11 @@ class TestElementwise:
         b = ad.parameter(rng.uniform(0.5, 2.0, (3, 3)))
         check_gradients(lambda: (a / b + a**3).sum(), [a, b])
 
-    def test_exp_log_sqrt_sigmoid_relu(self):
+    def test_sqrt_sigmoid_relu(self):
         rng = np.random.default_rng(2)
         a = ad.parameter(rng.uniform(0.1, 1.5, (4, 5)))
         check_gradients(
-            lambda: (
-                ad.exp(a) + ad.log(a) + ad.sqrt(a) + ad.sigmoid(a) + ad.relu(a - 0.7)
-            ).sum(),
+            lambda: (ad.sqrt(a) + ad.sigmoid(a) + ad.relu(a - 0.7)).sum(),
             [a],
         )
 

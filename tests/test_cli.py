@@ -80,6 +80,9 @@ FAST_TRAIN = {
 }
 
 
+_DIRECTORY = object()  # a config path that is a directory
+
+
 def write_cfg(tmp_path, extra=None, name="cfg.json"):
     cfg = json.loads(json.dumps(FAST_TRAIN))
     for section, values in (extra or {}).items():
@@ -135,6 +138,19 @@ class TestConfigResolution:
         assert cli._dataset_spec(cfg) == datakit.SyntheticDatasetSpec()
         assert cli.backbone_config_from(cfg) == BackboneConfig()
         assert cli.train_config_from(cfg) == trainer.TrainConfig()
+
+    @pytest.mark.parametrize("content", [b'{"train": ', b'{"\xff": 1}'],
+                             ids=["invalid_json", "not_utf8"])
+    def test_train_refuses_a_run_dir_with_unreadable_config(self, tmp_path, content, capsys):
+        cfg_path = write_cfg(tmp_path)
+        d = cli.run_dir_for(cli.resolve_config(str(cfg_path)), str(tmp_path / "runs"))
+        d.mkdir(parents=True)
+        (d / "resolved_config.json").write_bytes(content)
+        rc = cli.main(["train", "--config", str(cfg_path), "--out-dir", str(tmp_path / "runs")])
+        assert rc == 2
+        assert "refusing to overwrite" in capsys.readouterr().err
+        assert [p.name for p in d.iterdir()] == ["resolved_config.json"]
+        assert (d / "resolved_config.json").read_bytes() == content
 
     def test_run_dir_refuses_mismatched_config(self, tmp_path):
         cfg = cli.resolve_config(str(write_cfg(tmp_path)))
@@ -443,26 +459,52 @@ class TestTrainOverridesAndErrors:
                        "--out-dir", str(tmp_path / "ev")])
         assert rc == 2
 
-    @pytest.mark.parametrize("train, backbone, eval_", [
-        ({"gamma_s": -1}, {}, {}),
-        ({"gamma_d": -1}, {}, {}),
-        ({"gamma_d": float("nan")}, {}, {}),
-        ({"k_steps": 0}, {}, {}),
-        ({"heads": 0}, {}, {}),
-        ({"ffn_expansion": 0}, {}, {}),
-        ({"heads": 3}, {"embed_dim": 64}, {}),
-        ({}, {}, {"ks": [0, 1]}),
-        ({}, {}, {"ks": [1, 2.5]}),
-        ({}, {}, {"holdout_per_class": 0}),
-        ({}, {"normalize": False}, {}),
+    # a dict of sections is merged into FAST_TRAIN; anything else is the file
+    @pytest.mark.parametrize("config", [
+        {"train": {"gamma_s": -1}},
+        {"train": {"gamma_d": -1}},
+        {"train": {"gamma_d": float("nan")}},
+        {"train": {"k_steps": 0}},
+        {"train": {"heads": 0}},
+        {"train": {"ffn_expansion": 0}},
+        {"train": {"heads": 3}, "backbone": {"embed_dim": 64}},
+        {"eval": {"ks": [0, 1]}},
+        {"eval": {"ks": [1, 2.5]}},
+        {"eval": {"holdout_per_class": 0}},
+        {"backbone": {"normalize": False}},
+        [1],
+        {"train": 5},
+        {"eval": 3},
+        {"train": {"epochs": "x"}},
+        {"train": {"batch_classes": 3.0}},
+        {"backbone": {"hidden_dims": 5}},
+        {"dataset": {"seed": True}},
+        {"dataset": {"path": "data.csv", "seed": "a"}},
+        b'{"train": {"epochs": 1}}\xff',
+        _DIRECTORY,
     ], ids=["gamma_s", "gamma_d", "gamma_d_nan", "k_steps", "heads", "ffn_expansion",
             "heads_divide_dim", "eval_ks_zero", "eval_ks_float", "eval_holdout_zero",
-            "backbone_not_normalized"])
-    def test_bad_setting_returns_2_before_any_file(self, tmp_path, train, backbone, eval_):
-        cfg_path = write_cfg(tmp_path, {"train": train, "backbone": backbone, "eval": eval_})
+            "backbone_not_normalized", "file_a_list", "train_a_number", "eval_a_number",
+            "epochs_a_string", "batch_classes_a_float", "hidden_dims_a_number",
+            "dataset_seed_a_bool", "feature_file_seed_a_string", "file_not_utf8",
+            "file_a_directory"])
+    def test_bad_setting_returns_2_before_any_file(self, tmp_path, config, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # where a config's "data.csv" is
+        datakit.save_csv(datakit.make_synthetic(datakit.SyntheticDatasetSpec(
+            num_classes=4, samples_per_class=12, input_dim=6)), "data.csv")
+        cfg_path = tmp_path / "cfg.json"
+        if config is _DIRECTORY:
+            cfg_path.mkdir()
+        elif isinstance(config, bytes):
+            cfg_path.write_bytes(config)
+        elif isinstance(config, dict) and all(isinstance(v, dict) for v in config.values()):
+            cfg_path = write_cfg(tmp_path, config)
+        else:
+            cfg_path.write_text(json.dumps(config))
         out = tmp_path / "runs"
         assert cli.main(["train", "--config", str(cfg_path), "--out-dir", str(out)]) == 2
         assert not out.exists()
+        assert "error:" in capsys.readouterr().err
 
     def test_missing_data_file_returns_2(self, trained, tmp_path):
         _, run_dir = trained
@@ -513,14 +555,23 @@ def _first_weight_one_dim(m):
     m["groups"]["backbone"]["layers.0.weight"] = [128]
 
 
+def _epochs_a_string(m):
+    m["resolved_config"]["train"]["epochs"] = "x"
+
+
+def _eval_ks_a_string(m):
+    m["resolved_config"]["eval"]["ks"] = "x"
+
+
 class TestMalformedManifest:
     @pytest.mark.parametrize("command", ["eval", "inspect"])
     @pytest.mark.parametrize("damage", [
         None, _break_class_ids, _unknown_train_key, _backbone_without_hidden_dims,
         _groups_not_an_object, _groups_a_list, _class_ids_not_integers,
-        _first_weight_one_dim,
+        _first_weight_one_dim, _epochs_a_string, _eval_ks_a_string,
     ], ids=["invalid_json", "no_class_ids", "unknown_train_key", "no_hidden_dims",
-            "groups_number", "groups_list", "class_ids_strings", "weight_one_dim"])
+            "groups_number", "groups_list", "class_ids_strings", "weight_one_dim",
+            "epochs_string", "eval_ks_string"])
     def test_returns_2(self, trained, tmp_path, command, damage, capsys):
         _, run_dir = trained
         ckpt = tmp_path / "ckpt"
@@ -535,6 +586,7 @@ class TestMalformedManifest:
         rc = cli.main([command, "--checkpoint", str(ckpt), "--out-dir", str(tmp_path / "out")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, value", [
         ("eta", "x"), ("eta", True), ("eta", None), ("eta", float("nan")), ("eta", 10**400),
@@ -575,6 +627,26 @@ class TestAblate:
         assert len(rows) == 3
         assert rows[1][0] == "full" and rows[2][0] == "baseline"
         assert rows[1][2] == "2"  # n_seeds
+
+    def test_r_at_1_scored_when_eval_ks_lack_it(self, tmp_path):
+        cfg_path = write_cfg(tmp_path, {"eval": {"ks": [2]}})
+        out = tmp_path / "ab"
+        assert cli.main(["ablate", "--config", str(cfg_path), "--arms", "full",
+                         "--seeds", "1,2", "--out-dir", str(out)]) == 0
+        finals = [json.loads((d / "history.json").read_text())[-1]
+                  for d in sorted(out.glob("*-s*"))]
+        r1 = np.array([final["recall_at"]["1"] for final in finals])
+        assert r1.size == 2 and r1.min() > 0
+        row = list(csv.reader(open(out / "ablation_table.csv")))[1]
+        assert row[3:5] == [f"{r1.mean():.6f}", f"{r1.std():.6f}"]
+
+    def test_zero_epochs_returns_2_before_training(self, tmp_path, capsys):
+        cfg_path = write_cfg(tmp_path, {"train": {"epochs": 0}})
+        out = tmp_path / "ab"
+        assert cli.main(["ablate", "--config", str(cfg_path), "--arms", "full",
+                         "--out-dir", str(out)]) == 2
+        assert not out.exists()
+        assert "epochs" in capsys.readouterr().err
 
     def test_unknown_arm_lists_valid(self, tmp_path, capsys):
         rc = cli.main(["ablate", "--arms", "full,bogus",

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,14 @@ class TestFeatureIO:
         back = dk.load_features(p)
         assert np.array_equal(back.labels, ds.labels)
         assert np.allclose(back.features, ds.features, atol=1e-6, rtol=1e-6)
+
+    def test_binary_header_claiming_more_than_the_file_is_truncated(self, tmp_path):
+        # count 2**40 of dim 2**20 would ask read() for 2**62 bytes
+        p = tmp_path / "huge.bin"
+        p.write_bytes(dk.BINARY_MAGIC + struct.pack("<IQI", dk.BINARY_VERSION, 2**40, 2**20)
+                      + bytes(4 + 4 * 3))
+        with pytest.raises(DataFormatError, match="truncated records"):
+            dk.load_features(p)
 
     @pytest.mark.parametrize("fmt", ["auto", "csv", "binary"])
     def test_unreadable_file_is_data_format_error(self, tmp_path, fmt):

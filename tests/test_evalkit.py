@@ -54,7 +54,7 @@ class TestRecallAtK:
         z = np.array([[1.0, 0], [1.0, 0], [0, 1.0], [0, 1.0]])
         z = z / np.linalg.norm(z, axis=1, keepdims=True)
         idx = ek.RetrievalIndex.single_set(z, np.array([1, 1, 2, 2]))
-        assert ek.recall_at_k(idx, [1])[1] == 1.0
+        assert ek.evaluate_retrieval(idx, [1]).recall_at[1] == 1.0
 
     def test_adversarial_interleaving(self):
         # nearest neighbor is always the other class
@@ -62,22 +62,23 @@ class TestRecallAtK:
         z = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         labels = np.array([1, 2, 1, 2])
         idx = ek.RetrievalIndex.single_set(z, labels)
-        assert ek.recall_at_k(idx, [1])[1] == 0.0
+        assert ek.evaluate_retrieval(idx, [1]).recall_at[1] == 0.0
 
     def test_k_bounds(self):
         z = unit_rows(np.random.default_rng(0), 5, 3)
         idx = ek.RetrievalIndex.single_set(z, np.array([1, 1, 2, 2, 1]))
         with pytest.raises(ConfigurationError):
-            ek.recall_at_k(idx, [5])  # gallery is 4 after self-exclusion
+            ek.evaluate_retrieval(idx, [5])  # gallery is 4 after self-exclusion
         with pytest.raises(ConfigurationError):
-            ek.recall_at_k(idx, [0])
+            ek.evaluate_retrieval(idx, [0])
 
     def test_monotone_in_k(self):
         rng = np.random.default_rng(1)
         z = unit_rows(rng, 40, 8)
         labels = rng.integers(1, 6, size=40)
         idx = ek.RetrievalIndex.single_set(z, labels)
-        rs = ek.recall_at_k(idx, list(range(1, 20)))
+        hits = idx.ranked_hits(19)
+        rs = ek.recall_at_k(hits, list(range(1, 20)))
         vals = [rs[k] for k in range(1, 20)]
         assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
 
@@ -88,14 +89,14 @@ class TestRPrecisionAndMap:
         z = z / np.linalg.norm(z, axis=1, keepdims=True)
         labels = np.array([1, 1, 2, 2])
         idx = ek.RetrievalIndex.single_set(z, labels)
-        assert ek.r_precision(idx) == 1.0
+        assert ek.evaluate_retrieval(idx, [1]).r_precision == 1.0
 
     def test_top_r_all_wrong_gives_zero(self):
         theta = np.array([0.0, 0.1, 1.5, 1.6])
         z = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         labels = np.array([1, 2, 1, 2])  # nearest is always wrong class
         idx = ek.RetrievalIndex.single_set(z, labels)
-        assert ek.r_precision(idx) == 0.0
+        assert ek.evaluate_retrieval(idx, [1]).r_precision == 0.0
 
     def test_map_at_r_hand_pattern(self):
         # R=3 with relevance [1, 0, 1] inside the cut -> (1 + 0 + 2/3)/3
@@ -105,19 +106,22 @@ class TestRPrecisionAndMap:
             z[:1], np.array([1]), z[1:], np.array([1, 1, 1, 2, 2])
         )
         hits = np.array([[1, 0, 1, 1, 0]], dtype=np.uint8)  # third hit past R
-        val = ek.map_at_r(idx, hits=hits)
+        r = idx.relevant_counts()
+        assert r.tolist() == [3]
+        val = ek.map_at_r(hits, r)
         assert val == pytest.approx(0.5556, abs=1e-4)
         assert val == pytest.approx((1.0 + 0.0 + 2.0 / 3.0) / 3.0, abs=1e-12)
-        with pytest.raises(ShapeError, match="shorter than R=3"):
-            ek.map_at_r(idx, hits=hits[:, :2])
+        assert ek.r_precision(hits, r) == 2.0 / 3.0
+        assert ek.map_at_r(hits[:, :3], r) == val  # only the first R ranks count
 
     def test_all_relevant_first(self):
         z = np.array([[1.0, 0], [1, 0.001], [1, -0.001], [0, 1], [0.001, 1], [-0.001, 1]])
         z = z / np.linalg.norm(z, axis=1, keepdims=True)
         labels = np.array([1, 1, 1, 2, 2, 2])
         idx = ek.RetrievalIndex.single_set(z, labels)
-        assert ek.map_at_r(idx) == 1.0
-        assert ek.r_precision(idx) == 1.0
+        rep = ek.evaluate_retrieval(idx, [1])
+        assert rep.map_at_r == 1.0
+        assert rep.r_precision == 1.0
 
     def test_zero_gallery_class_skipped_with_warning(self):
         z = unit_rows(np.random.default_rng(4), 4, 3)
@@ -125,7 +129,8 @@ class TestRPrecisionAndMap:
         ql = np.array([1, 3])  # class 3 absent from gallery
         idx = ek.RetrievalIndex.query_gallery(z[:2], ql, z, gl)
         with pytest.warns(UserWarning, match="skipping"):
-            ek.r_precision(idx)
+            rep = ek.evaluate_retrieval(idx, [1])
+        assert rep.n_skipped == 1
 
     def test_evaluate_retrieval_warns_once_about_skipped_queries(self):
         z = unit_rows(np.random.default_rng(4), 4, 3)

@@ -13,7 +13,7 @@ from hngen import cacai, datakit, losses, trainer
 from hngen.backbone import BackboneConfig, EmbeddingBatch
 from hngen.errors import CheckpointError, ConfigurationError, NumericError
 
-from oracles import j_m
+from oracles import TwoStepStage1Trainer, j_m
 
 
 def tiny_dataset(seed=0, classes=4, per_class=8, dim=5):
@@ -168,6 +168,12 @@ class TestOneOptimizer:
         assert [v for v in vars(tr).values() if isinstance(v, ad.AdamW)] == [tr.opt]
 
 
+# every arm with a stage 1, and the Proxy Anchor loss on the full arm
+STAGE1_ARMS = [(arm, "np_modified") for arm in
+               ("full", "single_coeff", "no_global", "no_hadamard", "no_rw")]
+STAGE1_ARMS.append(("full", "proxy_anchor"))
+
+
 class TestStopGradientContracts:
     def test_stage1_leaves_backbone_bit_identical(self, tmp_path):
         tr = make_trainer(tmp_path)
@@ -267,6 +273,49 @@ class TestStopGradientContracts:
         cz = losses.j_cz(zb_sg.z, zb_sg.labels, tr.model.head_cz, tr.codec)
         cz.backward()
         assert tr.model.head_cz.linear.weight.grad is not None
+
+    @pytest.mark.parametrize("ablation, metric_loss", STAGE1_ARMS)
+    def test_stage1_objectives_reach_disjoint_parameters(self, tmp_path, ablation, metric_loss):
+        tr = make_trainer(tmp_path, ablation=ablation, metric_loss=metric_loss)
+        model = tr.model
+        batch = datakit.sample_balanced(tr.train_set, 3, 2, tr.sampler_rng)
+        zb = model.backbone.embed(batch, mode="train")
+        zb_sg = EmbeddingBatch(zb.z.detach(), zb.labels, 3, 2)
+        pos = cacai.select_positives(zb.labels, tr.positive_rng)
+        lam = model.lambda_for(model.propagate_graph(zb_sg))
+        synth = model.synthesize(zb_sg, lam, 0.8, tr.synth_rng, pos)
+        gen_loss, _ = losses.j_gen(zb_sg.z, synth, lam, model.head_cz, tr.codec,
+                                   gamma_s=1.0, gamma_d=0.03)
+        cz_loss = losses.j_cz(zb_sg.z, zb_sg.labels, model.head_cz, tr.codec)
+
+        def reached(loss):
+            model.zero_grad()
+            if loss.requires_grad:
+                loss.backward()
+            return {name for name, p in model.named_parameters().items() if p.grad is not None}
+
+        from_gen, from_cz = reached(gen_loss), reached(cz_loss)
+        assert from_gen.isdisjoint(from_cz)
+        assert from_cz == {"head_cz.linear.weight", "head_cz.linear.bias"}
+        assert all(name.startswith(("graph.", "lambda_head.")) for name in from_gen)
+        assert bool(from_gen) == (ablation != "single_coeff")  # lambda = 1 is constant
+
+    @pytest.mark.parametrize("ablation, metric_loss", STAGE1_ARMS)
+    def test_one_stage1_update_matches_the_two_step_reference_bitwise(
+        self, tmp_path, ablation, metric_loss
+    ):
+        cfg = dict(ablation=ablation, metric_loss=metric_loss)
+        merged = make_trainer(tmp_path / "merged", **cfg)
+        ref = TwoStepStage1Trainer(tiny_dataset(), None, tiny_config(**cfg), tiny_backbone(),
+                                   tmp_path / "ref")
+        start = merged.opt.data.copy()
+        for _ in range(3):
+            for tr in (merged, ref):
+                tr.train_step(datakit.sample_balanced(tr.train_set, 3, 2, tr.sampler_rng))
+        for name in ("data", "m", "v"):
+            assert np.array_equal(getattr(merged.opt, name), getattr(ref.opt, name)), name
+        assert merged.opt.steps == ref.opt.steps
+        assert not np.array_equal(merged.opt.data, start)
 
     def test_full_step_runs_and_reports(self, tmp_path):
         tr = make_trainer(tmp_path)
@@ -450,6 +499,18 @@ class TestFit:
                              eval_ks=[1])
         result = tr.fit()
         assert len(result.history) < 50
+
+    def test_early_stop_reads_r_at_1_when_eval_ks_lack_it(self, tmp_path):
+        # R@1 rises every epoch of this run, so patience 1 never stops it
+        ds = tiny_dataset(per_class=10)
+        train, val = datakit.split_holdout(ds, 3, np.random.default_rng(0))
+        cfg = tiny_config(epochs=4, early_stop_patience=1, lr_f=1e-2)
+        tr = trainer.Trainer(train, val, cfg, tiny_backbone(), tmp_path / "run",
+                             eval_ks=[2, 4])
+        history = tr.fit().history
+        assert [list(entry["recall_at"]) for entry in history] == [["1", "2", "4"]] * 4
+        r1 = [entry["recall_at"]["1"] for entry in history]
+        assert all(a < b for a, b in zip(r1, r1[1:]))
 
 
 class TestCheckpointRoundTrip:
