@@ -30,6 +30,8 @@ class BackboneConfig:
             raise ConfigurationError("embed_dim must be >= 2")
         if self.kind == "mlp" and not self.hidden_dims:
             raise ConfigurationError("mlp backbone needs at least one hidden dim")
+        if any(h < 1 for h in self.hidden_dims):
+            raise ConfigurationError("each hidden dim must be >= 1")
         if self.normalize is not True:  # the graph, losses and retrieval need unit rows
             raise ConfigurationError("backbone.normalize must be true")
 

@@ -4,9 +4,9 @@ Final edge states are mapped through a sigmoid FC head to per-channel
 interpolation vectors in (0, 1). Each anchor-negative pair is interpolated
 inside the hardness interval [d+, d+ + eta*(d- - d+)] along the chord from
 anchor to negative (falling back to the negative itself when d- <= d+), and
-the per-class interpolants are fused by iterated random weighting into one
-synthetic negative per (anchor, negative class). Synthetics are not
-re-normalized; the losses consume raw inner products.
+the per-class interpolants are fused, in group order, by iterated random
+weighting into one synthetic negative per (anchor, negative class).
+Synthetics are never re-normalized; the losses consume raw inner products.
 """
 
 from __future__ import annotations
@@ -41,14 +41,14 @@ class SyntheticNegatives:
 
     ``valid[i, s]`` is False on the anchor's own class slot, whose lane is
     filled but must never be consumed. Provenance arrays let tests rebuild
-    each fusion as an explicit convex combination.
+    each fusion as an explicit convex combination; slot s fuses the batch
+    members s, s + N, ..., s + (m-1)N, in that order.
     """
 
     z_hat: ad.Tensor               # (B, N, D)
     slot_labels: np.ndarray        # (N,) class id of each slot
     valid: np.ndarray              # (B, N) bool
     fusion_weights: np.ndarray     # (B, N, m) convex coefficients
-    member_indices: np.ndarray     # (B, N, m) batch indices fused per slot
     interpolants: np.ndarray       # (B, N, m, D) values entering the fusion
 
 
@@ -133,20 +133,15 @@ def synthesize(
     eta: float,
     rng: np.random.Generator,
     positive_idx: np.ndarray,
-    shuffle_fusion_order: bool = False,
     pick_single: bool = False,
-    renormalize: bool = False,
 ) -> SyntheticNegatives:
     """Synthetic negatives for every anchor and every other batch class.
 
     ``eta`` is the hardness-interval factor in [0, 1] (see
-    ``eta_from_avg_loss``); the caller freezes it for the batch.
-    ``pick_single`` replaces the fusion with a uniformly chosen single
-    interpolant (the no-random-weighting ablation); ``shuffle_fusion_order``
-    randomizes the traversal order, which defaults to group order.
-    ``renormalize`` projects the fused synthetics back to the unit sphere
-    (off by default: the losses consume raw inner products); it exists for
-    sensitivity studies only.
+    ``eta_from_avg_loss``); the caller freezes it for the batch. Each
+    slot's interpolants are fused in group order, and the fused synthetics
+    are not re-normalized. ``pick_single`` replaces the fusion with a
+    uniformly chosen single interpolant (the no-random-weighting ablation).
     """
     z, labels = zb.z, zb.labels
     n, m = zb.n_classes, zb.n_instances
@@ -158,13 +153,6 @@ def synthesize(
     d_plus, d_minus = pair_distances(zb, positive_idx)
     z_tilde = interpolate_all(z, lam, d_plus, d_minus, eta)
 
-    member_idx = (np.arange(n)[:, None] + n * np.arange(m)[None, :]).astype(np.int64)
-    member_order = np.broadcast_to(member_idx, (b, n, m)).copy()
-    if shuffle_fusion_order:
-        for i in range(b):
-            for s in range(n):
-                member_order[i, s] = member_order[i, s][rng.permutation(m)]
-
     if pick_single:
         picks = rng.integers(0, m, size=(b, n))
         coeffs = np.zeros((b, n, m))
@@ -172,17 +160,14 @@ def synthesize(
     else:
         coeffs = fusion_coefficients(rng.random((b, n, m - 1)))
 
-    anchor_rows = np.arange(b)[:, None, None]
-    grouped = z_tilde[anchor_rows, member_order]           # (B, N, m, D)
+    member_idx = np.arange(n)[:, None] + n * np.arange(m)[None, :]  # (N, m)
+    grouped = z_tilde[:, member_idx]                       # (B, N, m, D)
     z_hat = (grouped * coeffs[:, :, :, None]).sum(axis=2)  # (B, N, D)
-    if renormalize:
-        z_hat = ad.l2_normalize(z_hat)
     valid = slot_labels[None, :] != labels[:, None]
     return SyntheticNegatives(
         z_hat=z_hat,
         slot_labels=slot_labels,
         valid=valid,
         fusion_weights=coeffs,
-        member_indices=member_order,
         interpolants=grouped.data,  # a fresh gather that no op writes to
     )

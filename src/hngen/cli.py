@@ -48,12 +48,12 @@ from .errors import (
 
 log = logging.getLogger("hngen")
 
-# every default lives on its dataclass; only the file-source and eval keys are here
+# every key is a field of one of these dataclasses, which hold its default
 DEFAULT_CONFIG: dict = {
-    "dataset": {"path": None, "format": "auto", **asdict(datakit.SyntheticDatasetSpec())},
+    "dataset": {**asdict(datakit.FeatureSource()), **asdict(datakit.SyntheticDatasetSpec())},
     "backbone": asdict(BackboneConfig()),
     "train": asdict(trainer.TrainConfig()),
-    "eval": {"ks": [1, 2, 4, 8], "holdout_per_class": 10},
+    "eval": asdict(evalkit.EvalConfig()),
 }
 
 ABLATE_HEADER = [
@@ -107,13 +107,13 @@ def resolve_config(config_path: str | None, overrides: dict | None = None) -> di
 
 def _conforms(value, hint) -> bool:
     """Whether a JSON value has a config field's declared type; an int
-    passes for a float, a bool for no number."""
+    passes for a finite float, a bool for no number."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is types.UnionType:
         return any(_conforms(value, h) for h in args)
     if origin is list:
         return isinstance(value, list) and all(_conforms(v, args[0]) for v in value)
-    return type(value) in ((int, float) if hint is float else (hint,))
+    return trainer._is_finite_real(value) if hint is float else type(value) is hint
 
 
 def _section(cfg: dict, name: str, cls):
@@ -123,7 +123,8 @@ def _section(cfg: dict, name: str, cls):
     values = {f.name: cfg[name][f.name] for f in fields(cls)}
     for f in fields(cls):
         if not _conforms(values[f.name], hints[f.name]):
-            raise ConfigurationError(f"{name}.{f.name} must be {f.type}, got {values[f.name]!r}")
+            finite = " (finite)" if "float" in f.type else ""
+            raise ConfigurationError(f"{name}.{f.name} must be {f.type}{finite}, got {values[f.name]!r}")
     return cls(**copy.deepcopy(values))
 
 
@@ -133,8 +134,9 @@ def _dataset_spec(cfg: dict) -> datakit.SyntheticDatasetSpec:
 
 def build_dataset(cfg: dict) -> datakit.Dataset:
     spec = _dataset_spec(cfg)  # type-checked even for a file: the split reads its seed
-    if cfg["dataset"]["path"]:
-        return datakit.load_features(cfg["dataset"]["path"], cfg["dataset"]["format"])
+    source = _section(cfg, "dataset", datakit.FeatureSource)
+    if source.path:
+        return datakit.load_features(source.path, source.format)
     return datakit.make_synthetic(spec)
 
 
@@ -193,21 +195,8 @@ def cmd_synth_data(args) -> int:
     return 0
 
 
-def _check_eval_section(cfg: dict) -> None:
-    """Range checks on the eval settings, so a bad one fails before training."""
-    ks, holdout = cfg["eval"]["ks"], cfg["eval"]["holdout_per_class"]
-
-    def positive_int(value) -> bool:
-        return isinstance(value, int) and not isinstance(value, bool) and value >= 1
-
-    if not isinstance(ks, list) or not all(positive_int(k) for k in ks):
-        raise ConfigurationError(f"eval.ks must be a list of integers >= 1, got {ks!r}")
-    if not positive_int(holdout):
-        raise ConfigurationError(f"eval.holdout_per_class must be an integer >= 1, got {holdout!r}")
-
-
 def _fit_one(cfg: dict, out_dir: str, quiet: bool = False) -> tuple[trainer.FitResult, dict]:
-    _check_eval_section(cfg)
+    _section(cfg, "eval", evalkit.EvalConfig).validate()  # a bad K fails before training
     dataset = build_dataset(cfg)
     train_set, val_set = split_for_eval(cfg, dataset)
     tcfg = train_config_from(cfg)
@@ -245,27 +234,25 @@ def cmd_train(args) -> int:
 
 
 def _embedded_config(ckpt_dir: Path, manifest: dict) -> dict:
-    """The manifest's resolved config, with exactly the sections and keys of
-    DEFAULT_CONFIG (every resolved config has them all)."""
+    """The manifest's resolved config, with exactly the keys of DEFAULT_CONFIG
+    (every resolved config has them all; merging refuses an unknown one)."""
     cfg = manifest.get("resolved_config")
-    if not cfg or not isinstance(cfg, dict):
+    if not isinstance(cfg, dict):
         raise CheckpointError(f"{ckpt_dir}: manifest has no embedded config")
-    for section, defaults in DEFAULT_CONFIG.items():
-        values = cfg.get(section)
-        if not isinstance(values, dict):
-            raise CheckpointError(f"{ckpt_dir}: embedded config has no {section!r} section")
-        if values.keys() != defaults.keys():
-            odd = sorted(values.keys() ^ defaults.keys())
-            raise CheckpointError(
-                f"{ckpt_dir}: embedded {section!r} config has unknown or missing keys {odd}"
-            )
+    try:
+        merged = _merge_config(DEFAULT_CONFIG, cfg)
+    except ConfigurationError as exc:
+        raise CheckpointError(f"{ckpt_dir}: embedded config: {exc}") from exc
+    missing = [f"{s}.{k}" for s, sec in merged.items() for k in sec if k not in cfg.get(s, {})]
+    if missing:
+        raise CheckpointError(f"{ckpt_dir}: embedded config lacks {', '.join(missing)}")
     return cfg
 
 
 def _model_from_checkpoint(ckpt_dir: Path):
     manifest = trainer.load_manifest(ckpt_dir)
     cfg = _embedded_config(ckpt_dir, manifest)
-    _check_eval_section(cfg)
+    _section(cfg, "eval", evalkit.EvalConfig).validate()
     if "class_ids" not in manifest:
         raise CheckpointError(f"{ckpt_dir}: manifest has no class_ids")
     tcfg = train_config_from(cfg)
@@ -344,9 +331,9 @@ def cmd_eval(args) -> int:
 def cmd_inspect(args) -> int:
     ckpt_dir = Path(args.checkpoint)
     model, manifest, cfg = _model_from_checkpoint(ckpt_dir)
-    if model.graph is None:
+    if not model.cfg.uses_synthetics:
         raise ConfigurationError(
-            f"checkpoint arm {manifest.get('ablation')!r} has no graph to inspect"
+            f"checkpoint arm {model.cfg.ablation!r} synthesizes no negatives to inspect"
         )
     missing = [key for key in ("eta", "avg_metric_loss") if key not in manifest]
     if missing:
@@ -432,6 +419,11 @@ def _ablate_job(payload: tuple[dict, str]) -> dict:
 
 def cmd_ablate(args) -> int:
     arms = [a.strip() for a in args.arms.split(",") if a.strip()]
+    if not arms:
+        raise ConfigurationError("--arms names no arm")
+    for flag, values in (("--arms", arms), ("--seeds", args.seeds)):
+        if len(set(values)) != len(values):
+            raise ConfigurationError(f"{flag} lists an entry twice: {values}")
     for arm in arms:
         if arm not in trainer.ABLATION_ARMS:
             raise ConfigurationError(

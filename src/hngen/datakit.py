@@ -22,6 +22,15 @@ BINARY_VERSION = 1
 
 
 @dataclass(frozen=True)
+class FeatureSource:
+    """A feature file to train on in place of the synthetic recipe; ``path``
+    None (or empty) means the recipe. ``load_features`` checks ``format``."""
+
+    path: str | None = None
+    format: str = "auto"
+
+
+@dataclass(frozen=True)
 class SyntheticDatasetSpec:
     """Recipe for a synthetic labeled dataset; a pure function of its seed."""
 
@@ -43,12 +52,12 @@ class SyntheticDatasetSpec:
             )
         if self.input_dim < 1:
             raise ConfigurationError("input_dim must be >= 1")
-        if self.within_class_stddev <= 0:
-            raise ConfigurationError("within_class_stddev must be > 0")
+        if not 0 < self.within_class_stddev < np.inf:
+            raise ConfigurationError("within_class_stddev must be finite and > 0")
         if not 0.0 <= self.overlap_factor <= 1.0:
             raise ConfigurationError("overlap_factor must lie in [0, 1]")
-        if self.class_center_scale <= 0:
-            raise ConfigurationError("class_center_scale must be > 0")
+        if not 0 < self.class_center_scale < np.inf:
+            raise ConfigurationError("class_center_scale must be finite and > 0")
 
 
 class Dataset:

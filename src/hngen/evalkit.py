@@ -35,6 +35,20 @@ _BLOCK_SIMS = 1 << 20
 
 
 @dataclass
+class EvalConfig:
+    """Holdout evaluation: the recall cutoffs and the per-class holdout size."""
+
+    ks: list[int] = field(default_factory=lambda: [1, 2, 4, 8])
+    holdout_per_class: int = 10
+
+    def validate(self) -> None:
+        if not self.ks or not all(k >= 1 for k in self.ks):
+            raise ConfigurationError(f"eval.ks must be a non-empty list of integers >= 1, got {self.ks!r}")
+        if self.holdout_per_class < 1:
+            raise ConfigurationError("eval.holdout_per_class must be >= 1")
+
+
+@dataclass
 class RetrievalIndex:
     gallery_z: np.ndarray
     gallery_labels: np.ndarray

@@ -19,7 +19,8 @@ Schedules: the interpolation interval factor eta is recomputed from the
 previous epoch's mean metric loss (bootstrapped from the running mean
 during the first epoch); the synthetic-term weight uses an EMA of the
 generator loss, refreshed every step. The graph network's learning rate
-follows cosine decay over epochs.
+follows cosine decay over epochs; like the fusion order and the raw
+synthetics of ``cacai.synthesize``, this is fixed, not a setting.
 
 Checkpoints are directories with a JSON manifest and one binary blob per
 parameter group, written beside the target and renamed into place; loading
@@ -84,9 +85,6 @@ class TrainConfig:
     pa_alpha: float = 32.0
     pa_margin: float = 0.1
     gen_ema_decay: float = 0.9
-    cosine_decay_g: bool = True
-    shuffle_fusion_order: bool = False
-    renormalize_synthetics: bool = False
     early_stop_patience: int | None = None
 
     def validate(self) -> None:
@@ -101,6 +99,10 @@ class TrainConfig:
         for name in ("lr_f", "lr_g", "lr_cz", "lr_cv"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be positive")
+        if self.weight_decay < 0:
+            raise ConfigurationError("weight_decay must be >= 0")
+        if self.early_stop_patience is not None and self.early_stop_patience < 1:
+            raise ConfigurationError("early_stop_patience must be null or >= 1")
         if self.metric_loss not in ("np_modified", "proxy_anchor"):
             raise ConfigurationError(f"unknown metric_loss {self.metric_loss!r}")
         if self.ablation not in ABLATION_ARMS:
@@ -278,13 +280,9 @@ class HngModel(ad.Module):
         self, zb: EmbeddingBatch, lam: ad.Tensor, eta: float,
         rng: np.random.Generator, positive_idx: np.ndarray,
     ) -> cacai.SyntheticNegatives:
-        """``cacai.synthesize`` with this arm's fusion flags."""
-        cfg = self.cfg
+        """``cacai.synthesize`` with this arm's fusion."""
         return cacai.synthesize(
-            zb, lam, eta, rng, positive_idx,
-            shuffle_fusion_order=cfg.shuffle_fusion_order,
-            pick_single=cfg.ablation == "no_rw",
-            renormalize=cfg.renormalize_synthetics,
+            zb, lam, eta, rng, positive_idx, pick_single=self.cfg.ablation == "no_rw"
         )
 
     def metric_loss_term(self, zb: EmbeddingBatch) -> ad.Tensor:
@@ -343,7 +341,7 @@ class Trainer:
         self.train_set = train_set
         self.val_set = val_set
         self.run_dir = Path(run_dir)
-        self.eval_ks = eval_ks or [1, 2, 4, 8]
+        self.eval_ks = eval_ks or evalkit.EvalConfig().ks
         self.resolved_config = resolved_config or {}
         self.codec = losses.ClassCodec(train_set.labels)
 
@@ -484,8 +482,7 @@ class Trainer:
         with open(log_path, "w", encoding="utf-8") as log:
             for epoch in range(cfg.epochs):
                 self.state.epoch = epoch
-                if cfg.cosine_decay_g:
-                    self.opt.lr["lr_g"] = cosine_lr(cfg.lr_g, epoch, cfg.epochs)
+                self.opt.lr["lr_g"] = cosine_lr(cfg.lr_g, epoch, cfg.epochs)
                 for _ in range(steps_per_epoch):
                     batch = datakit.sample_balanced(
                         self.train_set, cfg.batch_classes, cfg.batch_instances,

@@ -167,7 +167,6 @@ def test_04_gradient_checks_all_losses_and_blocks():
             z_hat=z_hat, slot_labels=slots,
             valid=slots[None, :] != labels[:, None],
             fusion_weights=np.full((b, n, m), 0.5),
-            member_indices=np.zeros((b, n, m), np.int64),
             interpolants=np.zeros((b, n, m, d)),
         )
         return losses.j_gen(z_const, synth, lam, head, codec,
@@ -196,7 +195,6 @@ def test_04_gradient_checks_all_losses_and_blocks():
             z_hat=zh2, slot_labels=slots,
             valid=slots[None, :] != labels[:, None],
             fusion_weights=np.full((b, n, m), 0.5),
-            member_indices=np.zeros((b, n, m), np.int64),
             interpolants=np.zeros((b, n, m, d)),
         )
         return losses.j_syn(zs, pos, synth)
@@ -304,7 +302,6 @@ def test_05_loss_loop_oracles():
             z_hat=ad.Tensor(z_hat), slot_labels=slots,
             valid=slots[None, :] != labels[:, None],
             fusion_weights=np.full((b, n, m), 1 / m),
-            member_indices=np.zeros((b, n, m), np.int64),
             interpolants=np.zeros((b, n, m, d)),
         )
         gamma_s, gamma_d = 1.0, 0.5

@@ -275,18 +275,11 @@ class TestSynthesize:
         assert np.all(np.sort(w, axis=-1)[..., :-1] == 0.0)
         assert np.all(w.max(axis=-1) == 1.0)
 
-    def test_renormalize_flag_projects_to_unit_sphere(self):
-        rng, zb, lam, eta, pos = self._setup(20)
-        synth = cacai.synthesize(zb, lam, eta, rng, pos, renormalize=True)
-        norms = np.linalg.norm(synth.z_hat.data, axis=-1)
-        assert np.allclose(norms, 1.0, atol=1e-12)
-
-    def test_shuffle_flag_changes_member_order_only(self):
+    def test_slots_fuse_their_class_members_in_group_order(self):
         rng, zb, lam, eta, pos = self._setup(19)
-        synth = cacai.synthesize(zb, lam, eta, np.random.default_rng(5), pos,
-                                 shuffle_fusion_order=True)
-        base = np.sort(synth.member_indices, axis=-1)
-        expect = np.sort(
-            (np.arange(3)[:, None] + 3 * np.arange(2)[None, :]), axis=-1
-        )
-        assert np.array_equal(base, np.broadcast_to(expect, base.shape))
+        synth = cacai.synthesize(zb, lam, eta, rng, pos)
+        d_plus, d_minus = cacai.pair_distances(zb, pos)
+        z_tilde = cacai.interpolate_all(zb.z, lam, d_plus, d_minus, eta).data
+        for s in range(3):  # slot s holds batch members s, s + N
+            assert np.array_equal(synth.interpolants[:, s], z_tilde[:, [s, s + 3]])
+        assert np.array_equal(synth.slot_labels, zb.labels[:3])

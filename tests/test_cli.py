@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import hngen
-from hngen import cacai, cli, datakit, trainer
+from hngen import cacai, cli, datakit, evalkit, trainer
 from hngen.backbone import BackboneConfig
 from hngen.errors import ConfigurationError
 
@@ -60,9 +60,6 @@ FROZEN_DEFAULT_CONFIG = {
         "pa_alpha": 32.0,
         "pa_margin": 0.1,
         "gen_ema_decay": 0.9,
-        "cosine_decay_g": True,
-        "shuffle_fusion_order": False,
-        "renormalize_synthetics": False,
         "early_stop_patience": None,
     },
     "eval": {
@@ -129,13 +126,15 @@ class TestConfigResolution:
         cfg = cli.resolve_config(None)
         assert cfg == FROZEN_DEFAULT_CONFIG
         assert json.dumps(cfg) == json.dumps(FROZEN_DEFAULT_CONFIG)  # same key order
-        assert trainer.config_hash(cfg) == "30ab36a9f9ebe9b6"
+        assert trainer.config_hash(cfg) == "5d185c0cef5604f0"
         smoke = cli.resolve_config(str(REPO / "configs" / "smoke.json"))
-        assert trainer.config_hash(smoke) == "26511d8ac836904f"
+        assert trainer.config_hash(smoke) == "d0ea90e42caae3c6"
 
     def test_config_sections_build_their_dataclasses(self):
         cfg = cli.resolve_config(None)
         assert cli._dataset_spec(cfg) == datakit.SyntheticDatasetSpec()
+        assert cli._section(cfg, "dataset", datakit.FeatureSource) == datakit.FeatureSource()
+        assert cli._section(cfg, "eval", evalkit.EvalConfig) == evalkit.EvalConfig()
         assert cli.backbone_config_from(cfg) == BackboneConfig()
         assert cli.train_config_from(cfg) == trainer.TrainConfig()
 
@@ -196,6 +195,18 @@ class TestSynthData:
                        "--dim", "4", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
         assert "positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--stddev", "nan"), ("--stddev", "inf"), ("--center-scale", "nan"),
+        ("--center-scale", "-inf"), ("--overlap", "nan"),
+    ])
+    def test_non_finite_setting_returns_2_without_a_file(self, tmp_path, flag, value, capsys):
+        out = tmp_path / "d.csv"
+        rc = cli.main(["synth-data", "--classes", "3", "--per-class", "4",
+                       "--dim", "5", f"{flag}={value}", "--out", str(out)])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_binary_format(self, tmp_path):
         out = tmp_path / "d.bin"
@@ -408,6 +419,26 @@ class TestCheckpointReload:
         assert cli.main(["inspect", "--checkpoint", str(ckpt),
                          "--out-dir", str(tmp_path / "diag")]) == 0
 
+    @pytest.mark.parametrize("arm", trainer.ABLATION_ARMS)
+    def test_inspect_writes_every_csv_or_refuses_an_arm_without_synthetics(
+        self, tmp_path, arm, capsys
+    ):
+        cfg_path = write_cfg(tmp_path, {"train": {"ablation": arm}})
+        assert cli.main(["train", "--config", str(cfg_path),
+                         "--out-dir", str(tmp_path / "runs")]) == 0
+        ckpt = next((tmp_path / "runs").iterdir()) / "checkpoints" / "epoch_001"
+        out = tmp_path / "diag"
+        rc = cli.main(["inspect", "--checkpoint", str(ckpt), "--out-dir", str(out)])
+        if arm in ("baseline", "baseline_gnn"):
+            assert rc == 2
+            assert "synthesizes no negatives" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert rc == 0
+            assert sorted(p.name for p in out.iterdir()) == [
+                "attention.csv", "feature_variance.csv", "interval_occupancy.csv",
+                "lambda_histogram.csv", "projection.csv"]
+
     @pytest.mark.parametrize("command", ["eval", "inspect"])
     def test_load_validates_backbone_once(self, trained, tmp_path, command, monkeypatch):
         _, run_dir = trained
@@ -470,6 +501,7 @@ class TestTrainOverridesAndErrors:
         {"train": {"heads": 3}, "backbone": {"embed_dim": 64}},
         {"eval": {"ks": [0, 1]}},
         {"eval": {"ks": [1, 2.5]}},
+        {"eval": {"ks": []}},
         {"eval": {"holdout_per_class": 0}},
         {"backbone": {"normalize": False}},
         [1],
@@ -482,12 +514,30 @@ class TestTrainOverridesAndErrors:
         {"dataset": {"path": "data.csv", "seed": "a"}},
         b'{"train": {"epochs": 1}}\xff',
         _DIRECTORY,
+        {"dataset": {"path": 5}},
+        {"dataset": {"format": 5}},
+        {"train": {"shuffle_fusion_order": True}},
+        {"train": {"lr_f": float("nan")}},
+        {"train": {"beta": float("inf")}},
+        {"train": {"metric_loss": "proxy_anchor", "pa_alpha": float("-inf")}},
+        {"dataset": {"within_class_stddev": float("nan")}},
+        {"dataset": {"class_center_scale": float("inf")}},
+        {"train": {"lr_g": 10**400}},
+        {"backbone": {"hidden_dims": [-1]}},
+        {"backbone": {"hidden_dims": [0]}},
+        {"train": {"weight_decay": -5}},
+        {"train": {"early_stop_patience": -1}},
     ], ids=["gamma_s", "gamma_d", "gamma_d_nan", "k_steps", "heads", "ffn_expansion",
-            "heads_divide_dim", "eval_ks_zero", "eval_ks_float", "eval_holdout_zero",
+            "heads_divide_dim", "eval_ks_zero", "eval_ks_float", "eval_ks_empty",
+            "eval_holdout_zero",
             "backbone_not_normalized", "file_a_list", "train_a_number", "eval_a_number",
             "epochs_a_string", "batch_classes_a_float", "hidden_dims_a_number",
             "dataset_seed_a_bool", "feature_file_seed_a_string", "file_not_utf8",
-            "file_a_directory"])
+            "file_a_directory", "dataset_path_a_number", "dataset_format_a_number",
+            "removed_switch", "lr_f_nan", "beta_inf", "pa_alpha_minus_inf",
+            "stddev_nan", "center_scale_inf", "lr_g_past_float_range",
+            "hidden_dim_negative", "hidden_dim_zero", "weight_decay_negative",
+            "early_stop_patience_negative"])
     def test_bad_setting_returns_2_before_any_file(self, tmp_path, config, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)  # where a config's "data.csv" is
         datakit.save_csv(datakit.make_synthetic(datakit.SyntheticDatasetSpec(
@@ -563,15 +613,19 @@ def _eval_ks_a_string(m):
     m["resolved_config"]["eval"]["ks"] = "x"
 
 
+def _removed_switch(m):  # written before the switch was deleted
+    m["resolved_config"]["train"]["cosine_decay_g"] = True
+
+
 class TestMalformedManifest:
     @pytest.mark.parametrize("command", ["eval", "inspect"])
     @pytest.mark.parametrize("damage", [
         None, _break_class_ids, _unknown_train_key, _backbone_without_hidden_dims,
         _groups_not_an_object, _groups_a_list, _class_ids_not_integers,
-        _first_weight_one_dim, _epochs_a_string, _eval_ks_a_string,
+        _first_weight_one_dim, _epochs_a_string, _eval_ks_a_string, _removed_switch,
     ], ids=["invalid_json", "no_class_ids", "unknown_train_key", "no_hidden_dims",
             "groups_number", "groups_list", "class_ids_strings", "weight_one_dim",
-            "epochs_string", "eval_ks_string"])
+            "epochs_string", "eval_ks_string", "removed_switch"])
     def test_returns_2(self, trained, tmp_path, command, damage, capsys):
         _, run_dir = trained
         ckpt = tmp_path / "ckpt"
@@ -587,6 +641,21 @@ class TestMalformedManifest:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("damage, key", [
+        (_removed_switch, "'train.cosine_decay_g'"),
+        (_backbone_without_hidden_dims, "backbone.hidden_dims"),
+    ], ids=["unknown", "missing"])
+    def test_config_error_names_checkpoint_and_key(self, trained, tmp_path, damage, key, capsys):
+        _, run_dir = trained
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(run_dir / "checkpoints" / "epoch_001", ckpt)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        damage(manifest)
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        assert cli.main(["eval", "--checkpoint", str(ckpt), "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and key in err
 
     @pytest.mark.parametrize("key, value", [
         ("eta", "x"), ("eta", True), ("eta", None), ("eta", float("nan")), ("eta", 10**400),
@@ -647,6 +716,19 @@ class TestAblate:
                          "--out-dir", str(out)]) == 2
         assert not out.exists()
         assert "epochs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("arms, seeds, flag", [
+        ("full,full", "1", "--arms"), ("full", "1,1", "--seeds"),
+        ("full, full", "1,2", "--arms"), (",", "1", "--arms"),
+    ], ids=["arm_twice", "seed_twice", "arm_twice_spaced", "no_arm"])
+    def test_repeated_or_missing_entry_returns_2_before_training(
+        self, tmp_path, arms, seeds, flag, capsys
+    ):
+        out = tmp_path / "ab"
+        assert cli.main(["ablate", "--config", str(write_cfg(tmp_path)), "--arms", arms,
+                         "--seeds", seeds, "--out-dir", str(out)]) == 2
+        assert not out.exists()
+        assert flag in capsys.readouterr().err
 
     def test_unknown_arm_lists_valid(self, tmp_path, capsys):
         rc = cli.main(["ablate", "--arms", "full,bogus",

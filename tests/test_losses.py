@@ -26,7 +26,6 @@ def make_synth(z_hat, slot_labels, anchor_labels):
         slot_labels=slot_labels,
         valid=slot_labels[None, :] != anchor_labels[:, None],
         fusion_weights=np.full((b, n, m), 1.0 / m),
-        member_indices=np.zeros((b, n, m), dtype=np.int64),
         interpolants=np.repeat(z_hat[:, :, None, :], m, axis=2),
     )
 

@@ -4,10 +4,14 @@ build ``NodeBlock``, ``EdgeBlock`` and ``LambdaHead`` directly. These checks
 fail the fast suite when a rename or a signature change would break
 ``perfbench/run.py --trace 1``. They only read ``perfbench/``.
 
-The pytest settings in ``pyproject.toml`` are checked here too."""
+The pytest settings in ``pyproject.toml`` and the compare step of
+``tools/same_outputs.py`` are checked here too."""
 
 import ast
 import importlib
+import importlib.util
+import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -70,3 +74,34 @@ def test_mistyped_marker_fails_collection(tmp_path):
     )
     assert run.returncode != 0
     assert "'slwo' not found in `markers`" in run.stdout
+
+
+def _load_tool(name: str):
+    spec = importlib.util.spec_from_file_location(name, REPO / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_same_outputs_compare_flags_one_flipped_blob_byte(tmp_path, capsys):
+    tool = _load_tool("same_outputs")
+    tiny = {
+        "dataset": {"num_classes": 4, "samples_per_class": 12, "input_dim": 6, "seed": 3},
+        "backbone": {"hidden_dims": [8], "embed_dim": 8},
+        "train": {"epochs": 1, "batch_classes": 3, "batch_instances": 2, "seed": 5},
+        "eval": {"ks": [1, 2], "holdout_per_class": 3},
+    }
+    tool.run_side(REPO / "src", tmp_path / "a", {"tiny": tiny})
+    status = json.loads((tmp_path / "a" / "tiny" / "status.json").read_text())
+    assert status == {"train": 0, "eval": 0, "inspect": 0}
+    shutil.copytree(tmp_path / "a", tmp_path / "b")
+    assert tool.report(*tool.compare(tmp_path / "a", tmp_path / "b")) == 0
+
+    blob = next((tmp_path / "b").glob("tiny/runs/*/checkpoints/epoch_001/gcl.bin"))
+    data = bytearray(blob.read_bytes())
+    data[-1] ^= 1
+    blob.write_bytes(bytes(data))
+    diffs, _ = tool.compare(tmp_path / "a", tmp_path / "b")
+    assert diffs == ["tiny: runs/checkpoints/epoch_001/gcl.bin differs"]
+    assert tool.report(diffs, []) == 1
+    assert "DIFFERS" in capsys.readouterr().out

@@ -1,0 +1,167 @@
+"""Check that two source trees compute the same training, eval and inspect outputs.
+
+    python tools/same_outputs.py PARENT_SRC CHANGE_SRC [--work DIR]
+
+PARENT_SRC and CHANGE_SRC are ``src/`` directories, say of a ``git clone`` of
+the parent commit and of the working tree. Under each, with BLAS and OpenMP
+pinned to one thread, the script runs ``hngen train`` on the acceptance
+configs below, then ``hngen eval`` and ``hngen inspect`` on each run's last
+checkpoint. It then compares, config by config:
+
+* every checkpoint's ``.bin`` blobs, ``history.json`` and the inspect CSVs,
+  byte for byte;
+* ``train_log.jsonl`` without ``timestamp``, manifests without
+  ``resolved_config`` and ``config_hash``, ``metric_report.json``, and
+  ``metrics.csv`` without its checkpoint column;
+* the exit code of each command: outputs are compared where a command
+  succeeds on both sides, and a command that succeeds on one side only is a
+  difference.
+
+The key paths where the two ``resolved_config.json`` files differ are
+printed as notes. The exit status is 1 if any computed output differs, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import copy
+import csv
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+SMOKE = json.loads((REPO / "configs" / "smoke.json").read_text())
+
+# name -> overrides of configs/smoke.json
+ACCEPTANCE = {
+    "smoke": {},
+    "proxy_anchor": {"train": {"epochs": 3, "metric_loss": "proxy_anchor"}},
+    "k2_unshared": {"train": {"epochs": 3, "k_steps": 2, "share_weights_across_steps": False}},
+    **{arm: {"train": {"epochs": 3, "ablation": arm}} for arm in (
+        "single_coeff", "no_global", "no_hadamard", "no_rw", "baseline", "baseline_gnn")},
+}
+COMMANDS = ("train", "eval", "inspect")
+
+
+def overlay(base: dict, overrides: dict) -> dict:
+    cfg = copy.deepcopy(base)
+    for section, values in overrides.items():
+        cfg[section].update(values)
+    return cfg
+
+
+def run_side(src: Path, work: Path, configs: dict[str, dict]) -> None:
+    """Train, eval and inspect every config under ``src``; each config's
+    outputs and exit codes (``status.json``) go to ``work/NAME``."""
+    threads = {v: "1" for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env = {**os.environ, **threads, "PYTHONPATH": str(Path(src).resolve())}
+    for name, cfg in configs.items():
+        out = work / name
+        out.mkdir(parents=True)
+        (out / "config.json").write_text(json.dumps(cfg, indent=2))
+
+        def hngen(*argv: str) -> int:
+            return subprocess.run([sys.executable, "-m", "hngen", *argv], env=env,
+                                  cwd=out, capture_output=True).returncode
+
+        status = {"train": hngen("train", "--config", "config.json", "--out-dir", "runs")}
+        ckpts = sorted((out / "runs").glob("*/checkpoints/epoch_*"))
+        if ckpts:
+            last = str(ckpts[-1].relative_to(out))
+            status["eval"] = hngen("eval", "--checkpoint", last, "--out-dir", "eval")
+            status["inspect"] = hngen("inspect", "--checkpoint", last, "--out-dir", "inspect")
+        (out / "status.json").write_text(json.dumps(status))
+        print(f"{src}: {name} {status}", flush=True)
+
+
+def _key_paths(a, b, prefix: str = "") -> list[str]:
+    if isinstance(a, dict) and isinstance(b, dict):
+        return [p for k in sorted(a.keys() | b.keys()) for p in _key_paths(
+            a.get(k, "<absent>"), b.get(k, "<absent>"), f"{prefix}.{k}" if prefix else k)]
+    return [] if a == b else [f"{prefix}: {a!r} -> {b!r}"]
+
+
+def _normalized(path: Path):
+    """The part of an output file that must match: bytes, or parsed content
+    without the fields that record where and when it was written."""
+    if path.name == "train_log.jsonl":
+        lines = path.read_text().splitlines()
+        return [{k: v for k, v in json.loads(line).items() if k != "timestamp"} for line in lines]
+    if path.name == "manifest.json":
+        manifest = json.loads(path.read_text())
+        return {k: v for k, v in manifest.items() if k not in ("resolved_config", "config_hash")}
+    if path.name == "metrics.csv":
+        return [row[1:] for row in csv.reader(path.read_text().splitlines())]
+    return path.read_bytes()
+
+
+def _outputs(root: Path, command: str) -> dict[str, Path]:
+    """Output files of one command by their path under ``root``, with the
+    run directory's name (a hash of the resolved config) left out."""
+    base = root / ("runs" if command == "train" else command)
+    out = {}
+    for p in base.rglob("*"):
+        parts = p.relative_to(base).parts[1 if command == "train" else 0:]
+        if p.is_file() and p.name != "resolved_config.json":
+            out["/".join((base.name, *parts))] = p
+    return out
+
+
+def compare(a: Path, b: Path) -> tuple[list[str], list[str]]:
+    """(differences, notes) between two ``run_side`` work directories."""
+    diffs, notes = [], []
+    for name in sorted({p.name for p in a.iterdir()} | {p.name for p in b.iterdir()}):
+        if not (a / name / "status.json").exists() or not (b / name / "status.json").exists():
+            diffs.append(f"{name}: ran on one side only")
+            continue
+        sa = json.loads((a / name / "status.json").read_text())
+        sb = json.loads((b / name / "status.json").read_text())
+        for command in COMMANDS:
+            ca, cb = sa.get(command), sb.get(command)
+            if ca != cb:
+                line = f"{name}: {command} exit code {ca} -> {cb}"
+                (diffs if 0 in (ca, cb) else notes).append(line)
+            if ca != 0 or cb != 0:
+                continue
+            oa, ob = _outputs(a / name, command), _outputs(b / name, command)
+            for key in sorted(oa.keys() | ob.keys()):
+                if key not in oa or key not in ob:
+                    diffs.append(f"{name}: {key} written on one side only")
+                elif _normalized(oa[key]) != _normalized(ob[key]):
+                    diffs.append(f"{name}: {key} differs")
+        configs = [sorted((side / name / "runs").glob("*/resolved_config.json")) for side in (a, b)]
+        if all(len(c) == 1 for c in configs):
+            ra, rb = (json.loads(c[0].read_text()) for c in configs)
+            notes += [f"{name}: resolved_config {p}" for p in _key_paths(ra, rb)]
+    return diffs, notes
+
+
+def report(diffs: list[str], notes: list[str]) -> int:
+    for line in notes:
+        print(f"note: {line}")
+    for line in diffs:
+        print(f"DIFFERS: {line}")
+    print("outputs differ" if diffs else "outputs are identical")
+    return 1 if diffs else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_src", type=Path)
+    parser.add_argument("change_src", type=Path)
+    parser.add_argument("--work", type=Path, help="empty or new directory for the outputs")
+    args = parser.parse_args(argv)
+    configs = {name: overlay(SMOKE, overrides) for name, overrides in ACCEPTANCE.items()}
+    work = args.work or Path(tempfile.mkdtemp(prefix="same_outputs-"))
+    for side, src in (("parent", args.parent_src), ("change", args.change_src)):
+        run_side(src, work / side, configs)
+    print(f"outputs under {work}")
+    return report(*compare(work / "parent", work / "change"))
+
+
+if __name__ == "__main__":
+    sys.exit(main())
