@@ -183,8 +183,10 @@ def add(a, b) -> Tensor:
     out_data = a.data + b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.data.shape))
 
     return _make(out_data, (a, b), backward)
 
@@ -194,8 +196,10 @@ def mul(a, b) -> Tensor:
     out_data = a.data * b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _make(out_data, (a, b), backward)
 
@@ -205,8 +209,10 @@ def div(a, b) -> Tensor:
     out_data = a.data / b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
     return _make(out_data, (a, b), backward)
 
@@ -227,8 +233,10 @@ def matmul(a, b) -> Tensor:
     out_data = a.data @ b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-        _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
     return _make(out_data, (a, b), backward)
 
@@ -329,14 +337,20 @@ def swapaxes(a, ax1: int, ax2: int) -> Tensor:
 
 
 def take(a, key) -> Tensor:
-    """Indexing with slices / integer arrays; backward scatters with add.at."""
+    """Indexing with slices, integer arrays or masks.
+
+    The backward pass scatters with ``np.bincount`` over the flat source
+    positions that ``key`` picks. It adds repeated positions in the same
+    sequential order as ``np.add.at``, so the result is the same bit for
+    bit, without ``add.at``'s per-element cost.
+    """
     a = as_tensor(a)
     out_data = a.data[key]
 
     def backward(g):
-        buf = np.zeros_like(a.data)
-        np.add.at(buf, key, g)
-        _accumulate(a, buf)
+        src = np.arange(a.data.size).reshape(a.data.shape)[key]
+        buf = np.bincount(np.ravel(src), weights=np.ravel(g), minlength=a.data.size)
+        _accumulate(a, buf.reshape(a.data.shape))
 
     return _make(out_data, (a,), backward)
 

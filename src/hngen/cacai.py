@@ -63,15 +63,20 @@ class LambdaHead(ad.Module):
 
 
 def select_positives(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Uniform same-class positive (excluding self) for every anchor."""
+    """Uniform same-class positive (excluding self) for every anchor.
+
+    One ``rng.integers`` call draws every anchor's position in its pool of
+    same-class columns, taken in ascending order: the draws, and the
+    generator state after them, of one ``rng.choice(pool)`` per anchor.
+    """
     labels = np.asarray(labels)
-    pos = np.empty(labels.shape[0], dtype=np.int64)
-    for i, lab in enumerate(labels):
-        pool = np.flatnonzero((labels == lab) & (np.arange(labels.shape[0]) != i))
-        if pool.size == 0:
-            raise SamplingError(f"anchor {i} has no positive in the batch")
-        pos[i] = rng.choice(pool)
-    return pos
+    pool = labels[:, None] == labels[None, :]
+    np.fill_diagonal(pool, False)
+    counts = pool.sum(axis=1)
+    if not counts.all():
+        raise SamplingError(f"anchor {np.argmin(counts)} has no positive in the batch")
+    picks = rng.integers(0, counts)
+    return np.argmax(pool.cumsum(axis=1) > picks[:, None], axis=1)
 
 
 def pair_distances(

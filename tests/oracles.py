@@ -124,6 +124,16 @@ class TwoStepStage1Trainer(trainer.Trainer):
 # -- scalar forms of the vectorized interpolation, fusion and losses -------------
 
 
+def loop_select_positives(labels, rng: np.random.Generator) -> np.ndarray:
+    """One ``rng.choice`` per anchor over its same-class pool, in index order."""
+    labels = np.asarray(labels)
+    pos = np.empty(labels.shape[0], dtype=np.int64)
+    for i, lab in enumerate(labels):
+        pool = np.flatnonzero((labels == lab) & (np.arange(labels.shape[0]) != i))
+        pos[i] = rng.choice(pool)
+    return pos
+
+
 def interpolate_pair(z_i, z_j, lambda_ij, d_plus_i, d_minus_ij, eta: float) -> ad.Tensor:
     """Single-pair interpolation; returns z_j unchanged when d- <= d+."""
     z_i, z_j = ad.as_tensor(z_i), ad.as_tensor(z_j)

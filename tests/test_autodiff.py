@@ -95,6 +95,32 @@ class TestMatmulAndShapes:
 
         check_gradients(loss, [a])
 
+    @pytest.mark.parametrize("shape, key", [
+        ((7, 3), np.array([4, 0, 4, 6, 4, 0, 2, 4])),
+        ((5, 4), (slice(None), np.array([3, 1, 3, 3, 0]))),
+        ((6, 5, 2), (np.array([0, 5, 0, 2, 0]), np.array([1, 1, 1, 4, 1]))),
+        ((6, 4), np.array([True, False, True, True, False, True])),
+        ((3, 4, 2), np.arange(24).reshape(3, 4, 2) % 3 == 0),
+    ])
+    def test_take_backward_matches_add_at_bitwise(self, shape, key):
+        rng = np.random.default_rng(19)
+        a = _param(rng, *shape)
+        out = a[key]
+        g = rng.standard_normal(out.shape) * 10.0 ** rng.integers(-8, 8, out.shape)
+        out.backward(g)
+        expect = np.zeros(shape)
+        np.add.at(expect, key, g)
+        assert np.array_equal(a.grad, expect)
+
+    def test_arithmetic_skips_constant_parents(self):
+        rng = np.random.default_rng(20)
+        x = _param(rng, 3, 4)
+        c = ad.Tensor(rng.standard_normal((3, 4)))
+        w = ad.Tensor(rng.standard_normal((4, 2)))
+        ((x + c) * c / (c * c + 1.0) @ w).sum().backward()
+        assert x.grad is not None
+        assert c.grad is None and w.grad is None
+
     def test_concat_stack(self):
         rng = np.random.default_rng(7)
         a = _param(rng, 2, 3)

@@ -7,7 +7,7 @@ from hngen.backbone import EmbeddingBatch
 from hngen.errors import ConfigurationError, SamplingError
 
 from gradcheck import check_gradients
-from oracles import fuse_random_weighting, interpolate_pair
+from oracles import fuse_random_weighting, interpolate_pair, loop_select_positives
 
 
 def unit_rows(rng, b, d):
@@ -88,8 +88,27 @@ class TestPairDistances:
             assert d_plus.data[i] == d_minus.data[i, pos[i]]
 
     def test_positive_selection_requires_pair(self):
-        with pytest.raises(SamplingError):
+        with pytest.raises(SamplingError, match="anchor 0 "):
             cacai.select_positives(np.array([1, 2, 3]), np.random.default_rng(0))
+        with pytest.raises(SamplingError, match="anchor 2 "):
+            cacai.select_positives(np.array([1, 1, 2, 3, 3]), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n_classes, n_instances", [(1, 2), (3, 2), (4, 5), (2, 101)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_positive_selection_matches_per_anchor_choice(self, n_classes, n_instances, seed):
+        # same picks and same generator state after them, for balanced,
+        # shuffled and unbalanced layouts (pool sizes 1 to 100)
+        layouts = [np.tile(np.arange(n_classes), n_instances),
+                   np.random.default_rng(seed).permutation(
+                       np.repeat(np.arange(n_classes), n_instances)),
+                   np.concatenate([np.zeros(n_instances + 1, dtype=np.int64),
+                                   np.tile(np.arange(1, n_classes + 1), 2)])]
+        for labels in layouts:
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = cacai.select_positives(labels, got_rng)
+            want = loop_select_positives(labels, want_rng)
+            assert np.array_equal(got, want)
+            assert got_rng.integers(0, 2**62) == want_rng.integers(0, 2**62)
 
 
 class TestInterpolatePair:
