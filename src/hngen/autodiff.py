@@ -447,7 +447,7 @@ def masked_softmax(scores, blocked: np.ndarray) -> Tensor:
 
 
 def hadamard_pairs(z) -> Tensor:
-    """Ordered-pair elementwise products (B, D) -> (B, B, D)."""
+    """Elementwise products of the pairs i <= j, (B, D) -> (B(B+1)/2, D)."""
     z = as_tensor(z)
     out_data = kernels.hadamard_pairs(z.data)
 
@@ -455,6 +455,24 @@ def hadamard_pairs(z) -> Tensor:
         _accumulate(z, kernels.hadamard_pairs_grad(z.data, g))
 
     return _make(out_data, (z,), backward)
+
+
+def mirror_pairs(e, b: int) -> Tensor:
+    """Packed pair rows (B(B+1)/2, ...) -> (B, B, ...), row (i, j) at [i, j]
+    and [j, i]. The gradient of row (i, j) is g_ij + g_ji, and g_ii on the
+    diagonal."""
+    e = as_tensor(e)
+    i, j = kernels.pair_rows(b)
+    out_data = np.empty((b, b) + e.shape[1:])
+    out_data[i, j] = e.data
+    out_data[j, i] = e.data
+    diag = (i == j).reshape((-1,) + (1,) * (e.ndim - 1))
+
+    def backward(g):
+        upper = g[i, j]
+        _accumulate(e, np.where(diag, upper, upper + g[j, i]))
+
+    return _make(out_data, (e,), backward)
 
 
 def pairwise_sqdist(z) -> Tensor:

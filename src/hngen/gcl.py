@@ -1,15 +1,20 @@
 """Correlation graph over a batch and its message-propagation network.
 
-The graph is dense: node i starts as embedding z_i and the ordered edge
-(i, j) as the elementwise product z_i * z_j. One propagation step advances
-nodes first, then edges:
+The graph is complete: node i starts as embedding z_i and the edge (i, j)
+as the elementwise product z_i * z_j. An edge holds the correlation of its
+two samples, so it is undirected, and the graph stores one row per pair
+i <= j (self-edges included): B(B+1)/2 rows in ``np.triu_indices(B)`` order.
+``ad.mirror_pairs`` expands them to the ordered (B, B, D) layout where a
+caller needs it. One propagation step advances nodes first, then edges:
 
 * nodes add masked multi-head self-attention (each row attends only to
   other-class columns; self and same-class weights are exactly zero) plus
   the unnormalized sum of incident edges, through post-norm residual
   transformer sublayers;
 * edges attend from a single query (the edge state) over exactly its two
-  endpoint nodes, through the same sublayer pattern.
+  endpoint nodes, through the same sublayer pattern. The attention weights
+  of (j, i) are those of (i, j) swapped, so both orders get the same
+  context and the same update: one row per pair loses nothing.
 
 ``GraphNet.propagate`` runs the K steps in one loop. One node block and one
 edge block serve all of them, unless per-step weights are asked for (an
@@ -26,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import kernels
 from .backbone import EmbeddingBatch
 from .errors import ConfigurationError, GraphError, ShapeError
 
@@ -33,7 +39,7 @@ from .errors import ConfigurationError, GraphError, ShapeError
 @dataclass
 class CorrelationGraph:
     v: ad.Tensor          # (B, D) node states
-    e: ad.Tensor          # (B, B, D) ordered-pair edge states
+    e: ad.Tensor          # (B(B+1)/2, D) edge states of the pairs i <= j
     labels: np.ndarray    # (B,) class ids
     attention: tuple[np.ndarray, ...] = ()  # (H, B, B) node weights per node step
 
@@ -47,7 +53,7 @@ class CorrelationGraph:
 
 
 def init_graph(zb: EmbeddingBatch) -> CorrelationGraph:
-    """Step-0 graph: V = z, E_ij = z_i * z_j for every ordered pair."""
+    """Step-0 graph: V = z, E_ij = z_i * z_j for every pair i <= j."""
     norms = np.linalg.norm(zb.z.data, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-5):
         raise ShapeError("init_graph expects unit-norm embedding rows")
@@ -58,6 +64,14 @@ def attention_block_mask(labels: np.ndarray) -> np.ndarray:
     """True where node attention is blocked: self and same-class columns."""
     labels = np.asarray(labels)
     return labels[:, None] == labels[None, :]
+
+
+def pair_rows_of(e: ad.Tensor, b: int) -> ad.Tensor:
+    """Edge states as packed pair rows. A dense (B, B, D) input, which
+    perfbench's block probes pass, is read at its upper triangle i <= j."""
+    if e.ndim == 3:
+        return e[kernels.pair_rows(b)]
+    return e
 
 
 def _split_heads(x: ad.Tensor, heads: int) -> ad.Tensor:
@@ -107,10 +121,11 @@ class NodeBlock(_Block):
         self, v: ad.Tensor, e: ad.Tensor, labels: np.ndarray, include_edge_sum: bool = True
     ) -> tuple[ad.Tensor, ad.Tensor]:
         """Updated node states (B, D) and the attention weights (H, B, B)."""
+        b = v.shape[0]
         attn, probs = self.attention(v, labels)
         pre = v + attn
         if include_edge_sum:
-            pre = pre + e.sum(axis=1)
+            pre = pre + ad.mirror_pairs(pair_rows_of(e, b), b).sum(axis=1)
         return self._tail(pre), probs
 
     def __call__(
@@ -122,31 +137,29 @@ class NodeBlock(_Block):
 class EdgeBlock(_Block):
     """One edge-propagation step: cross-attention over the two endpoints."""
 
-    def cross_attention(self, e_flat: ad.Tensor, v: ad.Tensor, b: int) -> ad.Tensor:
-        """Attend each edge query over its endpoint tokens {V_i, V_j}; the
-        output is (B^2, D).
+    def cross_attention(self, e: ad.Tensor, v: ad.Tensor) -> ad.Tensor:
+        """Attend each edge query over its endpoint tokens {V_i, V_j}; ``e``
+        and the output are packed pair rows (B(B+1)/2, D).
 
-        K and V are projected once per node and broadcast over the edges;
+        K and V are projected once per node and gathered at the endpoints;
         with two tokens the softmax is sigmoid(s_i - s_j) on V_i and its
         complement on V_j.
         """
-        hd = self.dim // self.heads
-        q = self.wq(e_flat).reshape(b, b, self.dim)
+        i, j = kernels.pair_rows(v.shape[0])
+        n, hd = e.shape[0], self.dim // self.heads
+        q = self.wq(e)
         k = self.wk(v)
         val = self.wv(v)
-        k_diff = k.reshape(b, 1, self.dim) - k.reshape(1, b, self.dim)  # K_i - K_j
-        s_diff = (q * k_diff).reshape(b, b, self.heads, hd).sum(axis=-1)
-        p_i = ad.sigmoid(s_diff * (1.0 / np.sqrt(hd)))  # (B, B, H)
-        v_i = val.reshape(b, 1, self.heads, hd)
-        v_j = val.reshape(1, b, self.heads, hd)
-        ctx = v_j + p_i.reshape(b, b, self.heads, 1) * (v_i - v_j)
-        return self.wo(ctx.reshape(b * b, self.dim))
+        s_diff = (q * (k[i] - k[j])).reshape(n, self.heads, hd).sum(axis=-1)
+        p_i = ad.sigmoid(s_diff * (1.0 / np.sqrt(hd)))  # (P, H)
+        v_i = val[i].reshape(n, self.heads, hd)
+        v_j = val[j].reshape(n, self.heads, hd)
+        ctx = v_j + p_i.reshape(n, self.heads, 1) * (v_i - v_j)
+        return self.wo(ctx.reshape(n, self.dim))
 
     def __call__(self, e: ad.Tensor, v: ad.Tensor) -> ad.Tensor:
-        b = v.shape[0]
-        e_flat = e.reshape(b * b, self.dim)
-        ca = self.cross_attention(e_flat, v, b)
-        return self._tail(e_flat + ca).reshape(b, b, self.dim)
+        e = pair_rows_of(e, v.shape[0])
+        return self._tail(e + self.cross_attention(e, v))
 
 
 class GraphNet(ad.Module):

@@ -2,12 +2,15 @@
 
 Each kernel is one vectorized numpy function. ``autodiff`` calls the
 pairwise kernels as ``kernels.<name>`` from its ``hadamard_pairs`` and
-``pairwise_sqdist`` ops, and ``evalkit`` calls ``ranked_hits``. Inputs are
+``pairwise_sqdist`` ops, and ``evalkit`` calls ``ranked_hits``.
+``pair_rows`` fixes the row order of packed pair arrays. Inputs are
 made C-contiguous first, so the reduction order does not depend on the
 caller's memory layout.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -17,16 +20,31 @@ def active_backend() -> str:
     return "numpy"
 
 
+@functools.lru_cache(maxsize=8)
+def pair_rows(b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints (i, j) of the B(B+1)/2 unordered pairs i <= j, in
+    ``np.triu_indices(b)`` order: the row order of packed pair arrays."""
+    i, j = np.triu_indices(b)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 def hadamard_pairs(z: np.ndarray) -> np.ndarray:
-    """All ordered elementwise products z_i * z_j, shape (B, B, D)."""
+    """Elementwise products z_i * z_j of the pairs i <= j, shape (B(B+1)/2, D)."""
     z = np.ascontiguousarray(z)
-    return z[:, None, :] * z[None, :, :]
+    i, j = pair_rows(z.shape[0])
+    return z[i] * z[j]
 
 
 def hadamard_pairs_grad(z: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    # d out[i,j]/d z[i] = z[j], d out[i,j]/d z[j] = z[i]
-    z, grad = np.ascontiguousarray(z), np.ascontiguousarray(grad)
-    return np.einsum("ijd,jd->id", grad, z) + np.einsum("jid,jd->id", grad, z)
+    # d out[p]/d z[i] = z[j] and d out[p]/d z[j] = z[i] for p = (i, j): the
+    # mirrored rows, with each diagonal row (i, i) counted twice
+    z = np.ascontiguousarray(z)
+    i, j = pair_rows(z.shape[0])
+    g = np.zeros((z.shape[0],) + z.shape)
+    g[i, j] = grad
+    g[j, i] += grad
+    return np.einsum("ijd,jd->id", g, z)
 
 
 def pairwise_sqdist(z: np.ndarray) -> np.ndarray:

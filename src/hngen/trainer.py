@@ -268,13 +268,14 @@ class HngModel(ad.Module):
         )
 
     def lambda_for(self, graph: gcl.CorrelationGraph) -> ad.Tensor:
-        """Interpolation vectors from final edges; the single-coefficient
-        arm replaces them with the constant 1."""
+        """Interpolation vectors (B, B, D) for every ordered pair, from the
+        final edges mirrored; the single-coefficient arm replaces them with
+        the constant 1."""
         b, d = graph.size, graph.dim
         if self.cfg.ablation == "single_coeff":
             return ad.Tensor(np.ones((b, b, d)))
         assert self.lambda_head is not None
-        return self.lambda_head(graph.e)
+        return ad.mirror_pairs(self.lambda_head(graph.e), b)
 
     def synthesize(
         self, zb: EmbeddingBatch, lam: ad.Tensor, eta: float,

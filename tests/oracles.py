@@ -50,22 +50,23 @@ def full_sort_report(index: evalkit.RetrievalIndex, ks: list[int]) -> evalkit.Me
     )
 
 
-def stacked_token_cross_attention(block: gcl.EdgeBlock, e_flat, v, b):
+def stacked_token_cross_attention(block: gcl.EdgeBlock, e_rows, v, i, j):
     """Edge cross-attention by gathering both endpoint tokens per edge.
 
-    Each edge (i, j) stacks (V_i, V_j) into a 2-token sequence, projects K
-    and V for all 2 * B^2 tokens, and takes a max-shifted softmax over the
-    two scores. Returns the output (B^2, D) and the weights (B^2, H, 1, 2).
+    Edge row p, with endpoints (i[p], j[p]), stacks (V_i, V_j) into a
+    2-token sequence; K and V are projected for all 2 * P tokens, and a
+    max-shifted softmax is taken over the two scores. Returns the output
+    (P, D) and the weights (P, H, 1, 2).
     """
     heads, dim = block.heads, block.dim
     hd = dim // heads
-    n_pairs = b * b
+    n_pairs = e_rows.shape[0]
 
     def affine(lin, x):
         return x @ lin.weight.data.T + lin.bias.data
 
-    tokens = np.stack([v[np.repeat(np.arange(b), b)], v[np.tile(np.arange(b), b)]], axis=1)
-    q = affine(block.wq, e_flat).reshape(n_pairs, heads, 1, hd)
+    tokens = np.stack([v[i], v[j]], axis=1)
+    q = affine(block.wq, e_rows).reshape(n_pairs, heads, 1, hd)
     k = affine(block.wk, tokens).reshape(n_pairs, 2, heads, hd).swapaxes(1, 2)
     val = affine(block.wv, tokens).reshape(n_pairs, 2, heads, hd).swapaxes(1, 2)
     scores = (q @ k.swapaxes(2, 3)) / np.sqrt(hd)
@@ -73,6 +74,62 @@ def stacked_token_cross_attention(block: gcl.EdgeBlock, e_flat, v, b):
     probs = e / e.sum(axis=-1, keepdims=True)
     ctx = (probs @ val).reshape(n_pairs, dim)
     return affine(block.wo, ctx), probs
+
+
+# -- the dense graph: all B^2 ordered edges, (B, B, D) ---------------------------
+
+
+def dense_node_step(block: gcl.NodeBlock, v, e, labels, include_edge_sum=True):
+    """``NodeBlock.step`` with the incident-edge sum over dense edges."""
+    attn, probs = block.attention(v, labels)
+    pre = v + attn
+    if include_edge_sum:
+        pre = pre + e.sum(axis=1)
+    return block._tail(pre), probs
+
+
+def dense_edge_step(block: gcl.EdgeBlock, e, v):
+    """``EdgeBlock`` on every ordered edge, K and V broadcast over them."""
+    b, dim, heads = v.shape[0], block.dim, block.heads
+    hd = dim // heads
+    e_flat = e.reshape(b * b, dim)
+    q = block.wq(e_flat).reshape(b, b, dim)
+    k, val = block.wk(v), block.wv(v)
+    k_diff = k.reshape(b, 1, dim) - k.reshape(1, b, dim)  # K_i - K_j
+    s_diff = (q * k_diff).reshape(b, b, heads, hd).sum(axis=-1)
+    p_i = ad.sigmoid(s_diff * (1.0 / np.sqrt(hd)))
+    v_i = val.reshape(b, 1, heads, hd)
+    v_j = val.reshape(1, b, heads, hd)
+    ctx = v_j + p_i.reshape(b, b, heads, 1) * (v_i - v_j)
+    ca = block.wo(ctx.reshape(b * b, dim))
+    return block._tail(e_flat + ca).reshape(b, b, dim)
+
+
+def dense_propagate(net: gcl.GraphNet, z, labels, node_propagation=True,
+                    include_edge_sum=True):
+    """Final (v, e) of ``GraphNet.propagate`` from embeddings ``z``, with
+    E_ij = z_i * z_j kept for every ordered pair: (B, D) and (B, B, D)."""
+    z = ad.as_tensor(z)
+    b, d = z.shape
+    v, e = z, z.reshape(b, 1, d) * z.reshape(1, b, d)
+    for k in range(net.k_steps):
+        node_block, edge_block = net._blocks(k)
+        if node_propagation:
+            v, _ = dense_node_step(node_block, v, e, labels, include_edge_sum)
+        e = dense_edge_step(edge_block, e, v)
+    return v, e
+
+
+def dense_graph(model: trainer.HngModel, zb):
+    """(v, e, lambda) of ``model``'s arm on ``zb`` through the dense graph."""
+    v, e = dense_propagate(
+        model.graph, zb.z, zb.labels,
+        node_propagation=model.cfg.ablation != "no_global",
+        include_edge_sum=model.cfg.ablation != "no_hadamard",
+    )
+    if model.lambda_head is None:
+        return v, e, ad.Tensor(np.ones(e.shape))
+    return v, e, model.lambda_head(e)
 
 
 def recompute_node_attention(net: gcl.GraphNet, graph: gcl.CorrelationGraph,

@@ -222,7 +222,7 @@ def test_04_gradient_checks_all_losses_and_blocks():
     def graph_loss():
         zb = EmbeddingBatch(ad.Tensor(zg), labels, n, m)
         out = net.propagate(gcl.init_graph(zb))
-        return (out.v * wv).sum() + (out.e * we).sum()
+        return (out.v * wv).sum() + (ad.mirror_pairs(out.e, b) * we).sum()
 
     worst["gcl"] = _check(graph_loss, net.parameters(), 1e-4)
 

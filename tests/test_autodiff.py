@@ -222,9 +222,21 @@ class TestKernelBackedOps:
         rng = np.random.default_rng(15)
         z = _param(rng, 4, 3)
         out = ad.hadamard_pairs(z)
-        assert np.allclose(out.data, z.data[:, None, :] * z.data[None, :, :])
-        w = rng.standard_normal((4, 4, 3))
+        i, j = np.triu_indices(4)
+        assert np.array_equal(out.data, z.data[i] * z.data[j])
+        w = rng.standard_normal((10, 3))
         check_gradients(lambda: (ad.hadamard_pairs(z) * w).sum(), [z])
+
+    def test_mirror_pairs_values_and_grad(self):
+        rng = np.random.default_rng(21)
+        e = _param(rng, 10, 3)
+        out = ad.mirror_pairs(e, 4)
+        assert out.shape == (4, 4, 3)
+        for p, (i, j) in enumerate(zip(*np.triu_indices(4))):
+            assert np.array_equal(out.data[i, j], e.data[p])
+            assert np.array_equal(out.data[j, i], e.data[p])
+        w = rng.standard_normal((4, 4, 3))  # not symmetric: both orders count
+        check_gradients(lambda: (ad.mirror_pairs(e, 4) * w).sum(), [e])
 
     def test_pairwise_sqdist_values_and_grad(self):
         rng = np.random.default_rng(16)

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from hngen import autodiff as ad
-from hngen import gcl, trainer
-from hngen.backbone import EmbeddingBatch
+from hngen import gcl, kernels, losses, trainer
+from hngen.backbone import BackboneConfig, EmbeddingBatch
 from hngen.errors import ConfigurationError, GraphError, ShapeError
 
 from gradcheck import check_gradients
-from oracles import recompute_node_attention, stacked_token_cross_attention
+from oracles import (dense_edge_step, dense_graph, recompute_node_attention,
+                     stacked_token_cross_attention)
 
 
 class Identity(ad.Module):
@@ -39,6 +40,14 @@ def unit_rows(rng, b, d):
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
+def n_pairs(b):
+    return b * (b + 1) // 2
+
+
+def mirrored(e, b):
+    return ad.mirror_pairs(e, b).data
+
+
 def embed_batch(z, labels, n_classes=None, n_instances=None):
     labels = np.asarray(labels)
     n_classes = n_classes or len(set(labels.tolist()))
@@ -49,19 +58,29 @@ def embed_batch(z, labels, n_classes=None, n_instances=None):
 class TestInitGraph:
     def test_orthogonal_pair_zero_edge(self):
         g = gcl.init_graph(embed_batch([[1.0, 0.0], [0.0, 1.0]], [1, 2]))
-        assert np.array_equal(g.e.data[0, 1], [0.0, 0.0])
+        assert np.array_equal(mirrored(g.e, 2)[0, 1], [0.0, 0.0])
 
     def test_self_edge_elementwise_square(self):
         g = gcl.init_graph(embed_batch([[1.0, 0.0], [0.0, 1.0]], [1, 2]))
-        assert np.array_equal(g.e.data[0, 0], [1.0, 0.0])
+        assert np.array_equal(mirrored(g.e, 2)[0, 0], [1.0, 0.0])
 
-    def test_symmetric_at_step_zero(self):
+    def test_packed_rows_hold_every_ordered_product(self):
         rng = np.random.default_rng(0)
         z = unit_rows(rng, 6, 4)
         g = gcl.init_graph(embed_batch(z, [1, 2, 3, 1, 2, 3]))
-        assert np.array_equal(g.e.data, np.swapaxes(g.e.data, 0, 1))
+        assert g.e.shape == (n_pairs(6), 4)
+        assert np.array_equal(mirrored(g.e, 6), z[:, None, :] * z[None, :, :])
         assert g.attention == ()
         assert np.array_equal(g.v.data, z)
+
+    def test_dense_input_is_read_at_its_upper_triangle(self):
+        rng = np.random.default_rng(26)
+        e = ad.Tensor(rng.standard_normal((5, 5, 3)), requires_grad=True)
+        rows = gcl.pair_rows_of(e, 5)
+        i, j = kernels.pair_rows(5)
+        assert np.array_equal(rows.data, e.data[i, j])
+        packed = ad.Tensor(rows.data)
+        assert gcl.pair_rows_of(packed, 5) is packed
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ShapeError):
@@ -85,6 +104,7 @@ class TestNodePropagation:
         net = graph_net(4, rng, heads=2)
         graph = gcl.CorrelationGraph(ad.Tensor(z), ad.hadamard_pairs(ad.Tensor(z)),
                                      np.array([5, 5, 5]))
+        assert graph.e.shape == (n_pairs(3), 4)
         with pytest.raises(GraphError, match="no negatives"):
             net.propagate(graph)
 
@@ -98,7 +118,7 @@ class TestNodePropagation:
         block.ffn = ZeroFFN()
         labels = np.array([1, 2, 1, 2])
         v = ad.Tensor(z)
-        e_zero = ad.Tensor(np.zeros((4, 4, 4)))
+        e_zero = ad.Tensor(np.zeros((n_pairs(4), 4)))
         attn, _ = block.attention(v, labels)
         out = block(v, e_zero, labels)
         assert np.allclose(out.data, z + attn.data, atol=1e-14)
@@ -142,21 +162,27 @@ class TestEdgePropagation:
         net = graph_net(4, rng, heads=2)
         block = net.edge_blocks[0]
         graph = gcl.init_graph(embed_batch(z, [1, 2, 1, 2], 2, 2))
-        expect, p = stacked_token_cross_attention(block, graph.e.data.reshape(16, 4), z, 4)
-        assert p.shape == (16, 2, 1, 2)  # (B^2, H, 1, 2)
+        expect, p = stacked_token_cross_attention(block, graph.e.data, z, *kernels.pair_rows(4))
+        assert p.shape == (10, 2, 1, 2)  # (B(B+1)/2, H, 1, 2)
         assert np.all(p >= 0)
         assert np.allclose(p.sum(-1), 1.0, atol=1e-12)
-        ca = block.cross_attention(graph.e.reshape(16, 4), graph.v, 4)
+        ca = block.cross_attention(graph.e, graph.v)
         np.testing.assert_allclose(ca.data, expect, rtol=0, atol=1e-12)
 
-    def test_symmetric_inputs_give_symmetric_edges(self):
+    def test_reversed_pair_gets_the_same_update(self):
+        # why one row per pair suffices: on symmetric edges the dense step
+        # gives (j, i) the update of (i, j)
         rng = np.random.default_rng(6)
-        z = unit_rows(rng, 1, 4)
-        v = np.vstack([z, z])  # V_i == V_j
-        net = graph_net(4, rng, heads=2)
-        e0 = ad.hadamard_pairs(ad.Tensor(v))  # symmetric since rows equal
-        out = net.edge_blocks[0](e0, ad.Tensor(v))
-        assert np.allclose(out.data[0, 1], out.data[1, 0], atol=1e-12)
+        b, d = 5, 4
+        v = ad.Tensor(unit_rows(rng, b, d))
+        e_rows = rng.standard_normal((n_pairs(b), d))
+        block = gcl.EdgeBlock(d, 2, 4, rng)
+        for lin in (block.wq, block.wk, block.wv, block.wo):
+            lin.bias.data = rng.standard_normal(d)
+        dense = dense_edge_step(block, ad.mirror_pairs(ad.Tensor(e_rows), b), v).data
+        np.testing.assert_allclose(dense, np.swapaxes(dense, 0, 1), rtol=0, atol=1e-12)
+        packed = block(ad.Tensor(e_rows), v)
+        np.testing.assert_allclose(mirrored(packed, b), dense, rtol=0, atol=1e-12)
 
     def test_matches_hand_evaluated_cross_attention(self):
         rng = np.random.default_rng(7)
@@ -171,8 +197,8 @@ class TestEdgePropagation:
             lin.bias.data = np.zeros(2)
         v = np.array([[0.6, 0.8], [1.0, 0.0]])
         e01 = np.array([0.25, -0.4])
-        e_flat = np.vstack([np.zeros((1, 2)), e01, np.zeros((2, 2))])
-        ca = block.cross_attention(ad.Tensor(e_flat), ad.Tensor(v), 2)
+        e_rows = np.vstack([np.zeros((1, 2)), e01, np.zeros((1, 2))])  # (0,0), (0,1), (1,1)
+        ca = block.cross_attention(ad.Tensor(e_rows), ad.Tensor(v))
 
         tokens = np.vstack([v[0], v[1]])  # endpoints of edge (0, 1)
         q = e01 @ wq.T
@@ -184,7 +210,6 @@ class TestEdgePropagation:
         expect = (p[:, None] * vv).sum(0) @ wo.T
         assert np.allclose(ca.data[1], expect, atol=1e-12)
 
-
     def test_matches_stacked_token_oracle_on_every_edge(self):
         rng = np.random.default_rng(8)
         b, d = 6, 8
@@ -192,9 +217,9 @@ class TestEdgePropagation:
         for lin in (block.wq, block.wk, block.wv, block.wo):
             lin.bias.data = rng.standard_normal(d)
         v = rng.standard_normal((b, d))
-        e_flat = rng.standard_normal((b * b, d))
-        ca = block.cross_attention(ad.Tensor(e_flat), ad.Tensor(v), b)
-        expect, _ = stacked_token_cross_attention(block, e_flat, v, b)
+        e_rows = rng.standard_normal((n_pairs(b), d))
+        ca = block.cross_attention(ad.Tensor(e_rows), ad.Tensor(v))
+        expect, _ = stacked_token_cross_attention(block, e_rows, v, *kernels.pair_rows(b))
         np.testing.assert_allclose(ca.data, expect, rtol=0, atol=1e-12)
 
     def test_forward_backward_peak_memory_below_one_edge_weight_gradient(self):
@@ -204,7 +229,7 @@ class TestEdgePropagation:
         b, d = 32, 128
         block = gcl.EdgeBlock(d, 2, 4, rng)
         v = ad.Tensor(unit_rows(rng, b, d), requires_grad=True)
-        e = ad.Tensor(rng.standard_normal((b, b, d)), requires_grad=True)
+        e = ad.Tensor(rng.standard_normal((n_pairs(b), d)), requires_grad=True)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -271,7 +296,7 @@ class TestPropagate:
         out_p = net.propagate(gcl.init_graph(
             EmbeddingBatch(ad.Tensor(zp), labels[perm], 3, 2)))
         assert np.allclose(out_p.v.data, out.v.data[perm], atol=1e-9)
-        assert np.allclose(out_p.e.data, out.e.data[perm][:, perm], atol=1e-9)
+        assert np.allclose(mirrored(out_p.e, 6), mirrored(out.e, 6)[perm][:, perm], atol=1e-9)
 
     def test_no_global_keeps_nodes_fixed(self):
         rng = np.random.default_rng(11)
@@ -328,7 +353,7 @@ class TestRecordedAttention:
     def test_node_block_call_returns_the_step_states(self):
         rng = np.random.default_rng(25)
         v = ad.Tensor(unit_rows(rng, 4, 4))
-        e = ad.Tensor(rng.standard_normal((4, 4, 4)))
+        e = ad.Tensor(rng.standard_normal((n_pairs(4), 4)))
         labels = np.array([1, 2, 1, 2])
         block = gcl.NodeBlock(4, 2, 4, rng)
         out = block(v, e, labels)
@@ -346,7 +371,7 @@ class TestGradients:
         labels = np.array([1, 2, 3, 1, 2, 3])
         net = graph_net(d, rng, k_steps=1, heads=2)
         wv = rng.standard_normal((b, d))
-        we = rng.standard_normal((b, b, d))
+        we = rng.standard_normal((n_pairs(b), d))
 
         def loss():
             graph = gcl.init_graph(embed_batch(z, labels, 3, 2))
@@ -369,3 +394,76 @@ class TestGradients:
             return (out.v * wv).sum() + out.e.mean()
 
         check_gradients(loss, [z], tol=1e-4)
+
+    def test_packed_blocks_match_finite_differences_in_their_inputs(self):
+        # the FD oracle perturbs each packed row, i.e. both orders of a pair
+        rng = np.random.default_rng(15)
+        b, d = 4, 4
+        labels = np.array([1, 2, 1, 2])
+        v = ad.parameter(unit_rows(rng, b, d))
+        e = ad.parameter(rng.standard_normal((n_pairs(b), d)))
+        node = gcl.NodeBlock(d, 2, 2, rng)
+        edge = gcl.EdgeBlock(d, 2, 2, rng)
+        wv = rng.standard_normal((b, d))
+        we = rng.standard_normal((n_pairs(b), d))
+        check_gradients(lambda: (node(v, e, labels) * wv).sum(), [v, e], tol=1e-4)
+        check_gradients(lambda: (edge(e, v) * we).sum(), [v, e], tol=1e-4)
+
+
+def graph_model(ablation, k_steps, share, d=8, seed=0):
+    cfg = trainer.TrainConfig(ablation=ablation, k_steps=k_steps, heads=2,
+                              share_weights_across_steps=share)
+    codec = losses.ClassCodec(np.array([1, 2, 3]))
+    rng = np.random.default_rng(seed)
+    model = trainer.HngModel(cfg, BackboneConfig(hidden_dims=[6], embed_dim=d), 5, codec, rng)
+    for p in model.parameters():  # nonzero biases and gains reach every term
+        p.data[...] += 0.1 * rng.standard_normal(p.shape)
+    return model
+
+
+GRAPH_ARMS = [arm for arm in trainer.ABLATION_ARMS if trainer.TrainConfig(ablation=arm).uses_graph]
+
+
+class TestPackedMatchesDense:
+    """The packed graph against all B^2 ordered edges (``oracles.dense_graph``)."""
+
+    @pytest.mark.parametrize("arm", GRAPH_ARMS)
+    @pytest.mark.parametrize("share", [True, False])
+    @pytest.mark.parametrize("k_steps", [1, 2, 3])
+    def test_every_ordered_edge_and_node(self, arm, share, k_steps):
+        model = graph_model(arm, k_steps, share)
+        rng = np.random.default_rng(k_steps)
+        b, d = 9, 8
+        zb = embed_batch(unit_rows(rng, b, d), np.tile([1, 2, 3], 3), 3, 3)
+        graph = model.propagate_graph(zb)
+        v, e, lam = dense_graph(model, zb)
+        assert graph.e.shape == (n_pairs(b), d)
+        np.testing.assert_allclose(graph.v.data, v.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(mirrored(graph.e, b), e.data, rtol=0, atol=1e-12)
+        if model.cfg.uses_synthetics:
+            np.testing.assert_allclose(model.lambda_for(graph).data, lam.data,
+                                       rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("share", [True, False])
+    def test_parameter_and_embedding_gradients(self, share):
+        model = graph_model("full", 2, share, seed=3)
+        rng = np.random.default_rng(4)
+        b, d = 6, 8
+        labels = np.tile([1, 2, 3], 2)
+        z = ad.parameter(unit_rows(rng, b, d))
+        wv, we = rng.standard_normal((b, d)), rng.standard_normal((b, b, d))
+        params = model.generator_params() + [z]
+
+        def grads(loss):
+            for p in params:
+                p.grad = None
+            loss.backward()
+            return [p.grad.copy() for p in params]
+
+        zb = EmbeddingBatch(z, labels, 3, 2)
+        graph = model.propagate_graph(zb)
+        packed = grads((graph.v * wv).sum() + (model.lambda_for(graph) * we).sum())
+        v, _, lam = dense_graph(model, zb)
+        dense = grads((v * wv).sum() + (lam * we).sum())
+        for got, want in zip(packed, dense):
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)

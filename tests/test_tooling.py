@@ -53,7 +53,7 @@ def test_block_probe_constructors_build():
     e = ad.Tensor(rng.standard_normal((b, b, dim)), requires_grad=True)
     probes = [
         (gcl.NodeBlock(dim, 2, 4, rng)(v, e, labels), (b, dim)),
-        (gcl.EdgeBlock(dim, 2, 4, rng)(e, v), (b, b, dim)),
+        (gcl.EdgeBlock(dim, 2, 4, rng)(e, v), (b * (b + 1) // 2, dim)),
         (cacai.LambdaHead(dim, rng)(e), (b, b, dim)),
     ]
     for out, shape in probes:
