@@ -2,13 +2,17 @@
 
 A ``Tensor`` wraps an ndarray plus an optional gradient and a backward
 closure; ``Tensor.backward()`` runs the tape in reverse topological order.
-The op set is exactly what the model needs (broadcast arithmetic, matmul,
-reductions, indexing, the usual nonlinearities, a masked softmax and a
-stable logsumexp), plus fused ``linear`` and ``layer_norm`` ops that put a
-whole affine map or normalization on the tape as one node with a
-hand-written backward. Gradient-blocking (``detach``) is the primitive behind
-the two-stage training contract, so it is exact: a detached tensor shares
-data but carries no tape.
+The op set is exactly what the model needs: broadcast arithmetic, matmul,
+reductions, indexing, the usual nonlinearities and a stable logsumexp, plus
+fused ops that put a whole sublayer on the tape as one node with a
+hand-written backward. ``linear`` and ``layer_norm`` are an affine map and a
+normalization; ``masked_attention``, ``endpoint_attention`` and
+``residual_ffn_tail`` are the graph blocks' node attention, edge attention
+and post-norm FFN tail. Each fused forward pass does the arithmetic of the
+composed ops it replaces, in their order, so its values match them bit for
+bit. Gradient-blocking (``detach``) is the primitive behind the two-stage
+training contract, so it is exact: a detached tensor shares data but carries
+no tape.
 
 Heavy pairwise ops (``hadamard_pairs``, ``pairwise_sqdist``) call the numpy
 kernels in :mod:`hngen.kernels`.
@@ -149,6 +153,13 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
+        # The copy of a view does two jobs. It keeps a stored gradient from
+        # aliasing another tensor's data, and it makes every stored gradient
+        # C-contiguous. The second matters too: numpy's reductions and
+        # products sum in an order that depends on the layout, so dropping
+        # the copy changes later gradients in the last bit. A fused op's
+        # backward therefore hands over gradients in the layout the composed
+        # ops would have.
         t.grad = g.copy() if g.base is not None or g.flags.writeable is False else g
     else:
         t.grad = t.grad + g
@@ -250,22 +261,34 @@ def linear(x, w, b) -> Tensor:
     gradient is computed only when that parent requires grad.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    out_dim, in_dim = w.data.shape
+    in_dim = w.data.shape[1]
     if x.shape[-1] != in_dim:
         raise ShapeError(f"linear: input dim {x.shape[-1]} != weight in dim {in_dim}")
-    rows = x.data.reshape(-1, in_dim)
-    out_data = (rows @ w.data.T + b.data).reshape(x.shape[:-1] + (out_dim,))
 
     def backward(g):
-        g2 = g.reshape(-1, out_dim)
-        if x.requires_grad:
-            _accumulate(x, (g2 @ w.data).reshape(x.data.shape))
-        if w.requires_grad:
-            _accumulate(w, g2.T @ rows)
-        if b.requires_grad:
-            _accumulate(b, g2.sum(axis=0))
+        gx = _affine_backward(g, x.data, w, b, x.requires_grad)
+        if gx is not None:
+            _accumulate(x, gx)
 
-    return _make(out_data, (x, w, b), backward)
+    return _make(_affine(x.data, w.data, b.data), (x, w, b), backward)
+
+
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x @ w.T + b`` as one 2-D product over the rows of ``x``'s leading dims."""
+    rows = x.reshape(-1, w.shape[1])
+    return (rows @ w.T + b).reshape(x.shape[:-1] + (w.shape[0],))
+
+
+def _affine_backward(g, x: np.ndarray, w: Tensor, b: Tensor, need_x: bool):
+    """Accumulate the gradients of ``_affine``'s weight and bias; return the
+    input's (None unless ``need_x``)."""
+    out_dim, in_dim = w.data.shape
+    g2 = g.reshape(-1, out_dim)
+    if w.requires_grad:
+        _accumulate(w, g2.T @ x.reshape(-1, in_dim))
+    if b.requires_grad:
+        _accumulate(b, g2.sum(axis=0))
+    return (g2 @ w.data).reshape(x.shape) if need_x else None
 
 
 # -- reductions ---------------------------------------------------------------
@@ -349,10 +372,16 @@ def take(a, key) -> Tensor:
 
     def backward(g):
         src = np.arange(a.data.size).reshape(a.data.shape)[key]
-        buf = np.bincount(np.ravel(src), weights=np.ravel(g), minlength=a.data.size)
-        _accumulate(a, buf.reshape(a.data.shape))
+        _accumulate(a, _scatter(src, g, a.data.shape))
 
     return _make(out_data, (a,), backward)
+
+
+def _scatter(src: np.ndarray, g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Zeros of ``shape`` plus ``g`` added at the flat positions ``src``;
+    repeated positions add in ``np.ravel`` order, as ``np.add.at`` does."""
+    size = math.prod(shape)
+    return np.bincount(np.ravel(src), weights=np.ravel(g), minlength=size).reshape(shape)
 
 
 def concatenate(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
@@ -420,27 +449,128 @@ def sigmoid(a) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
-def masked_softmax(scores, blocked: np.ndarray) -> Tensor:
-    """Softmax over the last axis with hard-masked positions.
 
-    ``blocked`` is a boolean array (broadcastable to ``scores``); blocked
-    positions get exactly zero weight, as if their logit were -inf. A row
-    with every position blocked is a caller error and raises.
+
+# -- fused attention sublayers -------------------------------------------------
+#
+# Each is one tape node whose forward pass does the arithmetic of the
+# composed ops it replaces, in their order and on views with the same
+# strides, so its values match them bit for bit. Each backward pass hands
+# its parents gradients in the layout the composed ops gave them, and their
+# gradients match bit for bit too; ``tests/oracles.py`` keeps the composed
+# forms.
+
+
+def masked_attention(q, k, v, blocked: np.ndarray, heads: int) -> tuple[Tensor, Tensor]:
+    """Multi-head scaled dot-product attention with hard-masked keys.
+
+    ``q``, ``k`` and ``v`` are (B, D), split into ``heads`` heads of
+    hd = D / heads channels. ``blocked`` (B, B) is True where query i may not
+    attend to key j: that weight is exactly zero, as if its logit were -inf.
+    A query with every key blocked raises. Returns the heads' merged outputs
+    ``softmax(q kᵀ / sqrt(hd)) v`` (B, D), one tape node, and the weights
+    (H, B, B) as a tensor off the tape.
     """
-    scores = as_tensor(scores)
-    blocked = np.broadcast_to(np.asarray(blocked, dtype=bool), scores.shape)
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    b, d = q.shape
+    hd = d // heads
+    blocked = np.asarray(blocked, dtype=bool)
     if np.any(blocked.all(axis=-1)):
-        raise ShapeError("masked_softmax: a row has no unmasked positions")
-    neg = np.where(blocked, -np.inf, scores.data)
-    m = np.max(neg, axis=-1, keepdims=True)
-    e = np.where(blocked, 0.0, np.exp(np.where(blocked, 0.0, scores.data - m)))
+        raise ShapeError("masked_attention: a query has no unmasked keys")
+    blocked = np.broadcast_to(blocked, (heads, b, b))
+    qh, kh, vh = (np.swapaxes(x.data.reshape(b, heads, hd), 0, 1) for x in (q, k, v))
+    scale = 1.0 / np.sqrt(hd)
+    scores = (qh @ np.swapaxes(kh, 1, 2)) * scale
+    m = np.max(np.where(blocked, -np.inf, scores), axis=-1, keepdims=True)
+    e = np.where(blocked, 0.0, np.exp(np.where(blocked, 0.0, scores - m)))
     p = e / e.sum(axis=-1, keepdims=True)
+    out_data = np.swapaxes(p @ vh, 0, 1).reshape(b, d)
+
+    def merged(gh):  # (H, B, hd) -> (B, D), a C-contiguous copy
+        return np.swapaxes(gh, 0, 1).reshape(b, d)
 
     def backward(g):
-        inner = (g * p).sum(axis=-1, keepdims=True)
-        _accumulate(scores, p * (g - inner))
+        g_pv = np.ascontiguousarray(np.swapaxes(g.reshape(b, heads, hd), 0, 1))
+        if q.requires_grad or k.requires_grad:
+            g_p = g_pv @ np.swapaxes(vh, -1, -2)
+            g_scores = p * (g_p - (g_p * p).sum(axis=-1, keepdims=True)) * scale
+            if q.requires_grad:
+                _accumulate(q, merged(g_scores @ kh))
+            if k.requires_grad:
+                g_kt = np.swapaxes(qh, -1, -2) @ g_scores  # (H, hd, B)
+                _accumulate(k, merged(np.swapaxes(g_kt, 1, 2)))
+        if v.requires_grad:
+            _accumulate(v, merged(np.swapaxes(p, -1, -2) @ g_pv))
 
-    return _make(p, (scores,), backward)
+    return _make(out_data, (q, k, v), backward), Tensor(p)
+
+
+def endpoint_attention(q, k, v, i: np.ndarray, j: np.ndarray, heads: int) -> Tensor:
+    """Attention of each query row over exactly two tokens, rows ``i[r]``
+    and ``j[r]`` of the keys ``k`` and values ``v``: one tape node.
+
+    ``q`` is (P, D) and ``k``, ``v`` are (B, D), split into ``heads`` heads of
+    hd channels. With two tokens the softmax is a sigmoid of the score
+    difference: per head p = sigmoid(q (k_i - k_j) / sqrt(hd)), and the
+    output (P, D) is v_j + p (v_i - v_j). The backward pass scatters the key
+    and value gradients to the token rows with the ``np.bincount`` scatter
+    of ``take``.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    n, d = q.shape
+    hd = d // heads
+    scale = 1.0 / np.sqrt(hd)
+    k_diff = k.data[i] - k.data[j]
+    s = (q.data * k_diff).reshape(n, heads, hd).sum(axis=-1) * scale
+    p = 1.0 / (1.0 + np.exp(-s))  # (P, H)
+    v_j = v.data[j].reshape(n, heads, hd)
+    v_diff = v.data[i].reshape(n, heads, hd) - v_j
+    out_data = (v_j + p.reshape(n, heads, 1) * v_diff).reshape(n, d)
+
+    def backward(g):
+        g3 = g.reshape(n, heads, hd)
+        cols = np.arange(d)
+        src_i, src_j = i[:, None] * d + cols, j[:, None] * d + cols
+        if q.requires_grad or k.requires_grad:
+            g_p = (g3 * v_diff).sum(axis=-1)
+            g_s = (g_p * p * (1.0 - p) * scale)[:, :, None]
+            if q.requires_grad:
+                _accumulate(q, (g_s * k_diff.reshape(n, heads, hd)).reshape(n, d))
+            if k.requires_grad:
+                g_kd = g_s * q.data.reshape(n, heads, hd)
+                _accumulate(k, _scatter(src_i, g_kd, k.shape) - _scatter(src_j, g_kd, k.shape))
+        if v.requires_grad:
+            g_vi = g3 * p.reshape(n, heads, 1)
+            _accumulate(v, _scatter(src_i, g_vi, v.shape) + _scatter(src_j, g3 - g_vi, v.shape))
+
+    return _make(out_data, (q, k, v), backward)
+
+
+def residual_ffn_tail(pre, ln1: "LayerNorm", fc1: "Linear", fc2: "Linear",
+                      ln2: "LayerNorm") -> Tensor:
+    """The post-norm residual FFN sublayer ``LN2(FFN(x) + x)`` with
+    ``x = LN1(pre)`` and ``FFN = fc2(relu(fc1(.)))``: one tape node.
+
+    Of the activations it keeps only what its backward pass reads: both
+    normalized inputs, ``x`` and the ReLU output.
+    """
+    pre = as_tensor(pre)
+    bar, xhat1, std1 = _layer_norm_forward(pre.data, ln1.gain.data, ln1.bias.data, ln1.eps)
+    h = np.maximum(_affine(bar, fc1.weight.data, fc1.bias.data), 0.0)
+    out_data, xhat2, std2 = _layer_norm_forward(
+        _affine(h, fc2.weight.data, fc2.bias.data) + bar, ln2.gain.data, ln2.bias.data, ln2.eps
+    )
+
+    def backward(g):
+        g_sum = _layer_norm_backward(g, ln2.gain, ln2.bias, xhat2, std2, True)
+        g_h = _affine_backward(g_sum, h, fc2.weight, fc2.bias, True)
+        g_bar = g_sum + _affine_backward(g_h * (h > 0), bar, fc1.weight, fc1.bias, True)
+        g_pre = _layer_norm_backward(g_bar, ln1.gain, ln1.bias, xhat1, std1, pre.requires_grad)
+        if g_pre is not None:
+            _accumulate(pre, g_pre)
+
+    params = (ln1.gain, ln1.bias, fc1.weight, fc1.bias, fc2.weight, fc2.bias, ln2.gain, ln2.bias)
+    return _make(out_data, (pre,) + params, backward)
 
 
 # -- kernel-backed pairwise ops ----------------------------------------------
@@ -506,25 +636,39 @@ def layer_norm(x, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     pass is the analytic layer-norm gradient.
     """
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    inv_n = 1.0 / float(x.shape[-1])
-    centered = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
-    std = np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * inv_n + eps)
-    xhat = centered / std
-    out_data = xhat * gain.data + bias.data
+    out_data, xhat, std = _layer_norm_forward(x.data, gain.data, bias.data, eps)
 
     def backward(g):
-        if gain.requires_grad:
-            _accumulate(gain, _unbroadcast(g * xhat, gain.data.shape))
-        if bias.requires_grad:
-            _accumulate(bias, _unbroadcast(g, bias.data.shape))
-        if x.requires_grad:
-            gx = g * gain.data
-            _accumulate(x, (
-                gx - gx.mean(axis=-1, keepdims=True)
-                - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
-            ) / std)
+        gx = _layer_norm_backward(g, gain, bias, xhat, std, x.requires_grad)
+        if gx is not None:
+            _accumulate(x, gx)
 
     return _make(out_data, (x, gain, bias), backward)
+
+
+def _layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float):
+    """(output, normalized input, std) of a layer norm over the last axis."""
+    inv_n = 1.0 / float(x.shape[-1])
+    centered = x - x.sum(axis=-1, keepdims=True) * inv_n
+    std = np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * inv_n + eps)
+    xhat = centered / std
+    return xhat * gain + bias, xhat, std
+
+
+def _layer_norm_backward(g, gain: Tensor, bias: Tensor, xhat, std, need_x: bool):
+    """Accumulate the gain and bias gradients of ``_layer_norm_forward``;
+    return the input's (None unless ``need_x``)."""
+    if gain.requires_grad:
+        _accumulate(gain, _unbroadcast(g * xhat, gain.data.shape))
+    if bias.requires_grad:
+        _accumulate(bias, _unbroadcast(g, bias.data.shape))
+    if not need_x:
+        return None
+    gx = g * gain.data
+    return (
+        gx - gx.mean(axis=-1, keepdims=True)
+        - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
+    ) / std
 
 
 def log1p_sum_exp(u, valid: np.ndarray, axis: int = -1) -> Tensor:
@@ -597,14 +741,12 @@ class LayerNorm(Module):
 
 
 class FeedForward(Module):
-    """Position-wise two-layer ReLU network."""
+    """The parameters of a position-wise two-layer ReLU network,
+    ``fc2(relu(fc1(x)))``; ``residual_ffn_tail`` applies it."""
 
     def __init__(self, dim: int, expansion: int, rng: np.random.Generator):
         self.fc1 = Linear(dim, dim * expansion, rng)
         self.fc2 = Linear(dim * expansion, dim, rng)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return self.fc2(relu(self.fc1(x)))
 
 
 class AdamW:

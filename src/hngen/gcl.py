@@ -16,6 +16,10 @@ caller needs it. One propagation step advances nodes first, then edges:
   of (j, i) are those of (i, j) swapped, so both orders get the same
   context and the same update: one row per pair loses nothing.
 
+A block's attention and its FFN tail are one tape node each:
+``ad.masked_attention`` for the nodes, ``ad.endpoint_attention`` for the
+edges and ``ad.residual_ffn_tail`` for both tails. The Q/K/V/O projections
+around the attention stay ``Linear`` modules.
 ``GraphNet.propagate`` runs the K steps in one loop. One node block and one
 edge block serve all of them, unless per-step weights are asked for (an
 ablation). The returned graph keeps each node step's attention weights, which
@@ -74,11 +78,6 @@ def pair_rows_of(e: ad.Tensor, b: int) -> ad.Tensor:
     return e
 
 
-def _split_heads(x: ad.Tensor, heads: int) -> ad.Tensor:
-    b, d = x.shape
-    return x.reshape(b, heads, d // heads).swapaxes(0, 1)  # (H, B, hd)
-
-
 class _Block(ad.Module):
     """The sublayer pattern both steps share: Q/K/V/O projections for the
     attention, then a post-norm residual FFN tail."""
@@ -96,8 +95,7 @@ class _Block(ad.Module):
 
     def _tail(self, pre: ad.Tensor) -> ad.Tensor:
         """LN2(FFN(x) + x) with x = LN1(pre)."""
-        bar = self.ln1(pre)
-        return self.ln2(self.ffn(bar) + bar)
+        return ad.residual_ffn_tail(pre, self.ln1, self.ffn.fc1, self.ffn.fc2, self.ln2)
 
 
 class NodeBlock(_Block):
@@ -108,13 +106,7 @@ class NodeBlock(_Block):
         blocked = attention_block_mask(labels)
         if np.any(blocked.all(axis=1)):
             raise GraphError("no negatives to attend: batch has a single class")
-        hd = self.dim // self.heads
-        q = _split_heads(self.wq(v), self.heads)
-        k = _split_heads(self.wk(v), self.heads)
-        val = _split_heads(self.wv(v), self.heads)
-        scores = (q @ k.swapaxes(1, 2)) * (1.0 / np.sqrt(hd))
-        probs = ad.masked_softmax(scores, blocked[None, :, :])
-        ctx = (probs @ val).swapaxes(0, 1).reshape(v.shape[0], self.dim)
+        ctx, probs = ad.masked_attention(self.wq(v), self.wk(v), self.wv(v), blocked, self.heads)
         return self.wo(ctx), probs
 
     def step(
@@ -146,16 +138,8 @@ class EdgeBlock(_Block):
         complement on V_j.
         """
         i, j = kernels.pair_rows(v.shape[0])
-        n, hd = e.shape[0], self.dim // self.heads
-        q = self.wq(e)
-        k = self.wk(v)
-        val = self.wv(v)
-        s_diff = (q * (k[i] - k[j])).reshape(n, self.heads, hd).sum(axis=-1)
-        p_i = ad.sigmoid(s_diff * (1.0 / np.sqrt(hd)))  # (P, H)
-        v_i = val[i].reshape(n, self.heads, hd)
-        v_j = val[j].reshape(n, self.heads, hd)
-        ctx = v_j + p_i.reshape(n, self.heads, 1) * (v_i - v_j)
-        return self.wo(ctx.reshape(n, self.dim))
+        ctx = ad.endpoint_attention(self.wq(e), self.wk(v), self.wv(v), i, j, self.heads)
+        return self.wo(ctx)
 
     def __call__(self, e: ad.Tensor, v: ad.Tensor) -> ad.Tensor:
         e = pair_rows_of(e, v.shape[0])

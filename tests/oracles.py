@@ -7,8 +7,8 @@ import math
 import numpy as np
 
 from hngen import autodiff as ad
-from hngen import evalkit, gcl, losses, trainer
-from hngen.errors import ConfigurationError, ShapeError
+from hngen import evalkit, gcl, kernels, losses, trainer
+from hngen.errors import ConfigurationError, GraphError, ShapeError
 
 
 def full_sort_ranked_hits(sim, query_labels, gallery_labels, exclude_self):
@@ -74,6 +74,88 @@ def stacked_token_cross_attention(block: gcl.EdgeBlock, e_rows, v, i, j):
     probs = e / e.sum(axis=-1, keepdims=True)
     ctx = (probs @ val).reshape(n_pairs, dim)
     return affine(block.wo, ctx), probs
+
+
+# -- composed forms of the fused tape ops ---------------------------------------
+#
+# Each builds from the small autodiff ops what one fused op computes. The
+# three graph forms take the block as their first argument, so a test can set
+# them in place of ``NodeBlock.attention``, ``EdgeBlock.cross_attention`` and
+# ``_Block._tail``.
+
+
+def masked_softmax(scores, blocked: np.ndarray) -> ad.Tensor:
+    """Softmax over the last axis, blocked positions exactly zero (logit
+    -inf); a row with every position blocked raises."""
+    scores = ad.as_tensor(scores)
+    blocked = np.broadcast_to(np.asarray(blocked, dtype=bool), scores.shape)
+    if np.any(blocked.all(axis=-1)):
+        raise ShapeError("masked_softmax: a row has no unmasked positions")
+    neg = np.where(blocked, -np.inf, scores.data)
+    m = np.max(neg, axis=-1, keepdims=True)
+    e = np.where(blocked, 0.0, np.exp(np.where(blocked, 0.0, scores.data - m)))
+    p = e / e.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        inner = (g * p).sum(axis=-1, keepdims=True)
+        ad._accumulate(scores, p * (g - inner))
+
+    return ad._make(p, (scores,), backward)
+
+
+def split_heads(x: ad.Tensor, heads: int) -> ad.Tensor:
+    b, d = x.shape
+    return x.reshape(b, heads, d // heads).swapaxes(0, 1)  # (H, B, hd)
+
+
+def composed_masked_attention(q, k, v, blocked, heads: int):
+    """``ad.masked_attention``: head split, scaled scores, masked softmax,
+    ``probs @ v`` and merge."""
+    b, d = q.shape
+    qh, kh, vh = (split_heads(x, heads) for x in (q, k, v))
+    scores = (qh @ kh.swapaxes(1, 2)) * (1.0 / np.sqrt(d // heads))
+    probs = masked_softmax(scores, blocked[None, :, :])
+    return (probs @ vh).swapaxes(0, 1).reshape(b, d), probs
+
+
+def composed_endpoint_attention(q, k, v, i, j, heads: int) -> ad.Tensor:
+    """``ad.endpoint_attention``: endpoint gathers, a sigmoid of the score
+    difference and the two-token mix."""
+    n, d = q.shape
+    hd = d // heads
+    s_diff = (q * (k[i] - k[j])).reshape(n, heads, hd).sum(axis=-1)
+    p_i = ad.sigmoid(s_diff * (1.0 / np.sqrt(hd)))  # (P, H)
+    v_i = v[i].reshape(n, heads, hd)
+    v_j = v[j].reshape(n, heads, hd)
+    return (v_j + p_i.reshape(n, heads, 1) * (v_i - v_j)).reshape(n, d)
+
+
+def composed_residual_ffn_tail(pre, ln1, fc1, fc2, ln2) -> ad.Tensor:
+    """``ad.residual_ffn_tail``: LN2(FFN(x) + x) with x = LN1(pre)."""
+    bar = ln1(pre)
+    return ln2(fc2(ad.relu(fc1(bar))) + bar)
+
+
+def composed_node_attention(block: gcl.NodeBlock, v, labels):
+    """``NodeBlock.attention`` over ``composed_masked_attention``."""
+    blocked = gcl.attention_block_mask(labels)
+    if np.any(blocked.all(axis=1)):
+        raise GraphError("no negatives to attend: batch has a single class")
+    ctx, probs = composed_masked_attention(
+        block.wq(v), block.wk(v), block.wv(v), blocked, block.heads)
+    return block.wo(ctx), probs
+
+
+def composed_cross_attention(block: gcl.EdgeBlock, e, v) -> ad.Tensor:
+    """``EdgeBlock.cross_attention`` over ``composed_endpoint_attention``."""
+    i, j = kernels.pair_rows(v.shape[0])
+    return block.wo(composed_endpoint_attention(
+        block.wq(e), block.wk(v), block.wv(v), i, j, block.heads))
+
+
+def composed_tail(block, pre) -> ad.Tensor:
+    """``_Block._tail`` over ``composed_residual_ffn_tail``."""
+    return composed_residual_ffn_tail(pre, block.ln1, block.ffn.fc1, block.ffn.fc2, block.ln2)
 
 
 # -- the dense graph: all B^2 ordered edges, (B, B, D) ---------------------------

@@ -5,7 +5,7 @@ from hngen import autodiff as ad
 from hngen.errors import ShapeError
 
 from gradcheck import check_gradients
-from oracles import LoopAdamW
+from oracles import LoopAdamW, composed_residual_ffn_tail, masked_softmax
 
 
 def _param(rng, *shape):
@@ -194,13 +194,86 @@ class TestReductionsAndComposites:
             ad.l2_normalize(ad.Tensor(np.zeros((2, 3))))
 
 
+class TestFusedSublayerOps:
+    """Finite-difference gradients of the fused graph ops; ``test_gcl``
+    holds them to the composed ops bit for bit."""
+
+    def test_masked_attention_gradient(self):
+        rng = np.random.default_rng(30)
+        q, k, v = (_param(rng, 6, 4) for _ in range(3))
+        blocked = np.eye(6, dtype=bool)
+        blocked[0, 3] = blocked[4, 1] = True
+        w = rng.standard_normal((6, 4))
+        check_gradients(lambda: (ad.masked_attention(q, k, v, blocked, 2)[0] * w).sum(),
+                        [q, k, v], tol=1e-6)
+
+    def test_masked_attention_weights_are_off_the_tape(self):
+        rng = np.random.default_rng(31)
+        q, k, v = (_param(rng, 3, 4) for _ in range(3))
+        blocked = np.eye(3, dtype=bool)
+        _, probs = ad.masked_attention(q, k, v, blocked, 2)
+        assert probs.shape == (2, 3, 3) and not probs.requires_grad
+        assert np.all(probs.data[:, blocked] == 0.0)
+        blocked[1] = True
+        with pytest.raises(ShapeError):
+            ad.masked_attention(q, k, v, blocked, 2)
+
+    def test_endpoint_attention_gradient(self):
+        rng = np.random.default_rng(32)
+        i, j = np.triu_indices(4)
+        q = _param(rng, len(i), 6)
+        k, v = _param(rng, 4, 6), _param(rng, 4, 6)
+        w = rng.standard_normal((len(i), 6))
+        check_gradients(lambda: (ad.endpoint_attention(q, k, v, i, j, 3) * w).sum(),
+                        [q, k, v], tol=1e-6)
+
+    def test_residual_ffn_tail_gradient(self):
+        rng = np.random.default_rng(33)
+        ln1, ln2 = ad.LayerNorm(4), ad.LayerNorm(4)
+        ffn = ad.FeedForward(4, 2, rng)
+        params = ln1.parameters() + ffn.parameters() + ln2.parameters()
+        for p in params:
+            p.data[...] += 0.1 * rng.standard_normal(p.shape)
+        pre = _param(rng, 5, 4)
+        w = rng.standard_normal((5, 4))
+        check_gradients(
+            lambda: (ad.residual_ffn_tail(pre, ln1, ffn.fc1, ffn.fc2, ln2) * w).sum(),
+            [pre] + params, tol=1e-6,
+        )
+
+    @pytest.mark.parametrize("pre_needs_grad", [True, False])
+    def test_residual_ffn_tail_matches_composed_ops_bitwise(self, pre_needs_grad):
+        rng = np.random.default_rng(34)
+        ln1, ln2 = ad.LayerNorm(8), ad.LayerNorm(8)
+        ffn = ad.FeedForward(8, 4, rng)
+        params = ln1.parameters() + ffn.parameters() + ln2.parameters()
+        for p in params:
+            p.data[...] += 0.1 * rng.standard_normal(p.shape)
+        x = rng.standard_normal((7, 8))
+        w = rng.standard_normal((7, 8))
+        results = []
+        for op in (ad.residual_ffn_tail, composed_residual_ffn_tail):
+            pre = ad.Tensor(x.copy(), requires_grad=pre_needs_grad)
+            for p in params:
+                p.grad = None
+            out = op(pre, ln1, ffn.fc1, ffn.fc2, ln2)
+            (out * w).sum().backward()
+            grads = [pre.grad] + [p.grad for p in params]
+            results.append([out.data.tobytes()] + [None if g is None else g.tobytes()
+                                                   for g in grads])
+        assert results[0] == results[1]
+        assert (results[0][1] is None) != pre_needs_grad
+
+
 class TestMaskedSoftmax:
+    """The composed softmax that ``masked_attention`` is checked against."""
+
     def test_blocked_positions_exactly_zero(self):
         rng = np.random.default_rng(13)
         scores = ad.Tensor(rng.standard_normal((2, 4, 4)))
         blocked = np.zeros((2, 4, 4), dtype=bool)
         blocked[:, :, 0] = True
-        p = ad.masked_softmax(scores, blocked)
+        p = masked_softmax(scores, blocked)
         assert np.all(p.data[:, :, 0] == 0.0)
         assert np.allclose(p.data.sum(-1), 1.0, atol=1e-12)
 
@@ -210,11 +283,11 @@ class TestMaskedSoftmax:
         blocked = np.zeros((3, 5), dtype=bool)
         blocked[:, 2] = True
         w = rng.standard_normal((3, 5))
-        check_gradients(lambda: (ad.masked_softmax(a, blocked) * w).sum(), [a])
+        check_gradients(lambda: (masked_softmax(a, blocked) * w).sum(), [a])
 
     def test_fully_blocked_row_raises(self):
         with pytest.raises(ShapeError):
-            ad.masked_softmax(ad.Tensor(np.zeros((2, 3))), np.ones((2, 3), dtype=bool))
+            masked_softmax(ad.Tensor(np.zeros((2, 3))), np.ones((2, 3), dtype=bool))
 
 
 class TestKernelBackedOps:

@@ -9,22 +9,10 @@ from hngen.backbone import BackboneConfig, EmbeddingBatch
 from hngen.errors import ConfigurationError, GraphError, ShapeError
 
 from gradcheck import check_gradients
-from oracles import (dense_edge_step, dense_graph, recompute_node_attention,
+from oracles import (composed_cross_attention, composed_endpoint_attention,
+                     composed_masked_attention, composed_node_attention, composed_tail,
+                     dense_edge_step, dense_graph, recompute_node_attention,
                      stacked_token_cross_attention)
-
-
-class Identity(ad.Module):
-    """Drop-in stand-in for LayerNorm/FFN in algebra tests."""
-
-    def __call__(self, x):
-        return x
-
-
-class ZeroFFN(ad.Module):
-    """Makes the FFN sublayer a no-op (residual passes through)."""
-
-    def __call__(self, x):
-        return x * 0.0
 
 
 def graph_net(dim, rng, **settings):
@@ -108,20 +96,19 @@ class TestNodePropagation:
         with pytest.raises(GraphError, match="no negatives"):
             net.propagate(graph)
 
-    def test_zero_edges_identity_sublayers_reduce_to_residual_attention(self):
+    def test_zero_edges_and_zero_ffn_reduce_to_normalized_residual_attention(self):
         rng = np.random.default_rng(3)
         z = unit_rows(rng, 4, 4)
         net = graph_net(4, rng, heads=2)
         block = net.node_blocks[0]
-        block.ln1 = Identity()
-        block.ln2 = Identity()
-        block.ffn = ZeroFFN()
+        block.ffn.fc2.weight.data[...] = 0.0  # the FFN adds exactly zero
         labels = np.array([1, 2, 1, 2])
         v = ad.Tensor(z)
         e_zero = ad.Tensor(np.zeros((n_pairs(4), 4)))
         attn, _ = block.attention(v, labels)
         out = block(v, e_zero, labels)
-        assert np.allclose(out.data, z + attn.data, atol=1e-14)
+        expect = block.ln2(block.ln1(v + attn))
+        assert np.allclose(out.data, expect.data, atol=1e-14)
 
     def test_matches_hand_evaluated_attention(self):
         # independent dense-algebra oracle at D=2, H=1, B=3, one class each
@@ -239,6 +226,23 @@ class TestEdgePropagation:
             tracemalloc.stop()
         assert peak < b * b * d * d * 8, f"peak {peak / 2**20:.1f} MiB"
 
+    def test_fused_sublayers_keep_forward_backward_peak_below_20_mib(self):
+        # the composed attention and FFN-tail ops peaked at 29 MiB here; the
+        # fused ones keep only what their backward passes read (about 15 MiB)
+        rng = np.random.default_rng(10)
+        b, d = 32, 128
+        block = gcl.EdgeBlock(d, 2, 4, rng)
+        v = ad.Tensor(unit_rows(rng, b, d), requires_grad=True)
+        e = ad.Tensor(rng.standard_normal((n_pairs(b), d)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            block(e, v).sum().backward()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
 
 class TestPropagate:
     def test_k0_rejected(self):
@@ -318,8 +322,7 @@ class TestPropagate:
         assert not np.allclose(with_sum, without)
         block = net.node_blocks[0]
         attn, _ = block.attention(graph.v, labels)
-        vbar = block.ln1(graph.v + attn)
-        expect = block.ln2(block.ffn(vbar) + vbar)
+        expect = composed_tail(block, graph.v + attn)
         assert np.array_equal(without, expect.data)
 
 
@@ -467,3 +470,71 @@ class TestPackedMatchesDense:
         dense = grads((v * wv).sum() + (lam * we).sum())
         for got, want in zip(packed, dense):
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
+def bytes_of(arrays):
+    return [None if a is None else np.ascontiguousarray(a).tobytes() for a in arrays]
+
+
+def propagate_and_backprop(model, z, labels, detach):
+    """Final node and edge states, node attention and every generator (and,
+    unless ``detach``, embedding) gradient of a weighted sum of the states."""
+    rng = np.random.default_rng(7)
+    b, d = z.shape
+    zb = EmbeddingBatch(z.detach() if detach else z, labels, 3, b // 3)
+    params = model.generator_params() + [z]
+    for p in params:
+        p.grad = None
+    graph = model.propagate_graph(zb)
+    loss = (graph.v * rng.standard_normal((b, d))).sum() \
+        + (graph.e * rng.standard_normal(graph.e.shape)).sum()
+    loss.backward()
+    return bytes_of([graph.v.data, graph.e.data, *graph.attention]) \
+        + bytes_of([p.grad for p in params])
+
+
+class TestFusedGraphOpsMatchComposed:
+    """The fused attention and FFN-tail ops against the composed ops in
+    ``oracles``, bit for bit: values and every parent's gradient."""
+
+    @pytest.mark.parametrize("arm", GRAPH_ARMS)
+    @pytest.mark.parametrize("share", [True, False])
+    @pytest.mark.parametrize("k_steps", [1, 2, 3])
+    @pytest.mark.parametrize("detach", [True, False], ids=["stage1", "stage2"])
+    def test_propagation_bitwise(self, monkeypatch, arm, share, k_steps, detach):
+        model = graph_model(arm, k_steps, share, seed=k_steps)
+        z = ad.parameter(unit_rows(np.random.default_rng(5), 9, 8))
+        labels = np.tile([1, 2, 3], 3)
+        fused = propagate_and_backprop(model, z, labels, detach)
+        monkeypatch.setattr(gcl.NodeBlock, "attention", composed_node_attention)
+        monkeypatch.setattr(gcl.EdgeBlock, "cross_attention", composed_cross_attention)
+        monkeypatch.setattr(gcl._Block, "_tail", composed_tail)
+        composed = propagate_and_backprop(model, z, labels, detach)
+        assert len(fused) == len(composed)
+        for got, want in zip(fused, composed):
+            assert got == want
+
+    @pytest.mark.parametrize("needs", ["qkv", "q", "k", "v", "qk", "kv"])
+    def test_attention_ops_bitwise_for_each_parent_set(self, needs):
+        rng = np.random.default_rng(8)
+        b, d, heads = 6, 8, 2
+        labels = np.array([1, 2, 3, 1, 2, 3])
+        blocked = gcl.attention_block_mask(labels)
+        i, j = kernels.pair_rows(b)
+        rows = {"q": rng.standard_normal((b, d)), "q_pairs": rng.standard_normal((len(i), d)),
+                "k": rng.standard_normal((b, d)), "v": rng.standard_normal((b, d))}
+        cases = [
+            ("q", ad.masked_attention, composed_masked_attention, (blocked, heads)),
+            ("q_pairs", ad.endpoint_attention, composed_endpoint_attention, (i, j, heads)),
+        ]
+        for q_name, fused_op, composed_op, rest in cases:
+            results = []
+            for op in (fused_op, composed_op):
+                q, k, v = (ad.Tensor(rows[name].copy(), requires_grad=name[0] in needs)
+                           for name in (q_name, "k", "v"))
+                out = op(q, k, v, *rest)
+                out, probs = out if isinstance(out, tuple) else (out, None)
+                (out * np.cos(np.arange(out.data.size)).reshape(out.shape)).sum().backward()
+                results.append(bytes_of([out.data, None if probs is None else probs.data,
+                                         q.grad, k.grad, v.grad]))
+            assert results[0] == results[1]

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from hngen import autodiff as ad
-from hngen import cacai, gcl
+from hngen import cacai, gcl, trainer
 
 REPO = Path(__file__).resolve().parent.parent
 TRACER = REPO / "perfbench" / "tracer.py"
@@ -102,6 +102,13 @@ def test_same_outputs_compare_flags_one_flipped_blob_byte(tmp_path, capsys):
     data[-1] ^= 1
     blob.write_bytes(bytes(data))
     diffs, _ = tool.compare(tmp_path / "a", tmp_path / "b")
-    assert diffs == ["tiny: runs/checkpoints/epoch_001/gcl.bin differs"]
+    # the flipped byte is the last of the last tensor, in name order
+    before, after = (trainer._read_group(p) for p in (
+        next(side.glob("tiny/runs/*/checkpoints/epoch_001/gcl.bin"))
+        for side in (tmp_path / "a", tmp_path / "b")))
+    last = sorted(before)[-1]
+    gap = np.max(np.abs(before[last] - after[last]))
+    assert diffs == [f"tiny: runs/checkpoints/epoch_001/gcl.bin differs\n"
+                     f"    {last}: max abs diff {gap:.3g}"]
     assert tool.report(diffs, []) == 1
     assert "DIFFERS" in capsys.readouterr().out

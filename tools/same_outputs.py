@@ -9,7 +9,8 @@ configs below, then ``hngen eval`` and ``hngen inspect`` on each run's last
 checkpoint. It then compares, config by config:
 
 * every checkpoint's ``.bin`` blobs, ``history.json`` and the inspect CSVs,
-  byte for byte;
+  byte for byte; under a ``.bin`` blob that differs, each differing tensor
+  is listed with its largest absolute difference;
 * ``train_log.jsonl`` without ``timestamp``, manifests without
   ``resolved_config`` and ``config_hash``, ``metric_report.json``, and
   ``metrics.csv`` without its checkpoint column;
@@ -33,7 +34,13 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "src"))
+from hngen import trainer  # noqa: E402
+from hngen.errors import CheckpointError  # noqa: E402
+
 SMOKE = json.loads((REPO / "configs" / "smoke.json").read_text())
 
 # name -> overrides of configs/smoke.json
@@ -111,6 +118,24 @@ def _outputs(root: Path, command: str) -> dict[str, Path]:
     return out
 
 
+def _tensor_differences(a: Path, b: Path) -> list[str]:
+    """One line per tensor that differs between two parameter blobs: its
+    name and largest absolute difference, or why they cannot be compared."""
+    try:
+        ta, tb = trainer._read_group(a), trainer._read_group(b)
+    except CheckpointError as exc:
+        return [f"unreadable: {exc}"]
+    lines = []
+    for name in sorted(ta.keys() | tb.keys()):
+        x, y = ta.get(name), tb.get(name)
+        if x is None or y is None or x.shape != y.shape:
+            shapes = ["absent" if t is None else str(t.shape) for t in (x, y)]
+            lines.append(f"{name}: shape {shapes[0]} -> {shapes[1]}")
+        elif x.tobytes() != y.tobytes():
+            lines.append(f"{name}: max abs diff {np.max(np.abs(x - y)):.3g}")
+    return lines
+
+
 def compare(a: Path, b: Path) -> tuple[list[str], list[str]]:
     """(differences, notes) between two ``run_side`` work directories."""
     diffs, notes = [], []
@@ -132,7 +157,8 @@ def compare(a: Path, b: Path) -> tuple[list[str], list[str]]:
                 if key not in oa or key not in ob:
                     diffs.append(f"{name}: {key} written on one side only")
                 elif _normalized(oa[key]) != _normalized(ob[key]):
-                    diffs.append(f"{name}: {key} differs")
+                    tensors = _tensor_differences(oa[key], ob[key]) if key.endswith(".bin") else []
+                    diffs.append("\n    ".join([f"{name}: {key} differs"] + tensors))
         configs = [sorted((side / name / "runs").glob("*/resolved_config.json")) for side in (a, b)]
         if all(len(c) == 1 for c in configs):
             ra, rb = (json.loads(c[0].read_text()) for c in configs)
