@@ -7,6 +7,8 @@ anchor to negative (falling back to the negative itself when d- <= d+), and
 the per-class interpolants are fused, in group order, by iterated random
 weighting into one synthetic negative per (anchor, negative class).
 Synthetics are never re-normalized; the losses consume raw inner products.
+``interpolate_all`` puts the interpolation of every ordered pair on the tape
+as one node with a hand-written backward.
 """
 
 from __future__ import annotations
@@ -100,22 +102,69 @@ def interpolate_all(
     d_minus: ad.Tensor,
     eta: float,
 ) -> ad.Tensor:
-    """Vectorized interpolation for every ordered pair, (B, B, D).
+    """Interpolants of every ordered pair, (B, B, D): one tape node.
 
-    The branch select is a constant 0/1 mask so the d- <= d+ case
-    reproduces z_j bit for bit; divisions on inactive lanes are guarded.
+    Lane (i, j) is z_i + (d+_i + lam_ij eta (d-_ij - d+_i)) (z_j - z_i) / d-_ij
+    when d-_ij > d+_i, else z_j. The branch select is a constant 0/1 mask t,
+    out = t (first branch) + (1 - t) z_j, so the d- <= d+ case reproduces z_j
+    bit for bit; the divisor is 1 on inactive lanes. The forward pass does
+    the arithmetic of the composed ops in their order, so its values match
+    them bit for bit. It keeps two (B, B, D) arrays for the backward pass,
+    the bracket and the chord, which needs about four more at its peak.
     """
     b, d = z.shape
+    if lam.shape != (b, b, d):
+        raise ShapeError(f"interpolation vectors {lam.shape} != {(b, b, d)}")
     take = (d_minus.data > d_plus.data[:, None]).astype(np.float64)  # (B, B)
     take3 = take[:, :, None]
-    d_safe = d_minus * take + (1.0 - take)       # 1 where inactive
-    dp = d_plus.reshape(b, 1, 1)
-    dm = d_safe.reshape(b, b, 1)
-    bracket = dp + lam * eta * (dm - dp)
-    z_i = z.reshape(b, 1, d)
-    z_j = z.reshape(1, b, d)
-    chord = (z_j - z_i) / dm
-    return take3 * (z_i + bracket * chord) + (1.0 - take3) * z_j
+    dp = d_plus.data.reshape(b, 1, 1)
+    dm = (d_minus.data * take + (1.0 - take)).reshape(b, b, 1)  # 1 where inactive
+    dm_minus_dp = dm - dp
+    bracket = lam.data * eta
+    bracket *= dm_minus_dp
+    bracket += dp
+    z_i = z.data.reshape(b, 1, d)
+    z_j = z.data.reshape(1, b, d)
+    chord = z_j - z_i
+    chord /= dm
+    out = bracket * chord
+    out += z_i
+    out *= take3
+    out += z_j * (1.0 - take3)
+
+    def backward(g):
+        # Each gradient is the composed ops' product, summed over the same
+        # axes of an array in the same layout; only z's two halves are added
+        # in another order. Steps marked "in place" reuse a (B, B, D) buffer.
+        g_first = g * take3  # d(z_i + bracket * chord)
+        g_bracket = g_first * chord
+        if lam.requires_grad:
+            g_lam = g_bracket * dm_minus_dp
+            g_lam *= eta
+            ad._accumulate(lam, g_lam)
+        if not (z.requires_grad or d_plus.requires_grad or d_minus.requires_grad):
+            return
+        tmp = lam.data * eta
+        tmp *= g_bracket
+        g_gap = tmp.sum(axis=2, keepdims=True)  # d(dm - dp)
+        g_dp = g_bracket.sum(axis=(1, 2), keepdims=True) + (-g_gap).sum(axis=1, keepdims=True)
+        g_chord = np.multiply(g_first, bracket, out=g_bracket)  # in place
+        g_zi = g_first.sum(axis=1, keepdims=True)
+        g_diff = np.divide(g_chord, dm, out=g_first)  # d(z_j - z_i), in place
+        np.negative(g_chord, out=g_chord)  # d(dm) = sum(-g_chord (z_j - z_i) / dm^2)
+        g_chord *= np.subtract(z_j, z_i, out=tmp)
+        g_chord /= dm * dm
+        g_dm = g_chord.sum(axis=2, keepdims=True) + g_gap
+        g_zj = g_diff.sum(axis=0, keepdims=True)
+        g_zi = g_zi + np.negative(g_diff, out=g_diff).sum(axis=1, keepdims=True)
+        g_zj = np.multiply(g, 1.0 - take3, out=tmp).sum(axis=0, keepdims=True) + g_zj
+        ad._accumulate(d_plus, g_dp.reshape(b))
+        ad._accumulate(d_minus, g_dm.reshape(b, b) * take)
+        ad._accumulate(z, g_zj.reshape(b, d) + g_zi.reshape(b, d))
+
+    # parents in the order in which the tape walk reached the composed ops'
+    # inputs, so the nodes upstream of them run in the same order
+    return ad._make(out, (lam, d_plus, d_minus, z), backward)
 
 
 def fusion_coefficients(step_weights: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ A block's attention and its FFN tail are one tape node each:
 ``ad.masked_attention`` for the nodes, ``ad.endpoint_attention`` for the
 edges and ``ad.residual_ffn_tail`` for both tails. The Q/K/V/O projections
 around the attention stay ``Linear`` modules.
+
 ``GraphNet.propagate`` runs the K steps in one loop. One node block and one
 edge block serve all of them, unless per-step weights are asked for (an
 ablation). The returned graph keeps each node step's attention weights, which

@@ -158,6 +158,22 @@ def composed_tail(block, pre) -> ad.Tensor:
     return composed_residual_ffn_tail(pre, block.ln1, block.ffn.fc1, block.ffn.fc2, block.ln2)
 
 
+def composed_interpolate_all(z, lam, d_plus, d_minus, eta: float) -> ad.Tensor:
+    """``cacai.interpolate_all``: a constant 0/1 branch mask selects the
+    chord point or z_j; the divisor is 1 on inactive lanes."""
+    b, d = z.shape
+    take = (d_minus.data > d_plus.data[:, None]).astype(np.float64)  # (B, B)
+    take3 = take[:, :, None]
+    d_safe = d_minus * take + (1.0 - take)       # 1 where inactive
+    dp = d_plus.reshape(b, 1, 1)
+    dm = d_safe.reshape(b, b, 1)
+    bracket = dp + lam * eta * (dm - dp)
+    z_i = z.reshape(b, 1, d)
+    z_j = z.reshape(1, b, d)
+    chord = (z_j - z_i) / dm
+    return take3 * (z_i + bracket * chord) + (1.0 - take3) * z_j
+
+
 # -- the dense graph: all B^2 ordered edges, (B, B, D) ---------------------------
 
 

@@ -1,13 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from hngen import autodiff as ad
 from hngen import cacai
 from hngen.backbone import EmbeddingBatch
-from hngen.errors import ConfigurationError, SamplingError
+from hngen.errors import ConfigurationError, SamplingError, ShapeError
 
 from gradcheck import check_gradients
-from oracles import fuse_random_weighting, interpolate_pair, loop_select_positives
+from oracles import (composed_interpolate_all, fuse_random_weighting, interpolate_pair,
+                     loop_select_positives)
 
 
 def unit_rows(rng, b, d):
@@ -200,6 +203,89 @@ class TestInterpolateAll:
             return (out * w).sum()
 
         check_gradients(loss, [raw, lam], tol=1e-4)
+
+
+def interpolation_inputs(rng, b=9, d=6, fallback_rows=(1, 4), n_classes=3):
+    """z (a parameter), lam, and a function giving d+ and d- from z; the
+    anchors in ``fallback_rows`` get a d+ past every d-, so all their lanes
+    fall back."""
+    z = ad.parameter(unit_rows(rng, b, d))
+    lam = ad.parameter(rng.uniform(0.05, 0.95, size=(b, b, d)))
+    labels = np.tile(np.arange(1, n_classes + 1), b // n_classes)
+    pos = cacai.select_positives(labels, rng)
+
+    def distances():
+        zb = EmbeddingBatch(z, labels, n_classes, b // n_classes)
+        d_plus, d_minus = cacai.pair_distances(zb, pos)
+        bump = np.zeros(b)
+        bump[list(fallback_rows)] = 3.0
+        return d_plus + bump, d_minus
+
+    return z, lam, distances
+
+
+class TestFusedInterpolation:
+    """``cacai.interpolate_all`` (one tape node) against the composed ops."""
+
+    @pytest.mark.parametrize("needs", ["lam", "z", "both"])
+    def test_matches_composed_ops(self, needs):
+        rng = np.random.default_rng(21)
+        z, lam, distances = interpolation_inputs(rng)
+        z.requires_grad = needs in ("z", "both")
+        lam.requires_grad = needs in ("lam", "both")
+        w = rng.standard_normal(lam.shape)
+        results = []
+        for op in (cacai.interpolate_all, composed_interpolate_all):
+            z.grad = lam.grad = None
+            d_plus, d_minus = distances()
+            out = op(z, lam, d_plus, d_minus, 0.7)
+            (out * w).sum().backward()
+            results.append((out.data, z.grad, lam.grad, d_plus, d_minus))
+        (out, gz, glam, dp, dm), (out_c, gz_c, glam_c, dp_c, dm_c) = results
+        first = dm.data > dp.data[:, None]
+        assert first.any() and (~first).any() and (~first[1]).all()
+        # the values and the lambda, d+ and d- gradients repeat the composed
+        # arithmetic; the two halves of z's gradient are added in another order
+        assert out.tobytes() == out_c.tobytes()
+        for got, want in ((glam, glam_c), (dp.grad, dp_c.grad), (dm.grad, dm_c.grad)):
+            assert (got is None and want is None) or got.tobytes() == want.tobytes()
+        if gz_c is None:
+            assert gz is None
+        else:
+            np.testing.assert_allclose(gz, gz_c, rtol=1e-9, atol=1e-12)
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(22)
+        z, lam, distances = interpolation_inputs(rng, b=6, d=3, fallback_rows=(2,))
+        w = rng.standard_normal(lam.shape)
+
+        def loss():
+            return (cacai.interpolate_all(z, lam, *distances(), 0.6) * w).sum()
+
+        check_gradients(loss, [z, lam], tol=1e-6)
+
+    def test_forward_backward_peak_below_14_pair_arrays(self):
+        # the composed ops in ``oracles`` peak at about 19 (B, B, D) float64
+        # arrays here, the fused op at about 8
+        rng = np.random.default_rng(24)
+        b, d = 80, 128
+        z, lam, distances = interpolation_inputs(rng, b=b, d=d, fallback_rows=(0,), n_classes=16)
+        d_plus, d_minus = distances()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cacai.interpolate_all(z, lam, d_plus, d_minus, 0.6).sum().backward()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        arrays = peak / (b * b * d * 8)
+        assert arrays < 14, f"peak {arrays:.1f} (B, B, D) arrays"
+
+    def test_rejects_lambda_of_another_shape(self):
+        rng = np.random.default_rng(23)
+        z, lam, distances = interpolation_inputs(rng, b=6, d=3)
+        with pytest.raises(ShapeError):
+            cacai.interpolate_all(z, lam[:, :, :1], *distances(), 0.5)
 
 
 class TestFuseRandomWeighting:

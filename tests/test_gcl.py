@@ -227,8 +227,9 @@ class TestEdgePropagation:
         assert peak < b * b * d * d * 8, f"peak {peak / 2**20:.1f} MiB"
 
     def test_fused_sublayers_keep_forward_backward_peak_below_20_mib(self):
-        # the composed attention and FFN-tail ops peaked at 29 MiB here; the
-        # fused ones keep only what their backward passes read (about 15 MiB)
+        # the composed attention and FFN-tail ops in ``oracles`` peak at
+        # 29 MiB here; the fused ones keep only what their backward passes
+        # read (about 15 MiB)
         rng = np.random.default_rng(10)
         b, d = 32, 128
         block = gcl.EdgeBlock(d, 2, 4, rng)
