@@ -2,15 +2,15 @@
 
 A ``Tensor`` wraps an ndarray plus an optional gradient and a backward
 closure; ``Tensor.backward()`` runs the tape in reverse topological order.
-The op set is exactly what the model needs: broadcast arithmetic, matmul,
+The op set is exactly what training calls: broadcast arithmetic, matmul,
 reductions, indexing, the usual nonlinearities and a stable logsumexp, plus
 fused ops that put a whole sublayer on the tape as one node with a
-hand-written backward. ``linear`` and ``layer_norm`` are an affine map and a
-normalization; ``masked_attention``, ``endpoint_attention`` and
-``residual_ffn_tail`` are the graph blocks' node attention, edge attention
-and post-norm FFN tail. Each fused forward pass does the arithmetic of the
-composed ops it replaces, in their order, so its values match them bit for
-bit. Gradient-blocking (``detach``) is the primitive behind the two-stage
+hand-written backward. ``linear`` is an affine map; ``masked_attention``,
+``endpoint_attention`` and ``residual_ffn_tail`` are the graph blocks' node
+attention, edge attention and post-norm FFN tail, whose two layer norms it
+computes itself. Each fused forward pass does the arithmetic of the composed
+ops it replaces, in their order, so its values match them bit for bit.
+Gradient-blocking (``detach``) is the primitive behind the two-stage
 training contract, so it is exact: a detached tensor shares data but carries
 no tape.
 
@@ -449,8 +449,6 @@ def sigmoid(a) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
-
-
 # -- fused attention sublayers -------------------------------------------------
 #
 # Each is one tape node whose forward pass does the arithmetic of the
@@ -587,24 +585,6 @@ def hadamard_pairs(z) -> Tensor:
     return _make(out_data, (z,), backward)
 
 
-def mirror_pairs(e, b: int) -> Tensor:
-    """Packed pair rows (B(B+1)/2, ...) -> (B, B, ...), row (i, j) at [i, j]
-    and [j, i]. The gradient of row (i, j) is g_ij + g_ji, and g_ii on the
-    diagonal."""
-    e = as_tensor(e)
-    i, j = kernels.pair_rows(b)
-    out_data = np.empty((b, b) + e.shape[1:])
-    out_data[i, j] = e.data
-    out_data[j, i] = e.data
-    diag = (i == j).reshape((-1,) + (1,) * (e.ndim - 1))
-
-    def backward(g):
-        upper = g[i, j]
-        _accumulate(e, np.where(diag, upper, upper + g[j, i]))
-
-    return _make(out_data, (e,), backward)
-
-
 def pairwise_sqdist(z) -> Tensor:
     """Squared distances for ordered pairs (B, D) -> (B, B)."""
     z = as_tensor(z)
@@ -628,26 +608,11 @@ def l2_normalize(x) -> Tensor:
     return div(x, sqrt(sq))
 
 
-def layer_norm(x, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then scale and shift: one tape node.
-
-    The forward pass does the arithmetic of the composed ops (sum times
-    1/n for the means), so its values match them bit for bit; the backward
-    pass is the analytic layer-norm gradient.
-    """
-    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    out_data, xhat, std = _layer_norm_forward(x.data, gain.data, bias.data, eps)
-
-    def backward(g):
-        gx = _layer_norm_backward(g, gain, bias, xhat, std, x.requires_grad)
-        if gx is not None:
-            _accumulate(x, gx)
-
-    return _make(out_data, (x, gain, bias), backward)
-
-
 def _layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float):
-    """(output, normalized input, std) of a layer norm over the last axis."""
+    """(output, normalized input, std) of a layer norm over the last axis.
+
+    The means are a sum times 1/n, the arithmetic of the composed ops, so
+    the values match them bit for bit."""
     inv_n = 1.0 / float(x.shape[-1])
     centered = x - x.sum(axis=-1, keepdims=True) * inv_n
     std = np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * inv_n + eps)
@@ -731,13 +696,13 @@ class Linear(Module):
 
 
 class LayerNorm(Module):
+    """The gain, bias and eps of a layer norm over the last axis;
+    ``residual_ffn_tail`` applies it."""
+
     def __init__(self, dim: int, eps: float = 1e-5):
         self.gain = parameter(np.ones(dim))
         self.bias = parameter(np.zeros(dim))
         self.eps = eps
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.gain, self.bias, self.eps)
 
 
 class FeedForward(Module):

@@ -45,14 +45,6 @@ class EmbeddingBatch:
     n_classes: int
     n_instances: int
 
-    @property
-    def size(self) -> int:
-        return self.z.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.z.shape[1]
-
 
 class Backbone(ad.Module):
     """``config`` must have passed ``BackboneConfig.validate``."""

@@ -186,10 +186,7 @@ def cmd_synth_data(args) -> int:
         seed=args.seed,
     )
     dataset = datakit.make_synthetic(spec)
-    fmt = args.format
-    if fmt == "auto":
-        fmt = "binary" if str(args.out).endswith(".bin") else "csv"
-    datakit.save_features(dataset, args.out, fmt)
+    fmt = datakit.save_features(dataset, args.out, args.format)
     print(f"wrote {len(dataset)} records ({dataset.dim}-dim, "
           f"{spec.num_classes} classes) to {args.out} [{fmt}]")
     return 0

@@ -80,13 +80,6 @@ class Dataset:
     def __len__(self) -> int:
         return self.features.shape[0]
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Dataset)
-            and np.array_equal(self.features, other.features)
-            and np.array_equal(self.labels, other.labels)
-        )
-
     @property
     def dim(self) -> int:
         return self.features.shape[1]
@@ -280,7 +273,9 @@ def load_features(path, fmt: str = "auto") -> Dataset:
         raise DataFormatError(f"{path}: cannot read feature file: {exc.strerror}") from exc
 
 
-def save_features(dataset: Dataset, path, fmt: str = "auto") -> None:
+def save_features(dataset: Dataset, path, fmt: str = "auto") -> str:
+    """Write ``dataset`` as 'csv' or 'binary'; 'auto' picks binary for a
+    ``.bin`` path. Returns the format written."""
     if fmt == "auto":
         fmt = "binary" if str(path).endswith(".bin") else "csv"
     if fmt == "csv":
@@ -289,6 +284,7 @@ def save_features(dataset: Dataset, path, fmt: str = "auto") -> None:
         save_binary(dataset, path)
     else:
         raise ConfigurationError(f"unknown feature format {fmt!r}")
+    return fmt
 
 
 def split_holdout(

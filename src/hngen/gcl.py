@@ -4,7 +4,7 @@ The graph is complete: node i starts as embedding z_i and the edge (i, j)
 as the elementwise product z_i * z_j. An edge holds the correlation of its
 two samples, so it is undirected, and the graph stores one row per pair
 i <= j (self-edges included): B(B+1)/2 rows in ``np.triu_indices(B)`` order.
-``ad.mirror_pairs`` expands them to the ordered (B, B, D) layout where a
+``kernels.pair_index`` maps them to the ordered (B, B, D) layout where a
 caller needs it. One propagation step advances nodes first, then edges:
 
 * nodes add masked multi-head self-attention (each row attends only to
@@ -118,7 +118,7 @@ class NodeBlock(_Block):
         attn, probs = self.attention(v, labels)
         pre = v + attn
         if include_edge_sum:
-            pre = pre + ad.mirror_pairs(pair_rows_of(e, b), b).sum(axis=1)
+            pre = pre + pair_rows_of(e, b)[kernels.pair_index(b)].sum(axis=1)
         return self._tail(pre), probs
 
     def __call__(

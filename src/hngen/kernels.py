@@ -2,10 +2,11 @@
 
 Each kernel is one vectorized numpy function. ``autodiff`` calls the
 pairwise kernels as ``kernels.<name>`` from its ``hadamard_pairs`` and
-``pairwise_sqdist`` ops, and ``evalkit`` calls ``ranked_hits``.
-``pair_rows`` fixes the row order of packed pair arrays. Inputs are
-made C-contiguous first, so the reduction order does not depend on the
-caller's memory layout.
+``pairwise_sqdist`` ops, and ``evalkit`` calls ``ranked_hits``. The pair
+layout is defined here alone: ``pair_rows`` fixes the row order of packed
+pair arrays, and ``pair_index`` maps every ordered pair to its packed row.
+Inputs are made C-contiguous first, so the reduction order does not depend
+on the caller's memory layout.
 """
 
 from __future__ import annotations
@@ -27,6 +28,17 @@ def pair_rows(b: int) -> tuple[np.ndarray, np.ndarray]:
     i, j = np.triu_indices(b)
     i.flags.writeable = j.flags.writeable = False
     return i, j
+
+
+@functools.lru_cache(maxsize=8)
+def pair_index(b: int) -> np.ndarray:
+    """(B, B) packed row of every ordered pair: ``idx[i, j] = idx[j, i]`` is
+    the row of the pair (min(i, j), max(i, j)) in ``pair_rows`` order."""
+    i, j = pair_rows(b)
+    idx = np.empty((b, b), dtype=np.int64)
+    idx[i, j] = idx[j, i] = np.arange(i.size)
+    idx.flags.writeable = False
+    return idx
 
 
 def hadamard_pairs(z: np.ndarray) -> np.ndarray:

@@ -51,8 +51,7 @@ class ClassCodec:
 class ClassifierHead(ad.Module):
     """Linear C x D classifier over embeddings (the C_z / C_v heads)."""
 
-    def __init__(self, name: str, num_classes: int, dim: int, rng: np.random.Generator):
-        self.name = name
+    def __init__(self, num_classes: int, dim: int, rng: np.random.Generator):
         self.linear = ad.Linear(dim, num_classes, rng)
 
     def __call__(self, x: ad.Tensor, frozen: bool = False) -> ad.Tensor:

@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from . import cacai, datakit, evalkit, gcl, losses
+from . import cacai, datakit, evalkit, gcl, kernels, losses
 from .backbone import Backbone, BackboneConfig, EmbeddingBatch
 from .errors import CheckpointError, ConfigurationError, NumericError
 
@@ -227,9 +227,9 @@ class HngModel(ad.Module):
                 ffn_expansion=cfg.ffn_expansion,
                 share_weights_across_steps=cfg.share_weights_across_steps,
             )
-            self.head_cv = losses.ClassifierHead("C_v", codec.num_classes, dim, rng)
+            self.head_cv = losses.ClassifierHead(codec.num_classes, dim, rng)
         if cfg.uses_synthetics:
-            self.head_cz = losses.ClassifierHead("C_z", codec.num_classes, dim, rng)
+            self.head_cz = losses.ClassifierHead(codec.num_classes, dim, rng)
             if cfg.ablation != "single_coeff":
                 self.lambda_head = cacai.LambdaHead(dim, rng)
         if cfg.metric_loss == "proxy_anchor":
@@ -268,14 +268,14 @@ class HngModel(ad.Module):
         )
 
     def lambda_for(self, graph: gcl.CorrelationGraph) -> ad.Tensor:
-        """Interpolation vectors (B, B, D) for every ordered pair, from the
-        final edges mirrored; the single-coefficient arm replaces them with
-        the constant 1."""
+        """Interpolation vectors (B, B, D) for every ordered pair: the head's
+        output on the final edge rows, read at ``kernels.pair_index``. The
+        single-coefficient arm replaces them with the constant 1."""
         b, d = graph.size, graph.dim
         if self.cfg.ablation == "single_coeff":
             return ad.Tensor(np.ones((b, b, d)))
         assert self.lambda_head is not None
-        return ad.mirror_pairs(self.lambda_head(graph.e), b)
+        return self.lambda_head(graph.e)[kernels.pair_index(b)]
 
     def synthesize(
         self, zb: EmbeddingBatch, lam: ad.Tensor, eta: float,
@@ -545,19 +545,17 @@ def config_hash(resolved_config: dict) -> str:
 
 # -- checkpoint serialization ---------------------------------------------------
 
-_DTYPE_CODES = {np.dtype("<f8"): 8, np.dtype("<f4"): 4}
-_CODE_DTYPES = {8: np.dtype("<f8"), 4: np.dtype("<f4")}
+# a blob's dtype code: its data is little-endian float64, the training precision
+_FLOAT64_CODE = 8
 
 
 def _write_group(path: Path, params: dict[str, ad.Tensor]) -> None:
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         names = sorted(params)
-        sample_dtype = params[names[0]].data.dtype if names else np.dtype("<f8")
-        code = _DTYPE_CODES[np.dtype(sample_dtype.str.replace(">", "<"))]
-        fh.write(struct.pack("<III", CHECKPOINT_VERSION, code, len(names)))
+        fh.write(struct.pack("<III", CHECKPOINT_VERSION, _FLOAT64_CODE, len(names)))
         for name in names:
-            data = np.ascontiguousarray(params[name].data, dtype=_CODE_DTYPES[code])
+            data = np.ascontiguousarray(params[name].data, dtype="<f8")
             raw = name.encode("utf-8")
             fh.write(struct.pack("<H", len(raw)))
             fh.write(raw)
@@ -584,8 +582,7 @@ def _read_group(path: Path) -> dict[str, np.ndarray]:
                 f"{path}: checkpoint version {version} needs migration "
                 f"(supported: {CHECKPOINT_VERSION})"
             )
-        dtype = _CODE_DTYPES.get(code)
-        if dtype is None:
+        if code != _FLOAT64_CODE:
             raise CheckpointError(f"{path}: unknown dtype code {code}")
         out: dict[str, np.ndarray] = {}
         for _ in range(count):
@@ -597,8 +594,8 @@ def _read_group(path: Path) -> dict[str, np.ndarray]:
             (ndim,) = struct.unpack("<B", read(1))
             shape = struct.unpack(f"<{ndim}Q", read(8 * ndim)) if ndim else ()
             n_items = math.prod(shape)
-            buf = read(n_items * dtype.itemsize)
-            out[name] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
+            buf = read(n_items * 8)
+            out[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
     return out
 
 

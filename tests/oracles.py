@@ -130,10 +130,48 @@ def composed_endpoint_attention(q, k, v, i, j, heads: int) -> ad.Tensor:
     return (v_j + p_i.reshape(n, heads, 1) * (v_i - v_j)).reshape(n, d)
 
 
+def layer_norm(x, gain: ad.Tensor, bias: ad.Tensor, eps: float = 1e-5) -> ad.Tensor:
+    """Normalize over the last axis, then scale and shift: one tape node.
+
+    The forward pass does the arithmetic of the composed ops (sum times
+    1/n for the means), so its values match them bit for bit; the backward
+    pass is the analytic layer-norm gradient, the one
+    ``ad.residual_ffn_tail`` applies to both of its norms.
+    """
+    x, gain, bias = ad.as_tensor(x), ad.as_tensor(gain), ad.as_tensor(bias)
+    out_data, xhat, std = ad._layer_norm_forward(x.data, gain.data, bias.data, eps)
+
+    def backward(g):
+        gx = ad._layer_norm_backward(g, gain, bias, xhat, std, x.requires_grad)
+        if gx is not None:
+            ad._accumulate(x, gx)
+
+    return ad._make(out_data, (x, gain, bias), backward)
+
+
 def composed_residual_ffn_tail(pre, ln1, fc1, fc2, ln2) -> ad.Tensor:
     """``ad.residual_ffn_tail``: LN2(FFN(x) + x) with x = LN1(pre)."""
-    bar = ln1(pre)
-    return ln2(fc2(ad.relu(fc1(bar))) + bar)
+    bar = layer_norm(pre, ln1.gain, ln1.bias, ln1.eps)
+    return layer_norm(fc2(ad.relu(fc1(bar))) + bar, ln2.gain, ln2.bias, ln2.eps)
+
+
+def mirror_pairs(e, b: int) -> ad.Tensor:
+    """Packed pair rows (B(B+1)/2, ...) -> (B, B, ...), row (i, j) at [i, j]
+    and [j, i], as its own tape op: the reference for indexing with
+    ``kernels.pair_index``. The gradient of row (i, j) is g_ij + g_ji, and
+    g_ii on the diagonal."""
+    e = ad.as_tensor(e)
+    i, j = kernels.pair_rows(b)
+    out_data = np.empty((b, b) + e.shape[1:])
+    out_data[i, j] = e.data
+    out_data[j, i] = e.data
+    diag = (i == j).reshape((-1,) + (1,) * (e.ndim - 1))
+
+    def backward(g):
+        upper = g[i, j]
+        ad._accumulate(e, np.where(diag, upper, upper + g[j, i]))
+
+    return ad._make(out_data, (e,), backward)
 
 
 def composed_node_attention(block: gcl.NodeBlock, v, labels):

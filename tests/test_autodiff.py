@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from hngen import autodiff as ad
+from hngen import kernels
 from hngen.errors import ShapeError
 
 from gradcheck import check_gradients
-from oracles import LoopAdamW, composed_residual_ffn_tail, masked_softmax
+from oracles import (LoopAdamW, composed_residual_ffn_tail, layer_norm, masked_softmax,
+                     mirror_pairs)
 
 
 def _param(rng, *shape):
@@ -164,7 +166,7 @@ class TestReductionsAndComposites:
         a = _param(rng, 3, 6)
         g = ad.parameter(rng.standard_normal(6))
         b = ad.parameter(rng.standard_normal(6))
-        check_gradients(lambda: (ad.layer_norm(a, g, b) ** 2).sum(), [a, g, b])
+        check_gradients(lambda: (layer_norm(a, g, b) ** 2).sum(), [a, g, b])
 
     def test_layer_norm_gradient_3d(self):
         rng = np.random.default_rng(15)
@@ -172,7 +174,7 @@ class TestReductionsAndComposites:
         g = ad.parameter(rng.standard_normal(6))
         b = ad.parameter(rng.standard_normal(6))
         w = rng.standard_normal((2, 3, 6))
-        check_gradients(lambda: (ad.layer_norm(a, g, b) * w).sum(), [a, g, b])
+        check_gradients(lambda: (layer_norm(a, g, b) * w).sum(), [a, g, b])
 
     def test_layer_norm_matches_composed_ops_bitwise(self):
         rng = np.random.default_rng(16)
@@ -182,7 +184,7 @@ class TestReductionsAndComposites:
         centered = x - mu
         var = ad.tmean(centered * centered, axis=-1, keepdims=True)
         composed = centered / ad.sqrt(var + 1e-5) * g + b
-        assert np.array_equal(ad.layer_norm(x, g, b).data, composed.data)
+        assert np.array_equal(layer_norm(x, g, b).data, composed.data)
 
     def test_l2_normalize_rows_and_zero_row_error(self):
         rng = np.random.default_rng(12)
@@ -300,16 +302,32 @@ class TestKernelBackedOps:
         w = rng.standard_normal((10, 3))
         check_gradients(lambda: (ad.hadamard_pairs(z) * w).sum(), [z])
 
-    def test_mirror_pairs_values_and_grad(self):
+    def test_pair_index_take_values_and_grad(self):
         rng = np.random.default_rng(21)
         e = _param(rng, 10, 3)
-        out = ad.mirror_pairs(e, 4)
+        idx = kernels.pair_index(4)
+        assert idx.shape == (4, 4) and idx.dtype == np.int64 and not idx.flags.writeable
+        out = e[idx]
         assert out.shape == (4, 4, 3)
         for p, (i, j) in enumerate(zip(*np.triu_indices(4))):
+            assert idx[i, j] == idx[j, i] == p
             assert np.array_equal(out.data[i, j], e.data[p])
             assert np.array_equal(out.data[j, i], e.data[p])
         w = rng.standard_normal((4, 4, 3))  # not symmetric: both orders count
-        check_gradients(lambda: (ad.mirror_pairs(e, 4) * w).sum(), [e])
+        check_gradients(lambda: (e[kernels.pair_index(4)] * w).sum(), [e])
+
+    @pytest.mark.parametrize("b", [1, 2, 5, 12])
+    def test_pair_index_take_matches_mirror_pairs_bitwise(self, b):
+        rng = np.random.default_rng(22 + b)
+        rows = rng.standard_normal((b * (b + 1) // 2, 6))
+        w = rng.standard_normal((b, b, 6))
+        results = []
+        for expand in (lambda e: e[kernels.pair_index(b)], lambda e: mirror_pairs(e, b)):
+            e = ad.Tensor(rows.copy(), requires_grad=True)
+            out = expand(e)
+            (out * w).sum().backward()
+            results.append((out.data.tobytes(), e.grad.tobytes()))
+        assert results[0] == results[1]
 
     def test_pairwise_sqdist_values_and_grad(self):
         rng = np.random.default_rng(16)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -216,6 +217,19 @@ class TestSynthData:
         assert out.read_bytes()[:4] == b"GCAF"
         assert len(datakit.load_features(out)) == 12
 
+    @pytest.mark.parametrize("name, fmt, written", [
+        ("d.bin", "auto", "binary"), ("d.csv", "auto", "csv"), ("d.txt", "binary", "binary"),
+        ("d.bin", "csv", "csv"),
+    ])
+    def test_prints_the_format_written(self, tmp_path, capsys, name, fmt, written):
+        out = tmp_path / name
+        rc = cli.main(["synth-data", "--classes", "3", "--per-class", "4",
+                       "--dim", "5", "--format", fmt, "--out", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().out == (
+            f"wrote 12 records (5-dim, 3 classes) to {out} [{written}]\n")
+        assert (out.read_bytes()[:4] == b"GCAF") == (written == "binary")
+
 
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
@@ -259,6 +273,24 @@ class TestTrainEvalInspect:
         blob.write_bytes(blob.read_bytes()[:-1])
         rc = cli.main(["eval", "--checkpoint", str(ckpt), "--out-dir", str(tmp_path / "ev")])
         assert rc == 2
+
+    def test_eval_float32_blob_returns_2(self, trained, tmp_path, capsys):
+        # checkpoints are float64 only: a float32 blob is refused, not widened
+        _, run_dir = trained
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(run_dir / "checkpoints" / "epoch_001", ckpt)
+        blob = ckpt / "backbone.bin"
+        tensors = trainer._read_group(blob)
+        raw = [trainer.CHECKPOINT_MAGIC,
+               struct.pack("<III", trainer.CHECKPOINT_VERSION, 4, len(tensors))]
+        for name in sorted(tensors):
+            data = tensors[name].astype("<f4")
+            raw += [struct.pack("<H", len(name)), name.encode(), struct.pack("<B", data.ndim),
+                    struct.pack(f"<{data.ndim}Q", *data.shape), data.tobytes()]
+        blob.write_bytes(b"".join(raw))
+        rc = cli.main(["eval", "--checkpoint", str(ckpt), "--out-dir", str(tmp_path / "ev")])
+        assert rc == 2
+        assert "unknown dtype code 4" in capsys.readouterr().err
 
     def test_eval_custom_ks_and_csv(self, trained):
         tmp_path, run_dir = trained

@@ -60,7 +60,7 @@ class TestCrossEntropyAndJce:
 
     def test_reference_value(self):
         codec = losses.ClassCodec(np.array([1, 2, 3]))
-        head = losses.ClassifierHead("C_z", 3, 3, np.random.default_rng(0))
+        head = losses.ClassifierHead(3, 3, np.random.default_rng(0))
         head.linear.weight.data = np.eye(3)
         head.linear.bias.data = np.zeros(3)
         out = j_ce(ad.Tensor(np.array([1.0, 2.0, 3.0])), 3, head, codec)
@@ -68,7 +68,7 @@ class TestCrossEntropyAndJce:
 
     def test_invalid_class_rejected(self):
         codec = losses.ClassCodec(np.array([1, 2, 3]))
-        head = losses.ClassifierHead("C_z", 3, 3, np.random.default_rng(0))
+        head = losses.ClassifierHead(3, 3, np.random.default_rng(0))
         with pytest.raises(ConfigurationError):
             j_ce(ad.Tensor(np.ones(3)), 9, head, codec)
 
@@ -125,7 +125,7 @@ class TestJgen:
     def test_zero_weights_reduce_to_mean_ce(self):
         rng = np.random.default_rng(5)
         z, labels, slots, codec, synth = balanced_setup(rng)
-        head = losses.ClassifierHead("C_z", codec.num_classes, 6, rng)
+        head = losses.ClassifierHead(codec.num_classes, 6, rng)
         lam = ad.Tensor(rng.uniform(0.1, 0.9, (6, 6, 6)))
         out, parts = losses.j_gen(z, synth, lam, head, codec, gamma_s=0.0, gamma_d=0.0)
         # literal 1/(B*N) normalization over the B*(N-1) valid lanes
@@ -134,7 +134,7 @@ class TestJgen:
     def test_gamma_s_scales_similarity_linearly(self):
         rng = np.random.default_rng(6)
         z, labels, slots, codec, synth = balanced_setup(rng)
-        head = losses.ClassifierHead("C_z", codec.num_classes, 6, rng)
+        head = losses.ClassifierHead(codec.num_classes, 6, rng)
         lam = ad.Tensor(rng.uniform(0.1, 0.9, (6, 6, 6)))
         base = losses.j_gen(z, synth, lam, head, codec,
                             gamma_s=0.0, gamma_d=0.0)[0].data
@@ -147,7 +147,7 @@ class TestJgen:
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(7)
         z, labels, slots, codec, synth = balanced_setup(rng)
-        head = losses.ClassifierHead("C_z", codec.num_classes, 6, rng)
+        head = losses.ClassifierHead(codec.num_classes, 6, rng)
         lam_np = rng.uniform(0.1, 0.9, (6, 6, 6))
         gamma_s, gamma_d = 1.3, 0.7
         out, _ = losses.j_gen(z, synth, ad.Tensor(lam_np), head, codec,
@@ -173,7 +173,7 @@ class TestJgen:
     def test_head_is_frozen_in_stage1(self):
         rng = np.random.default_rng(8)
         z, labels, slots, codec, synth = balanced_setup(rng)
-        head = losses.ClassifierHead("C_z", codec.num_classes, 6, rng)
+        head = losses.ClassifierHead(codec.num_classes, 6, rng)
         lam = ad.parameter(rng.uniform(0.1, 0.9, (6, 6, 6)))
         out, _ = losses.j_gen(z, synth, lam, head, codec, gamma_s=1.0, gamma_d=0.01)
         out.backward()
@@ -188,7 +188,7 @@ class TestJgen:
         slots = np.array([1, 2, 3])
         labels = np.tile(slots, m)
         codec = losses.ClassCodec(slots)
-        head = losses.ClassifierHead("C_z", 3, d, rng)
+        head = losses.ClassifierHead(3, d, rng)
         z_hat = ad.parameter(rng.standard_normal((n * m, n, d)))
         lam = ad.parameter(rng.uniform(0.2, 0.8, (n * m, n * m, d)))
 
@@ -205,7 +205,7 @@ class TestHeadLosses:
     def test_j_cz_uniform_and_perfect(self):
         rng = np.random.default_rng(10)
         codec = losses.ClassCodec(np.array([1, 2]))
-        head = losses.ClassifierHead("C_z", 2, 3, rng)
+        head = losses.ClassifierHead(2, 3, rng)
         head.linear.weight.data[:] = 0.0
         head.linear.bias.data[:] = 0.0
         z = ad.Tensor(unit_rows(rng, 4, 3))
@@ -218,7 +218,7 @@ class TestHeadLosses:
     def test_j_cz_matches_loop_oracle(self):
         rng = np.random.default_rng(11)
         codec = losses.ClassCodec(np.array([3, 7, 9]))
-        head = losses.ClassifierHead("C_z", 3, 5, rng)
+        head = losses.ClassifierHead(3, 5, rng)
         z = ad.Tensor(unit_rows(rng, 6, 5))
         labels = np.array([3, 7, 9, 3, 7, 9])
         out = losses.j_cz(z, labels, head, codec)
@@ -232,7 +232,7 @@ class TestHeadLosses:
     def test_j_gca_matches_loop_oracle(self):
         rng = np.random.default_rng(12)
         codec = losses.ClassCodec(np.array([1, 2, 3]))
-        head = losses.ClassifierHead("C_v", 3, 4, rng)
+        head = losses.ClassifierHead(3, 4, rng)
         v = ad.Tensor(rng.standard_normal((6, 4)))
         labels = np.array([1, 2, 3, 1, 2, 3])
         out = losses.j_gca(v, labels, head, codec)
@@ -246,7 +246,7 @@ class TestHeadLosses:
     def test_head_gradients(self):
         rng = np.random.default_rng(13)
         codec = losses.ClassCodec(np.array([1, 2, 3]))
-        head = losses.ClassifierHead("C_v", 3, 4, rng)
+        head = losses.ClassifierHead(3, 4, rng)
         v = ad.parameter(rng.standard_normal((6, 4)))
         labels = np.array([1, 2, 3, 1, 2, 3])
         check_gradients(

@@ -4,12 +4,14 @@ build ``NodeBlock``, ``EdgeBlock`` and ``LambdaHead`` directly. These checks
 fail the fast suite when a rename or a signature change would break
 ``perfbench/run.py --trace 1``. They only read ``perfbench/``.
 
-The pytest settings in ``pyproject.toml`` and the compare step of
-``tools/same_outputs.py`` are checked here too."""
+The pytest settings in ``pyproject.toml``, the compare step of
+``tools/same_outputs.py`` and the rule that the training modules hold only
+code that training runs are checked here too."""
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import json
 import shutil
 import subprocess
@@ -20,10 +22,18 @@ import numpy as np
 import pytest
 
 from hngen import autodiff as ad
-from hngen import cacai, gcl, trainer
+from hngen import cacai, cli, gcl, trainer
 
 REPO = Path(__file__).resolve().parent.parent
 TRACER = REPO / "perfbench" / "tracer.py"
+
+# a recipe that trains, evaluates and checkpoints in well under a second
+TINY = {
+    "dataset": {"num_classes": 4, "samples_per_class": 12, "input_dim": 6, "seed": 3},
+    "backbone": {"hidden_dims": [8], "embed_dim": 8},
+    "train": {"epochs": 1, "batch_classes": 3, "batch_instances": 2, "seed": 5},
+    "eval": {"ks": [1, 2], "holdout_per_class": 3},
+}
 
 
 def tracer_targets() -> list[tuple[str, str, str]]:
@@ -85,13 +95,7 @@ def _load_tool(name: str):
 
 def test_same_outputs_compare_flags_one_flipped_blob_byte(tmp_path, capsys):
     tool = _load_tool("same_outputs")
-    tiny = {
-        "dataset": {"num_classes": 4, "samples_per_class": 12, "input_dim": 6, "seed": 3},
-        "backbone": {"hidden_dims": [8], "embed_dim": 8},
-        "train": {"epochs": 1, "batch_classes": 3, "batch_instances": 2, "seed": 5},
-        "eval": {"ks": [1, 2], "holdout_per_class": 3},
-    }
-    tool.run_side(REPO / "src", tmp_path / "a", {"tiny": tiny})
+    tool.run_side(REPO / "src", tmp_path / "a", {"tiny": TINY})
     status = json.loads((tmp_path / "a" / "tiny" / "status.json").read_text())
     assert status == {"train": 0, "eval": 0, "inspect": 0}
     shutil.copytree(tmp_path / "a", tmp_path / "b")
@@ -112,3 +116,67 @@ def test_same_outputs_compare_flags_one_flipped_blob_byte(tmp_path, capsys):
                      f"    {last}: max abs diff {gap:.3g}"]
     assert tool.report(diffs, []) == 1
     assert "DIFFERS" in capsys.readouterr().out
+
+
+TRAINING_MODULES = ("autodiff", "gcl", "cacai", "losses", "backbone", "kernels", "trainer")
+
+# what training never calls, each with its only caller
+NOT_RUN_IN_TRAINING = {
+    "autodiff.Module.zero_grad": "perfbench's block probes",
+    "gcl.NodeBlock.__call__": "perfbench's block probes",
+    "kernels.active_backend": "perfbench's environment record",
+    "trainer.Trainer._dump_diagnostics": "the numeric abort, which test_trainer.py covers",
+}
+
+
+def _defined_functions() -> dict[str, object]:
+    """Name -> function of every function, method and property getter that
+    the training modules define; dunders other than ``__call__`` are left
+    out."""
+    found = {}
+    for module_name in TRAINING_MODULES:
+        module = importlib.import_module(f"hngen.{module_name}")
+
+        def visit(prefix, namespace):
+            for name, value in vars(namespace).items():
+                if isinstance(value, property):
+                    value = value.fget
+                elif isinstance(value, (staticmethod, classmethod)):
+                    value = value.__func__
+                if inspect.isclass(value) and value.__module__ == module.__name__:
+                    visit(f"{prefix}{name}.", value)
+                elif callable(value) and getattr(value, "__module__", None) == module.__name__:
+                    if name.startswith("__") and name != "__call__":
+                        continue
+                    found[f"{module_name}.{prefix}{name}"] = value
+
+        visit("", module)
+    return found
+
+
+def test_every_training_function_runs(tmp_path):
+    # One epoch of every acceptance config under a profiler: a function the
+    # training modules define that none of them calls is test-only code,
+    # which belongs under tests/.
+    overrides = _load_tool("same_outputs").ACCEPTANCE
+    functions = _defined_functions()
+    for fn in functions.values():
+        if hasattr(fn, "cache_clear"):  # a cached body runs only on a miss
+            fn.cache_clear()
+    ran = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            ran.add(frame.f_code)
+
+    for name, override in overrides.items():
+        recipe = {**TINY, "train": {**TINY["train"], **override.get("train", {}), "epochs": 1}}
+        sys.setprofile(profile)
+        try:
+            cli._fit_one(cli.resolve_config(None, recipe), str(tmp_path / name), quiet=True)
+        finally:
+            sys.setprofile(None)
+    never_ran = {name for name, fn in functions.items()
+                 if inspect.unwrap(fn).__code__ not in ran}
+    assert never_ran - NOT_RUN_IN_TRAINING.keys() == set()
+    assert NOT_RUN_IN_TRAINING.keys() - never_ran == set()  # no stale entry
