@@ -2,17 +2,17 @@
 
 A ``Tensor`` wraps an ndarray plus an optional gradient and a backward
 closure; ``Tensor.backward()`` runs the tape in reverse topological order.
-The op set is exactly what training calls: broadcast arithmetic, matmul,
-reductions, indexing, the usual nonlinearities and a stable logsumexp, plus
-fused ops that put a whole sublayer on the tape as one node with a
-hand-written backward. ``linear`` is an affine map; ``masked_attention``,
-``endpoint_attention`` and ``residual_ffn_tail`` are the graph blocks' node
-attention, edge attention and post-norm FFN tail, whose two layer norms it
-computes itself. Each fused forward pass does the arithmetic of the composed
-ops it replaces, in their order, so its values match them bit for bit.
-Gradient-blocking (``detach``) is the primitive behind the two-stage
-training contract, so it is exact: a detached tensor shares data but carries
-no tape.
+The op set is exactly what training calls: broadcast arithmetic, sums,
+indexing and the usual nonlinearities, plus fused ops that put a whole
+sublayer on the tape as one node with a hand-written backward (the losses
+in :mod:`hngen.losses` are built the same way). ``linear`` is an affine
+map; ``masked_attention``, ``endpoint_attention`` and ``residual_ffn_tail``
+are the graph blocks' node attention, edge attention and post-norm FFN
+tail, whose two layer norms it computes itself. Each fused forward pass
+does the arithmetic of the composed ops it replaces, in their order, so its
+values match them bit for bit. Gradient-blocking (``detach``) is the
+primitive behind the two-stage training contract, so it is exact: a
+detached tensor shares data but carries no tape.
 
 Heavy pairwise ops (``hadamard_pairs``, ``pairwise_sqdist``) call the numpy
 kernels in :mod:`hngen.kernels`.
@@ -21,7 +21,7 @@ kernels in :mod:`hngen.kernels`.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -112,32 +112,11 @@ class Tensor:
     def __rtruediv__(self, other):
         return div(as_tensor(other), self)
 
-    def __pow__(self, exponent):
-        return pow_scalar(self, exponent)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return take(self, key)
 
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def swapaxes(self, a, b):
-        return swapaxes(self, a, b)
-
-    @property
-    def T(self):
-        if self.ndim != 2:
-            raise ShapeError("T is defined for 2-D tensors only")
-        return swapaxes(self, 0, 1)
 
 
 def as_tensor(x) -> Tensor:
@@ -228,30 +207,6 @@ def div(a, b) -> Tensor:
     return _make(out_data, (a, b), backward)
 
 
-def pow_scalar(a, exponent: float) -> Tensor:
-    a = as_tensor(a)
-    e = float(exponent)
-    out_data = a.data**e
-
-    def backward(g):
-        _accumulate(a, g * e * a.data ** (e - 1.0))
-
-    return _make(out_data, (a,), backward)
-
-
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data @ b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
-
-    return _make(out_data, (a, b), backward)
-
-
 def linear(x, w, b) -> Tensor:
     """Affine map ``x @ w.T + b`` over the last axis of ``x``: one tape node.
 
@@ -309,54 +264,7 @@ def tsum(a, axis=None, keepdims=False) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
-def tmean(a, axis=None, keepdims=False) -> Tensor:
-    a = as_tensor(a)
-    n = a.data.size if axis is None else np.prod(
-        [a.data.shape[i] for i in np.atleast_1d(axis)]
-    )
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / float(n))
-
-
-def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
-    """Numerically stable log-sum-exp; entries below -1e30 act as -inf."""
-    a = as_tensor(a)
-    m = np.max(a.data, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    e = np.exp(a.data - m)
-    s = e.sum(axis=axis, keepdims=True)
-    out_data = np.log(s) + m
-    soft = e / s
-    if not keepdims:
-        out_data = np.squeeze(out_data, axis=axis)
-
-    def backward(g):
-        gk = np.expand_dims(g, axis) if not keepdims else g
-        _accumulate(a, gk * soft)
-
-    return _make(out_data, (a,), backward)
-
-
-# -- shape manipulation -------------------------------------------------------
-
-
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-    out_data = a.data.reshape(shape)
-
-    def backward(g):
-        _accumulate(a, g.reshape(a.data.shape))
-
-    return _make(out_data, (a,), backward)
-
-
-def swapaxes(a, ax1: int, ax2: int) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.swapaxes(a.data, ax1, ax2)
-
-    def backward(g):
-        _accumulate(a, np.swapaxes(g, ax1, ax2))
-
-    return _make(out_data, (a,), backward)
+# -- indexing -----------------------------------------------------------------
 
 
 def take(a, key) -> Tensor:
@@ -382,21 +290,6 @@ def _scatter(src: np.ndarray, g: np.ndarray, shape: tuple[int, ...]) -> np.ndarr
     repeated positions add in ``np.ravel`` order, as ``np.add.at`` does."""
     size = math.prod(shape)
     return np.bincount(np.ravel(src), weights=np.ravel(g), minlength=size).reshape(shape)
-
-
-def concatenate(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
-    parts = [as_tensor(p) for p in parts]
-    out_data = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(lo, hi)
-            _accumulate(p, g[tuple(idx)])
-
-    return _make(out_data, parts, backward)
 
 
 # -- elementwise nonlinearities ----------------------------------------------
@@ -636,22 +529,6 @@ def _layer_norm_backward(g, gain: Tensor, bias: Tensor, xhat, std, need_x: bool)
     ) / std
 
 
-def log1p_sum_exp(u, valid: np.ndarray, axis: int = -1) -> Tensor:
-    """log(1 + sum over valid lanes of exp(u)), stable.
-
-    Invalid lanes are replaced by a large negative sentinel whose exp
-    underflows to exactly zero, so they contribute neither value nor
-    gradient.
-    """
-    u = as_tensor(u)
-    valid = np.broadcast_to(np.asarray(valid, dtype=bool), u.shape)
-    masked = add(mul(u, valid.astype(np.float64)), (~valid) * -1e9)
-    zshape = list(u.shape)
-    zshape[axis if axis >= 0 else u.ndim + axis] = 1
-    zero = Tensor(np.zeros(zshape))
-    return logsumexp(concatenate([zero, masked], axis=axis), axis=axis)
-
-
 # -- modules ------------------------------------------------------------------
 
 
@@ -689,10 +566,8 @@ class Linear(Module):
         self.weight = parameter(rng.uniform(-bound, bound, size=(out_dim, in_dim)))
         self.bias = parameter(np.zeros(out_dim))
 
-    def __call__(self, x: Tensor, frozen: bool = False) -> Tensor:
-        w = self.weight.detach() if frozen else self.weight
-        b = self.bias.detach() if frozen else self.bias
-        return linear(x, w, b)
+    def __call__(self, x: Tensor) -> Tensor:
+        return linear(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):

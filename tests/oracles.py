@@ -76,6 +76,115 @@ def stacked_token_cross_attention(block: gcl.EdgeBlock, e_rows, v, i, j):
     return affine(block.wo, ctx), probs
 
 
+# -- autodiff ops that only the composed forms use ---------------------------------
+#
+# Training builds its losses and its graph sublayers as fused nodes, so
+# these small ops run only in the references below and in the tests of the
+# ops themselves.
+
+
+def reshape(a, shape) -> ad.Tensor:
+    a = ad.as_tensor(a)
+    out_data = a.data.reshape(shape)
+
+    def backward(g):
+        ad._accumulate(a, g.reshape(a.data.shape))
+
+    return ad._make(out_data, (a,), backward)
+
+
+def swapaxes(a, ax1: int, ax2: int) -> ad.Tensor:
+    a = ad.as_tensor(a)
+    out_data = np.swapaxes(a.data, ax1, ax2)
+
+    def backward(g):
+        ad._accumulate(a, np.swapaxes(g, ax1, ax2))
+
+    return ad._make(out_data, (a,), backward)
+
+
+def pow_scalar(a, exponent: float) -> ad.Tensor:
+    a = ad.as_tensor(a)
+    e = float(exponent)
+    out_data = a.data**e
+
+    def backward(g):
+        ad._accumulate(a, g * e * a.data ** (e - 1.0))
+
+    return ad._make(out_data, (a,), backward)
+
+
+def matmul(a, b) -> ad.Tensor:
+    a, b = ad.as_tensor(a), ad.as_tensor(b)
+    out_data = a.data @ b.data
+
+    def backward(g):
+        if a.requires_grad:
+            ad._accumulate(a, ad._unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+        if b.requires_grad:
+            ad._accumulate(b, ad._unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+
+    return ad._make(out_data, (a, b), backward)
+
+
+def tmean(a, axis=None, keepdims=False) -> ad.Tensor:
+    a = ad.as_tensor(a)
+    n = a.data.size if axis is None else np.prod(
+        [a.data.shape[i] for i in np.atleast_1d(axis)]
+    )
+    return ad.mul(ad.tsum(a, axis=axis, keepdims=keepdims), 1.0 / float(n))
+
+
+def logsumexp(a, axis: int = -1, keepdims: bool = False) -> ad.Tensor:
+    """Numerically stable log-sum-exp; entries below -1e30 act as -inf."""
+    a = ad.as_tensor(a)
+    m = np.max(a.data, axis=axis, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    e = np.exp(a.data - m)
+    s = e.sum(axis=axis, keepdims=True)
+    out_data = np.log(s) + m
+    soft = e / s
+    if not keepdims:
+        out_data = np.squeeze(out_data, axis=axis)
+
+    def backward(g):
+        gk = np.expand_dims(g, axis) if not keepdims else g
+        ad._accumulate(a, gk * soft)
+
+    return ad._make(out_data, (a,), backward)
+
+
+def concatenate(parts, axis: int = 0) -> ad.Tensor:
+    parts = [ad.as_tensor(p) for p in parts]
+    out_data = np.concatenate([p.data for p in parts], axis=axis)
+    sizes = [p.data.shape[axis] for p in parts]
+    offsets = np.cumsum([0] + sizes)
+
+    def backward(g):
+        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+            idx = [slice(None)] * g.ndim
+            idx[axis] = slice(lo, hi)
+            ad._accumulate(p, g[tuple(idx)])
+
+    return ad._make(out_data, parts, backward)
+
+
+def log1p_sum_exp(u, valid: np.ndarray, axis: int = -1) -> ad.Tensor:
+    """log(1 + sum over valid lanes of exp(u)), stable.
+
+    Invalid lanes are replaced by a large negative sentinel whose exp
+    underflows to exactly zero, so they contribute neither value nor
+    gradient.
+    """
+    u = ad.as_tensor(u)
+    valid = np.broadcast_to(np.asarray(valid, dtype=bool), u.shape)
+    masked = ad.add(ad.mul(u, valid.astype(np.float64)), (~valid) * -1e9)
+    zshape = list(u.shape)
+    zshape[axis if axis >= 0 else u.ndim + axis] = 1
+    zero = ad.Tensor(np.zeros(zshape))
+    return logsumexp(concatenate([zero, masked], axis=axis), axis=axis)
+
+
 # -- composed forms of the fused tape ops ---------------------------------------
 #
 # Each builds from the small autodiff ops what one fused op computes. The
@@ -105,7 +214,7 @@ def masked_softmax(scores, blocked: np.ndarray) -> ad.Tensor:
 
 def split_heads(x: ad.Tensor, heads: int) -> ad.Tensor:
     b, d = x.shape
-    return x.reshape(b, heads, d // heads).swapaxes(0, 1)  # (H, B, hd)
+    return swapaxes(reshape(x, (b, heads, d // heads)), 0, 1)  # (H, B, hd)
 
 
 def composed_masked_attention(q, k, v, blocked, heads: int):
@@ -113,9 +222,9 @@ def composed_masked_attention(q, k, v, blocked, heads: int):
     ``probs @ v`` and merge."""
     b, d = q.shape
     qh, kh, vh = (split_heads(x, heads) for x in (q, k, v))
-    scores = (qh @ kh.swapaxes(1, 2)) * (1.0 / np.sqrt(d // heads))
+    scores = matmul(qh, swapaxes(kh, 1, 2)) * (1.0 / np.sqrt(d // heads))
     probs = masked_softmax(scores, blocked[None, :, :])
-    return (probs @ vh).swapaxes(0, 1).reshape(b, d), probs
+    return reshape(swapaxes(matmul(probs, vh), 0, 1), (b, d)), probs
 
 
 def composed_endpoint_attention(q, k, v, i, j, heads: int) -> ad.Tensor:
@@ -123,11 +232,11 @@ def composed_endpoint_attention(q, k, v, i, j, heads: int) -> ad.Tensor:
     difference and the two-token mix."""
     n, d = q.shape
     hd = d // heads
-    s_diff = (q * (k[i] - k[j])).reshape(n, heads, hd).sum(axis=-1)
+    s_diff = reshape(q * (k[i] - k[j]), (n, heads, hd)).sum(axis=-1)
     p_i = ad.sigmoid(s_diff * (1.0 / np.sqrt(hd)))  # (P, H)
-    v_i = v[i].reshape(n, heads, hd)
-    v_j = v[j].reshape(n, heads, hd)
-    return (v_j + p_i.reshape(n, heads, 1) * (v_i - v_j)).reshape(n, d)
+    v_i = reshape(v[i], (n, heads, hd))
+    v_j = reshape(v[j], (n, heads, hd))
+    return reshape(v_j + reshape(p_i, (n, heads, 1)) * (v_i - v_j), (n, d))
 
 
 def layer_norm(x, gain: ad.Tensor, bias: ad.Tensor, eps: float = 1e-5) -> ad.Tensor:
@@ -203,13 +312,136 @@ def composed_interpolate_all(z, lam, d_plus, d_minus, eta: float) -> ad.Tensor:
     take = (d_minus.data > d_plus.data[:, None]).astype(np.float64)  # (B, B)
     take3 = take[:, :, None]
     d_safe = d_minus * take + (1.0 - take)       # 1 where inactive
-    dp = d_plus.reshape(b, 1, 1)
-    dm = d_safe.reshape(b, b, 1)
+    dp = reshape(d_plus, (b, 1, 1))
+    dm = reshape(d_safe, (b, b, 1))
     bracket = dp + lam * eta * (dm - dp)
-    z_i = z.reshape(b, 1, d)
-    z_j = z.reshape(1, b, d)
+    z_i = reshape(z, (b, 1, d))
+    z_j = reshape(z, (1, b, d))
     chord = (z_j - z_i) / dm
     return take3 * (z_i + bracket * chord) + (1.0 - take3) * z_j
+
+
+# -- composed forms of the fused losses -------------------------------------------
+
+
+def head_logits(x, head: losses.ClassifierHead, frozen: bool = False) -> ad.Tensor:
+    """``head``'s logits for ``x``; ``frozen`` applies the weights detached,
+    so the head gets no gradient."""
+    w, b = head.linear.weight, head.linear.bias
+    return ad.linear(x, w.detach(), b.detach()) if frozen else ad.linear(x, w, b)
+
+
+def cross_entropy(logits, columns: np.ndarray) -> ad.Tensor:
+    """Per-sample stable softmax cross-entropy against integer column targets."""
+    columns = np.asarray(columns, dtype=np.int64)
+    if columns.min() < 0 or columns.max() >= logits.shape[-1]:
+        raise ConfigurationError("target column outside classifier range")
+    lse = logsumexp(logits, axis=-1)
+    picked = logits[np.arange(logits.shape[0]), columns]
+    return lse - picked
+
+
+def composed_cross_entropy(x, head: losses.ClassifierHead, columns: np.ndarray) -> ad.Tensor:
+    """``losses.cross_entropy``: the head's linear node, ``cross_entropy``
+    and the mean."""
+    return tmean(cross_entropy(head_logits(x, head), columns))
+
+
+def stage1_lanes(z, synth, head_cz: losses.ClassifierHead, codec: losses.ClassCodec):
+    """Per-(anchor, slot) classification and similarity terms, (B, N)."""
+    b, n, d = synth.z_hat.shape
+    logits = head_logits(reshape(synth.z_hat, (b * n, d)), head_cz, frozen=True)
+    cols = np.broadcast_to(codec.columns(synth.slot_labels), (b, n)).reshape(-1)
+    ce = reshape(cross_entropy(logits, cols), (b, n))
+
+    dots = ad.tsum(reshape(z, (b, 1, d)) * synth.z_hat, axis=-1)
+    z_norm = ad.sqrt(ad.tsum(z * z, axis=-1, keepdims=True))
+    hat_sq = ad.tsum(synth.z_hat * synth.z_hat, axis=-1)
+    if np.any(hat_sq.data <= 0):
+        raise ShapeError("synthetic negative collapsed to the zero vector")
+    sim = 1.0 - dots / (z_norm * ad.sqrt(hat_sq))
+    return ce, sim
+
+
+def j_div_per_anchor(lam, labels: np.ndarray) -> ad.Tensor:
+    """Diversity term per anchor over its negative-pair lambda vectors."""
+    labels = np.asarray(labels)
+    b = labels.shape[0]
+    neg = labels[:, None] != labels[None, :]
+    counts = neg.sum(axis=1)
+    if np.any(counts * lam.shape[-1] < 2):
+        raise ShapeError("diversity loss needs at least two lambda entries")
+    if len(set(counts.tolist())) != 1:
+        raise ShapeError("diversity loss expects a balanced batch")
+    sel = reshape(lam[neg], (b, counts[0] * lam.shape[-1]))
+    mu = tmean(sel, axis=1, keepdims=True)
+    var = tmean(pow_scalar(sel - mu, 2), axis=1)
+    return 1.0 - ad.sqrt_or_zero(var)
+
+
+def batch_labels(synth, b: int) -> np.ndarray:
+    """The labels of a balanced batch of ``b`` anchors, from the slot labels."""
+    n = synth.slot_labels.shape[0]
+    return np.tile(synth.slot_labels, b // n)
+
+
+def composed_j_gen(z, synth, lam, head_cz, codec, *, gamma_s: float, gamma_d: float):
+    """``losses.j_gen`` from the small ops, the head applied frozen."""
+    b, n, _ = synth.z_hat.shape
+    valid = synth.valid.astype(np.float64)
+    n_valid = valid.sum()
+    ce, sim = stage1_lanes(z, synth, head_cz, codec)
+    div = j_div_per_anchor(lam, batch_labels(synth, b))
+    lane = ce + gamma_s * sim
+    total = ad.tsum(lane * valid) + gamma_d * (float(n) - 1.0) * ad.tsum(div)
+    scalar = total * (1.0 / (b * n))
+    parts = {
+        "j_ce": float((ce.data * valid).sum() / n_valid),
+        "j_sim": float((sim.data * valid).sum() / n_valid),
+        "j_div": float(div.data.mean()),
+    }
+    return scalar, parts
+
+
+def composed_j_syn(z, positive_idx: np.ndarray, synth) -> ad.Tensor:
+    """``losses.j_syn``: mean_i log(1 + sum_n exp(z.zhat_in - z.z+_i))."""
+    b, n, d = synth.z_hat.shape
+    dots = ad.tsum(reshape(z, (b, 1, d)) * synth.z_hat, axis=-1)       # (B, N)
+    pos = ad.tsum(z * z[np.asarray(positive_idx)], axis=-1)           # (B,)
+    u = dots - reshape(pos, (b, 1))
+    return tmean(log1p_sum_exp(u, synth.valid, axis=1))
+
+
+def composed_np_loss(z, n_classes: int, n_instances: int) -> ad.Tensor:
+    """``losses.np_loss`` on a batch already in the (N, m) group layout."""
+    n, m = n_classes, n_instances
+    anchors = z[np.arange(n)]                                         # (N, D)
+    rest = reshape(z[np.arange(n, n * m)], (m - 1, n, z.shape[1]))    # (m-1, N, D)
+    sims = matmul(anchors, swapaxes(rest, 1, 2))                      # (m-1, N, N)
+    diag = sims[:, np.arange(n), np.arange(n)]                        # (m-1, N)
+    u = sims - reshape(diag, (m - 1, n, 1))
+    off_diag = ~np.eye(n, dtype=bool)
+    terms = log1p_sum_exp(u, np.broadcast_to(off_diag, u.shape), axis=2)
+    return terms.sum() * (1.0 / ((m - 1) * n))
+
+
+def composed_pa_loss(z, labels: np.ndarray, bank: losses.ProxyBank,
+                     codec: losses.ClassCodec) -> ad.Tensor:
+    """``losses.pa_loss``: L2-normalized proxies, cosine similarities, and
+    the pull and push terms over each proxy's positives and negatives."""
+    cols = codec.columns(labels)
+    proxies = ad.l2_normalize(bank.proxies)
+    sims = matmul(z, swapaxes(proxies, 0, 1))                         # (B, C)
+    c = bank.proxies.shape[0]
+    pos_mask = np.zeros((z.shape[0], c), dtype=bool)
+    pos_mask[np.arange(z.shape[0]), cols] = True
+
+    by_proxy = swapaxes(sims, 0, 1)                                   # (C, B)
+    pull_terms = log1p_sum_exp(-bank.alpha * (by_proxy - bank.margin), pos_mask.T, axis=1)
+    push_terms = log1p_sum_exp(bank.alpha * (by_proxy + bank.margin), ~pos_mask.T, axis=1)
+    present = np.unique(cols)
+    pull = pull_terms[present].sum() * (1.0 / present.size)
+    return pull + tmean(push_terms)
 
 
 # -- the dense graph: all B^2 ordered edges, (B, B, D) ---------------------------
@@ -228,17 +460,17 @@ def dense_edge_step(block: gcl.EdgeBlock, e, v):
     """``EdgeBlock`` on every ordered edge, K and V broadcast over them."""
     b, dim, heads = v.shape[0], block.dim, block.heads
     hd = dim // heads
-    e_flat = e.reshape(b * b, dim)
-    q = block.wq(e_flat).reshape(b, b, dim)
+    e_flat = reshape(e, (b * b, dim))
+    q = reshape(block.wq(e_flat), (b, b, dim))
     k, val = block.wk(v), block.wv(v)
-    k_diff = k.reshape(b, 1, dim) - k.reshape(1, b, dim)  # K_i - K_j
-    s_diff = (q * k_diff).reshape(b, b, heads, hd).sum(axis=-1)
+    k_diff = reshape(k, (b, 1, dim)) - reshape(k, (1, b, dim))  # K_i - K_j
+    s_diff = reshape(q * k_diff, (b, b, heads, hd)).sum(axis=-1)
     p_i = ad.sigmoid(s_diff * (1.0 / np.sqrt(hd)))
-    v_i = val.reshape(b, 1, heads, hd)
-    v_j = val.reshape(1, b, heads, hd)
-    ctx = v_j + p_i.reshape(b, b, heads, 1) * (v_i - v_j)
-    ca = block.wo(ctx.reshape(b * b, dim))
-    return block._tail(e_flat + ca).reshape(b, b, dim)
+    v_i = reshape(val, (b, 1, heads, hd))
+    v_j = reshape(val, (1, b, heads, hd))
+    ctx = v_j + reshape(p_i, (b, b, heads, 1)) * (v_i - v_j)
+    ca = block.wo(reshape(ctx, (b * b, dim)))
+    return reshape(block._tail(e_flat + ca), (b, b, dim))
 
 
 def dense_propagate(net: gcl.GraphNet, z, labels, node_propagation=True,
@@ -247,7 +479,7 @@ def dense_propagate(net: gcl.GraphNet, z, labels, node_propagation=True,
     E_ij = z_i * z_j kept for every ordered pair: (B, D) and (B, B, D)."""
     z = ad.as_tensor(z)
     b, d = z.shape
-    v, e = z, z.reshape(b, 1, d) * z.reshape(1, b, d)
+    v, e = z, reshape(z, (b, 1, d)) * reshape(z, (1, b, d))
     for k in range(net.k_steps):
         node_block, edge_block = net._blocks(k)
         if node_propagation:
@@ -317,6 +549,16 @@ class TwoStepStage1Trainer(trainer.Trainer):
 # -- scalar forms of the vectorized interpolation, fusion and losses -------------
 
 
+def dict_columns(ids: np.ndarray, labels) -> np.ndarray:
+    """``ClassCodec.columns`` as one dict lookup per label."""
+    col = {int(c): i for i, c in enumerate(ids)}
+    try:
+        return np.array([col[int(lab)] for lab in np.ravel(labels)],
+                        dtype=np.int64).reshape(np.shape(labels))
+    except KeyError as exc:
+        raise ConfigurationError(f"label {exc} has no head column/proxy") from exc
+
+
 def loop_select_positives(labels, rng: np.random.Generator) -> np.ndarray:
     """One ``rng.choice`` per anchor over its same-class pool, in index order."""
     labels = np.asarray(labels)
@@ -362,28 +604,28 @@ def _cosine(a: ad.Tensor, b: ad.Tensor, axis: int = -1) -> ad.Tensor:
         raise ShapeError("cosine similarity of a zero vector")
     dot = ad.tsum(a * b, axis=axis, keepdims=True)
     out = dot / (ad.sqrt(na) * ad.sqrt(nb))
-    return out.reshape(out.shape[:-1])
+    return reshape(out, out.shape[:-1])
 
 
 def j_ce(z_hat_in: ad.Tensor, class_n: int, head: losses.ClassifierHead,
          codec: losses.ClassCodec, frozen_head: bool = True) -> ad.Tensor:
     """Classification loss of one synthetic negative against its class."""
-    logits = head(z_hat_in.reshape(1, z_hat_in.shape[-1]), frozen=frozen_head)
-    return losses.cross_entropy(logits, codec.columns(np.array([class_n]))).mean()
+    logits = head_logits(reshape(z_hat_in, (1, z_hat_in.shape[-1])), head, frozen_head)
+    return tmean(cross_entropy(logits, codec.columns(np.array([class_n]))))
 
 
 def j_sim(z_i: ad.Tensor, z_hat_in: ad.Tensor) -> ad.Tensor:
     """1 - cosine(anchor, synthetic); in [0, 2]."""
-    return 1.0 - _cosine(z_i.reshape(1, -1), z_hat_in.reshape(1, -1)).sum()
+    return 1.0 - _cosine(reshape(z_i, (1, -1)), reshape(z_hat_in, (1, -1))).sum()
 
 
 def j_div(lambda_entries: ad.Tensor) -> ad.Tensor:
     """1 - population std over all channels of an anchor's lambda vectors."""
-    flat = lambda_entries.reshape(-1)
+    flat = reshape(lambda_entries, -1)
     if flat.shape[0] < 2:
         raise ShapeError("diversity loss needs at least two lambda entries")
-    mu = flat.mean()
-    var = ((flat - mu) ** 2).mean()
+    mu = tmean(flat)
+    var = tmean(pow_scalar(flat - mu, 2))
     return 1.0 - ad.sqrt_or_zero(var)
 
 
@@ -394,11 +636,11 @@ def original_np_loss(z: ad.Tensor, labels: np.ndarray, n_classes: int) -> ad.Ten
         raise ShapeError("original N-pair loss expects exactly two groups")
     anchors = z[np.arange(n)]
     positives = z[np.arange(n, 2 * n)]
-    sims = anchors @ positives.T
+    sims = matmul(anchors, swapaxes(positives, 0, 1))
     diag = sims[np.arange(n), np.arange(n)]
-    u = sims - diag.reshape(n, 1)
-    terms = ad.log1p_sum_exp(u, ~np.eye(n, dtype=bool), axis=1)
-    return terms.mean()
+    u = sims - reshape(diag, (n, 1))
+    terms = log1p_sum_exp(u, ~np.eye(n, dtype=bool), axis=1)
+    return tmean(terms)
 
 
 def j_m(j_r_term: ad.Tensor, j_gca_term: ad.Tensor, j_syn_term: ad.Tensor,

@@ -12,7 +12,7 @@ from gradcheck import check_gradients
 from oracles import (composed_cross_attention, composed_endpoint_attention,
                      composed_masked_attention, composed_node_attention, composed_tail,
                      dense_edge_step, dense_graph, layer_norm, recompute_node_attention,
-                     stacked_token_cross_attention)
+                     stacked_token_cross_attention, tmean)
 
 
 def graph_net(dim, rng, **settings):
@@ -397,7 +397,7 @@ class TestGradients:
         def loss():
             zb = EmbeddingBatch(ad.l2_normalize(z), labels, 3, 2)
             out = net.propagate(gcl.init_graph(zb))
-            return (out.v * wv).sum() + out.e.mean()
+            return (out.v * wv).sum() + tmean(out.e)
 
         check_gradients(loss, [z], tol=1e-4)
 

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from hngen import autodiff as ad
-from hngen import losses
+from hngen import cli, datakit, losses, trainer
 from hngen.cacai import SyntheticNegatives
 from hngen.errors import ConfigurationError, ShapeError
 
 from gradcheck import check_gradients
-from oracles import j_ce, j_div, j_m, j_sim, original_np_loss
+from oracles import (composed_cross_entropy, composed_j_gen, composed_j_syn, composed_np_loss,
+                     composed_pa_loss, cross_entropy, dict_columns, j_ce, j_div, j_m, j_sim,
+                     original_np_loss, tmean)
+from test_tooling import TINY
 
 
 def unit_rows(rng, b, d):
@@ -48,14 +51,14 @@ def softmax_ce_scalar(logits, col):
 class TestCrossEntropyAndJce:
     def test_uniform_logits_ln_c(self):
         logits = ad.Tensor(np.zeros((4, 7)))
-        out = losses.cross_entropy(logits, np.zeros(4, int))
+        out = cross_entropy(logits, np.zeros(4, int))
         assert out.shape == (4,)  # per sample; the callers take the mean
         assert np.allclose(out.data, np.log(7.0), rtol=0, atol=1e-12)
 
     def test_confident_logit_near_zero(self):
         row = np.zeros((1, 4))
         row[0, 2] = 60.0
-        out = losses.cross_entropy(ad.Tensor(row), np.array([2]))
+        out = cross_entropy(ad.Tensor(row), np.array([2]))
         assert out.data[0] < 1e-15
 
     def test_reference_value(self):
@@ -76,7 +79,7 @@ class TestCrossEntropyAndJce:
         rng = np.random.default_rng(1)
         logits = ad.parameter(rng.standard_normal((5, 4)))
         cols = rng.integers(0, 4, size=5)
-        check_gradients(lambda: losses.cross_entropy(logits, cols).mean(), [logits])
+        check_gradients(lambda: tmean(cross_entropy(logits, cols)), [logits])
 
 
 class TestJsim:
@@ -470,6 +473,162 @@ class TestPaLoss:
             return losses.pa_loss(ad.l2_normalize(raw), labels, bank, codec)
 
         check_gradients(loss, [raw, bank.proxies])
+
+
+class TestClassCodec:
+    @pytest.mark.parametrize("ids, labels", [
+        ([-7, -2, 0, 3], [[3, -7], [0, -2], [-2, -2]]),          # negative ids, 2-D labels
+        ([5, 1000, 40, 17], [1000, 5, 17, 40, 17]),             # sparse ids
+        ([2, 9], np.array(9)),                                  # a 0-d label
+        ([2, 9], np.zeros((0, 3), dtype=np.int64)),             # no labels
+    ])
+    def test_matches_dict_lookup(self, ids, labels):
+        codec = losses.ClassCodec(np.array(ids))
+        got = codec.columns(labels)
+        want = dict_columns(codec.ids, labels)
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("labels", [[3, 4], [[1, 3], [-1, 1]], [1, 2], [1, 99], [0]])
+    def test_unknown_label_is_named(self, labels):
+        codec = losses.ClassCodec(np.array([1, 3]))
+        unknown = next(lab for lab in np.ravel(labels) if lab not in (1, 3))
+        with pytest.raises(ConfigurationError, match=f"label {unknown} has no head column"):
+            codec.columns(labels)
+
+
+# each fused loss's composed form, under the fused loss's signature
+COMPOSED = {
+    "j_gen": composed_j_gen,
+    "j_cz": lambda z, labels, head, codec: composed_cross_entropy(z, head, codec.columns(labels)),
+    "j_gca": lambda v, labels, head, codec: composed_cross_entropy(v, head, codec.columns(labels)),
+    "j_syn": composed_j_syn,
+    "np_loss": lambda z, labels, n, m: composed_np_loss(z, n, m),
+    "pa_loss": composed_pa_loss,
+}
+
+
+def _loss_cases(rng, z_tracked: bool):
+    """name -> (fused, composed, tracked inputs): zero-argument builders of
+    each fused loss and its composed form on shared leaf tensors."""
+    n, m, d = 3, 3, 5
+    z, labels, slots, codec, synth = balanced_setup(rng, n=n, m=m, d=d)
+    if z_tracked:
+        z = ad.parameter(z.data)
+    synth.z_hat = ad.parameter(synth.z_hat.data)
+    lam = ad.parameter(rng.uniform(0.1, 0.9, (n * m, n * m, d)))
+    head = losses.ClassifierHead(codec.num_classes, d, rng)
+    bank = losses.ProxyBank(codec.num_classes, d, rng, alpha=32.0, margin=0.1)
+    pos = (np.arange(n * m) + n) % (n * m)
+    gammas = {"gamma_s": 1.3, "gamma_d": 0.7}
+    head_params = [head.linear.weight, head.linear.bias]
+    zs = [z] if z_tracked else []
+    return {
+        "j_gen": (lambda: losses.j_gen(z, synth, lam, head, codec, **gammas)[0],
+                  lambda: composed_j_gen(z, synth, lam, head, codec, **gammas)[0],
+                  [lam, synth.z_hat] + zs),  # the head is frozen
+        "j_cz": (lambda: losses.j_cz(z, labels, head, codec),
+                 lambda: COMPOSED["j_cz"](z, labels, head, codec), head_params + zs),
+        "j_syn": (lambda: losses.j_syn(z, pos, synth),
+                  lambda: composed_j_syn(z, pos, synth), [synth.z_hat] + zs),
+        "np_loss": (lambda: losses.np_loss(z, labels, n, m),
+                    lambda: composed_np_loss(z, n, m), zs),
+        "pa_loss": (lambda: losses.pa_loss(z, labels, bank, codec),
+                    lambda: composed_pa_loss(z, labels, bank, codec), [bank.proxies] + zs),
+    }
+
+
+def _value_and_grads(make_loss, tracked):
+    for t in tracked:
+        t.grad = None
+    out = make_loss()
+    if out.requires_grad:
+        out.backward()
+    return out.data, [t.grad for t in tracked]
+
+
+def _step_gradients(tmp_path, train: dict):
+    """The LossReport of one training step and the gradients that each
+    optimizer step of it applies, keyed by parameter name."""
+    cfg = cli.resolve_config(None, {**TINY, "train": {**TINY["train"], **train}})
+    tr = trainer.Trainer(cli.build_dataset(cfg), None, cli.train_config_from(cfg),
+                         cli.backbone_config_from(cfg), tmp_path)
+    names = {id(p): f"{group}.{name}"
+             for group, params in tr.model.parameter_groups().items()
+             for name, p in params.items()}
+    applied, step = [], tr.opt.step
+
+    def recording_step():
+        applied.append({names[id(p)]: p.grad.copy() for p in tr.opt.params if p.grad is not None})
+        step()
+
+    tr.opt.step = recording_step
+    batch = datakit.sample_balanced(tr.train_set, 3, 2, tr.sampler_rng)
+    return tr.train_step(batch).to_dict(), applied
+
+
+class TestFusedLossesMatchComposed:
+    """Each fused loss node against its composed form in ``oracles``.
+
+    Values are bitwise equal, and so is every gradient a loss hands its
+    inputs. In a whole training step one case is only within 1e-12: in
+    stage 2 several losses feed the embeddings z, and each fused loss adds
+    its share of z's gradient as one term where the composed ops added
+    theirs one by one, interleaved with the other losses'. So z's gradient,
+    and through it the backbone's, sums the same terms in another order.
+    Every other parameter's gradient is bitwise equal.
+    """
+
+    @pytest.mark.parametrize("z_tracked", [False, True], ids=["z-detached", "z-tracked"])
+    @pytest.mark.parametrize("name", ["j_gen", "j_cz", "j_syn", "np_loss", "pa_loss"])
+    def test_value_and_input_gradients_bitwise(self, name, z_tracked):
+        fused, composed, tracked = _loss_cases(np.random.default_rng(40), z_tracked)[name]
+        value, grads = _value_and_grads(fused, tracked)
+        ref_value, ref_grads = _value_and_grads(composed, tracked)
+        assert value.tobytes() == ref_value.tobytes()
+        for t, g, ref in zip(tracked, grads, ref_grads):
+            assert (g is None) == (ref is None), t
+            assert g is None or np.array_equal(g, ref), t
+
+    def test_j_gen_components_bitwise(self):
+        rng = np.random.default_rng(41)
+        z, labels, slots, codec, synth = balanced_setup(rng, n=4, m=2, d=6)
+        lam = ad.Tensor(rng.uniform(0.1, 0.9, (8, 8, 6)))
+        head = losses.ClassifierHead(codec.num_classes, 6, rng)
+        args = (z, synth, lam, head, codec)
+        assert (losses.j_gen(*args, gamma_s=1.0, gamma_d=0.03)[1]
+                == composed_j_gen(*args, gamma_s=1.0, gamma_d=0.03)[1])
+
+    @pytest.mark.parametrize("train", [
+        *({"ablation": arm} for arm in ("full", "no_rw", "single_coeff", "no_global",
+                                         "no_hadamard")),
+        {"metric_loss": "proxy_anchor"},
+        {"metric_loss": "proxy_anchor", "ablation": "baseline_gnn"},
+    ], ids=lambda t: "-".join(t.values()))
+    def test_training_step_matches_composed(self, tmp_path, monkeypatch, train):
+        report, applied = _step_gradients(tmp_path / "fused", train)
+        with monkeypatch.context() as patch:
+            for name, composed in COMPOSED.items():
+                patch.setattr(losses, name, composed)
+            ref_report, ref_applied = _step_gradients(tmp_path / "composed", train)
+        assert report == ref_report
+        assert [g.keys() for g in applied] == [g.keys() for g in ref_applied]
+        *stage1, stage2 = zip(applied, ref_applied)
+        for grads, ref in stage1:
+            for name in grads:
+                assert np.array_equal(grads[name], ref[name]), name
+        grads, ref = stage2
+        for name in grads:
+            if name.startswith("backbone."):  # via z, see the class docstring
+                scale = max(1.0, np.max(np.abs(ref[name])))
+                assert np.max(np.abs(grads[name] - ref[name])) <= 1e-12 * scale, name
+            else:
+                assert np.array_equal(grads[name], ref[name]), name
+
+    @pytest.mark.parametrize("name", ["j_gen", "j_cz", "j_syn", "np_loss", "pa_loss"])
+    def test_gradcheck(self, name):
+        fused, _, tracked = _loss_cases(np.random.default_rng(42), z_tracked=True)[name]
+        check_gradients(fused, tracked)
 
 
 class TestJmAndSchedules:

@@ -5,8 +5,9 @@ fail the fast suite when a rename or a signature change would break
 ``perfbench/run.py --trace 1``. They only read ``perfbench/``.
 
 The pytest settings in ``pyproject.toml``, the compare step of
-``tools/same_outputs.py`` and the rule that the training modules hold only
-code that training runs are checked here too."""
+``tools/same_outputs.py``, the rule that the training modules hold only
+code that training runs and the size of a smoke step's tape are checked
+here too."""
 
 import ast
 import importlib
@@ -22,7 +23,7 @@ import numpy as np
 import pytest
 
 from hngen import autodiff as ad
-from hngen import cacai, cli, gcl, trainer
+from hngen import cacai, cli, datakit, gcl, losses, trainer
 
 REPO = Path(__file__).resolve().parent.parent
 TRACER = REPO / "perfbench" / "tracer.py"
@@ -180,3 +181,43 @@ def test_every_training_function_runs(tmp_path):
                  if inspect.unwrap(fn).__code__ not in ran}
     assert never_ran - NOT_RUN_IN_TRAINING.keys() == set()
     assert NOT_RUN_IN_TRAINING.keys() - never_ran == set()  # no stale entry
+
+
+# Tape nodes of one train_step on configs/smoke.json: one per loss term,
+# and 67 for the rest (the backbone, both stages' graph, lambda head and
+# synthetics, and the sums of the loss terms).
+SMOKE_STEP_TAPE_NODES = 72
+SMOKE_STEP_LOSSES = ("j_gen", "j_cz", "j_gca", "j_syn", "np_loss")
+
+
+def test_smoke_step_tape_size(tmp_path, monkeypatch):
+    # Each loss term is one fused node; a change that splits one, or adds
+    # ops elsewhere, changes the count and fails here.
+    cfg = cli.resolve_config(str(REPO / "configs" / "smoke.json"))
+    tr = trainer.Trainer(cli.build_dataset(cfg), None, cli.train_config_from(cfg),
+                         cli.backbone_config_from(cfg), tmp_path)
+    batch = datakit.sample_balanced(tr.train_set, tr.cfg.batch_classes,
+                                    tr.cfg.batch_instances, tr.sampler_rng)
+    made = {"outside the losses": 0, **{name: 0 for name in SMOKE_STEP_LOSSES}}
+    inside = ["outside the losses"]
+    make = ad._make
+
+    def counting_make(data, parents, backward):
+        made[inside[-1]] += 1
+        return make(data, parents, backward)
+
+    def attributed(name, fn):
+        def call(*args, **kwargs):
+            inside.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+        return call
+
+    monkeypatch.setattr(ad, "_make", counting_make)
+    for name in SMOKE_STEP_LOSSES:
+        monkeypatch.setattr(losses, name, attributed(name, getattr(losses, name)))
+    tr.train_step(batch)
+    assert {name: made[name] for name in SMOKE_STEP_LOSSES} == dict.fromkeys(SMOKE_STEP_LOSSES, 1)
+    assert sum(made.values()) == SMOKE_STEP_TAPE_NODES
