@@ -2,17 +2,18 @@
 
 A ``Tensor`` wraps an ndarray plus an optional gradient and a backward
 closure; ``Tensor.backward()`` runs the tape in reverse topological order.
-The op set is exactly what training calls: broadcast arithmetic, sums,
-indexing and the usual nonlinearities, plus fused ops that put a whole
-sublayer on the tape as one node with a hand-written backward (the losses
-in :mod:`hngen.losses` are built the same way). ``linear`` is an affine
-map; ``masked_attention``, ``endpoint_attention`` and ``residual_ffn_tail``
-are the graph blocks' node attention, edge attention and post-norm FFN
-tail, whose two layer norms it computes itself. Each fused forward pass
-does the arithmetic of the composed ops it replaces, in their order, so its
-values match them bit for bit. Gradient-blocking (``detach``) is the
-primitive behind the two-stage training contract, so it is exact: a
-detached tensor shares data but carries no tape.
+The op set is exactly what training calls: ``add`` and ``mul`` (also ``+``
+and ``*``), ``tsum``, ``take`` (also ``[]``), ``relu``, ``sigmoid`` and
+``sqrt_or_zero``, plus fused ops that put a whole sublayer on the tape as
+one node with a hand-written backward (the losses in :mod:`hngen.losses`
+are built the same way): ``linear``, ``l2_normalize``, and the graph
+blocks' node attention, edge attention and post-norm FFN tail
+(``masked_attention``, ``endpoint_attention``, ``residual_ffn_tail``).
+Each fused forward pass does the arithmetic of the composed ops it
+replaces, in their order, so its values match them bit for bit;
+``tests/oracles.py`` keeps the composed forms. Gradient-blocking
+(``detach``) is the primitive behind the two-stage training contract, so
+it is exact: a detached tensor shares data but carries no tape.
 
 Heavy pairwise ops (``hadamard_pairs``, ``pairwise_sqdist``) call the numpy
 kernels in :mod:`hngen.kernels`.
@@ -57,9 +58,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self.data, requires_grad=False)
 
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
     def backward(self, grad: np.ndarray | None = None) -> None:
         if not self.requires_grad:
             raise RuntimeError("backward() on a tensor that does not require grad")
@@ -96,21 +94,6 @@ class Tensor:
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(as_tensor(other), -1.0))
-
-    def __rsub__(self, other):
-        return add(as_tensor(other), mul(self, -1.0))
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(as_tensor(other), self)
 
     def __getitem__(self, key):
         return take(self, key)
@@ -190,19 +173,6 @@ def mul(a, b) -> Tensor:
             _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
         if b.requires_grad:
             _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _make(out_data, (a, b), backward)
-
-
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data / b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
     return _make(out_data, (a, b), backward)
 
@@ -295,16 +265,6 @@ def _scatter(src: np.ndarray, g: np.ndarray, shape: tuple[int, ...]) -> np.ndarr
 # -- elementwise nonlinearities ----------------------------------------------
 
 
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.sqrt(a.data)
-
-    def backward(g):
-        _accumulate(a, g * 0.5 / out_data)
-
-    return _make(out_data, (a,), backward)
-
-
 def sqrt_or_zero(a) -> Tensor:
     """sqrt(x) for x > 0, exactly 0 (with zero gradient) at x <= 0.
 
@@ -332,9 +292,13 @@ def relu(a) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-x))
+
+
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    out_data = 1.0 / (1.0 + np.exp(-a.data))
+    out_data = _sigmoid(a.data)
 
     def backward(g):
         _accumulate(a, g * out_data * (1.0 - out_data))
@@ -413,7 +377,7 @@ def endpoint_attention(q, k, v, i: np.ndarray, j: np.ndarray, heads: int) -> Ten
     scale = 1.0 / np.sqrt(hd)
     k_diff = k.data[i] - k.data[j]
     s = (q.data * k_diff).reshape(n, heads, hd).sum(axis=-1) * scale
-    p = 1.0 / (1.0 + np.exp(-s))  # (P, H)
+    p = _sigmoid(s)  # (P, H)
     v_j = v.data[j].reshape(n, heads, hd)
     v_diff = v.data[i].reshape(n, heads, hd) - v_j
     out_data = (v_j + p.reshape(n, heads, 1) * v_diff).reshape(n, d)
@@ -489,16 +453,30 @@ def pairwise_sqdist(z) -> Tensor:
     return _make(out_data, (z,), backward)
 
 
-# -- composite helpers --------------------------------------------------------
+# -- fused normalizations ------------------------------------------------------
 
 
 def l2_normalize(x) -> Tensor:
-    """Row-normalize to unit L2 norm; raises on zero rows."""
+    """Row-normalize to unit L2 norm over the last axis: one tape node.
+
+    The forward pass is ``x / sqrt(sum(x * x, -1))``. The backward pass adds
+    x's gradient shares in the order the composed ops did, the division's
+    first and then the two factors of ``x * x``. Raises on zero rows.
+    """
     x = as_tensor(x)
-    sq = tsum(mul(x, x), axis=-1, keepdims=True)
-    if np.any(sq.data <= 0.0):
+    sq = (x.data * x.data).sum(axis=-1, keepdims=True)
+    if np.any(sq <= 0.0):
         raise ShapeError("cannot L2-normalize a zero-norm row")
-    return div(x, sqrt(sq))
+    norm = np.sqrt(sq)
+
+    def backward(g):
+        g_norm = _unbroadcast(-g * x.data / (norm * norm), norm.shape)
+        g_sq_x = g_norm * 0.5 / norm * x.data
+        _accumulate(x, g / norm)
+        _accumulate(x, g_sq_x)
+        _accumulate(x, g_sq_x)
+
+    return _make(x.data / norm, (x,), backward)
 
 
 def _layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float):

@@ -9,6 +9,7 @@ across the batch.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -207,8 +208,10 @@ def _parse_csv(path) -> Dataset:
             try:
                 label = int(float(fields[0]))
                 feats = [float(v) for v in fields[1:]]
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:  # int(inf) overflows
                 raise DataFormatError(f"{path}: line {lineno}: {exc}") from exc
+            if not all(map(math.isfinite, feats)):
+                raise DataFormatError(f"{path}: line {lineno}: non-finite feature value")
             if dim is None:
                 dim = len(feats)
                 if dim == 0:
@@ -257,6 +260,9 @@ def _parse_binary(path) -> Dataset:
     raw = np.frombuffer(blob, dtype=np.uint8).reshape(count, record)
     labels = raw[:, :4].copy().view("<u4").reshape(count).astype(np.int64)
     feats = raw[:, 4:].copy().view("<f4").reshape(count, dim).astype(np.float64)
+    bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
+    if bad.size:
+        raise DataFormatError(f"{path}: record {bad[0] + 1}: non-finite feature value")
     return Dataset(feats, labels)
 
 

@@ -44,8 +44,8 @@ class EvalConfig:
     def validate(self) -> None:
         if not self.ks or not all(k >= 1 for k in self.ks):
             raise ConfigurationError(f"eval.ks must be a non-empty list of integers >= 1, got {self.ks!r}")
-        if self.holdout_per_class < 1:
-            raise ConfigurationError("eval.holdout_per_class must be >= 1")
+        if self.holdout_per_class < 2:  # each query needs a same-class gallery item
+            raise ConfigurationError("eval.holdout_per_class must be >= 2")
 
 
 @dataclass

@@ -267,14 +267,20 @@ class HngModel(ad.Module):
             include_edge_sum=self.cfg.ablation != "no_hadamard",
         )
 
-    def lambda_for(self, graph: gcl.CorrelationGraph) -> ad.Tensor:
+    def lambda_for(self, graph: gcl.CorrelationGraph, detach: bool = False) -> ad.Tensor:
         """Interpolation vectors (B, B, D) for every ordered pair: the head's
         output on the final edge rows, read at ``kernels.pair_index``. The
-        single-coefficient arm replaces them with the constant 1."""
+        single-coefficient arm replaces them with the constant 1. ``detach``
+        gives ``lambda_for(graph).detach()`` from the head's arrays, with no
+        tape node."""
         b, d = graph.size, graph.dim
         if self.cfg.ablation == "single_coeff":
             return ad.Tensor(np.ones((b, b, d)))
         assert self.lambda_head is not None
+        if detach:
+            fc = self.lambda_head.fc
+            lam = ad._sigmoid(ad._affine(graph.e.data, fc.weight.data, fc.bias.data))
+            return ad.Tensor(lam[kernels.pair_index(b)])
         return self.lambda_head(graph.e)[kernels.pair_index(b)]
 
     def synthesize(
@@ -334,8 +340,12 @@ class Trainer:
     ):
         cfg.validate()
         backbone_cfg.validate()
-        if len(train_set) < cfg.batch_classes * cfg.batch_instances:
-            raise ConfigurationError("dataset smaller than one batch")
+        # what datakit.sample_balanced needs to draw every batch
+        classes, counts = np.unique(train_set.labels, return_counts=True)
+        if classes.size < cfg.batch_classes or counts.min() < cfg.batch_instances:
+            raise ConfigurationError(
+                f"a batch needs {cfg.batch_classes} classes of {cfg.batch_instances} samples; the "
+                f"training split has {classes.size} classes, the smallest of {counts.min()}")
         _keep_heap_top_mapped()
         self.cfg = cfg
         self.backbone_cfg = backbone_cfg
@@ -396,7 +406,7 @@ class Trainer:
             total = total + gca
             out["j_gca"] = float(gca.data)
             if cfg.uses_synthetics:
-                lam_sg = model.lambda_for(graph).detach()
+                lam_sg = model.lambda_for(graph, detach=True)
                 synth = model.synthesize(zb, lam_sg, eta, self.synth_rng, positive_idx)
                 syn = losses.j_syn(zb.z, positive_idx, synth)
                 gamma_n = self.state.gamma_n if self.state.gamma_n is not None else 0.0

@@ -83,6 +83,34 @@ def stacked_token_cross_attention(block: gcl.EdgeBlock, e_rows, v, i, j):
 # ops themselves.
 
 
+def sub(a, b) -> ad.Tensor:
+    """``a - b`` as the two nodes ``a + (-1) b``."""
+    return ad.add(a, ad.mul(b, -1.0))
+
+
+def div(a, b) -> ad.Tensor:
+    a, b = ad.as_tensor(a), ad.as_tensor(b)
+    out_data = a.data / b.data
+
+    def backward(g):
+        if a.requires_grad:
+            ad._accumulate(a, ad._unbroadcast(g / b.data, a.data.shape))
+        if b.requires_grad:
+            ad._accumulate(b, ad._unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+
+    return ad._make(out_data, (a, b), backward)
+
+
+def sqrt(a) -> ad.Tensor:
+    a = ad.as_tensor(a)
+    out_data = np.sqrt(a.data)
+
+    def backward(g):
+        ad._accumulate(a, g * 0.5 / out_data)
+
+    return ad._make(out_data, (a,), backward)
+
+
 def reshape(a, shape) -> ad.Tensor:
     a = ad.as_tensor(a)
     out_data = a.data.reshape(shape)
@@ -193,6 +221,15 @@ def log1p_sum_exp(u, valid: np.ndarray, axis: int = -1) -> ad.Tensor:
 # ``_Block._tail``.
 
 
+def composed_l2_normalize(x) -> ad.Tensor:
+    """``ad.l2_normalize``: ``x / sqrt(sum(x * x, -1))``."""
+    x = ad.as_tensor(x)
+    sq = ad.tsum(ad.mul(x, x), axis=-1, keepdims=True)
+    if np.any(sq.data <= 0.0):
+        raise ShapeError("cannot L2-normalize a zero-norm row")
+    return div(x, sqrt(sq))
+
+
 def masked_softmax(scores, blocked: np.ndarray) -> ad.Tensor:
     """Softmax over the last axis, blocked positions exactly zero (logit
     -inf); a row with every position blocked raises."""
@@ -232,11 +269,11 @@ def composed_endpoint_attention(q, k, v, i, j, heads: int) -> ad.Tensor:
     difference and the two-token mix."""
     n, d = q.shape
     hd = d // heads
-    s_diff = reshape(q * (k[i] - k[j]), (n, heads, hd)).sum(axis=-1)
+    s_diff = reshape(q * sub(k[i], k[j]), (n, heads, hd)).sum(axis=-1)
     p_i = ad.sigmoid(s_diff * (1.0 / np.sqrt(hd)))  # (P, H)
     v_i = reshape(v[i], (n, heads, hd))
     v_j = reshape(v[j], (n, heads, hd))
-    return reshape(v_j + reshape(p_i, (n, heads, 1)) * (v_i - v_j), (n, d))
+    return reshape(v_j + reshape(p_i, (n, heads, 1)) * sub(v_i, v_j), (n, d))
 
 
 def layer_norm(x, gain: ad.Tensor, bias: ad.Tensor, eps: float = 1e-5) -> ad.Tensor:
@@ -314,10 +351,10 @@ def composed_interpolate_all(z, lam, d_plus, d_minus, eta: float) -> ad.Tensor:
     d_safe = d_minus * take + (1.0 - take)       # 1 where inactive
     dp = reshape(d_plus, (b, 1, 1))
     dm = reshape(d_safe, (b, b, 1))
-    bracket = dp + lam * eta * (dm - dp)
+    bracket = dp + lam * eta * sub(dm, dp)
     z_i = reshape(z, (b, 1, d))
     z_j = reshape(z, (1, b, d))
-    chord = (z_j - z_i) / dm
+    chord = div(sub(z_j, z_i), dm)
     return take3 * (z_i + bracket * chord) + (1.0 - take3) * z_j
 
 
@@ -338,7 +375,7 @@ def cross_entropy(logits, columns: np.ndarray) -> ad.Tensor:
         raise ConfigurationError("target column outside classifier range")
     lse = logsumexp(logits, axis=-1)
     picked = logits[np.arange(logits.shape[0]), columns]
-    return lse - picked
+    return sub(lse, picked)
 
 
 def composed_cross_entropy(x, head: losses.ClassifierHead, columns: np.ndarray) -> ad.Tensor:
@@ -355,11 +392,11 @@ def stage1_lanes(z, synth, head_cz: losses.ClassifierHead, codec: losses.ClassCo
     ce = reshape(cross_entropy(logits, cols), (b, n))
 
     dots = ad.tsum(reshape(z, (b, 1, d)) * synth.z_hat, axis=-1)
-    z_norm = ad.sqrt(ad.tsum(z * z, axis=-1, keepdims=True))
+    z_norm = sqrt(ad.tsum(z * z, axis=-1, keepdims=True))
     hat_sq = ad.tsum(synth.z_hat * synth.z_hat, axis=-1)
     if np.any(hat_sq.data <= 0):
         raise ShapeError("synthetic negative collapsed to the zero vector")
-    sim = 1.0 - dots / (z_norm * ad.sqrt(hat_sq))
+    sim = sub(1.0, div(dots, z_norm * sqrt(hat_sq)))
     return ce, sim
 
 
@@ -375,8 +412,8 @@ def j_div_per_anchor(lam, labels: np.ndarray) -> ad.Tensor:
         raise ShapeError("diversity loss expects a balanced batch")
     sel = reshape(lam[neg], (b, counts[0] * lam.shape[-1]))
     mu = tmean(sel, axis=1, keepdims=True)
-    var = tmean(pow_scalar(sel - mu, 2), axis=1)
-    return 1.0 - ad.sqrt_or_zero(var)
+    var = tmean(pow_scalar(sub(sel, mu), 2), axis=1)
+    return sub(1.0, ad.sqrt_or_zero(var))
 
 
 def batch_labels(synth, b: int) -> np.ndarray:
@@ -391,14 +428,14 @@ def composed_j_gen(z, synth, lam, head_cz, codec, *, gamma_s: float, gamma_d: fl
     valid = synth.valid.astype(np.float64)
     n_valid = valid.sum()
     ce, sim = stage1_lanes(z, synth, head_cz, codec)
-    div = j_div_per_anchor(lam, batch_labels(synth, b))
+    diversity = j_div_per_anchor(lam, batch_labels(synth, b))
     lane = ce + gamma_s * sim
-    total = ad.tsum(lane * valid) + gamma_d * (float(n) - 1.0) * ad.tsum(div)
+    total = ad.tsum(lane * valid) + gamma_d * (float(n) - 1.0) * ad.tsum(diversity)
     scalar = total * (1.0 / (b * n))
     parts = {
         "j_ce": float((ce.data * valid).sum() / n_valid),
         "j_sim": float((sim.data * valid).sum() / n_valid),
-        "j_div": float(div.data.mean()),
+        "j_div": float(diversity.data.mean()),
     }
     return scalar, parts
 
@@ -408,7 +445,7 @@ def composed_j_syn(z, positive_idx: np.ndarray, synth) -> ad.Tensor:
     b, n, d = synth.z_hat.shape
     dots = ad.tsum(reshape(z, (b, 1, d)) * synth.z_hat, axis=-1)       # (B, N)
     pos = ad.tsum(z * z[np.asarray(positive_idx)], axis=-1)           # (B,)
-    u = dots - reshape(pos, (b, 1))
+    u = sub(dots, reshape(pos, (b, 1)))
     return tmean(log1p_sum_exp(u, synth.valid, axis=1))
 
 
@@ -419,7 +456,7 @@ def composed_np_loss(z, n_classes: int, n_instances: int) -> ad.Tensor:
     rest = reshape(z[np.arange(n, n * m)], (m - 1, n, z.shape[1]))    # (m-1, N, D)
     sims = matmul(anchors, swapaxes(rest, 1, 2))                      # (m-1, N, N)
     diag = sims[:, np.arange(n), np.arange(n)]                        # (m-1, N)
-    u = sims - reshape(diag, (m - 1, n, 1))
+    u = sub(sims, reshape(diag, (m - 1, n, 1)))
     off_diag = ~np.eye(n, dtype=bool)
     terms = log1p_sum_exp(u, np.broadcast_to(off_diag, u.shape), axis=2)
     return terms.sum() * (1.0 / ((m - 1) * n))
@@ -430,14 +467,14 @@ def composed_pa_loss(z, labels: np.ndarray, bank: losses.ProxyBank,
     """``losses.pa_loss``: L2-normalized proxies, cosine similarities, and
     the pull and push terms over each proxy's positives and negatives."""
     cols = codec.columns(labels)
-    proxies = ad.l2_normalize(bank.proxies)
+    proxies = composed_l2_normalize(bank.proxies)
     sims = matmul(z, swapaxes(proxies, 0, 1))                         # (B, C)
     c = bank.proxies.shape[0]
     pos_mask = np.zeros((z.shape[0], c), dtype=bool)
     pos_mask[np.arange(z.shape[0]), cols] = True
 
     by_proxy = swapaxes(sims, 0, 1)                                   # (C, B)
-    pull_terms = log1p_sum_exp(-bank.alpha * (by_proxy - bank.margin), pos_mask.T, axis=1)
+    pull_terms = log1p_sum_exp(-bank.alpha * sub(by_proxy, bank.margin), pos_mask.T, axis=1)
     push_terms = log1p_sum_exp(bank.alpha * (by_proxy + bank.margin), ~pos_mask.T, axis=1)
     present = np.unique(cols)
     pull = pull_terms[present].sum() * (1.0 / present.size)
@@ -463,12 +500,12 @@ def dense_edge_step(block: gcl.EdgeBlock, e, v):
     e_flat = reshape(e, (b * b, dim))
     q = reshape(block.wq(e_flat), (b, b, dim))
     k, val = block.wk(v), block.wv(v)
-    k_diff = reshape(k, (b, 1, dim)) - reshape(k, (1, b, dim))  # K_i - K_j
+    k_diff = sub(reshape(k, (b, 1, dim)), reshape(k, (1, b, dim)))  # K_i - K_j
     s_diff = reshape(q * k_diff, (b, b, heads, hd)).sum(axis=-1)
     p_i = ad.sigmoid(s_diff * (1.0 / np.sqrt(hd)))
     v_i = reshape(val, (b, 1, heads, hd))
     v_j = reshape(val, (1, b, heads, hd))
-    ctx = v_j + reshape(p_i, (b, b, heads, 1)) * (v_i - v_j)
+    ctx = v_j + reshape(p_i, (b, b, heads, 1)) * sub(v_i, v_j)
     ca = block.wo(reshape(ctx, (b * b, dim)))
     return reshape(block._tail(e_flat + ca), (b, b, dim))
 
@@ -577,8 +614,8 @@ def interpolate_pair(z_i, z_j, lambda_ij, d_plus_i, d_minus_ij, eta: float) -> a
     if float(d_minus_ij.data) <= float(d_plus_i.data):
         return z_j
     lam = ad.as_tensor(lambda_ij)
-    bracket = d_plus_i + lam * eta * (d_minus_ij - d_plus_i)
-    return z_i + bracket * ((z_j - z_i) / d_minus_ij)
+    bracket = d_plus_i + lam * eta * sub(d_minus_ij, d_plus_i)
+    return z_i + bracket * div(sub(z_j, z_i), d_minus_ij)
 
 
 def fuse_random_weighting(
@@ -603,7 +640,7 @@ def _cosine(a: ad.Tensor, b: ad.Tensor, axis: int = -1) -> ad.Tensor:
     if np.any(na.data <= 0) or np.any(nb.data <= 0):
         raise ShapeError("cosine similarity of a zero vector")
     dot = ad.tsum(a * b, axis=axis, keepdims=True)
-    out = dot / (ad.sqrt(na) * ad.sqrt(nb))
+    out = div(dot, sqrt(na) * sqrt(nb))
     return reshape(out, out.shape[:-1])
 
 
@@ -616,7 +653,7 @@ def j_ce(z_hat_in: ad.Tensor, class_n: int, head: losses.ClassifierHead,
 
 def j_sim(z_i: ad.Tensor, z_hat_in: ad.Tensor) -> ad.Tensor:
     """1 - cosine(anchor, synthetic); in [0, 2]."""
-    return 1.0 - _cosine(reshape(z_i, (1, -1)), reshape(z_hat_in, (1, -1))).sum()
+    return sub(1.0, _cosine(reshape(z_i, (1, -1)), reshape(z_hat_in, (1, -1))).sum())
 
 
 def j_div(lambda_entries: ad.Tensor) -> ad.Tensor:
@@ -625,8 +662,8 @@ def j_div(lambda_entries: ad.Tensor) -> ad.Tensor:
     if flat.shape[0] < 2:
         raise ShapeError("diversity loss needs at least two lambda entries")
     mu = tmean(flat)
-    var = tmean(pow_scalar(flat - mu, 2))
-    return 1.0 - ad.sqrt_or_zero(var)
+    var = tmean(pow_scalar(sub(flat, mu), 2))
+    return sub(1.0, ad.sqrt_or_zero(var))
 
 
 def original_np_loss(z: ad.Tensor, labels: np.ndarray, n_classes: int) -> ad.Tensor:
@@ -638,7 +675,7 @@ def original_np_loss(z: ad.Tensor, labels: np.ndarray, n_classes: int) -> ad.Ten
     positives = z[np.arange(n, 2 * n)]
     sims = matmul(anchors, swapaxes(positives, 0, 1))
     diag = sims[np.arange(n), np.arange(n)]
-    u = sims - reshape(diag, (n, 1))
+    u = sub(sims, reshape(diag, (n, 1)))
     terms = log1p_sum_exp(u, ~np.eye(n, dtype=bool), axis=1)
     return tmean(terms)
 

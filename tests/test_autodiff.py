@@ -6,9 +6,9 @@ from hngen import kernels
 from hngen.errors import ShapeError
 
 from gradcheck import check_gradients
-from oracles import (LoopAdamW, composed_residual_ffn_tail, concatenate, layer_norm,
-                     log1p_sum_exp, logsumexp, masked_softmax, matmul, mirror_pairs,
-                     pow_scalar, reshape, swapaxes, tmean)
+from oracles import (LoopAdamW, composed_l2_normalize, composed_residual_ffn_tail,
+                     concatenate, div, layer_norm, log1p_sum_exp, logsumexp, masked_softmax,
+                     matmul, mirror_pairs, pow_scalar, reshape, sqrt, sub, swapaxes, tmean)
 
 
 def _param(rng, *shape):
@@ -26,13 +26,13 @@ class TestElementwise:
         rng = np.random.default_rng(1)
         a = ad.parameter(rng.uniform(0.5, 2.0, (3, 3)))
         b = ad.parameter(rng.uniform(0.5, 2.0, (3, 3)))
-        check_gradients(lambda: (a / b + pow_scalar(a, 3)).sum(), [a, b])
+        check_gradients(lambda: (div(a, b) + pow_scalar(a, 3)).sum(), [a, b])
 
     def test_sqrt_sigmoid_relu(self):
         rng = np.random.default_rng(2)
         a = ad.parameter(rng.uniform(0.1, 1.5, (4, 5)))
         check_gradients(
-            lambda: (ad.sqrt(a) + ad.sigmoid(a) + ad.relu(a - 0.7)).sum(),
+            lambda: (sqrt(a) + ad.sigmoid(a) + ad.relu(sub(a, 0.7))).sum(),
             [a],
         )
 
@@ -120,7 +120,7 @@ class TestMatmulAndShapes:
         x = _param(rng, 3, 4)
         c = ad.Tensor(rng.standard_normal((3, 4)))
         w = ad.Tensor(rng.standard_normal((4, 2)))
-        matmul((x + c) * c / (c * c + 1.0), w).sum().backward()
+        matmul(div((x + c) * c, c * c + 1.0), w).sum().backward()
         assert x.grad is not None
         assert c.grad is None and w.grad is None
 
@@ -182,9 +182,9 @@ class TestReductionsAndComposites:
         x = ad.Tensor(rng.standard_normal((5, 7)) * 3 + 1)
         g, b = ad.Tensor(rng.standard_normal(7)), ad.Tensor(rng.standard_normal(7))
         mu = tmean(x, axis=-1, keepdims=True)
-        centered = x - mu
+        centered = sub(x, mu)
         var = tmean(centered * centered, axis=-1, keepdims=True)
-        composed = centered / ad.sqrt(var + 1e-5) * g + b
+        composed = div(centered, sqrt(var + 1e-5)) * g + b
         assert np.array_equal(layer_norm(x, g, b).data, composed.data)
 
     def test_l2_normalize_rows_and_zero_row_error(self):
@@ -193,8 +193,27 @@ class TestReductionsAndComposites:
         out = ad.l2_normalize(a)
         assert np.allclose(np.linalg.norm(out.data, axis=1), 1.0, atol=1e-12)
         check_gradients(lambda: (ad.l2_normalize(a) * a).sum(), [a])
-        with pytest.raises(ShapeError):
-            ad.l2_normalize(ad.Tensor(np.zeros((2, 3))))
+        zero_row = np.ones((2, 3))
+        zero_row[1] = 0.0
+        for op in (ad.l2_normalize, composed_l2_normalize):
+            with pytest.raises(ShapeError, match="zero-norm row"):
+                op(ad.Tensor(zero_row))
+
+    @pytest.mark.parametrize("shape", [(1, 2), (5, 3), (12, 64), (2, 4, 6)])
+    @pytest.mark.parametrize("reuse", [False, True], ids=["once", "reused"])
+    def test_l2_normalize_matches_composed_ops_bitwise(self, shape, reuse):
+        # rows of very different scales; with ``reuse`` the input also feeds
+        # the loss directly, so it holds a gradient before the norm's shares
+        rng = np.random.default_rng(36)
+        x = rng.standard_normal(shape) * 10.0 ** rng.integers(-4, 4, shape[:-1] + (1,))
+        w = rng.standard_normal(shape)
+        results = []
+        for op in (ad.l2_normalize, composed_l2_normalize):
+            a = ad.Tensor(x.copy(), requires_grad=True)
+            out = op(a)
+            ((out * w + a) if reuse else out * w).sum().backward()
+            results.append((out.data.tobytes(), a.grad.tobytes()))
+        assert results[0] == results[1]
 
 
 class TestFusedSublayerOps:

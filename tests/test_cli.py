@@ -535,6 +535,9 @@ class TestTrainOverridesAndErrors:
         {"eval": {"ks": [1, 2.5]}},
         {"eval": {"ks": []}},
         {"eval": {"holdout_per_class": 0}},
+        {"eval": {"holdout_per_class": 1}},
+        {"train": {"batch_classes": 5}},
+        {"train": {"batch_instances": 10}},
         {"backbone": {"normalize": False}},
         [1],
         {"train": 5},
@@ -561,7 +564,8 @@ class TestTrainOverridesAndErrors:
         {"train": {"early_stop_patience": -1}},
     ], ids=["gamma_s", "gamma_d", "gamma_d_nan", "k_steps", "heads", "ffn_expansion",
             "heads_divide_dim", "eval_ks_zero", "eval_ks_float", "eval_ks_empty",
-            "eval_holdout_zero",
+            "eval_holdout_zero", "eval_holdout_one", "more_batch_classes_than_classes",
+            "class_smaller_than_batch_instances",
             "backbone_not_normalized", "file_a_list", "train_a_number", "eval_a_number",
             "epochs_a_string", "batch_classes_a_float", "hidden_dims_a_number",
             "dataset_seed_a_bool", "feature_file_seed_a_string", "file_not_utf8",
@@ -587,6 +591,23 @@ class TestTrainOverridesAndErrors:
         assert cli.main(["train", "--config", str(cfg_path), "--out-dir", str(out)]) == 2
         assert not out.exists()
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt, value, where", [
+        ("csv", np.nan, "line 8"), ("csv", -np.inf, "line 8"), ("binary", np.nan, "record 8"),
+    ])
+    def test_non_finite_feature_returns_2_before_any_file(self, tmp_path, capsys,
+                                                          fmt, value, where):
+        data = datakit.make_synthetic(datakit.SyntheticDatasetSpec(
+            num_classes=4, samples_per_class=12, input_dim=6))
+        features = data.features.copy()
+        features[7, 2] = value
+        path = tmp_path / f"data.{fmt}"
+        datakit.save_features(datakit.Dataset(features, data.labels), path, fmt)
+        out = tmp_path / "runs"
+        cfg_path = write_cfg(tmp_path, {"dataset": {"path": str(path)}})
+        assert cli.main(["train", "--config", str(cfg_path), "--out-dir", str(out)]) == 2
+        assert not out.exists()
+        assert f"{where}: non-finite feature value" in capsys.readouterr().err
 
     def test_missing_data_file_returns_2(self, trained, tmp_path):
         _, run_dir = trained

@@ -79,6 +79,13 @@ class TestFeatureIO:
         with pytest.raises(DataFormatError, match="line 2"):
             dk.load_features(p)
 
+    @pytest.mark.parametrize("row", ["1,nan,0.5", "1,0.5,inf", "inf,0.5,0.5", "nan,0.5,0.5"])
+    def test_non_finite_csv_value_reports_line(self, tmp_path, row):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"1,0.5,0.5\n{row}\n")
+        with pytest.raises(DataFormatError, match="line 2"):
+            dk.load_features(p)
+
     def test_csv_round_trip_exact(self, tmp_path):
         ds = dk.make_synthetic(small_spec())
         p = tmp_path / "rt.csv"

@@ -198,7 +198,7 @@ class TestStopGradientContracts:
         zb = model.backbone.embed(batch, mode="train")
         pos = cacai.select_positives(zb.labels, tr.positive_rng)
         graph = model.propagate_graph(zb)
-        lam_sg = model.lambda_for(graph).detach()
+        lam_sg = model.lambda_for(graph, detach=True)
         synth = cacai.synthesize(
             zb, lam_sg, cacai.eta_from_avg_loss(5.0, 5.0),
             np.random.default_rng(3), pos,
@@ -241,7 +241,7 @@ class TestStopGradientContracts:
             return [None if p.grad is None else p.grad.copy()
                     for p in model.graph.parameters()]
 
-        g_sg = run(lambda graph: model.lambda_for(graph).detach())
+        g_sg = run(lambda graph: model.lambda_for(graph, detach=True))
         lam_const = ad.Tensor(model.lambda_for(model.propagate_graph(zb)).data.copy())
         g_ablate = run(lambda graph: lam_const)
         for a, b in zip(g_sg, g_ablate):
@@ -249,6 +249,22 @@ class TestStopGradientContracts:
                 assert a is None and b is None
             else:
                 assert np.allclose(a, b, atol=1e-12)
+
+    @pytest.mark.parametrize("ablation", ["full", "single_coeff"])
+    def test_stage2_lambda_is_the_detached_lambda_with_no_tape_node(
+            self, tmp_path, monkeypatch, ablation):
+        tr = make_trainer(tmp_path, ablation=ablation)
+        model = tr.model
+        batch = datakit.sample_balanced(tr.train_set, 3, 2, tr.sampler_rng)
+        graph = model.propagate_graph(model.backbone.embed(batch, mode="train"))
+        expect = model.lambda_for(graph).detach()
+        made = []
+        make = ad._make
+        monkeypatch.setattr(ad, "_make", lambda *args: made.append(args) or make(*args))
+        lam = model.lambda_for(graph, detach=True)
+        assert made == [] and not lam.requires_grad
+        assert lam.shape == expect.shape and lam.data.dtype == expect.data.dtype
+        assert lam.data.tobytes() == expect.data.tobytes()
 
     def test_cz_updated_only_by_real_samples(self, tmp_path):
         tr = make_trainer(tmp_path)
