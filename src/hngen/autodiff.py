@@ -224,10 +224,7 @@ def tsum(a, axis=None, keepdims=False) -> Tensor:
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
-            return
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
 
@@ -273,13 +270,23 @@ def sqrt_or_zero(a) -> Tensor:
     divides by zero.
     """
     a = as_tensor(a)
-    pos = a.data > 0
-    out_data = np.where(pos, np.sqrt(np.where(pos, a.data, 1.0)), 0.0)
+    out_data, pos = _sqrt_or_zero_forward(a.data)
 
     def backward(g):
-        _accumulate(a, np.where(pos, g * 0.5 / np.where(pos, out_data, 1.0), 0.0))
+        _accumulate(a, _sqrt_or_zero_backward(g, out_data, pos))
 
     return _make(out_data, (a,), backward)
+
+
+def _sqrt_or_zero_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sqrt(x) where x > 0 and 0 elsewhere, the mask x > 0)."""
+    pos = x > 0
+    return np.where(pos, np.sqrt(np.where(pos, x, 1.0)), 0.0), pos
+
+
+def _sqrt_or_zero_backward(g: np.ndarray, out: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """The input's gradient of ``_sqrt_or_zero_forward``: 0 where x <= 0."""
+    return np.where(pos, g * 0.5 / np.where(pos, out, 1.0), 0.0)
 
 
 def relu(a) -> Tensor:
@@ -464,19 +471,33 @@ def l2_normalize(x) -> Tensor:
     first and then the two factors of ``x * x``. Raises on zero rows.
     """
     x = as_tensor(x)
-    sq = (x.data * x.data).sum(axis=-1, keepdims=True)
+    out_data, norm = _l2_rows_forward(x.data)
+
+    def backward(g):
+        g_div, g_sq = _l2_rows_backward(g, x.data, norm)
+        _accumulate(x, g_div)
+        _accumulate(x, g_sq)
+        _accumulate(x, g_sq)
+
+    return _make(out_data, (x,), backward)
+
+
+def _l2_rows_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x / sqrt(sum(x * x, -1)), that norm with the last axis kept); raises
+    on a zero row."""
+    sq = (x * x).sum(axis=-1, keepdims=True)
     if np.any(sq <= 0.0):
         raise ShapeError("cannot L2-normalize a zero-norm row")
     norm = np.sqrt(sq)
+    return x / norm, norm
 
-    def backward(g):
-        g_norm = _unbroadcast(-g * x.data / (norm * norm), norm.shape)
-        g_sq_x = g_norm * 0.5 / norm * x.data
-        _accumulate(x, g / norm)
-        _accumulate(x, g_sq_x)
-        _accumulate(x, g_sq_x)
 
-    return _make(x.data / norm, (x,), backward)
+def _l2_rows_backward(g: np.ndarray, x: np.ndarray, norm: np.ndarray):
+    """x's gradient shares in ``_l2_rows_forward``: the division's, and the
+    one that each of the two factors of ``x * x`` gets. The caller adds the
+    first and then the second twice, the order of the composed ops."""
+    g_norm = (-g * x / (norm * norm)).sum(axis=-1, keepdims=True)
+    return g / norm, g_norm * 0.5 / norm * x
 
 
 def _layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float):

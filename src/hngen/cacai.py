@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import kernels
 from .backbone import EmbeddingBatch
 from .errors import SamplingError, ShapeError
 
@@ -39,19 +40,16 @@ def eta_from_avg_loss(alpha_pull: float, avg_metric_loss: float | None) -> float
 
 @dataclass
 class SyntheticNegatives:
-    """One synthetic embedding per (anchor, batch-class slot) plus provenance.
+    """One synthetic embedding per (anchor, batch-class slot).
 
     ``valid[i, s]`` is False on the anchor's own class slot, whose lane is
-    filled but must never be consumed. Provenance arrays let tests rebuild
-    each fusion as an explicit convex combination; slot s fuses the batch
-    members s, s + N, ..., s + (m-1)N, in that order.
+    filled but must never be consumed. Slot s fuses the interpolants of the
+    batch members s, s + N, ..., s + (m-1)N, in that order.
     """
 
     z_hat: ad.Tensor               # (B, N, D)
     slot_labels: np.ndarray        # (N,) class id of each slot
     valid: np.ndarray              # (B, N) bool
-    fusion_weights: np.ndarray     # (B, N, m) convex coefficients
-    interpolants: np.ndarray       # (B, N, m, D) values entering the fusion
 
 
 class LambdaHead(ad.Module):
@@ -86,9 +84,7 @@ def pair_distances(
 ) -> tuple[ad.Tensor, ad.Tensor]:
     """(d_plus, d_minus): anchor-positive and all-pairs euclidean distances."""
     z = zb.z
-    norms = np.linalg.norm(z.data, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-5):
-        raise ShapeError("pair_distances expects unit-norm rows")
+    kernels.check_unit_rows(z.data, "pair_distances")
     d_minus = ad.sqrt_or_zero(ad.pairwise_sqdist(z))
     b = z.shape[0]
     d_plus = d_minus[np.arange(b), np.asarray(positive_idx)]
@@ -217,11 +213,4 @@ def synthesize(
     member_idx = np.arange(n)[:, None] + n * np.arange(m)[None, :]  # (N, m)
     grouped = z_tilde[:, member_idx]                       # (B, N, m, D)
     z_hat = (grouped * coeffs[:, :, :, None]).sum(axis=2)  # (B, N, D)
-    valid = slot_labels[None, :] != labels[:, None]
-    return SyntheticNegatives(
-        z_hat=z_hat,
-        slot_labels=slot_labels,
-        valid=valid,
-        fusion_weights=coeffs,
-        interpolants=grouped.data,  # a fresh gather that no op writes to
-    )
+    return SyntheticNegatives(z_hat, slot_labels, slot_labels[None, :] != labels[:, None])

@@ -37,14 +37,7 @@ import numpy as np
 
 from . import cacai, datakit, evalkit, losses, trainer
 from .backbone import BackboneConfig
-from .errors import (
-    CheckpointError,
-    ConfigurationError,
-    DataFormatError,
-    HngenError,
-    NumericError,
-    SamplingError,
-)
+from .errors import CheckpointError, ConfigurationError, HngenError, NumericError
 
 log = logging.getLogger("hngen")
 
@@ -357,7 +350,7 @@ def cmd_inspect(args) -> int:
                     for j in range(b):
                         writer.writerow([step, head, i, j, repr(float(probs[head, i, j]))])
 
-    lam = model.lambda_for(graph)
+    lam = model.lambda_for(graph, detach=True)
     counts, edges = np.histogram(lam.data.ravel(), bins=20, range=(0.0, 1.0))
     with open(out_dir / "lambda_histogram.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -561,9 +554,6 @@ def main(argv=None) -> int:
     _apply_global_flags(args)
     try:
         return args.func(args)
-    except (ConfigurationError, DataFormatError, SamplingError, CheckpointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NumericError as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)
         return 3

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,7 +104,6 @@ class LabeledBatch:
     labels: np.ndarray
     n_classes: int
     n_instances: int
-    indices: np.ndarray = field(default=None)
 
     def __post_init__(self):
         b = self.n_classes * self.n_instances
@@ -176,7 +175,6 @@ def sample_balanced(
         labels=dataset.labels[order],
         n_classes=n_classes,
         n_instances=n_instances,
-        indices=order,
     )
 
 
@@ -206,10 +204,12 @@ def _parse_csv(path) -> Dataset:
                 except ValueError:
                     continue  # header row, detected by non-numeric first field
             try:
-                label = int(float(fields[0]))
+                label = int(fields[0])
                 feats = [float(v) for v in fields[1:]]
-            except (ValueError, OverflowError) as exc:  # int(inf) overflows
+            except ValueError as exc:
                 raise DataFormatError(f"{path}: line {lineno}: {exc}") from exc
+            if not -(2**63) <= label < 2**63:
+                raise DataFormatError(f"{path}: line {lineno}: label {label} is outside int64")
             if not all(map(math.isfinite, feats)):
                 raise DataFormatError(f"{path}: line {lineno}: non-finite feature value")
             if dim is None:
@@ -252,6 +252,8 @@ def _parse_binary(path) -> Dataset:
             raise DataFormatError(f"{path}: unsupported version {version}")
         if count == 0:
             raise DataFormatError(f"{path}: no records")
+        if dim == 0:
+            raise DataFormatError(f"{path}: no feature columns")
         record = 4 + 4 * dim
         # a corrupt header can claim more than the file holds; never try
         if record * count > os.fstat(fh.fileno()).st_size - fh.tell():

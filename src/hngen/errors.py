@@ -21,10 +21,6 @@ class ShapeError(HngenError):
     """Tensor shapes do not match the declared contract."""
 
 
-class GraphError(HngenError):
-    """The correlation graph cannot be propagated (e.g. no negatives)."""
-
-
 class NumericError(HngenError):
     """A loss or gradient became non-finite; training must abort."""
 

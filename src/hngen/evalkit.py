@@ -67,9 +67,7 @@ class RetrievalIndex:
             # the ranking kernel needs finite similarities (-inf aside)
             if not np.all(np.isfinite(z)):
                 raise ShapeError("retrieval index expects finite rows")
-            norms = np.linalg.norm(z, axis=1)
-            if np.any(np.abs(norms - 1.0) > 1e-5):
-                raise ShapeError("retrieval index expects unit-norm rows")
+            kernels.check_unit_rows(z, "retrieval index")
         if self.exclude_self and self.gallery_z.shape[0] != self.query_z.shape[0]:
             raise ShapeError("self-exclusion requires query set == gallery set")
 

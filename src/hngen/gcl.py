@@ -38,7 +38,7 @@ import numpy as np
 from . import autodiff as ad
 from . import kernels
 from .backbone import EmbeddingBatch
-from .errors import ConfigurationError, GraphError, ShapeError
+from .errors import ConfigurationError
 
 
 @dataclass
@@ -59,9 +59,7 @@ class CorrelationGraph:
 
 def init_graph(zb: EmbeddingBatch) -> CorrelationGraph:
     """Step-0 graph: V = z, E_ij = z_i * z_j for every pair i <= j."""
-    norms = np.linalg.norm(zb.z.data, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-5):
-        raise ShapeError("init_graph expects unit-norm embedding rows")
+    kernels.check_unit_rows(zb.z.data, "init_graph")
     return CorrelationGraph(v=zb.z, e=ad.hadamard_pairs(zb.z), labels=zb.labels)
 
 
@@ -104,10 +102,8 @@ class NodeBlock(_Block):
 
     def attention(self, v: ad.Tensor, labels: np.ndarray) -> tuple[ad.Tensor, ad.Tensor]:
         """Multi-head attention output (B, D) and its weights (H, B, B)."""
-        blocked = attention_block_mask(labels)
-        if np.any(blocked.all(axis=1)):
-            raise GraphError("no negatives to attend: batch has a single class")
-        ctx, probs = ad.masked_attention(self.wq(v), self.wk(v), self.wv(v), blocked, self.heads)
+        ctx, probs = ad.masked_attention(self.wq(v), self.wk(v), self.wv(v),
+                                         attention_block_mask(labels), self.heads)
         return self.wo(ctx), probs
 
     def step(

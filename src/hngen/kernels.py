@@ -1,4 +1,6 @@
-"""Numeric kernels: pairwise products and distances, retrieval ranking.
+"""Numeric kernels: pairwise products and distances, retrieval ranking,
+and the unit-norm row check that graph building, the distances and
+retrieval share.
 
 Each kernel is one vectorized numpy function. ``autodiff`` calls the
 pairwise kernels as ``kernels.<name>`` from its ``hadamard_pairs`` and
@@ -14,6 +16,14 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+
+from .errors import ShapeError
+
+
+def check_unit_rows(z: np.ndarray, caller: str) -> None:
+    """Raise unless every row of ``z`` has an L2 norm within 1e-5 of 1."""
+    if np.any(np.abs(np.linalg.norm(z, axis=1) - 1.0) > 1e-5):
+        raise ShapeError(f"{caller} expects unit-norm rows")
 
 
 def active_backend() -> str:

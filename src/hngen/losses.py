@@ -16,8 +16,8 @@ Each loss term is one tape node with a hand-written backward pass:
 weighting), ``j_syn``, ``np_loss`` and ``pa_loss``. Each forward pass does
 the arithmetic of the composed autodiff ops it replaces, in their order, so
 every value matches them bit for bit; ``tests/oracles.py`` keeps the
-composed forms. ``j_gen`` reads the C_z head's weights as constant arrays,
-so the head gets no gradient from the synthetic samples.
+composed forms. ``j_gen`` reads the C_z head's weights and the anchors as
+constant arrays, so neither gets a gradient from the synthetic samples.
 """
 
 from __future__ import annotations
@@ -137,8 +137,9 @@ def j_gen(
     against the slot's class, plus gamma_s (1 - cos(z_i, z_hat_is)); lanes
     of the anchor's own class are left out. Per anchor: gamma_d (N - 1) times
     the diversity term 1 - std of its negative-pair lambda vectors. The C_z
-    head's weights are read as constant arrays: gradient reaches the graph
-    network through the synthetics, never the head parameters. Returns the
+    head's weights and the anchors ``z`` are read as constant arrays (stage
+    1 passes detached embeddings): gradient reaches the graph network
+    through the synthetics and lambda, never the head or ``z``. Returns the
     scalar plus the averaged components for logging.
     """
     z_hat = synth.z_hat
@@ -176,8 +177,7 @@ def j_gen(
     sel = lam.data[neg].reshape(b, k)
     dev = sel - sel.sum(axis=1, keepdims=True) * (1.0 / k)
     var = (dev**2.0).sum(axis=1) * (1.0 / k)
-    spread = var > 0
-    std = np.where(spread, np.sqrt(np.where(spread, var, 1.0)), 0.0)
+    std, spread = ad._sqrt_or_zero_forward(var)
     div = 1.0 - std
 
     lane = ce + sim * gamma_s
@@ -188,30 +188,23 @@ def j_gen(
         g_total = g * (1.0 / (b * n))
         if lam.requires_grad:
             g_std = np.full(b, g_total * c_div * -1.0)
-            g_var = np.where(spread, g_std * 0.5 / np.where(spread, std, 1.0), 0.0)
+            g_var = ad._sqrt_or_zero_backward(g_std, std, spread)
             g_dev = (g_var * (1.0 / k))[:, None] * 2.0 * dev
             g_mean = g_dev.sum(axis=1, keepdims=True) * -1.0 * (1.0 / k)
             g_lam = np.zeros(lam.shape)
             g_lam[neg] = (g_dev + g_mean).reshape(-1, lam.shape[-1])
             ad._accumulate(lam, g_lam)
-        if not (z_hat.requires_grad or z.requires_grad):
-            return
-        g_lane = g_total * valid
-        g_q = g_lane * gamma_s * -1.0
-        g_dots = g_q / den
-        g_den = -g_q * dots / (den * den)
-        g_pd = g_dots[..., None]
         if z_hat.requires_grad:
+            g_lane = g_total * valid
+            g_q = g_lane * gamma_s * -1.0
+            g_den = -g_q * dots / (den * den)
             g_logits = _softmax_ce_grad(g_lane.reshape(b * n), soft, cols)
             g_hat_sq = g_den * z_norm * 0.5 / hat_norm
             g_h = g_hat_sq[..., None] * zh
+            g_pd = (g_q / den)[..., None]
             # in the order the composed ops added them: CE, dot, then the
             # two factors of z_hat * z_hat
             ad._accumulate(z_hat, (g_logits @ w).reshape(b, n, d) + g_pd * zr + g_h + g_h)
-        if z.requires_grad:
-            g_z_norm = (g_den * hat_norm).sum(axis=1, keepdims=True)
-            g_zz = g_z_norm * 0.5 / z_norm * zd
-            ad._accumulate(z, (g_pd * zh).sum(axis=1, keepdims=True).reshape(b, d) + g_zz + g_zz)
 
     n_valid = valid.sum()
     parts = {
@@ -219,7 +212,7 @@ def j_gen(
         "j_sim": float((sim * valid).sum() / n_valid),
         "j_div": float(div.mean()),
     }
-    return ad._make(out_data, (lam, z_hat, z), backward), parts
+    return ad._make(out_data, (lam, z_hat), backward), parts
 
 
 # -- classification heads --------------------------------------------------------
@@ -325,11 +318,8 @@ def pa_loss(z: ad.Tensor, labels: np.ndarray, bank: ProxyBank, codec: ClassCodec
     one tape node, the proxies' L2 normalization included."""
     cols = codec.columns(labels)
     raw = bank.proxies.data
-    sq = (raw * raw).sum(axis=-1, keepdims=True)
-    if np.any(sq <= 0.0):
-        raise ShapeError("cannot L2-normalize a zero-norm row")
-    norm = np.sqrt(sq)
-    proxies_t = np.swapaxes(raw / norm, 0, 1)                # (D, C)
+    unit, norm = ad._l2_rows_forward(raw)
+    proxies_t = np.swapaxes(unit, 0, 1)                      # (D, C)
     by_proxy = np.swapaxes(z.data @ proxies_t, 0, 1)         # (C, B); z rows unit-norm
     c = raw.shape[0]
     pos_mask = np.zeros((z.shape[0], c), dtype=bool)
@@ -350,11 +340,10 @@ def pa_loss(z: ad.Tensor, labels: np.ndarray, bank: ProxyBank, codec: ClassCodec
             ad._accumulate(z, g_sims @ np.swapaxes(proxies_t, -1, -2))
         if bank.proxies.requires_grad:
             g_unit = np.ascontiguousarray(np.swapaxes(np.swapaxes(z.data, -1, -2) @ g_sims, 0, 1))
-            g_norm = (-g_unit * raw / (norm * norm)).sum(axis=1, keepdims=True)
-            g_sq = np.broadcast_to(g_norm * 0.5 / norm, raw.shape) * raw
+            g_div, g_sq = ad._l2_rows_backward(g_unit, raw, norm)
             # in the order the composed ops added them: the division, then
             # both factors of raw * raw
-            ad._accumulate(bank.proxies, g_unit / norm + g_sq + g_sq)
+            ad._accumulate(bank.proxies, g_div + g_sq + g_sq)
 
     return ad._make(out_data, (z, bank.proxies), backward)
 

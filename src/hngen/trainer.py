@@ -303,7 +303,6 @@ class HngModel(ad.Module):
 class FitResult:
     run_dir: Path
     history: list[dict] = field(default_factory=list)
-    checkpoint_dirs: list[Path] = field(default_factory=list)
     log_path: Path | None = None
 
 
@@ -484,9 +483,7 @@ class Trainer:
         ckpt_root = self.run_dir / "checkpoints"
         steps_per_epoch = len(self.train_set) // (cfg.batch_classes * cfg.batch_instances)
 
-        initial = ckpt_root / "epoch_000"
-        save_checkpoint(initial, self.model, self._manifest(epoch=0, history=[]))
-        result.checkpoint_dirs.append(initial)
+        save_checkpoint(ckpt_root / "epoch_000", self.model, self._manifest(epoch=0, history=[]))
 
         best_r1 = -1.0
         stale = 0
@@ -506,7 +503,6 @@ class Trainer:
 
                 ckpt = ckpt_root / f"epoch_{epoch + 1:03d}"
                 save_checkpoint(ckpt, self.model, self._manifest(epoch + 1, result.history))
-                result.checkpoint_dirs.append(ckpt)
                 if self.val_set is not None:
                     metrics = self._evaluate_checkpoint(ckpt)
                     entry = {"epoch": epoch + 1, **metrics.to_dict()}

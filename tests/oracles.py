@@ -8,7 +8,7 @@ import numpy as np
 
 from hngen import autodiff as ad
 from hngen import evalkit, gcl, kernels, losses, trainer
-from hngen.errors import ConfigurationError, GraphError, ShapeError
+from hngen.errors import ConfigurationError, ShapeError
 
 
 def full_sort_ranked_hits(sim, query_labels, gallery_labels, exclude_self):
@@ -322,11 +322,8 @@ def mirror_pairs(e, b: int) -> ad.Tensor:
 
 def composed_node_attention(block: gcl.NodeBlock, v, labels):
     """``NodeBlock.attention`` over ``composed_masked_attention``."""
-    blocked = gcl.attention_block_mask(labels)
-    if np.any(blocked.all(axis=1)):
-        raise GraphError("no negatives to attend: batch has a single class")
     ctx, probs = composed_masked_attention(
-        block.wq(v), block.wk(v), block.wv(v), blocked, block.heads)
+        block.wq(v), block.wk(v), block.wv(v), gcl.attention_block_mask(labels), block.heads)
     return block.wo(ctx), probs
 
 

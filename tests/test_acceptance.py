@@ -166,8 +166,6 @@ def test_04_gradient_checks_all_losses_and_blocks():
         synth = cacai.SyntheticNegatives(
             z_hat=z_hat, slot_labels=slots,
             valid=slots[None, :] != labels[:, None],
-            fusion_weights=np.full((b, n, m), 0.5),
-            interpolants=np.zeros((b, n, m, d)),
         )
         return losses.j_gen(z_const, synth, lam, head, codec,
                             gamma_s=1.0, gamma_d=0.3)[0]
@@ -194,8 +192,6 @@ def test_04_gradient_checks_all_losses_and_blocks():
         synth = cacai.SyntheticNegatives(
             z_hat=zh2, slot_labels=slots,
             valid=slots[None, :] != labels[:, None],
-            fusion_weights=np.full((b, n, m), 0.5),
-            interpolants=np.zeros((b, n, m, d)),
         )
         return losses.j_syn(zs, pos, synth)
 
@@ -301,8 +297,6 @@ def test_05_loss_loop_oracles():
         synth = cacai.SyntheticNegatives(
             z_hat=ad.Tensor(z_hat), slot_labels=slots,
             valid=slots[None, :] != labels[:, None],
-            fusion_weights=np.full((b, n, m), 1 / m),
-            interpolants=np.zeros((b, n, m, d)),
         )
         gamma_s, gamma_d = 1.0, 0.5
         got = losses.j_gen(zt, synth, ad.Tensor(lam), head, codec,
@@ -600,7 +594,10 @@ def test_12_determinism(tmp_path):
         ]
 
     assert stripped(r1.log_path) == stripped(r2.log_path)
-    for d1, d2 in zip(r1.checkpoint_dirs, r2.checkpoint_dirs):
+    ckpts = sorted((r1.run_dir / "checkpoints").glob("epoch_*"))
+    assert [d.name for d in ckpts] == ["epoch_000", "epoch_001", "epoch_002"]
+    for d1 in ckpts:
+        d2 = r2.run_dir / "checkpoints" / d1.name
         bins1 = sorted(d1.glob("*.bin"))
         assert bins1, "checkpoint has no parameter blobs"
         for f1 in bins1:

@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 
 import numpy as np
@@ -326,6 +327,23 @@ class TestFuseRandomWeighting:
         assert np.allclose(c.sum(-1), 1.0, atol=1e-9)
 
 
+def fusion_inputs(zb, lam, eta, rng, pos, pick_single=False):
+    """The (B, N, m, D) interpolants that each slot fuses, its batch members
+    s, s + N, ..., in group order, and the (B, N, m) coefficients, drawn
+    from ``rng`` as ``synthesize`` draws them."""
+    n, m = zb.n_classes, zb.n_instances
+    b = n * m
+    d_plus, d_minus = cacai.pair_distances(zb, pos)
+    z_tilde = cacai.interpolate_all(zb.z, lam, d_plus, d_minus, eta).data
+    if pick_single:
+        coeffs = np.zeros((b, n, m))
+        np.put_along_axis(coeffs, rng.integers(0, m, size=(b, n))[:, :, None], 1.0, axis=2)
+    else:
+        coeffs = cacai.fusion_coefficients(rng.random((b, n, m - 1)))
+    members = np.stack([z_tilde[:, s + n * np.arange(m)] for s in range(n)], axis=1)
+    return members, coeffs
+
+
 class TestSynthesize:
     def _setup(self, seed, n=3, m=2, d=6):
         rng = np.random.default_rng(seed)
@@ -339,7 +357,7 @@ class TestSynthesize:
         rng, zb, lam, eta, pos = self._setup(13)
         synth = cacai.synthesize(zb, lam, eta, rng, pos)
         assert synth.z_hat.shape == (6, 3, 6)
-        assert synth.fusion_weights.shape == (6, 3, 2)  # m=2 interpolants fused
+        assert synth.slot_labels.shape == (3,)
         assert synth.valid.sum() == 6 * 2  # N-1 = 2 negatives per anchor
 
     def test_n2_single_negative_per_anchor(self):
@@ -352,39 +370,41 @@ class TestSynthesize:
 
     def test_convex_hull_per_channel(self):
         rng, zb, lam, eta, pos = self._setup(15)
+        members, _ = fusion_inputs(zb, lam, eta, copy.deepcopy(rng), pos)
         synth = cacai.synthesize(zb, lam, eta, rng, pos)
-        lo = synth.interpolants.min(axis=2)
-        hi = synth.interpolants.max(axis=2)
-        assert np.all(synth.z_hat.data >= lo - 1e-12)
-        assert np.all(synth.z_hat.data <= hi + 1e-12)
+        assert np.all(synth.z_hat.data >= members.min(axis=2) - 1e-12)
+        assert np.all(synth.z_hat.data <= members.max(axis=2) + 1e-12)
 
     def test_deterministic_given_seed(self):
         _, zb, lam, eta, pos = self._setup(16)
-        a = cacai.synthesize(zb, lam, eta, np.random.default_rng(99), pos)
-        b = cacai.synthesize(zb, lam, eta, np.random.default_rng(99), pos)
+        rng_a, rng_b = np.random.default_rng(99), np.random.default_rng(99)
+        a = cacai.synthesize(zb, lam, eta, rng_a, pos)
+        b = cacai.synthesize(zb, lam, eta, rng_b, pos)
         assert np.array_equal(a.z_hat.data, b.z_hat.data)
-        assert np.array_equal(a.fusion_weights, b.fusion_weights)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     def test_fusion_reconstruction_from_provenance(self):
         rng, zb, lam, eta, pos = self._setup(17)
+        members, coeffs = fusion_inputs(zb, lam, eta, copy.deepcopy(rng), pos)
         synth = cacai.synthesize(zb, lam, eta, rng, pos)
-        rebuilt = (synth.interpolants * synth.fusion_weights[..., None]).sum(axis=2)
-        assert np.allclose(rebuilt, synth.z_hat.data, atol=1e-12)
-        sums = synth.fusion_weights.sum(-1)
-        assert np.allclose(sums, 1.0, atol=1e-9)
+        rebuilt = (members * coeffs[..., None]).sum(axis=2)
+        assert np.array_equal(rebuilt, synth.z_hat.data)
+        assert np.allclose(coeffs.sum(-1), 1.0, atol=1e-9)
 
     def test_pick_single_selects_one(self):
         rng, zb, lam, eta, pos = self._setup(18)
+        members, coeffs = fusion_inputs(zb, lam, eta, copy.deepcopy(rng), pos, pick_single=True)
         synth = cacai.synthesize(zb, lam, eta, rng, pos, pick_single=True)
-        w = synth.fusion_weights
-        assert np.all(np.sort(w, axis=-1)[..., :-1] == 0.0)
-        assert np.all(w.max(axis=-1) == 1.0)
+        picked = np.take_along_axis(members, coeffs.argmax(axis=2)[:, :, None, None], axis=2)
+        assert np.array_equal(synth.z_hat.data, picked[:, :, 0])
 
     def test_slots_fuse_their_class_members_in_group_order(self):
         rng, zb, lam, eta, pos = self._setup(19)
+        _, coeffs = fusion_inputs(zb, lam, eta, copy.deepcopy(rng), pos)
         synth = cacai.synthesize(zb, lam, eta, rng, pos)
         d_plus, d_minus = cacai.pair_distances(zb, pos)
         z_tilde = cacai.interpolate_all(zb.z, lam, d_plus, d_minus, eta).data
-        for s in range(3):  # slot s holds batch members s, s + N
-            assert np.array_equal(synth.interpolants[:, s], z_tilde[:, [s, s + 3]])
+        for s in range(3):  # slot s fuses batch members s, s + N, in that order
+            fused = (z_tilde[:, [s, s + 3]] * coeffs[:, s, :, None]).sum(axis=1)
+            assert np.array_equal(synth.z_hat.data[:, s], fused)
         assert np.array_equal(synth.slot_labels, zb.labels[:3])

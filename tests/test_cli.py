@@ -609,6 +609,44 @@ class TestTrainOverridesAndErrors:
         assert not out.exists()
         assert f"{where}: non-finite feature value" in capsys.readouterr().err
 
+    @staticmethod
+    def _bad_feature_file(tmp_path, bad: str) -> Path:
+        """A 48-record feature file of the FAST_TRAIN shape, broken as ``bad``
+        names: a CSV label on line 8, or a binary header of dim 0."""
+        if bad == "dim_zero":
+            path = tmp_path / "data.bin"
+            path.write_bytes(datakit.BINARY_MAGIC + struct.pack("<IQI", datakit.BINARY_VERSION, 48, 0)
+                             + struct.pack("<48I", *np.repeat(np.arange(1, 5), 12)))
+            return path
+        path = tmp_path / "data.csv"
+        datakit.save_csv(datakit.make_synthetic(datakit.SyntheticDatasetSpec(
+            num_classes=4, samples_per_class=12, input_dim=6)), path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[7] = bad + lines[7][lines[7].index(","):]
+        path.write_text("".join(lines))
+        return path
+
+    @pytest.mark.parametrize("bad, message", [
+        ("1.7", "line 8"), ("1e30", "line 8"), ("dim_zero", "no feature columns"),
+    ], ids=["csv_label_fraction", "csv_label_past_int64", "binary_dim_zero"])
+    def test_bad_feature_file_returns_2_before_any_file(self, tmp_path, capsys, bad, message):
+        path = self._bad_feature_file(tmp_path, bad)
+        out = tmp_path / "runs"
+        cfg_path = write_cfg(tmp_path, {"dataset": {"path": str(path)}})
+        assert cli.main(["train", "--config", str(cfg_path), "--out-dir", str(out)]) == 2
+        assert not out.exists()
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["1.7", "1e30", "dim_zero"])
+    def test_eval_bad_data_file_returns_2_before_any_file(self, trained, tmp_path, bad):
+        _, run_dir = trained
+        out = tmp_path / "ev"
+        rc = cli.main(["eval", "--checkpoint", str(run_dir / "checkpoints" / "epoch_001"),
+                       "--data", str(self._bad_feature_file(tmp_path, bad)),
+                       "--out-dir", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
     def test_missing_data_file_returns_2(self, trained, tmp_path):
         _, run_dir = trained
         rc = cli.main(["eval", "--checkpoint", str(run_dir / "checkpoints" / "epoch_001"),

@@ -86,6 +86,27 @@ class TestFeatureIO:
         with pytest.raises(DataFormatError, match="line 2"):
             dk.load_features(p)
 
+    @pytest.mark.parametrize("label", ["1.7", "1e30", "2.0", str(2**63), "x1"])
+    def test_csv_label_not_an_int64_reports_line(self, tmp_path, label):
+        # 1.7 used to load as class 1, and 1e30 to overflow the int64 array
+        p = tmp_path / "bad.csv"
+        p.write_text(f"1,0.5,0.5\n{label},0.1,0.2\n")
+        with pytest.raises(DataFormatError, match="line 2"):
+            dk.load_features(p)
+
+    def test_csv_labels_at_the_int64_bounds_load(self, tmp_path):
+        p = tmp_path / "wide.csv"
+        p.write_text(f"{-(2**63)},0.5,0.5\n{2**63 - 1},0.1,0.2\n")
+        assert dk.load_features(p).labels.tolist() == [-(2**63), 2**63 - 1]
+
+    def test_binary_without_feature_columns_refused(self, tmp_path):
+        # three records of dim 0: each is just its u32 label
+        p = tmp_path / "dim0.bin"
+        p.write_bytes(dk.BINARY_MAGIC + struct.pack("<IQI", dk.BINARY_VERSION, 3, 0)
+                      + struct.pack("<3I", 1, 2, 1))
+        with pytest.raises(DataFormatError, match="no feature columns"):
+            dk.load_features(p)
+
     def test_csv_round_trip_exact(self, tmp_path):
         ds = dk.make_synthetic(small_spec())
         p = tmp_path / "rt.csv"
@@ -138,7 +159,8 @@ class TestBalancedSampler:
         rng = np.random.default_rng(1)
         for _ in range(50):
             batch = dk.sample_balanced(ds, 3, 3, rng)
-            assert len(set(batch.indices.tolist())) == batch.size
+            # the synthetic features are continuous, so distinct rows are distinct samples
+            assert len(np.unique(batch.features, axis=0)) == len(batch.labels)
 
     def test_m1_refused(self):
         ds = dk.make_synthetic(small_spec())

@@ -6,7 +6,7 @@ import pytest
 from hngen import autodiff as ad
 from hngen import gcl, kernels, losses, trainer
 from hngen.backbone import BackboneConfig, EmbeddingBatch
-from hngen.errors import ConfigurationError, GraphError, ShapeError
+from hngen.errors import ConfigurationError, ShapeError
 
 from gradcheck import check_gradients
 from oracles import (composed_cross_attention, composed_endpoint_attention,
@@ -93,7 +93,7 @@ class TestNodePropagation:
         graph = gcl.CorrelationGraph(ad.Tensor(z), ad.hadamard_pairs(ad.Tensor(z)),
                                      np.array([5, 5, 5]))
         assert graph.e.shape == (n_pairs(3), 4)
-        with pytest.raises(GraphError, match="no negatives"):
+        with pytest.raises(ShapeError, match="no unmasked keys"):
             net.propagate(graph)
 
     def test_zero_edges_and_zero_ffn_reduce_to_normalized_residual_attention(self):

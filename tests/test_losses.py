@@ -22,14 +22,10 @@ def make_synth(z_hat, slot_labels, anchor_labels):
     z_hat = np.asarray(z_hat, float)
     slot_labels = np.asarray(slot_labels)
     anchor_labels = np.asarray(anchor_labels)
-    b, n, _ = z_hat.shape
-    m = b // n
     return SyntheticNegatives(
         z_hat=ad.Tensor(z_hat),
         slot_labels=slot_labels,
         valid=slot_labels[None, :] != anchor_labels[:, None],
-        fusion_weights=np.full((b, n, m), 1.0 / m),
-        interpolants=np.repeat(z_hat[:, :, None, :], m, axis=2),
     )
 
 
@@ -585,6 +581,10 @@ class TestFusedLossesMatchComposed:
         fused, composed, tracked = _loss_cases(np.random.default_rng(40), z_tracked)[name]
         value, grads = _value_and_grads(fused, tracked)
         ref_value, ref_grads = _value_and_grads(composed, tracked)
+        if name == "j_gen" and z_tracked:
+            # j_gen reads z as a constant (stage 1 passes detached
+            # embeddings); the composed form still differentiates it
+            assert grads.pop() is None and ref_grads.pop() is not None
         assert value.tobytes() == ref_value.tobytes()
         for t, g, ref in zip(tracked, grads, ref_grads):
             assert (g is None) == (ref is None), t
@@ -627,7 +627,9 @@ class TestFusedLossesMatchComposed:
 
     @pytest.mark.parametrize("name", ["j_gen", "j_cz", "j_syn", "np_loss", "pa_loss"])
     def test_gradcheck(self, name):
-        fused, _, tracked = _loss_cases(np.random.default_rng(42), z_tracked=True)[name]
+        # j_gen reads z as a constant, so z is left untracked there
+        cases = _loss_cases(np.random.default_rng(42), z_tracked=name != "j_gen")
+        fused, _, tracked = cases[name]
         check_gradients(fused, tracked)
 
 

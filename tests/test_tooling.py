@@ -5,9 +5,9 @@ fail the fast suite when a rename or a signature change would break
 ``perfbench/run.py --trace 1``. They only read ``perfbench/``.
 
 The pytest settings in ``pyproject.toml``, the compare step of
-``tools/same_outputs.py``, the rule that the training modules hold only
-code that training runs and the size of a smoke step's tape are checked
-here too."""
+``tools/same_outputs.py``, the rule that the package's modules hold only
+code that training or a command runs and the size of a smoke step's tape
+are checked here too."""
 
 import ast
 import importlib
@@ -119,13 +119,15 @@ def test_same_outputs_compare_flags_one_flipped_blob_byte(tmp_path, capsys):
     assert "DIFFERS" in capsys.readouterr().out
 
 
-TRAINING_MODULES = ("autodiff", "gcl", "cacai", "losses", "backbone", "kernels", "trainer")
+TRAINING_MODULES = ("autodiff", "gcl", "cacai", "losses", "backbone", "kernels", "trainer",
+                    "datakit", "evalkit", "cli")
 
-# what training never calls, each with its only caller
+# what neither training nor the commands call, each with its only caller
 NOT_RUN_IN_TRAINING = {
     "autodiff.Module.zero_grad": "perfbench's block probes",
     "gcl.NodeBlock.__call__": "perfbench's block probes",
     "kernels.active_backend": "perfbench's environment record",
+    "datakit.LabeledBatch.size": "perfbench's train-mid item count",
     "trainer.Trainer._dump_diagnostics": "the numeric abort, which test_trainer.py covers",
 }
 
@@ -157,10 +159,34 @@ def _defined_functions() -> dict[str, object]:
     return found
 
 
+def _run_every_command(work: Path) -> None:
+    """Each subcommand once on the tiny recipe: ``synth-data`` to CSV and to
+    ``.bin``, ``train`` from the binary file, ``eval`` on the holdout, with
+    ``--data`` and with ``--data``/``--gallery``, ``inspect`` and a one-run
+    ``ablate``."""
+    work.mkdir()
+    csv_path, bin_path, cfg_path = work / "data.csv", work / "data.bin", work / "cfg.json"
+    spec = TINY["dataset"]
+    synth = ["synth-data", "--classes", str(spec["num_classes"]), "--per-class",
+             str(spec["samples_per_class"]), "--dim", str(spec["input_dim"])]
+    for path in (csv_path, bin_path):
+        assert cli.main(synth + ["--out", str(path)]) == 0
+    cfg_path.write_text(json.dumps({**TINY, "dataset": {**spec, "path": str(bin_path)}}))
+    assert cli.main(["train", "--config", str(cfg_path), "--out-dir", str(work / "runs")]) == 0
+    ckpt = str(next((work / "runs").glob("*/checkpoints/epoch_001")))
+    for i, data in enumerate([[], ["--data", str(csv_path)],
+                              ["--data", str(csv_path), "--gallery", str(bin_path)]]):
+        assert cli.main(["eval", "--checkpoint", ckpt, "--out-dir", str(work / f"eval{i}"),
+                         *data]) == 0
+    assert cli.main(["inspect", "--checkpoint", ckpt, "--out-dir", str(work / "inspect")]) == 0
+    assert cli.main(["ablate", "--config", str(cfg_path), "--arms", "full", "--seeds",
+                     str(TINY["train"]["seed"]), "--out-dir", str(work / "ablate")]) == 0
+
+
 def test_every_training_function_runs(tmp_path):
-    # One epoch of every acceptance config under a profiler: a function the
-    # training modules define that none of them calls is test-only code,
-    # which belongs under tests/.
+    # One epoch of every acceptance config, then every command, under a
+    # profiler: a function the package's modules define that none of them
+    # calls is test-only code, which belongs under tests/.
     overrides = _load_tool("same_outputs").ACCEPTANCE
     functions = _defined_functions()
     for fn in functions.values():
@@ -179,6 +205,11 @@ def test_every_training_function_runs(tmp_path):
             cli._fit_one(cli.resolve_config(None, recipe), str(tmp_path / name), quiet=True)
         finally:
             sys.setprofile(None)
+    sys.setprofile(profile)
+    try:
+        _run_every_command(tmp_path / "commands")
+    finally:
+        sys.setprofile(None)
     never_ran = {name for name, fn in functions.items()
                  if inspect.unwrap(fn).__code__ not in ran}
     assert never_ran - NOT_RUN_IN_TRAINING.keys() == set()

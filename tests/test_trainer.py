@@ -458,8 +458,8 @@ class TestFit:
         cfg = tiny_config(epochs=0)
         tr = trainer.Trainer(ds, None, cfg, tiny_backbone(), tmp_path / "run")
         result = tr.fit()
-        assert len(result.checkpoint_dirs) == 1
-        assert result.checkpoint_dirs[0].name == "epoch_000"
+        ckpts = sorted((result.run_dir / "checkpoints").glob("epoch_*"))
+        assert [d.name for d in ckpts] == ["epoch_000"]
         assert (result.run_dir / "train_log.jsonl").read_text() == ""
 
     def test_fit_trains_and_evaluates(self, tmp_path):
@@ -488,9 +488,11 @@ class TestFit:
         log1 = [strip(l) for l in r1.log_path.read_text().strip().split("\n")]
         log2 = [strip(l) for l in r2.log_path.read_text().strip().split("\n")]
         assert log1 == log2
-        for d1, d2 in zip(r1.checkpoint_dirs, r2.checkpoint_dirs):
+        ckpts = sorted((r1.run_dir / "checkpoints").glob("epoch_*"))
+        assert len(ckpts) == 3  # epoch_000 to epoch_002
+        for d1 in ckpts:
             for f1 in sorted(d1.glob("*.bin")):
-                f2 = d2 / f1.name
+                f2 = r2.run_dir / "checkpoints" / d1.name / f1.name
                 assert f1.read_bytes() == f2.read_bytes()
 
     def test_early_stop_patience(self, tmp_path):
