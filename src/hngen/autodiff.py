@@ -3,15 +3,15 @@
 A ``Tensor`` wraps an ndarray plus an optional gradient and a backward
 closure; ``Tensor.backward()`` runs the tape in reverse topological order.
 The op set is exactly what training calls: ``add`` and ``mul`` (also ``+``
-and ``*``), ``tsum``, ``take`` (also ``[]``), ``relu``, ``sigmoid`` and
-``sqrt_or_zero``, plus fused ops that put a whole sublayer on the tape as
-one node with a hand-written backward (the losses in :mod:`hngen.losses`
-are built the same way): ``linear``, ``l2_normalize``, and the graph
-blocks' node attention, edge attention and post-norm FFN tail
-(``masked_attention``, ``endpoint_attention``, ``residual_ffn_tail``).
-Each fused forward pass does the arithmetic of the composed ops it
-replaces, in their order, so its values match them bit for bit;
-``tests/oracles.py`` keeps the composed forms. Gradient-blocking
+and ``*``), ``tsum``, ``take`` (also ``[]``), ``take_rows``, ``relu``,
+``sigmoid`` and ``sqrt_or_zero``, plus fused ops that put a whole
+sublayer on the tape as one node with a hand-written backward (the losses
+in :mod:`hngen.losses` are built the same way): ``linear``,
+``l2_normalize``, and the graph blocks' node attention, edge attention and
+post-norm FFN tail (``masked_attention``, ``endpoint_attention``,
+``residual_ffn_tail``). Each fused forward pass does the arithmetic of the
+composed ops it replaces, in their order, so its values match them bit for
+bit; ``tests/oracles.py`` keeps the composed forms. Gradient-blocking
 (``detach``) is the primitive behind the two-stage training contract, so
 it is exact: a detached tensor shares data but carries no tape.
 
@@ -248,6 +248,23 @@ def take(a, key) -> Tensor:
     def backward(g):
         src = np.arange(a.data.size).reshape(a.data.shape)[key]
         _accumulate(a, _scatter(src, g, a.data.shape))
+
+    return _make(out_data, (a,), backward)
+
+
+def take_rows(a, index: np.ndarray, fill: float) -> Tensor:
+    """Rows of the 2-D ``a`` at ``index``, an integer array of any shape, and
+    a constant row of ``fill`` wherever ``index`` is -1: one tape node. With
+    no -1 in ``index`` it is ``take(a, index)``, bit for bit; the fill rows
+    pass no gradient back."""
+    a = as_tensor(a)
+    r, d = a.shape
+    out_data = np.concatenate([a.data, np.full((1, d), fill)])[index]
+
+    def backward(g):
+        # the fill rows add into one extra row of bins, which is dropped
+        src = np.where(index < 0, r, index)[..., None] * d + np.arange(d)
+        _accumulate(a, _scatter(src, g, (r + 1, d))[:r])
 
     return _make(out_data, (a,), backward)
 
@@ -532,12 +549,13 @@ def _layer_norm_backward(g, gain: Tensor, bias: Tensor, xhat, std, need_x: bool)
 
 
 class Module:
-    """Base for parameterized components; collects named parameters."""
+    """Base for parameterized components; collects named parameters, which
+    are its ``Tensor`` attributes and those of its submodules."""
 
     def named_parameters(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
         for name, value in vars(self).items():
-            if isinstance(value, Tensor) and value.requires_grad:
+            if isinstance(value, Tensor):
                 out[name] = value
             elif isinstance(value, Module):
                 for sub, p in value.named_parameters().items():

@@ -75,7 +75,9 @@ class Backbone(ad.Module):
         return ad.l2_normalize(h)
 
     def embed(self, batch: LabeledBatch, mode: str = "train") -> EmbeddingBatch:
-        """Embed a batch; eval mode runs untracked (and is deterministic)."""
+        """Embed a batch; eval mode returns untracked embeddings (and is
+        deterministic). A model loaded for eval or inspect
+        (``trainer.load_frozen_model``) records no tape in either mode."""
         if mode not in ("train", "eval"):
             raise ConfigurationError(f"unknown mode {mode!r}")
         x = ad.Tensor(np.asarray(batch.features, dtype=np.float64))

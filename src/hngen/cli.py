@@ -254,8 +254,7 @@ def _model_from_checkpoint(ckpt_dir: Path):
     # read it off the first backbone weight (out, in); identity keeps embed_dim
     first = manifest["groups"].get("backbone", {}).get("layers.0.weight")
     input_dim = first[-1] if first else cfg["backbone"]["embed_dim"]
-    model = trainer.HngModel(tcfg, bcfg, input_dim, codec, np.random.default_rng(0))
-    trainer.load_checkpoint(ckpt_dir, model)
+    model = trainer.load_frozen_model(ckpt_dir, tcfg, bcfg, input_dim, codec)
     return model, manifest, cfg
 
 
@@ -350,7 +349,7 @@ def cmd_inspect(args) -> int:
                     for j in range(b):
                         writer.writerow([step, head, i, j, repr(float(probs[head, i, j]))])
 
-    lam = model.lambda_for(graph, detach=True)
+    lam = model.lambda_for(zb, graph, detach=True)
     counts, edges = np.histogram(lam.data.ravel(), bins=20, range=(0.0, 1.0))
     with open(out_dir / "lambda_histogram.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -23,10 +23,14 @@ around the attention stay ``Linear`` modules.
 
 ``GraphNet.propagate`` runs the K steps in one loop. One node block and one
 edge block serve all of them, unless per-step weights are asked for (an
-ablation). The returned graph keeps each node step's attention weights, which
-``hngen inspect`` writes out; the edge weights are not kept. The settings
-themselves (K, heads, FFN width, weight sharing) have their defaults and
-range checks on ``trainer.TrainConfig``.
+ablation). Every step but the last updates every edge row, because the next
+node step's incident-edge sum reads them all. The last edge step feeds only
+the λ head, so the caller may name the rows it computes: training asks for
+the rows some loss reads (``trainer.HngModel.propagate_graph``), and no rows
+at all skips the step. The returned graph keeps each node step's attention
+weights, which ``hngen inspect`` writes out; the edge weights are not kept.
+The settings themselves (K, heads, FFN width, weight sharing) have their
+defaults and range checks on ``trainer.TrainConfig``.
 """
 
 from __future__ import annotations
@@ -44,17 +48,26 @@ from .errors import ConfigurationError
 @dataclass
 class CorrelationGraph:
     v: ad.Tensor          # (B, D) node states
-    e: ad.Tensor          # (B(B+1)/2, D) edge states of the pairs i <= j
+    e: ad.Tensor          # (R, D) edge states of the packed pair rows ``rows``
     labels: np.ndarray    # (B,) class ids
     attention: tuple[np.ndarray, ...] = ()  # (H, B, B) node weights per node step
+    # the rows of ``e`` in ``kernels.pair_rows`` order, ascending; None is all
+    # B(B+1)/2 of them
+    rows: np.ndarray | None = None
 
     @property
     def size(self) -> int:
         return self.v.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.v.shape[1]
+    def edge_of_pair(self) -> np.ndarray:
+        """(B, B) row of ``e`` that holds each ordered pair; -1 where ``e``
+        holds none."""
+        idx = kernels.pair_index(self.size)
+        if self.rows is None:
+            return idx
+        at = np.full(self.size * (self.size + 1) // 2, -1)
+        at[self.rows] = np.arange(self.rows.size)
+        return at[idx]
 
 
 def init_graph(zb: EmbeddingBatch) -> CorrelationGraph:
@@ -126,21 +139,30 @@ class NodeBlock(_Block):
 class EdgeBlock(_Block):
     """One edge-propagation step: cross-attention over the two endpoints."""
 
-    def cross_attention(self, e: ad.Tensor, v: ad.Tensor) -> ad.Tensor:
+    def cross_attention(
+        self, e: ad.Tensor, v: ad.Tensor, rows: np.ndarray | None = None
+    ) -> ad.Tensor:
         """Attend each edge query over its endpoint tokens {V_i, V_j}; ``e``
-        and the output are packed pair rows (B(B+1)/2, D).
+        and the output hold the packed pair rows ``rows`` (all B(B+1)/2 of
+        them when None), in that order.
 
         K and V are projected once per node and gathered at the endpoints;
         with two tokens the softmax is sigmoid(s_i - s_j) on V_i and its
         complement on V_j.
         """
         i, j = kernels.pair_rows(v.shape[0])
+        if rows is not None:
+            i, j = i[rows], j[rows]
         ctx = ad.endpoint_attention(self.wq(e), self.wk(v), self.wv(v), i, j, self.heads)
         return self.wo(ctx)
 
-    def __call__(self, e: ad.Tensor, v: ad.Tensor) -> ad.Tensor:
+    def __call__(self, e: ad.Tensor, v: ad.Tensor, rows: np.ndarray | None = None) -> ad.Tensor:
+        """Updated states of the packed pair rows ``rows`` (all when None),
+        from ``e``, the states of every row."""
         e = pair_rows_of(e, v.shape[0])
-        return self._tail(e + self.cross_attention(e, v))
+        if rows is not None:
+            e = e[rows]
+        return self._tail(e + self.cross_attention(e, v, rows))
 
 
 class GraphNet(ad.Module):
@@ -173,16 +195,23 @@ class GraphNet(ad.Module):
         graph: CorrelationGraph,
         node_propagation: bool = True,
         include_edge_sum: bool = True,
+        final_rows: np.ndarray | None = None,
     ) -> CorrelationGraph:
         """Run all K node-then-edge steps from ``graph``'s states; flags
         implement the ablation arms (skip node propagation entirely, or drop
-        the incident-edge sum). The returned graph's ``attention`` holds each
-        node step's attention weights."""
+        the incident-edge sum). The last edge step computes only the packed
+        pair rows ``final_rows`` (ascending; None is every row), and does not
+        run when that is empty. The returned graph's ``attention`` holds each
+        node step's attention weights, and its ``e`` the final rows."""
         v, e, attention = graph.v, graph.e, []
         for k in range(self.k_steps):
             node_block, edge_block = self._blocks(k)
             if node_propagation:
                 v, probs = node_block.step(v, e, graph.labels, include_edge_sum)
                 attention.append(probs.data)
-            e = edge_block(e, v)
-        return CorrelationGraph(v, e, graph.labels, tuple(attention))
+            rows = final_rows if k == self.k_steps - 1 else None
+            if rows is None or rows.size:
+                e = edge_block(e, v, rows)
+            else:  # no caller reads the final edges
+                e = ad.Tensor(np.empty((0, self.dim)))
+        return CorrelationGraph(v, e, graph.labels, tuple(attention), final_rows)

@@ -12,8 +12,16 @@ learning-rate fields of ``TrainConfig``, and steps once per stage.
 Where the stop-gradients sit decides what moves: the optimizer skips a
 parameter with no gradient, keeping its data, moments and step count. So the
 backbone never moves in stage 1, and the interpolation head, and at K=1 the
-last edge block (which feeds only the detached interpolation vectors), move
-only in stage 1.
+last edge block (which feeds only the interpolation vectors), move only in
+stage 1.
+
+Both stages compute only what some loss reads. The last edge step, and the
+interpolation head after it, run on the cross-class pair rows, the
+anchor-negative pairs; an own-class lane feeds only the anchor's own-class
+synthetic slot, which no loss reads. Where no loss reads the interpolation
+vectors (``baseline_gnn``, and ``single_coeff``, whose vectors are the
+constant 1), the last edge step does not run, and ``single_coeff``'s stage 1
+builds no graph.
 
 Schedules: the interpolation interval factor eta is recomputed from the
 previous epoch's mean metric loss (bootstrapped from the running mean
@@ -24,7 +32,7 @@ synthetics of ``cacai.synthesize``, this is fixed, not a setting.
 
 Checkpoints are directories with a JSON manifest and one binary blob per
 parameter group, written beside the target and renamed into place; loading
-is bit-exact.
+is bit-exact. A model loaded for eval or inspect records no tape.
 """
 
 from __future__ import annotations
@@ -57,6 +65,8 @@ ABLATION_ARMS = (
     "baseline_gnn",
 )
 _SYNTH_ARMS = {"full", "single_coeff", "no_global", "no_hadamard", "no_rw"}
+# λ of a lane that reads no λ head output (see ``HngModel.lambda_for``)
+CONSTANT_LAMBDA = 1.0
 CHECKPOINT_MAGIC = b"HNGP"
 CHECKPOINT_VERSION = 1
 
@@ -130,6 +140,12 @@ class TrainConfig:
     @property
     def uses_graph(self) -> bool:
         return self.ablation in _SYNTH_ARMS or self.ablation == "baseline_gnn"
+
+    @property
+    def reads_lambda(self) -> bool:
+        """Whether a loss reads the λ head's output, and so the final edge
+        states: every synthetic arm but ``single_coeff``, whose λ is 1."""
+        return self.uses_synthetics and self.ablation != "single_coeff"
 
 
 @dataclass
@@ -230,7 +246,7 @@ class HngModel(ad.Module):
             self.head_cv = losses.ClassifierHead(codec.num_classes, dim, rng)
         if cfg.uses_synthetics:
             self.head_cz = losses.ClassifierHead(codec.num_classes, dim, rng)
-            if cfg.ablation != "single_coeff":
+            if cfg.reads_lambda:
                 self.lambda_head = cacai.LambdaHead(dim, rng)
         if cfg.metric_loss == "proxy_anchor":
             self.proxies = losses.ProxyBank(
@@ -259,29 +275,46 @@ class HngModel(ad.Module):
     def generator_params(self) -> list[ad.Tensor]:
         return _params_of(self.graph) + _params_of(self.lambda_head)
 
-    def propagate_graph(self, zb: EmbeddingBatch) -> gcl.CorrelationGraph:
+    def propagate_graph(self, zb: EmbeddingBatch, loss_rows_only: bool = False
+                        ) -> gcl.CorrelationGraph:
+        """The arm's propagation over ``zb``'s graph. With ``loss_rows_only``
+        the last edge step computes just the packed pair rows that some
+        training loss reads: the cross-class pairs where the arm reads λ, and
+        none elsewhere. Without it every row is computed, as ``hngen
+        inspect`` reports them."""
         assert self.graph is not None
+        final_rows = None
+        if loss_rows_only:
+            final_rows = np.empty(0, dtype=np.int64)
+            if self.cfg.reads_lambda:
+                i, j = kernels.pair_rows(len(zb.labels))
+                final_rows = np.flatnonzero(zb.labels[i] != zb.labels[j])
         return self.graph.propagate(
             gcl.init_graph(zb),
             node_propagation=self.cfg.ablation != "no_global",
             include_edge_sum=self.cfg.ablation != "no_hadamard",
+            final_rows=final_rows,
         )
 
-    def lambda_for(self, graph: gcl.CorrelationGraph, detach: bool = False) -> ad.Tensor:
-        """Interpolation vectors (B, B, D) for every ordered pair: the head's
-        output on the final edge rows, read at ``kernels.pair_index``. The
-        single-coefficient arm replaces them with the constant 1. ``detach``
-        gives ``lambda_for(graph).detach()`` from the head's arrays, with no
-        tape node."""
-        b, d = graph.size, graph.dim
-        if self.cfg.ablation == "single_coeff":
-            return ad.Tensor(np.ones((b, b, d)))
-        assert self.lambda_head is not None
+    def lambda_for(self, zb: EmbeddingBatch, graph: gcl.CorrelationGraph | None,
+                   detach: bool = False) -> ad.Tensor:
+        """Interpolation vectors (B, B, D) for every ordered pair of ``zb``,
+        one tape node: the head's output on each pair's row of ``graph.e``.
+        A lane whose row ``graph.e`` lacks, and every lane without a graph or
+        a head (``single_coeff``), is ``CONSTANT_LAMBDA`` with no gradient.
+        Training leaves out the own-class rows: their lanes feed only the
+        anchor's own-class slot, which ``SyntheticNegatives.valid`` masks
+        out of every loss. ``detach`` gives ``lambda_for(zb, graph).detach()``
+        from the head's arrays, with no tape node."""
+        b, d = zb.z.shape
+        if graph is None or self.lambda_head is None:
+            return ad.Tensor(np.full((b, b, d), CONSTANT_LAMBDA))
+        lane = graph.edge_of_pair()
         if detach:
             fc = self.lambda_head.fc
             lam = ad._sigmoid(ad._affine(graph.e.data, fc.weight.data, fc.bias.data))
-            return ad.Tensor(lam[kernels.pair_index(b)])
-        return self.lambda_head(graph.e)[kernels.pair_index(b)]
+            return ad.Tensor(np.concatenate([lam, np.full((1, d), CONSTANT_LAMBDA)])[lane])
+        return ad.take_rows(self.lambda_head(graph.e), lane, CONSTANT_LAMBDA)
 
     def synthesize(
         self, zb: EmbeddingBatch, lam: ad.Tensor, eta: float,
@@ -379,8 +412,9 @@ class Trainer:
         """Generator and real-head updates on detached embeddings; the two
         objectives share no parameter, so one backward and one step do both."""
         cfg, model = self.cfg, self.model
-        graph = model.propagate_graph(zb_sg)
-        lam = model.lambda_for(graph)
+        # single_coeff's λ is the constant 1, which reads no graph
+        graph = model.propagate_graph(zb_sg, loss_rows_only=True) if cfg.reads_lambda else None
+        lam = model.lambda_for(zb_sg, graph)
         synth = model.synthesize(zb_sg, lam, eta, self.synth_rng, positive_idx)
         gen_loss, parts = losses.j_gen(
             zb_sg.z, synth, lam, model.head_cz, self.codec,
@@ -400,12 +434,12 @@ class Trainer:
         total = j_r
         out["j_r"] = float(j_r.data)
         if cfg.uses_graph:
-            graph = model.propagate_graph(zb)
+            graph = model.propagate_graph(zb, loss_rows_only=True)
             gca = losses.j_gca(graph.v, zb.labels, model.head_cv, self.codec)
             total = total + gca
             out["j_gca"] = float(gca.data)
             if cfg.uses_synthetics:
-                lam_sg = model.lambda_for(graph, detach=True)
+                lam_sg = model.lambda_for(zb, graph, detach=True)
                 synth = model.synthesize(zb, lam_sg, eta, self.synth_rng, positive_idx)
                 syn = losses.j_syn(zb.z, positive_idx, synth)
                 gamma_n = self.state.gamma_n if self.state.gamma_n is not None else 0.0
@@ -461,11 +495,8 @@ class Trainer:
 
     def _evaluate_checkpoint(self, ckpt_dir: Path) -> evalkit.MetricReport:
         """Validation retrieval on the just-saved snapshot, never live params."""
-        model = HngModel(
-            self.cfg, self.backbone_cfg, self.train_set.dim, self.codec,
-            np.random.default_rng(0),
-        )
-        load_checkpoint(ckpt_dir, model)
+        model = load_frozen_model(
+            ckpt_dir, self.cfg, self.backbone_cfg, self.train_set.dim, self.codec)
         z = model.backbone.embed_array(self.val_set.features)
         index = evalkit.RetrievalIndex.single_set(z, self.val_set.labels)
         ks = [k for k in self.eval_ks if k <= index.effective_gallery_size]
@@ -571,37 +602,44 @@ def _write_group(path: Path, params: dict[str, ad.Tensor]) -> None:
 
 
 def _read_group(path: Path) -> dict[str, np.ndarray]:
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
+    try:
+        with open(path, "rb") as fh:
+            return _parse_group(path, fh)
+    except OSError as exc:  # missing, a directory, unreadable
+        raise CheckpointError(f"{path}: cannot read parameter blob: {exc.strerror}") from exc
 
-        def read(n: int) -> bytes:
-            # a corrupt dim can ask for more than the file holds; never try
-            if n > size - fh.tell():
-                raise CheckpointError(f"{path}: truncated or corrupt parameter blob")
-            return fh.read(n)
 
-        if read(4) != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"{path}: bad parameter blob magic")
-        version, code, count = struct.unpack("<III", read(12))
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"{path}: checkpoint version {version} needs migration "
-                f"(supported: {CHECKPOINT_VERSION})"
-            )
-        if code != _FLOAT64_CODE:
-            raise CheckpointError(f"{path}: unknown dtype code {code}")
-        out: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (nlen,) = struct.unpack("<H", read(2))
-            try:
-                name = read(nlen).decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise CheckpointError(f"{path}: tensor name is not UTF-8") from exc
-            (ndim,) = struct.unpack("<B", read(1))
-            shape = struct.unpack(f"<{ndim}Q", read(8 * ndim)) if ndim else ()
-            n_items = math.prod(shape)
-            buf = read(n_items * 8)
-            out[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+def _parse_group(path: Path, fh) -> dict[str, np.ndarray]:
+    size = os.fstat(fh.fileno()).st_size
+
+    def read(n: int) -> bytes:
+        # a corrupt dim can ask for more than the file holds; never try
+        if n > size - fh.tell():
+            raise CheckpointError(f"{path}: truncated or corrupt parameter blob")
+        return fh.read(n)
+
+    if read(4) != CHECKPOINT_MAGIC:
+        raise CheckpointError(f"{path}: bad parameter blob magic")
+    version, code, count = struct.unpack("<III", read(12))
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"{path}: checkpoint version {version} needs migration "
+            f"(supported: {CHECKPOINT_VERSION})"
+        )
+    if code != _FLOAT64_CODE:
+        raise CheckpointError(f"{path}: unknown dtype code {code}")
+    out: dict[str, np.ndarray] = {}
+    for _ in range(count):
+        (nlen,) = struct.unpack("<H", read(2))
+        try:
+            name = read(nlen).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: tensor name is not UTF-8") from exc
+        (ndim,) = struct.unpack("<B", read(1))
+        shape = struct.unpack(f"<{ndim}Q", read(8 * ndim)) if ndim else ()
+        n_items = math.prod(shape)
+        buf = read(n_items * 8)
+        out[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
     return out
 
 
@@ -641,6 +679,8 @@ def load_manifest(ckpt_dir: Path) -> dict:
         raise CheckpointError(f"{ckpt_dir}: no manifest.json")
     try:
         manifest = json.loads(path.read_text())
+    except OSError as exc:  # a directory, unreadable
+        raise CheckpointError(f"{path}: cannot read manifest: {exc.strerror}") from exc
     except ValueError as exc:  # bad JSON or bad UTF-8
         raise CheckpointError(f"{path}: not a valid JSON manifest: {exc}") from exc
     if not isinstance(manifest, dict):
@@ -681,6 +721,17 @@ def _is_int_list(value, low: int) -> bool:
     return isinstance(value, list) and all(
         type(x) is int and low <= x < 2**63 for x in value
     )
+
+
+def load_frozen_model(ckpt_dir: Path, cfg: TrainConfig, backbone_cfg: BackboneConfig,
+                      input_dim: int, codec: losses.ClassCodec) -> HngModel:
+    """The arm's model with the parameters of ``ckpt_dir``, for eval and
+    inspect. It is never trained, so its parameters record no tape."""
+    model = HngModel(cfg, backbone_cfg, input_dim, codec, np.random.default_rng(0))
+    load_checkpoint(ckpt_dir, model)
+    for p in model.parameters():
+        p.requires_grad = False
+    return model
 
 
 def load_checkpoint(ckpt_dir: Path, model: HngModel) -> dict:

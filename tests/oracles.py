@@ -327,9 +327,11 @@ def composed_node_attention(block: gcl.NodeBlock, v, labels):
     return block.wo(ctx), probs
 
 
-def composed_cross_attention(block: gcl.EdgeBlock, e, v) -> ad.Tensor:
+def composed_cross_attention(block: gcl.EdgeBlock, e, v, rows=None) -> ad.Tensor:
     """``EdgeBlock.cross_attention`` over ``composed_endpoint_attention``."""
     i, j = kernels.pair_rows(v.shape[0])
+    if rows is not None:
+        i, j = i[rows], j[rows]
     return block.wo(composed_endpoint_attention(
         block.wq(e), block.wk(v), block.wv(v), i, j, block.heads))
 
@@ -563,7 +565,7 @@ class TwoStepStage1Trainer(trainer.Trainer):
     def _stage1(self, zb_sg, positive_idx, eta):
         cfg, model = self.cfg, self.model
         graph = model.propagate_graph(zb_sg)
-        lam = model.lambda_for(graph)
+        lam = model.lambda_for(zb_sg, graph)
         synth = model.synthesize(zb_sg, lam, eta, self.synth_rng, positive_idx)
         gen_loss, parts = losses.j_gen(
             zb_sg.z, synth, lam, model.head_cz, self.codec,
@@ -578,6 +580,17 @@ class TwoStepStage1Trainer(trainer.Trainer):
         self.opt.step()
         self.opt.zero_grad()
         return {"j_gen": float(gen_loss.data), "j_cz": float(cz_loss.data), **parts}
+
+
+class AllRowsTrainer(trainer.Trainer):
+    """The trainer with each stage's last edge step, and the λ head after
+    it, on every packed pair row, as ``hngen inspect`` runs them, rather
+    than on only the rows that some loss reads."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        propagate = self.model.propagate_graph
+        self.model.propagate_graph = lambda zb, loss_rows_only=False: propagate(zb)
 
 
 # -- scalar forms of the vectorized interpolation, fusion and losses -------------

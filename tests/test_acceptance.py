@@ -233,7 +233,7 @@ def test_04_gradient_checks_all_losses_and_blocks():
     def composite():
         zb = model.backbone.embed(batch, mode="train")
         graph = model.propagate_graph(zb)
-        lam2 = model.lambda_for(graph)
+        lam2 = model.lambda_for(zb, graph)
         synth = cacai.synthesize(
             zb, lam2, cacai.eta_from_avg_loss(5.0, 5.0),
             np.random.default_rng(42), pos,
@@ -441,7 +441,7 @@ def test_08_stop_gradient_contract(tmp_path):
 
     # stage-2 lambda branch: zero gradient to the interpolation FC
     graph = tr.model.propagate_graph(zb)
-    lam_sg = tr.model.lambda_for(graph).detach()
+    lam_sg = tr.model.lambda_for(zb, graph).detach()
     synth = cacai.synthesize(zb, lam_sg, cacai.eta_from_avg_loss(5.0, 5.0),
                              np.random.default_rng(1), pos)
     total = j_m(
@@ -458,7 +458,7 @@ def test_08_stop_gradient_contract(tmp_path):
     # C_z receives no synthetic-sample gradient
     tr.model.zero_grad()
     graph1 = tr.model.propagate_graph(zb_sg)
-    lam1 = tr.model.lambda_for(graph1)
+    lam1 = tr.model.lambda_for(zb_sg, graph1)
     synth1 = cacai.synthesize(zb_sg, lam1, cacai.eta_from_avg_loss(5.0, 5.0),
                               np.random.default_rng(2), pos)
     gen_loss, _ = losses.j_gen(zb_sg.z, synth1, lam1, tr.model.head_cz, tr.codec,

@@ -349,6 +349,33 @@ class TestKernelBackedOps:
             results.append((out.data.tobytes(), e.grad.tobytes()))
         assert results[0] == results[1]
 
+    @pytest.mark.parametrize("b", [1, 2, 5, 12])
+    def test_take_rows_without_fill_is_take_bitwise(self, b):
+        rng = np.random.default_rng(40 + b)
+        rows = rng.standard_normal((b * (b + 1) // 2, 6))
+        w = rng.standard_normal((b, b, 6))
+        results = []
+        for expand in (lambda e: e[kernels.pair_index(b)],
+                       lambda e: ad.take_rows(e, kernels.pair_index(b), 1.0)):
+            e = ad.Tensor(rows.copy(), requires_grad=True)
+            (expand(e) * w).sum().backward()
+            results.append((expand(e).data.tobytes(), e.grad.tobytes()))
+        assert results[0] == results[1]
+
+    def test_take_rows_fill_lanes_values_and_grad(self):
+        rng = np.random.default_rng(23)
+        a = _param(rng, 3, 4)
+        index = np.array([[0, -1, 2], [-1, 1, 0]])
+        out = ad.take_rows(a, index, 0.5)
+        assert out.shape == (2, 3, 4)
+        assert np.all(out.data[index < 0] == 0.5)
+        assert np.array_equal(out.data[index >= 0], a.data[index[index >= 0]])
+        w = rng.standard_normal((2, 3, 4))
+        check_gradients(lambda: (ad.take_rows(a, index, 0.5) * w).sum(), [a])
+        a.grad = None
+        (ad.take_rows(a, np.full((2, 2), -1), 0.5) * 3.0).sum().backward()
+        assert np.array_equal(a.grad, np.zeros((3, 4)))  # fill lanes pass nothing back
+
     def test_pairwise_sqdist_values_and_grad(self):
         rng = np.random.default_rng(16)
         z = _param(rng, 5, 4)

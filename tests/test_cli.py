@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import hngen
+from hngen import autodiff as ad
 from hngen import cacai, cli, datakit, evalkit, trainer
 from hngen.backbone import BackboneConfig
 from hngen.errors import ConfigurationError
@@ -273,6 +274,41 @@ class TestTrainEvalInspect:
         blob.write_bytes(blob.read_bytes()[:-1])
         rc = cli.main(["eval", "--checkpoint", str(ckpt), "--out-dir", str(tmp_path / "ev")])
         assert rc == 2
+
+    @pytest.mark.parametrize("command", ["eval", "inspect"])
+    @pytest.mark.parametrize("damage", ["no_backbone_blob", "heads_blob_a_directory",
+                                        "manifest_a_directory"])
+    def test_damaged_checkpoint_directory_returns_2(self, trained, tmp_path, capsys,
+                                                    command, damage):
+        _, run_dir = trained
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(run_dir / "checkpoints" / "epoch_001", ckpt)
+        if damage == "no_backbone_blob":
+            broken = ckpt / "backbone.bin"
+            broken.unlink()
+        else:
+            broken = ckpt / ("heads.bin" if damage == "heads_blob_a_directory" else "manifest.json")
+            broken.unlink()
+            broken.mkdir()
+        out = tmp_path / "out"
+        rc = cli.main([command, "--checkpoint", str(ckpt), "--out-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and str(broken) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "inspect"])
+    def test_checkpoint_model_records_no_tape(self, trained, tmp_path, monkeypatch, command):
+        # a model loaded for eval or inspect is never trained: every tensor
+        # it computes, the graph's and the embeddings' included, is a leaf
+        _, run_dir = trained
+        made = []
+        make = ad._make
+        monkeypatch.setattr(ad, "_make", lambda *args: made.append(make(*args)) or made[-1])
+        rc = cli.main([command, "--checkpoint", str(run_dir / "checkpoints" / "epoch_001"),
+                       "--out-dir", str(tmp_path / "out")])
+        assert rc == 0 and made
+        assert all(not t.requires_grad and t._parents == () for t in made)
 
     def test_eval_float32_blob_returns_2(self, trained, tmp_path, capsys):
         # checkpoints are float64 only: a float32 blob is refused, not widened

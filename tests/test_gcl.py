@@ -280,6 +280,25 @@ class TestPropagate:
         assert np.allclose(out2.v.data, out_manual.v.data, atol=1e-12)
         assert np.allclose(out2.e.data, out_manual.e.data, atol=1e-12)
 
+    @pytest.mark.parametrize("k_steps", [1, 2, 3])
+    def test_final_rows_are_those_rows_of_the_all_rows_propagation(self, k_steps):
+        rng = np.random.default_rng(30 + k_steps)
+        labels = np.tile([1, 2, 3], 3)
+        net = graph_net(8, rng, k_steps=k_steps, heads=2)
+        graph = gcl.init_graph(embed_batch(unit_rows(rng, 9, 8), labels, 3, 3))
+        full = net.propagate(graph)
+        rows = np.sort(rng.choice(n_pairs(9), size=20, replace=False))
+        cut = net.propagate(graph, final_rows=rows)
+        assert cut.v.data.tobytes() == full.v.data.tobytes()
+        assert cut.e.data.tobytes() == full.e.data[rows].tobytes()
+        lanes = cut.edge_of_pair()
+        held = lanes >= 0
+        assert np.array_equal(np.unique(kernels.pair_index(9)[held]), rows)
+        assert np.array_equal(rows[lanes[held]], kernels.pair_index(9)[held])
+        none = net.propagate(graph, final_rows=np.empty(0, dtype=np.int64))
+        assert none.v.data.tobytes() == full.v.data.tobytes()
+        assert none.e.shape == (0, 8) and np.all(none.edge_of_pair() == -1)
+
     def test_unshared_weights_use_per_step_blocks(self):
         rng = np.random.default_rng(21)
         z = unit_rows(rng, 4, 4)
@@ -447,7 +466,7 @@ class TestPackedMatchesDense:
         np.testing.assert_allclose(graph.v.data, v.data, rtol=0, atol=1e-12)
         np.testing.assert_allclose(mirrored(graph.e, b), e.data, rtol=0, atol=1e-12)
         if model.cfg.uses_synthetics:
-            np.testing.assert_allclose(model.lambda_for(graph).data, lam.data,
+            np.testing.assert_allclose(model.lambda_for(zb, graph).data, lam.data,
                                        rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("share", [True, False])
@@ -468,7 +487,7 @@ class TestPackedMatchesDense:
 
         zb = EmbeddingBatch(z, labels, 3, 2)
         graph = model.propagate_graph(zb)
-        packed = grads((graph.v * wv).sum() + (model.lambda_for(graph) * we).sum())
+        packed = grads((graph.v * wv).sum() + (model.lambda_for(zb, graph) * we).sum())
         v, _, lam = dense_graph(model, zb)
         dense = grads((v * wv).sum() + (lam * we).sum())
         for got, want in zip(packed, dense):

@@ -217,11 +217,13 @@ def test_every_training_function_runs(tmp_path):
 
 
 # Tape nodes of one train_step on configs/smoke.json: one per loss term,
-# and 61 for the rest (the backbone with its one-node L2 normalization, both
+# and 63 for the rest (the backbone with its one-node L2 normalization, both
 # stages' graph, stage 1's lambda head, both stages' synthetics, and the
 # sums of the loss terms). Stage 2 reads lambda as a constant, so its head
-# runs off the tape.
-SMOKE_STEP_TAPE_NODES = 66
+# runs off the tape. Each stage's last edge step computes only the
+# cross-class rows, the ones a loss reads, so it gathers their states first:
+# one ``take`` per stage, which made 66 into 68.
+SMOKE_STEP_TAPE_NODES = 68
 SMOKE_STEP_LOSSES = ("j_gen", "j_cz", "j_gca", "j_syn", "np_loss")
 
 

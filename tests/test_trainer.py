@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from hngen import autodiff as ad
-from hngen import cacai, datakit, losses, trainer
+from hngen import cacai, datakit, gcl, kernels, losses, trainer
 from hngen.backbone import BackboneConfig, EmbeddingBatch
 from hngen.errors import CheckpointError, ConfigurationError, NumericError
 
-from oracles import TwoStepStage1Trainer, j_m
+from oracles import AllRowsTrainer, TwoStepStage1Trainer, j_m
 
 
 def tiny_dataset(seed=0, classes=4, per_class=8, dim=5):
@@ -198,7 +198,7 @@ class TestStopGradientContracts:
         zb = model.backbone.embed(batch, mode="train")
         pos = cacai.select_positives(zb.labels, tr.positive_rng)
         graph = model.propagate_graph(zb)
-        lam_sg = model.lambda_for(graph, detach=True)
+        lam_sg = model.lambda_for(zb, graph, detach=True)
         synth = cacai.synthesize(
             zb, lam_sg, cacai.eta_from_avg_loss(5.0, 5.0),
             np.random.default_rng(3), pos,
@@ -241,8 +241,8 @@ class TestStopGradientContracts:
             return [None if p.grad is None else p.grad.copy()
                     for p in model.graph.parameters()]
 
-        g_sg = run(lambda graph: model.lambda_for(graph, detach=True))
-        lam_const = ad.Tensor(model.lambda_for(model.propagate_graph(zb)).data.copy())
+        g_sg = run(lambda graph: model.lambda_for(zb, graph, detach=True))
+        lam_const = ad.Tensor(model.lambda_for(zb, model.propagate_graph(zb)).data.copy())
         g_ablate = run(lambda graph: lam_const)
         for a, b in zip(g_sg, g_ablate):
             if a is None or b is None:
@@ -251,17 +251,19 @@ class TestStopGradientContracts:
                 assert np.allclose(a, b, atol=1e-12)
 
     @pytest.mark.parametrize("ablation", ["full", "single_coeff"])
+    @pytest.mark.parametrize("loss_rows_only", [True, False], ids=["stage2", "inspect"])
     def test_stage2_lambda_is_the_detached_lambda_with_no_tape_node(
-            self, tmp_path, monkeypatch, ablation):
+            self, tmp_path, monkeypatch, ablation, loss_rows_only):
         tr = make_trainer(tmp_path, ablation=ablation)
         model = tr.model
         batch = datakit.sample_balanced(tr.train_set, 3, 2, tr.sampler_rng)
-        graph = model.propagate_graph(model.backbone.embed(batch, mode="train"))
-        expect = model.lambda_for(graph).detach()
+        zb = model.backbone.embed(batch, mode="train")
+        graph = model.propagate_graph(zb, loss_rows_only=loss_rows_only)
+        expect = model.lambda_for(zb, graph).detach()
         made = []
         make = ad._make
         monkeypatch.setattr(ad, "_make", lambda *args: made.append(args) or make(*args))
-        lam = model.lambda_for(graph, detach=True)
+        lam = model.lambda_for(zb, graph, detach=True)
         assert made == [] and not lam.requires_grad
         assert lam.shape == expect.shape and lam.data.dtype == expect.data.dtype
         assert lam.data.tobytes() == expect.data.tobytes()
@@ -274,7 +276,7 @@ class TestStopGradientContracts:
         pos = cacai.select_positives(zb.labels, tr.positive_rng)
 
         graph = tr.model.propagate_graph(zb_sg)
-        lam = tr.model.lambda_for(graph)
+        lam = tr.model.lambda_for(zb_sg, graph)
         synth = cacai.synthesize(
             zb_sg, lam, cacai.eta_from_avg_loss(5.0, 5.0),
             np.random.default_rng(5), pos,
@@ -298,7 +300,7 @@ class TestStopGradientContracts:
         zb = model.backbone.embed(batch, mode="train")
         zb_sg = EmbeddingBatch(zb.z.detach(), zb.labels, 3, 2)
         pos = cacai.select_positives(zb.labels, tr.positive_rng)
-        lam = model.lambda_for(model.propagate_graph(zb_sg))
+        lam = model.lambda_for(zb_sg, model.propagate_graph(zb_sg))
         synth = model.synthesize(zb_sg, lam, 0.8, tr.synth_rng, pos)
         gen_loss, _ = losses.j_gen(zb_sg.z, synth, lam, model.head_cz, tr.codec,
                                    gamma_s=1.0, gamma_d=0.03)
@@ -342,6 +344,92 @@ class TestStopGradientContracts:
         report.assert_finite()
 
 
+GRAPH_ARMS = [arm for arm in trainer.ABLATION_ARMS if trainer.TrainConfig(ablation=arm).uses_graph]
+
+
+class TestFinalEdgeRows:
+    """Each stage's last edge step, and the λ head after it, run on exactly
+    the packed pair rows that some loss reads; earlier steps run on all."""
+
+    @pytest.mark.parametrize("arm", GRAPH_ARMS)
+    @pytest.mark.parametrize("k_steps, share", [(1, True), (2, True), (2, False)],
+                             ids=["k1", "k2_shared", "k2_unshared"])
+    def test_each_edge_step_computes_the_rows_a_loss_reads(
+            self, tmp_path, monkeypatch, arm, k_steps, share):
+        tr = make_trainer(tmp_path, ablation=arm, k_steps=k_steps,
+                          share_weights_across_steps=share)
+        stage = ["none"]
+        seen = {"stage1": [], "stage2": []}
+        propagated = {"stage1": 0, "stage2": 0}
+
+        def in_stage(name, fn):
+            def call(*args, **kwargs):
+                stage[0] = name
+                return fn(*args, **kwargs)
+            return call
+
+        edge_call, propagate = gcl.EdgeBlock.__call__, gcl.GraphNet.propagate
+
+        def recording_edge_call(block, e, v, rows=None):
+            out = edge_call(block, e, v, rows)
+            seen[stage[0]].append((None if rows is None else rows.tolist(), out.shape[0]))
+            return out
+
+        def counting_propagate(*args, **kwargs):
+            propagated[stage[0]] += 1
+            return propagate(*args, **kwargs)
+
+        monkeypatch.setattr(tr, "_stage1", in_stage("stage1", tr._stage1))
+        monkeypatch.setattr(tr, "_stage2", in_stage("stage2", tr._stage2))
+        monkeypatch.setattr(gcl.EdgeBlock, "__call__", recording_edge_call)
+        monkeypatch.setattr(gcl.GraphNet, "propagate", counting_propagate)
+        batch = datakit.sample_balanced(tr.train_set, 3, 2, tr.sampler_rng)
+        tr.train_step(batch)
+
+        b = batch.labels.size
+        i, j = kernels.pair_rows(b)
+        cross = np.flatnonzero(batch.labels[i] != batch.labels[j]).tolist()
+        earlier = [(None, b * (b + 1) // 2)] * (k_steps - 1)
+        final = [(cross, len(cross))] if tr.cfg.reads_lambda else []
+        assert seen["stage2"] == earlier + final and propagated["stage2"] == 1
+        # single_coeff's constant λ reads no graph; baseline_gnn has no stage 1
+        assert seen["stage1"] == (earlier + final if tr.cfg.reads_lambda else [])
+        assert propagated["stage1"] == tr.cfg.reads_lambda
+
+    @pytest.mark.parametrize("cfg", [
+        {}, {"ablation": "no_rw"}, {"metric_loss": "proxy_anchor"},
+        {"k_steps": 2, "share_weights_across_steps": True},
+    ], ids=["full", "no_rw", "proxy_anchor", "k2_shared"])
+    def test_step_matches_the_all_rows_oracle_bitwise(self, tmp_path, cfg):
+        cut = make_trainer(tmp_path / "cut", **cfg)
+        ref = AllRowsTrainer(tiny_dataset(), None, tiny_config(**cfg), tiny_backbone(),
+                             tmp_path / "ref")
+        start = cut.opt.data.copy()
+        for tr in (cut, ref):
+            tr.train_step(datakit.sample_balanced(tr.train_set, 3, 2, tr.sampler_rng))
+        for name in ("data", "m", "v"):
+            assert getattr(cut.opt, name).tobytes() == getattr(ref.opt, name).tobytes(), name
+        assert cut.opt.steps == ref.opt.steps
+        assert not np.array_equal(cut.opt.data, start)
+
+    def test_own_class_lanes_are_the_constant_with_no_gradient(self, tmp_path):
+        tr = make_trainer(tmp_path)
+        model = tr.model
+        batch = datakit.sample_balanced(tr.train_set, 3, 2, tr.sampler_rng)
+        zb = model.backbone.embed(batch, mode="train")
+        cut = model.lambda_for(zb, model.propagate_graph(zb, loss_rows_only=True))
+        full = model.lambda_for(zb, model.propagate_graph(zb))
+        own = zb.labels[:, None] == zb.labels[None, :]
+        assert np.all(cut.data[own] == trainer.CONSTANT_LAMBDA)
+        assert cut.data[~own].tobytes() == full.data[~own].tobytes()
+        weights = np.random.default_rng(0).standard_normal(cut.shape)
+        (cut * weights).sum().backward()
+        head = model.lambda_head.fc.weight.grad.copy()
+        model.zero_grad()
+        (full * (weights * ~own[:, :, None])).sum().backward()
+        np.testing.assert_allclose(head, model.lambda_head.fc.weight.grad, rtol=0, atol=1e-12)
+
+
 class TestAblationArms:
     def test_baseline_step_is_metric_only(self, tmp_path):
         tr = make_trainer(tmp_path, ablation="baseline")
@@ -366,7 +454,7 @@ class TestAblationArms:
         assert tr.model.lambda_head is None
         batch = datakit.sample_balanced(tr.train_set, 3, 2, tr.sampler_rng)
         zb = tr.model.backbone.embed(batch, mode="eval")
-        lam = tr.model.lambda_for(tr.model.propagate_graph(zb))
+        lam = tr.model.lambda_for(zb, tr.model.propagate_graph(zb))
         assert np.all(lam.data == 1.0)
         report = tr.train_step(batch)
         assert report.j_div == pytest.approx(1.0)  # zero spread in constant lambda

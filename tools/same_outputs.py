@@ -48,6 +48,8 @@ ACCEPTANCE = {
     "smoke": {},
     "proxy_anchor": {"train": {"epochs": 3, "metric_loss": "proxy_anchor"}},
     "k2_unshared": {"train": {"epochs": 3, "k_steps": 2, "share_weights_across_steps": False}},
+    # one edge block runs every step: on every row, then on the final step's
+    "k2_shared": {"train": {"epochs": 3, "k_steps": 2, "share_weights_across_steps": True}},
     **{arm: {"train": {"epochs": 3, "ablation": arm}} for arm in (
         "single_coeff", "no_global", "no_hadamard", "no_rw", "baseline", "baseline_gnn")},
 }
