@@ -3,10 +3,10 @@
 A ``Tensor`` wraps an ndarray plus an optional gradient and a backward
 closure; ``Tensor.backward()`` runs the tape in reverse topological order.
 The op set is exactly what training calls: ``add`` and ``mul`` (also ``+``
-and ``*``), ``tsum``, ``take`` (also ``[]``), ``take_rows``, ``relu``,
-``sigmoid`` and ``sqrt_or_zero``, plus fused ops that put a whole
-sublayer on the tape as one node with a hand-written backward (the losses
-in :mod:`hngen.losses` are built the same way): ``linear``,
+and ``*``), ``tsum``, ``take`` (also ``[]``), ``relu`` and ``sigmoid``,
+plus fused ops that put a whole sublayer on the tape as one node with a
+hand-written backward (the losses in :mod:`hngen.losses` and
+``cacai.synthesize`` are built the same way): ``linear``,
 ``l2_normalize``, and the graph blocks' node attention, edge attention and
 post-norm FFN tail (``masked_attention``, ``endpoint_attention``,
 ``residual_ffn_tail``). Each fused forward pass does the arithmetic of the
@@ -14,9 +14,6 @@ composed ops it replaces, in their order, so its values match them bit for
 bit; ``tests/oracles.py`` keeps the composed forms. Gradient-blocking
 (``detach``) is the primitive behind the two-stage training contract, so
 it is exact: a detached tensor shares data but carries no tape.
-
-Heavy pairwise ops (``hadamard_pairs``, ``pairwise_sqdist``) call the numpy
-kernels in :mod:`hngen.kernels`.
 """
 
 from __future__ import annotations
@@ -252,23 +249,6 @@ def take(a, key) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
-def take_rows(a, index: np.ndarray, fill: float) -> Tensor:
-    """Rows of the 2-D ``a`` at ``index``, an integer array of any shape, and
-    a constant row of ``fill`` wherever ``index`` is -1: one tape node. With
-    no -1 in ``index`` it is ``take(a, index)``, bit for bit; the fill rows
-    pass no gradient back."""
-    a = as_tensor(a)
-    r, d = a.shape
-    out_data = np.concatenate([a.data, np.full((1, d), fill)])[index]
-
-    def backward(g):
-        # the fill rows add into one extra row of bins, which is dropped
-        src = np.where(index < 0, r, index)[..., None] * d + np.arange(d)
-        _accumulate(a, _scatter(src, g, (r + 1, d))[:r])
-
-    return _make(out_data, (a,), backward)
-
-
 def _scatter(src: np.ndarray, g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Zeros of ``shape`` plus ``g`` added at the flat positions ``src``;
     repeated positions add in ``np.ravel`` order, as ``np.add.at`` does."""
@@ -277,22 +257,6 @@ def _scatter(src: np.ndarray, g: np.ndarray, shape: tuple[int, ...]) -> np.ndarr
 
 
 # -- elementwise nonlinearities ----------------------------------------------
-
-
-def sqrt_or_zero(a) -> Tensor:
-    """sqrt(x) for x > 0, exactly 0 (with zero gradient) at x <= 0.
-
-    Keeps pairwise-distance math exact for coincident points: the forward
-    value is untouched for positive inputs and the backward pass never
-    divides by zero.
-    """
-    a = as_tensor(a)
-    out_data, pos = _sqrt_or_zero_forward(a.data)
-
-    def backward(g):
-        _accumulate(a, _sqrt_or_zero_backward(g, out_data, pos))
-
-    return _make(out_data, (a,), backward)
 
 
 def _sqrt_or_zero_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -452,7 +416,7 @@ def residual_ffn_tail(pre, ln1: "LayerNorm", fc1: "Linear", fc2: "Linear",
     return _make(out_data, (pre,) + params, backward)
 
 
-# -- kernel-backed pairwise ops ----------------------------------------------
+# -- kernel-backed pairwise op -----------------------------------------------
 
 
 def hadamard_pairs(z) -> Tensor:
@@ -466,17 +430,6 @@ def hadamard_pairs(z) -> Tensor:
     return _make(out_data, (z,), backward)
 
 
-def pairwise_sqdist(z) -> Tensor:
-    """Squared distances for ordered pairs (B, D) -> (B, B)."""
-    z = as_tensor(z)
-    out_data = kernels.pairwise_sqdist(z.data)
-
-    def backward(g):
-        _accumulate(z, kernels.pairwise_sqdist_grad(z.data, g))
-
-    return _make(out_data, (z,), backward)
-
-
 # -- fused normalizations ------------------------------------------------------
 
 
@@ -485,7 +438,8 @@ def l2_normalize(x) -> Tensor:
 
     The forward pass is ``x / sqrt(sum(x * x, -1))``. The backward pass adds
     x's gradient shares in the order the composed ops did, the division's
-    first and then the two factors of ``x * x``. Raises on zero rows.
+    first and then the two factors of ``x * x``. A zero row maps to the
+    unit vector 1/sqrt(D) in every channel and passes no gradient back.
     """
     x = as_tensor(x)
     out_data, norm = _l2_rows_forward(x.data)
@@ -500,13 +454,13 @@ def l2_normalize(x) -> Tensor:
 
 
 def _l2_rows_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(x / sqrt(sum(x * x, -1)), that norm with the last axis kept); raises
-    on a zero row."""
+    """(x / sqrt(sum(x * x, -1)), that norm with the last axis kept). A zero
+    row gives 1/sqrt(D) in every channel and the norm inf, which zeroes its
+    gradient in ``_l2_rows_backward``."""
     sq = (x * x).sum(axis=-1, keepdims=True)
-    if np.any(sq <= 0.0):
-        raise ShapeError("cannot L2-normalize a zero-norm row")
-    norm = np.sqrt(sq)
-    return x / norm, norm
+    zero = sq <= 0.0
+    norm = np.where(zero, np.inf, np.sqrt(sq))
+    return np.where(zero, 1.0 / math.sqrt(x.shape[-1]), x / norm), norm
 
 
 def _l2_rows_backward(g: np.ndarray, x: np.ndarray, norm: np.ndarray):

@@ -7,8 +7,10 @@ anchor to negative (falling back to the negative itself when d- <= d+), and
 the per-class interpolants are fused, in group order, by iterated random
 weighting into one synthetic negative per (anchor, negative class).
 Synthetics are never re-normalized; the losses consume raw inner products.
-``interpolate_all`` puts the interpolation of every ordered pair on the tape
-as one node with a hand-written backward.
+
+λ stays packed from the head to the synthetics (see ``lambda_lanes``), and
+``synthesize`` puts the distances, the interpolation of every ordered pair
+and the fusion on the tape as one node with a hand-written backward.
 """
 
 from __future__ import annotations
@@ -79,88 +81,30 @@ def select_positives(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray
     return np.argmax(pool.cumsum(axis=1) > picks[:, None], axis=1)
 
 
-def pair_distances(
-    zb: EmbeddingBatch, positive_idx: np.ndarray
-) -> tuple[ad.Tensor, ad.Tensor]:
-    """(d_plus, d_minus): anchor-positive and all-pairs euclidean distances."""
-    z = zb.z
-    kernels.check_unit_rows(z.data, "pair_distances")
-    d_minus = ad.sqrt_or_zero(ad.pairwise_sqdist(z))
-    b = z.shape[0]
-    d_plus = d_minus[np.arange(b), np.asarray(positive_idx)]
-    return d_plus, d_minus
+def pair_distances(zb: EmbeddingBatch, positive_idx: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """(d_plus, d_minus): anchor-positive (B,) and all-pairs (B, B)
+    euclidean distances, exactly 0 for coincident points."""
+    z = zb.z.data
+    kernels.check_unit_rows(z, "pair_distances")
+    d_minus, _ = ad._sqrt_or_zero_forward(kernels.pairwise_sqdist(z))
+    return d_minus[np.arange(z.shape[0]), np.asarray(positive_idx)], d_minus
 
 
-def interpolate_all(
-    z: ad.Tensor,
-    lam: ad.Tensor,
-    d_plus: ad.Tensor,
-    d_minus: ad.Tensor,
-    eta: float,
-) -> ad.Tensor:
-    """Interpolants of every ordered pair, (B, B, D): one tape node.
+def lambda_lanes(rows: np.ndarray, lane: np.ndarray) -> np.ndarray:
+    """λ of each lane of ``lane``, ``lane.shape + (D,)``: the packed row
+    ``lane`` of ``rows``, and the constant 1 where ``lane`` is -1 (a pair
+    whose row no loss reads, or an arm without a λ head)."""
+    return np.concatenate([rows, np.ones((1, rows.shape[1]))])[lane]
 
-    Lane (i, j) is z_i + (d+_i + lam_ij eta (d-_ij - d+_i)) (z_j - z_i) / d-_ij
-    when d-_ij > d+_i, else z_j. The branch select is a constant 0/1 mask t,
-    out = t (first branch) + (1 - t) z_j, so the d- <= d+ case reproduces z_j
-    bit for bit; the divisor is 1 on inactive lanes. The forward pass does
-    the arithmetic of the composed ops in their order, so its values match
-    them bit for bit. It keeps two (B, B, D) arrays for the backward pass,
-    the bracket and the chord, which needs about four more at its peak.
-    """
-    b, d = z.shape
-    if lam.shape != (b, b, d):
-        raise ShapeError(f"interpolation vectors {lam.shape} != {(b, b, d)}")
-    take = (d_minus.data > d_plus.data[:, None]).astype(np.float64)  # (B, B)
-    take3 = take[:, :, None]
-    dp = d_plus.data.reshape(b, 1, 1)
-    dm = (d_minus.data * take + (1.0 - take)).reshape(b, b, 1)  # 1 where inactive
-    dm_minus_dp = dm - dp
-    bracket = lam.data * eta
-    bracket *= dm_minus_dp
-    bracket += dp
-    z_i = z.data.reshape(b, 1, d)
-    z_j = z.data.reshape(1, b, d)
-    chord = z_j - z_i
-    chord /= dm
-    out = bracket * chord
-    out += z_i
-    out *= take3
-    out += z_j * (1.0 - take3)
 
-    def backward(g):
-        # Each gradient is the composed ops' product, summed over the same
-        # axes of an array in the same layout; only z's two halves are added
-        # in another order. Steps marked "in place" reuse a (B, B, D) buffer.
-        g_first = g * take3  # d(z_i + bracket * chord)
-        g_bracket = g_first * chord
-        if lam.requires_grad:
-            g_lam = g_bracket * dm_minus_dp
-            g_lam *= eta
-            ad._accumulate(lam, g_lam)
-        if not (z.requires_grad or d_plus.requires_grad or d_minus.requires_grad):
-            return
-        tmp = lam.data * eta
-        tmp *= g_bracket
-        g_gap = tmp.sum(axis=2, keepdims=True)  # d(dm - dp)
-        g_dp = g_bracket.sum(axis=(1, 2), keepdims=True) + (-g_gap).sum(axis=1, keepdims=True)
-        g_chord = np.multiply(g_first, bracket, out=g_bracket)  # in place
-        g_zi = g_first.sum(axis=1, keepdims=True)
-        g_diff = np.divide(g_chord, dm, out=g_first)  # d(z_j - z_i), in place
-        np.negative(g_chord, out=g_chord)  # d(dm) = sum(-g_chord (z_j - z_i) / dm^2)
-        g_chord *= np.subtract(z_j, z_i, out=tmp)
-        g_chord /= dm * dm
-        g_dm = g_chord.sum(axis=2, keepdims=True) + g_gap
-        g_zj = g_diff.sum(axis=0, keepdims=True)
-        g_zi = g_zi + np.negative(g_diff, out=g_diff).sum(axis=1, keepdims=True)
-        g_zj = np.multiply(g, 1.0 - take3, out=tmp).sum(axis=0, keepdims=True) + g_zj
-        ad._accumulate(d_plus, g_dp.reshape(b))
-        ad._accumulate(d_minus, g_dm.reshape(b, b) * take)
-        ad._accumulate(z, g_zj.reshape(b, d) + g_zi.reshape(b, d))
-
-    # parents in the order in which the tape walk reached the composed ops'
-    # inputs, so the nodes upstream of them run in the same order
-    return ad._make(out, (lam, d_plus, d_minus, z), backward)
+def fold_lanes(g: np.ndarray, lane: np.ndarray, r: int) -> np.ndarray:
+    """The gradient of ``lambda_lanes``'s ``r`` packed rows for the lane
+    gradients ``g``: each row adds its lanes' in ``np.ravel`` order, as
+    ``ad.take``'s scatter does; the constant lanes pass nothing back."""
+    d = g.shape[-1]
+    src = np.where(lane < 0, r, lane)[..., None] * d + np.arange(d)
+    return ad._scatter(src, g, (r + 1, d))[:r]
 
 
 def fusion_coefficients(step_weights: np.ndarray) -> np.ndarray:
@@ -180,37 +124,98 @@ def fusion_coefficients(step_weights: np.ndarray) -> np.ndarray:
 def synthesize(
     zb: EmbeddingBatch,
     lam: ad.Tensor,
+    lane: np.ndarray,
     eta: float,
     rng: np.random.Generator,
     positive_idx: np.ndarray,
     pick_single: bool = False,
 ) -> SyntheticNegatives:
-    """Synthetic negatives for every anchor and every other batch class.
+    """Synthetic negatives for every anchor and every other batch class:
+    one tape node over the packed λ rows ``lam`` (R, D), read through the
+    lane map ``lane`` (see ``lambda_lanes``), and the embeddings.
 
-    ``eta`` is the hardness-interval factor in [0, 1] (see
-    ``eta_from_avg_loss``); the caller freezes it for the batch. Each
-    slot's interpolants are fused in group order, and the fused synthetics
-    are not re-normalized. ``pick_single`` replaces the fusion with a
+    Lane (i, j) interpolates to z_i + (d+_i + λ_ij eta (d-_ij - d+_i))
+    (z_j - z_i) / d-_ij when d-_ij > d+_i, else to z_j: a constant 0/1 mask
+    selects the branch, so the fallback is z_j bit for bit, and the divisor
+    is 1 on inactive lanes. ``eta`` is frozen for the batch (see
+    ``eta_from_avg_loss``). ``pick_single`` replaces the fusion with a
     uniformly chosen single interpolant (the no-random-weighting ablation).
+    The forward pass replays the composed ops' arithmetic in their order and
+    keeps two (B, B, D) arrays, the bracket and the chord; the backward pass
+    folds λ's gradient to the rows and hands z its share, the distances'
+    included, as one term.
     """
     z, labels = zb.z, zb.labels
     n, m = zb.n_classes, zb.n_instances
-    b = n * m
-    if z.shape[0] != b:
+    b, d = z.shape
+    if b != n * m:
         raise ShapeError("embedding batch size does not match its layout")
+    if lane.shape != (b, b) or lam.shape[1:] != (d,):
+        raise ShapeError(f"λ rows {lam.shape} and lane map {lane.shape} do not fit {(b, d)}")
     slot_labels = labels[:n].copy()
-
     d_plus, d_minus = pair_distances(zb, positive_idx)
-    z_tilde = interpolate_all(z, lam, d_plus, d_minus, eta)
-
-    if pick_single:
-        picks = rng.integers(0, m, size=(b, n))
-        coeffs = np.zeros((b, n, m))
-        np.put_along_axis(coeffs, picks[:, :, None], 1.0, axis=2)
+    if pick_single:  # a one-hot coefficient row
+        coeffs = np.eye(m)[rng.integers(0, m, size=(b, n))]
     else:
         coeffs = fusion_coefficients(rng.random((b, n, m - 1)))
 
-    member_idx = np.arange(n)[:, None] + n * np.arange(m)[None, :]  # (N, m)
-    grouped = z_tilde[:, member_idx]                       # (B, N, m, D)
-    z_hat = (grouped * coeffs[:, :, :, None]).sum(axis=2)  # (B, N, D)
+    take = (d_minus > d_plus[:, None]).astype(np.float64)  # (B, B)
+    take3 = take[:, :, None]
+    dp = d_plus.reshape(b, 1, 1)
+    dm = (d_minus * take + (1.0 - take)).reshape(b, b, 1)  # 1 where inactive
+    dm_minus_dp = dm - dp
+    bracket = lambda_lanes(lam.data, lane)
+    bracket *= eta
+    bracket *= dm_minus_dp
+    bracket += dp
+    z_i = z.data.reshape(b, 1, d)
+    z_j = z.data.reshape(1, b, d)
+    chord = z_j - z_i
+    chord /= dm
+    z_tilde = bracket * chord
+    z_tilde += z_i
+    z_tilde *= take3
+    z_tilde += z_j * (1.0 - take3)
+    # slot s's members s, s + N, ... as axis 2: (B, m, N, D) -> (B, N, m, D)
+    members = np.swapaxes(z_tilde.reshape(b, m, n, d), 1, 2)
+    z_hat = (members * coeffs[:, :, :, None]).sum(axis=2)
+
+    def backward(g_hat):
+        # Each gradient is the composed ops' product, summed over the same
+        # axes of an array in the same layout. Steps marked "in place" reuse
+        # a (B, B, D) buffer.
+        g = np.empty((b, m, n, d))  # the fusion's gradient, in z_tilde's layout
+        np.multiply(g_hat[:, None], np.swapaxes(coeffs, 1, 2)[:, :, :, None], out=g)
+        g = g.reshape(b, b, d)
+        g_first = g * take3  # d(z_i + bracket * chord)
+        g_bracket = g_first * chord
+        if lam.requires_grad:
+            g_lam = g_bracket * dm_minus_dp
+            g_lam *= eta
+            ad._accumulate(lam, fold_lanes(g_lam, lane, lam.shape[0]))
+        if not z.requires_grad:
+            return
+        tmp = lambda_lanes(lam.data, lane)
+        tmp *= eta
+        tmp *= g_bracket
+        g_gap = tmp.sum(axis=2, keepdims=True)  # d(dm - dp)
+        g_dp = g_bracket.sum(axis=(1, 2), keepdims=True) + (-g_gap).sum(axis=1, keepdims=True)
+        g_chord = np.multiply(g_first, bracket, out=g_bracket)  # in place
+        g_zi = g_first.sum(axis=1, keepdims=True)
+        g_diff = np.divide(g_chord, dm, out=g_first)  # d(z_j - z_i), in place
+        np.negative(g_chord, out=g_chord)  # d(dm) = sum(-g_chord (z_j - z_i) / dm^2)
+        g_chord *= np.subtract(z_j, z_i, out=tmp)
+        g_chord /= dm * dm
+        g_dm = g_chord.sum(axis=2, keepdims=True) + g_gap
+        g_zj = g_diff.sum(axis=0, keepdims=True)
+        g_zi = g_zi + np.negative(g_diff, out=g_diff).sum(axis=1, keepdims=True)
+        g_zj = np.multiply(g, 1.0 - take3, out=tmp).sum(axis=0, keepdims=True) + g_zj
+        # d+ is d-'s entry (i, pos_i); d- = sqrt_or_zero(pairwise_sqdist(z))
+        g_dm = g_dm.reshape(b, b) * take
+        g_dm[np.arange(b), positive_idx] += g_dp.reshape(b)
+        g_sq = ad._sqrt_or_zero_backward(g_dm, d_minus, d_minus > 0)
+        ad._accumulate(z, g_zj.reshape(b, d) + g_zi.reshape(b, d)
+                       + kernels.pairwise_sqdist_grad(z.data, g_sq))
+
+    z_hat = ad._make(z_hat, (lam, z), backward)
     return SyntheticNegatives(z_hat, slot_labels, slot_labels[None, :] != labels[:, None])

@@ -349,8 +349,9 @@ def cmd_inspect(args) -> int:
                     for j in range(b):
                         writer.writerow([step, head, i, j, repr(float(probs[head, i, j]))])
 
-    lam = model.lambda_for(zb, graph, detach=True)
-    counts, edges = np.histogram(lam.data.ravel(), bins=20, range=(0.0, 1.0))
+    rows, lane = model.lambda_for(zb, graph, detach=True)
+    lam = cacai.lambda_lanes(rows.data, lane)
+    counts, edges = np.histogram(lam.ravel(), bins=20, range=(0.0, 1.0))
     with open(out_dir / "lambda_histogram.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bin_left", "bin_right", "count"])
@@ -360,7 +361,7 @@ def cmd_inspect(args) -> int:
     pos = cacai.select_positives(zb.labels, rng)
     d_plus, d_minus = cacai.pair_distances(zb, pos)
     eta = manifest["eta"]  # what the batch after this checkpoint trains with
-    occupancy = lam.data.mean(axis=2) * eta  # fraction of [d+, d-] gap used
+    occupancy = lam.mean(axis=2) * eta  # fraction of [d+, d-] gap used
     with open(out_dir / "interval_occupancy.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["anchor", "other", "is_negative", "d_plus", "d_minus",
@@ -370,7 +371,7 @@ def cmd_inspect(args) -> int:
             for j in range(len(labels)):
                 writer.writerow([
                     i, j, int(labels[i] != labels[j]),
-                    repr(float(d_plus.data[i])), repr(float(d_minus.data[i, j])),
+                    repr(float(d_plus[i])), repr(float(d_minus[i, j])),
                     repr(float(occupancy[i, j])), repr(float(eta)),
                 ])
 

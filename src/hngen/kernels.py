@@ -2,9 +2,9 @@
 and the unit-norm row check that graph building, the distances and
 retrieval share.
 
-Each kernel is one vectorized numpy function. ``autodiff`` calls the
-pairwise kernels as ``kernels.<name>`` from its ``hadamard_pairs`` and
-``pairwise_sqdist`` ops, and ``evalkit`` calls ``ranked_hits``. The pair
+Each kernel is one vectorized numpy function, called as
+``kernels.<name>``: ``autodiff.hadamard_pairs`` calls the pair products,
+``cacai`` the distances and ``evalkit`` ``ranked_hits``. The pair
 layout is defined here alone: ``pair_rows`` fixes the row order of packed
 pair arrays, and ``pair_index`` maps every ordered pair to its packed row.
 Inputs are made C-contiguous first, so the reduction order does not depend

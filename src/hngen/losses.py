@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import autodiff as ad
-from .cacai import SyntheticNegatives
+from .cacai import SyntheticNegatives, fold_lanes, lambda_lanes
 from .errors import ConfigurationError, ShapeError
 
 
@@ -124,6 +124,7 @@ def j_gen(
     z: ad.Tensor,
     synth: SyntheticNegatives,
     lam: ad.Tensor,
+    lane: np.ndarray,
     head_cz: ClassifierHead,
     codec: ClassCodec,
     *,
@@ -136,11 +137,13 @@ def j_gen(
     Per (anchor i, slot s) lane: the frozen head's cross-entropy of z_hat_is
     against the slot's class, plus gamma_s (1 - cos(z_i, z_hat_is)); lanes
     of the anchor's own class are left out. Per anchor: gamma_d (N - 1) times
-    the diversity term 1 - std of its negative-pair lambda vectors. The C_z
-    head's weights and the anchors ``z`` are read as constant arrays (stage
-    1 passes detached embeddings): gradient reaches the graph network
-    through the synthetics and lambda, never the head or ``z``. Returns the
-    scalar plus the averaged components for logging.
+    the diversity term 1 - std of its negative-pair lambda vectors, read
+    from the packed rows ``lam`` through the lane map ``lane`` (see
+    ``cacai.lambda_lanes``). The C_z head's weights and the anchors ``z``
+    are read as constant arrays (stage 1 passes detached embeddings):
+    gradient reaches the graph network through the synthetics and lambda,
+    never the head or ``z``. Returns the scalar plus the averaged components
+    for logging.
     """
     z_hat = synth.z_hat
     b, n, d = z_hat.shape
@@ -174,15 +177,16 @@ def j_gen(
     if len(set(counts.tolist())) != 1:
         raise ShapeError("diversity loss expects a balanced batch")
     k = int(counts[0]) * lam.shape[-1]
-    sel = lam.data[neg].reshape(b, k)
+    neg_lanes = lane[neg]
+    sel = lambda_lanes(lam.data, neg_lanes).reshape(b, k)
     dev = sel - sel.sum(axis=1, keepdims=True) * (1.0 / k)
     var = (dev**2.0).sum(axis=1) * (1.0 / k)
     std, spread = ad._sqrt_or_zero_forward(var)
     div = 1.0 - std
 
-    lane = ce + sim * gamma_s
+    per_lane = ce + sim * gamma_s
     c_div = gamma_d * (float(n) - 1.0)
-    out_data = ((lane * valid).sum() + div.sum() * c_div) * (1.0 / (b * n))
+    out_data = ((per_lane * valid).sum() + div.sum() * c_div) * (1.0 / (b * n))
 
     def backward(g):
         g_total = g * (1.0 / (b * n))
@@ -191,9 +195,8 @@ def j_gen(
             g_var = ad._sqrt_or_zero_backward(g_std, std, spread)
             g_dev = (g_var * (1.0 / k))[:, None] * 2.0 * dev
             g_mean = g_dev.sum(axis=1, keepdims=True) * -1.0 * (1.0 / k)
-            g_lam = np.zeros(lam.shape)
-            g_lam[neg] = (g_dev + g_mean).reshape(-1, lam.shape[-1])
-            ad._accumulate(lam, g_lam)
+            g_sel = (g_dev + g_mean).reshape(-1, lam.shape[-1])
+            ad._accumulate(lam, fold_lanes(g_sel, neg_lanes, lam.shape[0]))
         if z_hat.requires_grad:
             g_lane = g_total * valid
             g_q = g_lane * gamma_s * -1.0

@@ -17,11 +17,12 @@ stage 1.
 
 Both stages compute only what some loss reads. The last edge step, and the
 interpolation head after it, run on the cross-class pair rows, the
-anchor-negative pairs; an own-class lane feeds only the anchor's own-class
-synthetic slot, which no loss reads. Where no loss reads the interpolation
+anchor-negative pairs. An own-class lane feeds only the anchor's own-class
+synthetic slot, which no loss reads, so it reads the constant 1 through the
+lane map of ``HngModel.lambda_for``. Where no loss reads the interpolation
 vectors (``baseline_gnn``, and ``single_coeff``, whose vectors are the
-constant 1), the last edge step does not run, and ``single_coeff``'s stage 1
-builds no graph.
+constant 1), the last edge step does not run, and ``single_coeff``'s
+stage 1 builds no graph.
 
 Schedules: the interpolation interval factor eta is recomputed from the
 previous epoch's mean metric loss (bootstrapped from the running mean
@@ -65,8 +66,6 @@ ABLATION_ARMS = (
     "baseline_gnn",
 )
 _SYNTH_ARMS = {"full", "single_coeff", "no_global", "no_hadamard", "no_rw"}
-# λ of a lane that reads no λ head output (see ``HngModel.lambda_for``)
-CONSTANT_LAMBDA = 1.0
 CHECKPOINT_MAGIC = b"HNGP"
 CHECKPOINT_VERSION = 1
 
@@ -297,32 +296,30 @@ class HngModel(ad.Module):
         )
 
     def lambda_for(self, zb: EmbeddingBatch, graph: gcl.CorrelationGraph | None,
-                   detach: bool = False) -> ad.Tensor:
-        """Interpolation vectors (B, B, D) for every ordered pair of ``zb``,
-        one tape node: the head's output on each pair's row of ``graph.e``.
-        A lane whose row ``graph.e`` lacks, and every lane without a graph or
-        a head (``single_coeff``), is ``CONSTANT_LAMBDA`` with no gradient.
-        Training leaves out the own-class rows: their lanes feed only the
-        anchor's own-class slot, which ``SyntheticNegatives.valid`` masks
-        out of every loss. ``detach`` gives ``lambda_for(zb, graph).detach()``
-        from the head's arrays, with no tape node."""
+                   detach: bool = False) -> tuple[ad.Tensor, np.ndarray]:
+        """The packed interpolation vectors of ``zb``'s pairs and the (B, B)
+        lane map that ``cacai.lambda_lanes`` reads them through: the head's
+        output on ``graph.e`` and ``graph.edge_of_pair()``. Without a graph
+        or a head (``single_coeff``) they are zero rows and an all -1 map, so
+        every lane reads the constant 1. ``detach`` computes the rows from
+        the head's arrays, with no tape node."""
         b, d = zb.z.shape
         if graph is None or self.lambda_head is None:
-            return ad.Tensor(np.full((b, b, d), CONSTANT_LAMBDA))
-        lane = graph.edge_of_pair()
+            return ad.Tensor(np.zeros((0, d))), np.full((b, b), -1)
         if detach:
             fc = self.lambda_head.fc
-            lam = ad._sigmoid(ad._affine(graph.e.data, fc.weight.data, fc.bias.data))
-            return ad.Tensor(np.concatenate([lam, np.full((1, d), CONSTANT_LAMBDA)])[lane])
-        return ad.take_rows(self.lambda_head(graph.e), lane, CONSTANT_LAMBDA)
+            rows = ad.Tensor(ad._sigmoid(ad._affine(graph.e.data, fc.weight.data, fc.bias.data)))
+        else:
+            rows = self.lambda_head(graph.e)
+        return rows, graph.edge_of_pair()
 
     def synthesize(
-        self, zb: EmbeddingBatch, lam: ad.Tensor, eta: float,
+        self, zb: EmbeddingBatch, lam: ad.Tensor, lane: np.ndarray, eta: float,
         rng: np.random.Generator, positive_idx: np.ndarray,
     ) -> cacai.SyntheticNegatives:
         """``cacai.synthesize`` with this arm's fusion."""
         return cacai.synthesize(
-            zb, lam, eta, rng, positive_idx, pick_single=self.cfg.ablation == "no_rw"
+            zb, lam, lane, eta, rng, positive_idx, pick_single=self.cfg.ablation == "no_rw"
         )
 
     def metric_loss_term(self, zb: EmbeddingBatch) -> ad.Tensor:
@@ -414,10 +411,10 @@ class Trainer:
         cfg, model = self.cfg, self.model
         # single_coeff's λ is the constant 1, which reads no graph
         graph = model.propagate_graph(zb_sg, loss_rows_only=True) if cfg.reads_lambda else None
-        lam = model.lambda_for(zb_sg, graph)
-        synth = model.synthesize(zb_sg, lam, eta, self.synth_rng, positive_idx)
+        lam, lane = model.lambda_for(zb_sg, graph)
+        synth = model.synthesize(zb_sg, lam, lane, eta, self.synth_rng, positive_idx)
         gen_loss, parts = losses.j_gen(
-            zb_sg.z, synth, lam, model.head_cz, self.codec,
+            zb_sg.z, synth, lam, lane, model.head_cz, self.codec,
             gamma_s=cfg.gamma_s, gamma_d=cfg.resolved_gamma_d(),
         )
         cz_loss = losses.j_cz(zb_sg.z, zb_sg.labels, model.head_cz, self.codec)
@@ -439,8 +436,8 @@ class Trainer:
             total = total + gca
             out["j_gca"] = float(gca.data)
             if cfg.uses_synthetics:
-                lam_sg = model.lambda_for(zb, graph, detach=True)
-                synth = model.synthesize(zb, lam_sg, eta, self.synth_rng, positive_idx)
+                lam_sg, lane = model.lambda_for(zb, graph, detach=True)
+                synth = model.synthesize(zb, lam_sg, lane, eta, self.synth_rng, positive_idx)
                 syn = losses.j_syn(zb.z, positive_idx, synth)
                 gamma_n = self.state.gamma_n if self.state.gamma_n is not None else 0.0
                 total = total + (1.0 - gamma_n) * syn

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from hngen import autodiff as ad
-from hngen import evalkit, gcl, kernels, losses, trainer
+from hngen import cacai, evalkit, gcl, kernels, losses, trainer
 from hngen.errors import ConfigurationError, ShapeError
 
 
@@ -109,6 +109,27 @@ def sqrt(a) -> ad.Tensor:
         ad._accumulate(a, g * 0.5 / out_data)
 
     return ad._make(out_data, (a,), backward)
+
+
+def sqrt_or_zero(a) -> ad.Tensor:
+    """sqrt(x) for x > 0, exactly 0 (with zero gradient) at x <= 0."""
+    a = ad.as_tensor(a)
+    out_data, pos = ad._sqrt_or_zero_forward(a.data)
+
+    def backward(g):
+        ad._accumulate(a, ad._sqrt_or_zero_backward(g, out_data, pos))
+
+    return ad._make(out_data, (a,), backward)
+
+
+def pairwise_sqdist(z) -> ad.Tensor:
+    """Squared distances for ordered pairs (B, D) -> (B, B)."""
+    z = ad.as_tensor(z)
+
+    def backward(g):
+        ad._accumulate(z, kernels.pairwise_sqdist_grad(z.data, g))
+
+    return ad._make(kernels.pairwise_sqdist(z.data), (z,), backward)
 
 
 def reshape(a, shape) -> ad.Tensor:
@@ -357,6 +378,57 @@ def composed_interpolate_all(z, lam, d_plus, d_minus, eta: float) -> ad.Tensor:
     return take3 * (z_i + bracket * chord) + (1.0 - take3) * z_j
 
 
+def composed_lambda_lanes(rows, lane: np.ndarray) -> ad.Tensor:
+    """``cacai.lambda_lanes`` as nodes: the packed rows and a constant row
+    of ones, taken at ``lane`` (-1 is the ones row)."""
+    rows = ad.as_tensor(rows)
+    return concatenate([rows, ad.Tensor(np.ones((1, rows.shape[1])))])[lane]
+
+
+def composed_synthesize(zb, lam, lane: np.ndarray, eta: float, rng, positive_idx,
+                        pick_single: bool = False):
+    """``cacai.synthesize`` from the ops it fuses: the lanes' λ, the
+    distances, ``composed_interpolate_all``, the take of each slot's members
+    s, s + N, ..., the product with the fusion coefficients and the sum."""
+    z = zb.z
+    n, m = zb.n_classes, zb.n_instances
+    b = n * m
+    d_minus = sqrt_or_zero(pairwise_sqdist(z))
+    d_plus = d_minus[np.arange(b), np.asarray(positive_idx)]
+    z_tilde = composed_interpolate_all(z, composed_lambda_lanes(lam, lane), d_plus, d_minus, eta)
+    if pick_single:
+        coeffs = np.zeros((b, n, m))
+        np.put_along_axis(coeffs, rng.integers(0, m, size=(b, n))[:, :, None], 1.0, axis=2)
+    else:
+        coeffs = cacai.fusion_coefficients(rng.random((b, n, m - 1)))
+    member_idx = np.arange(n)[:, None] + n * np.arange(m)[None, :]  # (N, m)
+    z_hat = (z_tilde[:, member_idx] * coeffs[:, :, :, None]).sum(axis=2)
+    slot_labels = zb.labels[:n].copy()
+    return cacai.SyntheticNegatives(z_hat, slot_labels,
+                                    slot_labels[None, :] != zb.labels[:, None])
+
+
+class _PickMember:
+    """An rng whose ``integers`` picks member ``k`` for every slot."""
+
+    def __init__(self, k: int):
+        self.k = k
+
+    def integers(self, low, high, size):
+        return np.full(size, self.k)
+
+
+def lane_interpolants(zb, lam, lane: np.ndarray, eta: float, positive_idx) -> np.ndarray:
+    """Every ordered pair's interpolant (B, B, D), read out of
+    ``cacai.synthesize``: with ``pick_single`` and member k picked for every
+    slot, slot s returns the interpolant of lane s + N k bit for bit."""
+    return np.concatenate([
+        cacai.synthesize(zb, lam, lane, eta, _PickMember(k), positive_idx,
+                         pick_single=True).z_hat.data
+        for k in range(zb.n_instances)
+    ], axis=1)
+
+
 # -- composed forms of the fused losses -------------------------------------------
 
 
@@ -412,7 +484,7 @@ def j_div_per_anchor(lam, labels: np.ndarray) -> ad.Tensor:
     sel = reshape(lam[neg], (b, counts[0] * lam.shape[-1]))
     mu = tmean(sel, axis=1, keepdims=True)
     var = tmean(pow_scalar(sub(sel, mu), 2), axis=1)
-    return sub(1.0, ad.sqrt_or_zero(var))
+    return sub(1.0, sqrt_or_zero(var))
 
 
 def batch_labels(synth, b: int) -> np.ndarray:
@@ -421,15 +493,16 @@ def batch_labels(synth, b: int) -> np.ndarray:
     return np.tile(synth.slot_labels, b // n)
 
 
-def composed_j_gen(z, synth, lam, head_cz, codec, *, gamma_s: float, gamma_d: float):
-    """``losses.j_gen`` from the small ops, the head applied frozen."""
+def composed_j_gen(z, synth, lam, lane, head_cz, codec, *, gamma_s: float, gamma_d: float):
+    """``losses.j_gen`` from the small ops, the head applied frozen and the
+    packed λ rows expanded by ``composed_lambda_lanes``."""
     b, n, _ = synth.z_hat.shape
     valid = synth.valid.astype(np.float64)
     n_valid = valid.sum()
     ce, sim = stage1_lanes(z, synth, head_cz, codec)
-    diversity = j_div_per_anchor(lam, batch_labels(synth, b))
-    lane = ce + gamma_s * sim
-    total = ad.tsum(lane * valid) + gamma_d * (float(n) - 1.0) * ad.tsum(diversity)
+    diversity = j_div_per_anchor(composed_lambda_lanes(lam, lane), batch_labels(synth, b))
+    per_lane = ce + gamma_s * sim
+    total = ad.tsum(per_lane * valid) + gamma_d * (float(n) - 1.0) * ad.tsum(diversity)
     scalar = total * (1.0 / (b * n))
     parts = {
         "j_ce": float((ce.data * valid).sum() / n_valid),
@@ -565,10 +638,10 @@ class TwoStepStage1Trainer(trainer.Trainer):
     def _stage1(self, zb_sg, positive_idx, eta):
         cfg, model = self.cfg, self.model
         graph = model.propagate_graph(zb_sg)
-        lam = model.lambda_for(zb_sg, graph)
-        synth = model.synthesize(zb_sg, lam, eta, self.synth_rng, positive_idx)
+        lam, lane = model.lambda_for(zb_sg, graph)
+        synth = model.synthesize(zb_sg, lam, lane, eta, self.synth_rng, positive_idx)
         gen_loss, parts = losses.j_gen(
-            zb_sg.z, synth, lam, model.head_cz, self.codec,
+            zb_sg.z, synth, lam, lane, model.head_cz, self.codec,
             gamma_s=cfg.gamma_s, gamma_d=cfg.resolved_gamma_d(),
         )
         if gen_loss.requires_grad:
@@ -591,6 +664,27 @@ class AllRowsTrainer(trainer.Trainer):
         super().__init__(*args, **kwargs)
         propagate = self.model.propagate_graph
         self.model.propagate_graph = lambda zb, loss_rows_only=False: propagate(zb)
+
+
+class ComposedSynthesisTrainer(trainer.Trainer):
+    """The trainer with the synthesis as the ops ``cacai.synthesize`` fuses
+    (``composed_synthesize``), and with λ expanded to its (B, B, D) lanes
+    once, as one tape node that both the synthesis and ``j_gen`` read: the
+    layout in which a shared expansion adds their λ gradients lane by lane
+    before folding them to the packed rows."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        model, lambda_for = self.model, self.model.lambda_for
+
+        def expanded(zb, graph, detach=False):
+            b, d = zb.z.shape
+            lanes = composed_lambda_lanes(*lambda_for(zb, graph, detach))
+            return reshape(lanes, (b * b, d)), np.arange(b * b).reshape(b, b)
+
+        model.lambda_for = expanded
+        model.synthesize = lambda zb, lam, lane, eta, rng, pos: composed_synthesize(
+            zb, lam, lane, eta, rng, pos, pick_single=model.cfg.ablation == "no_rw")
 
 
 # -- scalar forms of the vectorized interpolation, fusion and losses -------------
@@ -673,7 +767,7 @@ def j_div(lambda_entries: ad.Tensor) -> ad.Tensor:
         raise ShapeError("diversity loss needs at least two lambda entries")
     mu = tmean(flat)
     var = tmean(pow_scalar(sub(flat, mu), 2))
-    return sub(1.0, ad.sqrt_or_zero(var))
+    return sub(1.0, sqrt_or_zero(var))
 
 
 def original_np_loss(z: ad.Tensor, labels: np.ndarray, n_classes: int) -> ad.Tensor:

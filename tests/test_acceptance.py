@@ -17,7 +17,8 @@ from hngen.backbone import Backbone, BackboneConfig, EmbeddingBatch
 
 from gradcheck import fd_gradient, rel_error
 from oracles import (
-    fuse_random_weighting, interpolate_pair, j_ce, j_div, j_m, j_sim, original_np_loss,
+    fuse_random_weighting, interpolate_pair, j_ce, j_div, j_m, j_sim, lane_interpolants,
+    original_np_loss,
 )
 
 REPO = Path(__file__).resolve().parent.parent
@@ -83,16 +84,17 @@ def test_02_second_branch_returns_z_j_bitwise():
         d_plus = d_minus * float(rng.uniform(1.0, 2.0))  # d- <= d+
         out = interpolate_pair(z_i, z_j, rng.uniform(0, 1, 8), d_plus, d_minus, 0.7)
         assert out.data.tobytes() == z_j.tobytes()
-    # vectorized path too
-    zb = EmbeddingBatch(ad.Tensor(unit_rows(rng, 6, 8)), np.tile([1, 2, 3], 2), 3, 2)
-    pos = cacai.select_positives(zb.labels, rng)
-    d_plus, d_minus = cacai.pair_distances(zb, pos)
-    big_plus = ad.Tensor(np.full(6, 3.0))  # every pair takes the second branch
-    lam = ad.Tensor(rng.uniform(0, 1, (6, 6, 8)))
-    out = cacai.interpolate_all(zb.z, lam, big_plus, d_minus, 0.5)
+    # vectorized path too: each anchor's positive is antipodal, so d+ = 2
+    # and every pair takes the second branch
+    z = unit_rows(rng, 6, 8)
+    z[3:] = -z[:3]
+    zb = EmbeddingBatch(ad.Tensor(z), np.tile([1, 2, 3], 2), 3, 2)
+    pos = np.array([3, 4, 5, 0, 1, 2])
+    lam = ad.Tensor(rng.uniform(0, 1, (21, 8)))
+    out = lane_interpolants(zb, lam, kernels.pair_index(6), 0.5, pos)
     for i in range(6):
         for j in range(6):
-            assert out.data[i, j].tobytes() == zb.z.data[j].tobytes()
+            assert out[i, j].tobytes() == zb.z.data[j].tobytes()
     _passline(2, "d- <= d+ returns the negative bit for bit")
 
 
@@ -159,7 +161,7 @@ def test_04_gradient_checks_all_losses_and_blocks():
     # Eq. 11: generator composite (through synthetics and lambda)
     z_const = ad.Tensor(unit_rows(rng, b, d))
     z_hat = ad.parameter(rng.standard_normal((b, n, d)))
-    lam = ad.parameter(rng.uniform(0.2, 0.8, (b, b, d)))
+    lam = ad.parameter(rng.uniform(0.2, 0.8, (b * (b + 1) // 2, d)))
     slots = np.array([1, 2, 3])
 
     def gen_loss():
@@ -167,7 +169,7 @@ def test_04_gradient_checks_all_losses_and_blocks():
             z_hat=z_hat, slot_labels=slots,
             valid=slots[None, :] != labels[:, None],
         )
-        return losses.j_gen(z_const, synth, lam, head, codec,
+        return losses.j_gen(z_const, synth, lam, kernels.pair_index(b), head, codec,
                             gamma_s=1.0, gamma_d=0.3)[0]
 
     worst["j_gen"] = _check(gen_loss, [z_hat, lam], 1e-4)
@@ -233,9 +235,9 @@ def test_04_gradient_checks_all_losses_and_blocks():
     def composite():
         zb = model.backbone.embed(batch, mode="train")
         graph = model.propagate_graph(zb)
-        lam2 = model.lambda_for(zb, graph)
+        lam2, lane = model.lambda_for(zb, graph)
         synth = cacai.synthesize(
-            zb, lam2, cacai.eta_from_avg_loss(5.0, 5.0),
+            zb, lam2, lane, cacai.eta_from_avg_loss(5.0, 5.0),
             np.random.default_rng(42), pos,
         )
         return j_m(
@@ -293,13 +295,14 @@ def test_05_loss_loop_oracles():
 
         # j_gen against the (i, n) double loop
         z_hat = rng.standard_normal((b, n, d)) * 0.6 + z[:, None, :]
-        lam = rng.uniform(0.1, 0.9, (b, b, d))
+        rows = rng.uniform(0.1, 0.9, (b * (b + 1) // 2, d))
+        lam = cacai.lambda_lanes(rows, kernels.pair_index(b))
         synth = cacai.SyntheticNegatives(
             z_hat=ad.Tensor(z_hat), slot_labels=slots,
             valid=slots[None, :] != labels[:, None],
         )
         gamma_s, gamma_d = 1.0, 0.5
-        got = losses.j_gen(zt, synth, ad.Tensor(lam), head, codec,
+        got = losses.j_gen(zt, synth, ad.Tensor(rows), kernels.pair_index(b), head, codec,
                            gamma_s=gamma_s, gamma_d=gamma_d)[0].data
         slot_cols = codec.columns(slots)
         total = 0.0
@@ -441,8 +444,8 @@ def test_08_stop_gradient_contract(tmp_path):
 
     # stage-2 lambda branch: zero gradient to the interpolation FC
     graph = tr.model.propagate_graph(zb)
-    lam_sg = tr.model.lambda_for(zb, graph).detach()
-    synth = cacai.synthesize(zb, lam_sg, cacai.eta_from_avg_loss(5.0, 5.0),
+    lam, lane = tr.model.lambda_for(zb, graph)
+    synth = cacai.synthesize(zb, lam.detach(), lane, cacai.eta_from_avg_loss(5.0, 5.0),
                              np.random.default_rng(1), pos)
     total = j_m(
         tr.model.metric_loss_term(zb),
@@ -458,10 +461,10 @@ def test_08_stop_gradient_contract(tmp_path):
     # C_z receives no synthetic-sample gradient
     tr.model.zero_grad()
     graph1 = tr.model.propagate_graph(zb_sg)
-    lam1 = tr.model.lambda_for(zb_sg, graph1)
-    synth1 = cacai.synthesize(zb_sg, lam1, cacai.eta_from_avg_loss(5.0, 5.0),
+    lam1, lane1 = tr.model.lambda_for(zb_sg, graph1)
+    synth1 = cacai.synthesize(zb_sg, lam1, lane1, cacai.eta_from_avg_loss(5.0, 5.0),
                               np.random.default_rng(2), pos)
-    gen_loss, _ = losses.j_gen(zb_sg.z, synth1, lam1, tr.model.head_cz, tr.codec,
+    gen_loss, _ = losses.j_gen(zb_sg.z, synth1, lam1, lane1, tr.model.head_cz, tr.codec,
                                gamma_s=1.0, gamma_d=0.01)
     gen_loss.backward()
     assert tr.model.head_cz.linear.weight.grad is None

@@ -8,7 +8,8 @@ from hngen.errors import ShapeError
 from gradcheck import check_gradients
 from oracles import (LoopAdamW, composed_l2_normalize, composed_residual_ffn_tail,
                      concatenate, div, layer_norm, log1p_sum_exp, logsumexp, masked_softmax,
-                     matmul, mirror_pairs, pow_scalar, reshape, sqrt, sub, swapaxes, tmean)
+                     matmul, mirror_pairs, pairwise_sqdist, pow_scalar, reshape, sqrt,
+                     sqrt_or_zero, sub, swapaxes, tmean)
 
 
 def _param(rng, *shape):
@@ -38,12 +39,12 @@ class TestElementwise:
 
     def test_sqrt_or_zero_matches_sqrt_on_positive(self):
         x = ad.Tensor(np.array([4.0, 0.0, 9.0]))
-        out = ad.sqrt_or_zero(x)
+        out = sqrt_or_zero(x)
         assert np.array_equal(out.data, [2.0, 0.0, 3.0])
 
     def test_sqrt_or_zero_gradient_finite_at_zero(self):
         a = ad.parameter(np.array([4.0, 0.0]))
-        out = ad.sqrt_or_zero(a).sum()
+        out = sqrt_or_zero(a).sum()
         out.backward()
         assert np.allclose(a.grad, [0.25, 0.0])
 
@@ -187,17 +188,25 @@ class TestReductionsAndComposites:
         composed = div(centered, sqrt(var + 1e-5)) * g + b
         assert np.array_equal(layer_norm(x, g, b).data, composed.data)
 
-    def test_l2_normalize_rows_and_zero_row_error(self):
+    def test_l2_normalize_rows_and_zero_row_rule(self):
         rng = np.random.default_rng(12)
         a = _param(rng, 5, 3)
         out = ad.l2_normalize(a)
         assert np.allclose(np.linalg.norm(out.data, axis=1), 1.0, atol=1e-12)
         check_gradients(lambda: (ad.l2_normalize(a) * a).sum(), [a])
-        zero_row = np.ones((2, 3))
-        zero_row[1] = 0.0
-        for op in (ad.l2_normalize, composed_l2_normalize):
-            with pytest.raises(ShapeError, match="zero-norm row"):
-                op(ad.Tensor(zero_row))
+        # a zero row maps to 1/sqrt(D) in every channel and passes no
+        # gradient back; the other rows are what they are without it
+        x = ad.parameter(rng.standard_normal((3, 4)))
+        x.data[1] = 0.0
+        out = ad.l2_normalize(x)
+        assert np.array_equal(out.data[1], np.full(4, 0.5))
+        rest = ad.l2_normalize(ad.Tensor(x.data[[0, 2]])).data
+        assert out.data[[0, 2]].tobytes() == rest.tobytes()
+        (out * rng.standard_normal((3, 4))).sum().backward()
+        assert np.array_equal(x.grad[1], np.zeros(4)) and np.all(x.grad[[0, 2]] != 0.0)
+        # the composed ops are the reference for nonzero rows only
+        with pytest.raises(ShapeError, match="zero-norm row"):
+            composed_l2_normalize(ad.Tensor(x.data))
 
     @pytest.mark.parametrize("shape", [(1, 2), (5, 3), (12, 64), (2, 4, 6)])
     @pytest.mark.parametrize("reuse", [False, True], ids=["once", "reused"])
@@ -349,42 +358,15 @@ class TestKernelBackedOps:
             results.append((out.data.tobytes(), e.grad.tobytes()))
         assert results[0] == results[1]
 
-    @pytest.mark.parametrize("b", [1, 2, 5, 12])
-    def test_take_rows_without_fill_is_take_bitwise(self, b):
-        rng = np.random.default_rng(40 + b)
-        rows = rng.standard_normal((b * (b + 1) // 2, 6))
-        w = rng.standard_normal((b, b, 6))
-        results = []
-        for expand in (lambda e: e[kernels.pair_index(b)],
-                       lambda e: ad.take_rows(e, kernels.pair_index(b), 1.0)):
-            e = ad.Tensor(rows.copy(), requires_grad=True)
-            (expand(e) * w).sum().backward()
-            results.append((expand(e).data.tobytes(), e.grad.tobytes()))
-        assert results[0] == results[1]
-
-    def test_take_rows_fill_lanes_values_and_grad(self):
-        rng = np.random.default_rng(23)
-        a = _param(rng, 3, 4)
-        index = np.array([[0, -1, 2], [-1, 1, 0]])
-        out = ad.take_rows(a, index, 0.5)
-        assert out.shape == (2, 3, 4)
-        assert np.all(out.data[index < 0] == 0.5)
-        assert np.array_equal(out.data[index >= 0], a.data[index[index >= 0]])
-        w = rng.standard_normal((2, 3, 4))
-        check_gradients(lambda: (ad.take_rows(a, index, 0.5) * w).sum(), [a])
-        a.grad = None
-        (ad.take_rows(a, np.full((2, 2), -1), 0.5) * 3.0).sum().backward()
-        assert np.array_equal(a.grad, np.zeros((3, 4)))  # fill lanes pass nothing back
-
     def test_pairwise_sqdist_values_and_grad(self):
         rng = np.random.default_rng(16)
         z = _param(rng, 5, 4)
-        out = ad.pairwise_sqdist(z)
+        out = pairwise_sqdist(z)
         ref = ((z.data[None] - z.data[:, None]) ** 2).sum(-1)
         assert np.allclose(out.data, ref)
         w = rng.standard_normal((5, 5))
         np.fill_diagonal(w, 0.0)  # distance at i==j is a kink, not differentiable
-        check_gradients(lambda: (ad.sqrt_or_zero(ad.pairwise_sqdist(z)) * w).sum(), [z])
+        check_gradients(lambda: (sqrt_or_zero(pairwise_sqdist(z)) * w).sum(), [z])
 
 
 class TestDetachAndAccumulation:

@@ -75,11 +75,12 @@ class TestMlpBackbone:
 
         check_gradients(loss, bb.parameters(), tol=1e-4)
 
-    def test_zero_row_raises_not_nan(self):
+    def test_zero_row_maps_to_unit_vector_not_nan(self):
         bb = Backbone(BackboneConfig(kind="identity", embed_dim=3), 3, np.random.default_rng(0))
         feats = np.array([[1.0, 0, 0], [0, 0, 0], [1.0, 0, 0], [0, 1.0, 0]])
-        with pytest.raises(ShapeError):
-            bb.embed(make_batch(feats, [1, 2, 1, 2], 2, 2))
+        z = bb.embed(make_batch(feats, [1, 2, 1, 2], 2, 2)).z.data
+        assert np.array_equal(z[1], np.full(3, 1.0 / np.sqrt(3.0)))
+        assert np.array_equal(z[[0, 2, 3]], feats[[0, 2, 3]])
 
     def test_unknown_mode_rejected(self):
         bb = Backbone(BackboneConfig(kind="identity", embed_dim=2), 2, np.random.default_rng(0))

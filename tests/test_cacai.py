@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from hngen import autodiff as ad
-from hngen import cacai
+from hngen import cacai, kernels
 from hngen.backbone import EmbeddingBatch
 from hngen.errors import ConfigurationError, SamplingError, ShapeError
 
 from gradcheck import check_gradients
-from oracles import (composed_interpolate_all, fuse_random_weighting, interpolate_pair,
-                     loop_select_positives)
+from oracles import (composed_lambda_lanes, composed_synthesize, fuse_random_weighting,
+                     interpolate_pair, lane_interpolants, loop_select_positives)
 
 
 def unit_rows(rng, b, d):
@@ -23,6 +23,21 @@ def balanced_embeddings(rng, n, m, d):
     z = unit_rows(rng, n * m, d)
     labels = np.tile(np.arange(1, n + 1), m)
     return EmbeddingBatch(ad.Tensor(z), labels, n, m)
+
+
+def packed_lambda(rng, b, d, low=0.1, high=0.9, requires_grad=False):
+    """Uniform λ rows for all B(B+1)/2 pairs and the map of every lane to its row."""
+    rows = ad.Tensor(rng.uniform(low, high, size=(b * (b + 1) // 2, d)), requires_grad)
+    return rows, kernels.pair_index(b)
+
+
+def cross_class_lanes(labels):
+    """The lane map of training's cut graph: cross-class rows only, -1 elsewhere."""
+    i, j = kernels.pair_rows(len(labels))
+    rows = np.flatnonzero(labels[i] != labels[j])
+    at = np.full(i.size, -1)
+    at[rows] = np.arange(rows.size)
+    return at[kernels.pair_index(len(labels))], rows.size
 
 
 class TestEtaSchedule:
@@ -71,13 +86,13 @@ class TestPairDistances:
         z = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
         zb = EmbeddingBatch(ad.Tensor(z), np.array([1, 1, 2, 2]), 2, 2)
         d_plus, _ = cacai.pair_distances(zb, np.array([1, 0, 3, 2]))
-        assert d_plus.data[0] == 0.0
+        assert d_plus[0] == 0.0
 
     def test_antipodal_diameter(self):
         z = np.array([[1.0, 0.0], [-1.0, 0.0]])
         zb = EmbeddingBatch(ad.Tensor(z), np.array([1, 2]), 2, 1)
         _, d_minus = cacai.pair_distances(zb, np.array([0, 1]))
-        assert d_minus.data[0, 1] == 2.0
+        assert d_minus[0, 1] == 2.0
 
     def test_matches_brute_force_exactly(self):
         rng = np.random.default_rng(5)
@@ -88,8 +103,8 @@ class TestPairDistances:
         for i in range(6):
             for j in range(6):
                 expect = np.sqrt(np.sum((z[j] - z[i]) ** 2))
-                assert d_minus.data[i, j] == expect
-            assert d_plus.data[i] == d_minus.data[i, pos[i]]
+                assert d_minus[i, j] == expect
+            assert d_plus[i] == d_minus[i, pos[i]]
 
     def test_positive_selection_requires_pair(self):
         with pytest.raises(SamplingError, match="anchor 0 "):
@@ -140,21 +155,24 @@ class TestInterpolatePair:
 
 
 class TestInterpolateAll:
+    """The per-lane interpolants inside ``cacai.synthesize``, read out with
+    ``oracles.lane_interpolants``."""
+
     def test_matches_pairwise_calls(self):
         rng = np.random.default_rng(7)
         zb = balanced_embeddings(rng, 3, 2, 5)
         pos = cacai.select_positives(zb.labels, rng)
         d_plus, d_minus = cacai.pair_distances(zb, pos)
-        lam = ad.Tensor(rng.uniform(0.1, 0.9, size=(6, 6, 5)))
+        lam, lane = packed_lambda(rng, 6, 5)
+        lanes = cacai.lambda_lanes(lam.data, lane)
         eta = 0.6
-        out = cacai.interpolate_all(zb.z, lam, d_plus, d_minus, eta)
+        out = lane_interpolants(zb, lam, lane, eta, pos)
         for i in range(6):
             for j in range(6):
                 ref = interpolate_pair(
-                    zb.z.data[i], zb.z.data[j], lam.data[i, j],
-                    d_plus.data[i], d_minus.data[i, j], eta,
+                    zb.z.data[i], zb.z.data[j], lanes[i, j], d_plus[i], d_minus[i, j], eta,
                 )
-                assert np.allclose(out.data[i, j], ref.data, atol=1e-12)
+                assert np.allclose(out[i, j], ref.data, atol=1e-12)
 
     def test_scalar_lambda_norm_identity(self):
         # |z~ - z_i| == d+ + lambda*eta*(d- - d+) whenever the first branch runs
@@ -163,28 +181,64 @@ class TestInterpolateAll:
         pos = cacai.select_positives(zb.labels, rng)
         d_plus, d_minus = cacai.pair_distances(zb, pos)
         lam_val = 0.37
-        lam = ad.Tensor(np.full((8, 8, 16), lam_val))
+        lam, lane = packed_lambda(rng, 8, 16, lam_val, lam_val)
         eta = 0.55
-        out = cacai.interpolate_all(zb.z, lam, d_plus, d_minus, eta)
-        first = d_minus.data > d_plus.data[:, None]
+        out = lane_interpolants(zb, lam, lane, eta, pos)
+        first = d_minus > d_plus[:, None]
         for i, j in zip(*np.nonzero(first)):
-            have = np.linalg.norm(out.data[i, j] - zb.z.data[i])
-            want = d_plus.data[i] + lam_val * eta * (d_minus.data[i, j] - d_plus.data[i])
+            have = np.linalg.norm(out[i, j] - zb.z.data[i])
+            want = d_plus[i] + lam_val * eta * (d_minus[i, j] - d_plus[i])
             assert abs(have - want) < 1e-6
 
     def test_channelwise_envelope(self):
         rng = np.random.default_rng(9)
         zb = balanced_embeddings(rng, 3, 2, 6)
         pos = cacai.select_positives(zb.labels, rng)
-        d_plus, d_minus = cacai.pair_distances(zb, pos)
         eta = 0.8
-        lam = ad.Tensor(rng.uniform(0.05, 0.95, size=(6, 6, 6)))
-        mid = cacai.interpolate_all(zb.z, lam, d_plus, d_minus, eta).data
-        lo = cacai.interpolate_all(zb.z, ad.Tensor(np.zeros((6, 6, 6))), d_plus, d_minus, eta).data
-        hi = cacai.interpolate_all(zb.z, ad.Tensor(np.ones((6, 6, 6))), d_plus, d_minus, eta).data
+        lam, lane = packed_lambda(rng, 6, 6, 0.05, 0.95)
+        mid = lane_interpolants(zb, lam, lane, eta, pos)
+        lo = lane_interpolants(zb, ad.Tensor(np.zeros(lam.shape)), lane, eta, pos)
+        hi = lane_interpolants(zb, ad.Tensor(np.ones(lam.shape)), lane, eta, pos)
         lower = np.minimum(lo, hi)
         upper = np.maximum(lo, hi)
         assert np.all(mid >= lower - 1e-12) and np.all(mid <= upper + 1e-12)
+
+    def test_constant_lanes_read_one_and_pass_no_gradient(self):
+        # lanes mapped to -1 interpolate with λ = 1, mapped lanes with their
+        # row; an all -1 map hands the rows a zero gradient
+        rng = np.random.default_rng(25)
+        zb = balanced_embeddings(rng, 3, 3, 4)
+        pos = cacai.select_positives(zb.labels, rng)
+        lane, r = cross_class_lanes(zb.labels)
+        lam = ad.parameter(rng.uniform(0.1, 0.9, size=(r, 4)))
+        lanes = cacai.lambda_lanes(lam.data, lane)
+        assert lanes.shape == (9, 9, 4)
+        assert np.all(lanes[lane < 0] == 1.0)
+        assert np.array_equal(lanes[lane >= 0], lam.data[lane[lane >= 0]])
+        full = ad.Tensor(lanes.reshape(-1, 4))
+        every = np.arange(81).reshape(9, 9)
+        assert np.array_equal(lane_interpolants(zb, lam, lane, 0.7, pos),
+                              lane_interpolants(zb, full, every, 0.7, pos))
+        synth = cacai.synthesize(zb, lam, np.full((9, 9), -1), 0.7, rng, pos)
+        (synth.z_hat * 3.0).sum().backward()
+        assert np.array_equal(lam.grad, np.zeros((r, 4)))
+
+    @pytest.mark.parametrize("b", [1, 2, 5, 12])
+    def test_lambda_lanes_and_fold_match_the_composed_take_bitwise(self, b):
+        # rows and the gradient that each row gets back, the (i, j) lane's
+        # then the (j, i) lane's, as ``take``'s scatter adds them; the
+        # constant lanes read 1 and pass nothing back
+        rng = np.random.default_rng(40 + b)
+        d = 6
+        for lane in (kernels.pair_index(b), np.where(rng.random((b, b)) < 0.3, -1,
+                                                     kernels.pair_index(b))):
+            lane = np.minimum(lane, lane.T)  # a pair is mapped in both orders or neither
+            rows = ad.parameter(rng.standard_normal((b * (b + 1) // 2, d)))
+            w = rng.standard_normal((b, b, d))
+            (composed_lambda_lanes(rows, lane) * w).sum().backward()
+            assert cacai.lambda_lanes(rows.data, lane).tobytes() == (
+                composed_lambda_lanes(rows, lane).data.tobytes())
+            assert cacai.fold_lanes(w, lane, rows.shape[0]).tobytes() == rows.grad.tobytes()
 
     def test_gradients_flow_through_interpolation(self):
         rng = np.random.default_rng(10)
@@ -192,101 +246,119 @@ class TestInterpolateAll:
         z0 = unit_rows(rng, n * m, d)
         labels = np.tile(np.arange(1, n + 1), m)
         raw = ad.parameter(z0 * 1.7)
-        lam = ad.parameter(rng.uniform(0.2, 0.8, size=(n * m, n * m, d)))
+        lam, lane = packed_lambda(rng, n * m, d, 0.2, 0.8, requires_grad=True)
         pos = cacai.select_positives(labels, rng)
-        w = rng.standard_normal((n * m, n * m, d))
+        w = rng.standard_normal((n * m, n, d))
 
         def loss():
-            z = ad.l2_normalize(raw)
-            zb = EmbeddingBatch(z, labels, n, m)
-            d_plus, d_minus = cacai.pair_distances(zb, pos)
-            out = cacai.interpolate_all(z, lam, d_plus, d_minus, 0.5)
-            return (out * w).sum()
+            zb = EmbeddingBatch(ad.l2_normalize(raw), labels, n, m)
+            synth = cacai.synthesize(zb, lam, lane, 0.5, np.random.default_rng(3), pos)
+            return (synth.z_hat * w).sum()
 
         check_gradients(loss, [raw, lam], tol=1e-4)
 
 
-def interpolation_inputs(rng, b=9, d=6, fallback_rows=(1, 4), n_classes=3):
-    """z (a parameter), lam, and a function giving d+ and d- from z; the
-    anchors in ``fallback_rows`` get a d+ past every d-, so all their lanes
-    fall back."""
-    z = ad.parameter(unit_rows(rng, b, d))
-    lam = ad.parameter(rng.uniform(0.05, 0.95, size=(b, b, d)))
-    labels = np.tile(np.arange(1, n_classes + 1), b // n_classes)
+def synthesis_inputs(rng, n=3, m=3, d=6, fallback=(1, 4), lanes="all"):
+    """A batch whose anchors in ``fallback`` have an antipodal positive, so
+    every lane of theirs falls back to z_j; their positives, the other
+    anchors' drawn ones; and λ rows with the lane map of ``lanes``: every
+    pair ("all"), the cross-class pairs that training reads ("cut"), or none
+    (``single_coeff``'s constant 1)."""
+    b = n * m
+    z = unit_rows(rng, b, d)
+    labels = np.tile(np.arange(1, n + 1), m)
     pos = cacai.select_positives(labels, rng)
+    for i in fallback:
+        pos[i] = i + n
+        z[i + n] = -z[i]
+    zb = EmbeddingBatch(ad.parameter(z), labels, n, m)
+    if lanes == "all":
+        lam, lane = packed_lambda(rng, b, d, 0.05, 0.95, requires_grad=True)
+    elif lanes == "cut":
+        lane, r = cross_class_lanes(labels)
+        lam = ad.parameter(rng.uniform(0.05, 0.95, size=(r, d)))
+    else:
+        lam, lane = ad.parameter(np.zeros((0, d))), np.full((b, b), -1)
+    return zb, lam, lane, pos
 
-    def distances():
-        zb = EmbeddingBatch(z, labels, n_classes, b // n_classes)
-        d_plus, d_minus = cacai.pair_distances(zb, pos)
-        bump = np.zeros(b)
-        bump[list(fallback_rows)] = 3.0
-        return d_plus + bump, d_minus
 
-    return z, lam, distances
+class TestSynthesisNode:
+    """``cacai.synthesize`` (one tape node) against the composed ops
+    (``oracles.composed_synthesize``)."""
 
-
-class TestFusedInterpolation:
-    """``cacai.interpolate_all`` (one tape node) against the composed ops."""
-
+    @pytest.mark.parametrize("pick_single", [False, True], ids=["fuse", "no_rw"])
+    @pytest.mark.parametrize("lanes", ["all", "cut", "single_coeff"])
     @pytest.mark.parametrize("needs", ["lam", "z", "both"])
-    def test_matches_composed_ops(self, needs):
+    def test_matches_composed_ops(self, needs, lanes, pick_single):
         rng = np.random.default_rng(21)
-        z, lam, distances = interpolation_inputs(rng)
-        z.requires_grad = needs in ("z", "both")
-        lam.requires_grad = needs in ("lam", "both")
-        w = rng.standard_normal(lam.shape)
+        zb, lam, lane, pos = synthesis_inputs(rng, lanes=lanes)
+        zb.z.requires_grad = needs in ("z", "both")
+        lam.requires_grad = needs in ("lam", "both") and lam.shape[0] > 0
+        w = rng.standard_normal((9, 3, 6))
         results = []
-        for op in (cacai.interpolate_all, composed_interpolate_all):
-            z.grad = lam.grad = None
-            d_plus, d_minus = distances()
-            out = op(z, lam, d_plus, d_minus, 0.7)
-            (out * w).sum().backward()
-            results.append((out.data, z.grad, lam.grad, d_plus, d_minus))
-        (out, gz, glam, dp, dm), (out_c, gz_c, glam_c, dp_c, dm_c) = results
-        first = dm.data > dp.data[:, None]
-        assert first.any() and (~first).any() and (~first[1]).all()
-        # the values and the lambda, d+ and d- gradients repeat the composed
-        # arithmetic; the two halves of z's gradient are added in another order
-        assert out.tobytes() == out_c.tobytes()
-        for got, want in ((glam, glam_c), (dp.grad, dp_c.grad), (dm.grad, dm_c.grad)):
-            assert (got is None and want is None) or got.tobytes() == want.tobytes()
+        for op in (cacai.synthesize, composed_synthesize):
+            zb.z.grad = lam.grad = None
+            synth = op(zb, lam, lane, 0.7, np.random.default_rng(5), pos, pick_single=pick_single)
+            if synth.z_hat.requires_grad:
+                (synth.z_hat * w).sum().backward()
+            results.append((synth.z_hat.data, synth.valid, zb.z.grad, lam.grad))
+        (out, valid, gz, glam), (out_c, valid_c, gz_c, glam_c) = results
+        d_plus, d_minus = cacai.pair_distances(zb, pos)
+        first = d_minus > d_plus[:, None]
+        assert first.any() and (~first).any() and (~first[1]).all() and (~first[4]).all()
+        # the values and λ's gradient repeat the composed arithmetic
+        assert out.tobytes() == out_c.tobytes() and np.array_equal(valid, valid_c)
+        assert (glam is None and glam_c is None) or glam.tobytes() == glam_c.tobytes()
+        # z's gradient takes the interpolation's and the distances' shares as
+        # one term, and the interpolation's two halves in another order
         if gz_c is None:
             assert gz is None
         else:
             np.testing.assert_allclose(gz, gz_c, rtol=1e-9, atol=1e-12)
 
-    def test_gradients_match_finite_differences(self):
+    @pytest.mark.parametrize("lanes", ["all", "cut"])
+    def test_gradients_match_finite_differences(self, lanes):
         rng = np.random.default_rng(22)
-        z, lam, distances = interpolation_inputs(rng, b=6, d=3, fallback_rows=(2,))
-        w = rng.standard_normal(lam.shape)
+        zb, lam, lane, pos = synthesis_inputs(rng, n=3, m=2, d=3, fallback=(2,), lanes=lanes)
+        z = zb.z
+        w = rng.standard_normal((6, 3, 3))
 
         def loss():
-            return (cacai.interpolate_all(z, lam, *distances(), 0.6) * w).sum()
+            synth = cacai.synthesize(EmbeddingBatch(z, zb.labels, 3, 2), lam, lane, 0.6,
+                                     np.random.default_rng(4), pos)
+            return (synth.z_hat * w).sum()
 
         check_gradients(loss, [z, lam], tol=1e-6)
 
-    def test_forward_backward_peak_below_14_pair_arrays(self):
-        # the composed ops in ``oracles`` peak at about 19 (B, B, D) float64
-        # arrays here, the fused op at about 8
+    @pytest.mark.parametrize("tracked", ["lam", "z"], ids=["stage1", "stage2"])
+    def test_forward_backward_peak_below_11_pair_arrays(self, tracked):
+        # the whole node, forward and backward, at B=80 (16 x 5), D=128: the
+        # composed chain it replaces peaks at about 13 (B, B, D) float64
+        # arrays here; stage 1 tracks the λ rows, stage 2 the embeddings
         rng = np.random.default_rng(24)
         b, d = 80, 128
-        z, lam, distances = interpolation_inputs(rng, b=b, d=d, fallback_rows=(0,), n_classes=16)
-        d_plus, d_minus = distances()
+        zb, lam, lane, pos = synthesis_inputs(rng, n=16, m=5, d=d, fallback=(0,), lanes="cut")
+        zb.z.requires_grad = tracked == "z"
+        lam.requires_grad = tracked == "lam"
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            cacai.interpolate_all(z, lam, d_plus, d_minus, 0.6).sum().backward()
+            synth = cacai.synthesize(zb, lam, lane, 0.6, rng, pos)
+            synth.z_hat.sum().backward()
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
+        assert (lam.grad if tracked == "lam" else zb.z.grad) is not None
         arrays = peak / (b * b * d * 8)
-        assert arrays < 14, f"peak {arrays:.1f} (B, B, D) arrays"
+        assert arrays < 11, f"peak {arrays:.1f} (B, B, D) arrays"
 
     def test_rejects_lambda_of_another_shape(self):
         rng = np.random.default_rng(23)
-        z, lam, distances = interpolation_inputs(rng, b=6, d=3)
+        zb, lam, lane, pos = synthesis_inputs(rng, n=3, m=2, d=3, fallback=())
         with pytest.raises(ShapeError):
-            cacai.interpolate_all(z, lam[:, :, :1], *distances(), 0.5)
+            cacai.synthesize(zb, lam[:, :1], lane, 0.5, rng, pos)
+        with pytest.raises(ShapeError):
+            cacai.synthesize(zb, lam, lane[:, :1], 0.5, rng, pos)
 
 
 class TestFuseRandomWeighting:
@@ -327,14 +399,13 @@ class TestFuseRandomWeighting:
         assert np.allclose(c.sum(-1), 1.0, atol=1e-9)
 
 
-def fusion_inputs(zb, lam, eta, rng, pos, pick_single=False):
+def fusion_inputs(zb, lam, lane, eta, rng, pos, pick_single=False):
     """The (B, N, m, D) interpolants that each slot fuses, its batch members
     s, s + N, ..., in group order, and the (B, N, m) coefficients, drawn
     from ``rng`` as ``synthesize`` draws them."""
     n, m = zb.n_classes, zb.n_instances
     b = n * m
-    d_plus, d_minus = cacai.pair_distances(zb, pos)
-    z_tilde = cacai.interpolate_all(zb.z, lam, d_plus, d_minus, eta).data
+    z_tilde = lane_interpolants(zb, lam, lane, eta, pos)
     if pick_single:
         coeffs = np.zeros((b, n, m))
         np.put_along_axis(coeffs, rng.integers(0, m, size=(b, n))[:, :, None], 1.0, axis=2)
@@ -348,14 +419,14 @@ class TestSynthesize:
     def _setup(self, seed, n=3, m=2, d=6):
         rng = np.random.default_rng(seed)
         zb = balanced_embeddings(rng, n, m, d)
-        lam = ad.Tensor(rng.uniform(0.1, 0.9, size=(n * m, n * m, d)))
+        lam, lane = packed_lambda(rng, n * m, d)
         eta = cacai.eta_from_avg_loss(5.0, 5.0)
         pos = cacai.select_positives(zb.labels, rng)
-        return rng, zb, lam, eta, pos
+        return rng, zb, lam, lane, eta, pos
 
     def test_counts(self):
-        rng, zb, lam, eta, pos = self._setup(13)
-        synth = cacai.synthesize(zb, lam, eta, rng, pos)
+        rng, zb, lam, lane, eta, pos = self._setup(13)
+        synth = cacai.synthesize(zb, lam, lane, eta, rng, pos)
         assert synth.z_hat.shape == (6, 3, 6)
         assert synth.slot_labels.shape == (3,)
         assert synth.valid.sum() == 6 * 2  # N-1 = 2 negatives per anchor
@@ -363,47 +434,47 @@ class TestSynthesize:
     def test_n2_single_negative_per_anchor(self):
         rng = np.random.default_rng(14)
         zb = balanced_embeddings(rng, 2, 3, 4)
-        lam = ad.Tensor(rng.uniform(0.1, 0.9, size=(6, 6, 4)))
+        lam, lane = packed_lambda(rng, 6, 4)
         pos = cacai.select_positives(zb.labels, rng)
-        synth = cacai.synthesize(zb, lam, cacai.eta_from_avg_loss(5.0, 5.0), rng, pos)
+        synth = cacai.synthesize(zb, lam, lane, cacai.eta_from_avg_loss(5.0, 5.0), rng, pos)
         assert np.all(synth.valid.sum(axis=1) == 1)
 
     def test_convex_hull_per_channel(self):
-        rng, zb, lam, eta, pos = self._setup(15)
-        members, _ = fusion_inputs(zb, lam, eta, copy.deepcopy(rng), pos)
-        synth = cacai.synthesize(zb, lam, eta, rng, pos)
+        rng, zb, lam, lane, eta, pos = self._setup(15)
+        members, _ = fusion_inputs(zb, lam, lane, eta, copy.deepcopy(rng), pos)
+        synth = cacai.synthesize(zb, lam, lane, eta, rng, pos)
         assert np.all(synth.z_hat.data >= members.min(axis=2) - 1e-12)
         assert np.all(synth.z_hat.data <= members.max(axis=2) + 1e-12)
 
     def test_deterministic_given_seed(self):
-        _, zb, lam, eta, pos = self._setup(16)
+        _, zb, lam, lane, eta, pos = self._setup(16)
         rng_a, rng_b = np.random.default_rng(99), np.random.default_rng(99)
-        a = cacai.synthesize(zb, lam, eta, rng_a, pos)
-        b = cacai.synthesize(zb, lam, eta, rng_b, pos)
+        a = cacai.synthesize(zb, lam, lane, eta, rng_a, pos)
+        b = cacai.synthesize(zb, lam, lane, eta, rng_b, pos)
         assert np.array_equal(a.z_hat.data, b.z_hat.data)
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     def test_fusion_reconstruction_from_provenance(self):
-        rng, zb, lam, eta, pos = self._setup(17)
-        members, coeffs = fusion_inputs(zb, lam, eta, copy.deepcopy(rng), pos)
-        synth = cacai.synthesize(zb, lam, eta, rng, pos)
+        rng, zb, lam, lane, eta, pos = self._setup(17)
+        members, coeffs = fusion_inputs(zb, lam, lane, eta, copy.deepcopy(rng), pos)
+        synth = cacai.synthesize(zb, lam, lane, eta, rng, pos)
         rebuilt = (members * coeffs[..., None]).sum(axis=2)
         assert np.array_equal(rebuilt, synth.z_hat.data)
         assert np.allclose(coeffs.sum(-1), 1.0, atol=1e-9)
 
     def test_pick_single_selects_one(self):
-        rng, zb, lam, eta, pos = self._setup(18)
-        members, coeffs = fusion_inputs(zb, lam, eta, copy.deepcopy(rng), pos, pick_single=True)
-        synth = cacai.synthesize(zb, lam, eta, rng, pos, pick_single=True)
+        rng, zb, lam, lane, eta, pos = self._setup(18)
+        members, coeffs = fusion_inputs(zb, lam, lane, eta, copy.deepcopy(rng), pos,
+                                        pick_single=True)
+        synth = cacai.synthesize(zb, lam, lane, eta, rng, pos, pick_single=True)
         picked = np.take_along_axis(members, coeffs.argmax(axis=2)[:, :, None, None], axis=2)
         assert np.array_equal(synth.z_hat.data, picked[:, :, 0])
 
     def test_slots_fuse_their_class_members_in_group_order(self):
-        rng, zb, lam, eta, pos = self._setup(19)
-        _, coeffs = fusion_inputs(zb, lam, eta, copy.deepcopy(rng), pos)
-        synth = cacai.synthesize(zb, lam, eta, rng, pos)
-        d_plus, d_minus = cacai.pair_distances(zb, pos)
-        z_tilde = cacai.interpolate_all(zb.z, lam, d_plus, d_minus, eta).data
+        rng, zb, lam, lane, eta, pos = self._setup(19)
+        _, coeffs = fusion_inputs(zb, lam, lane, eta, copy.deepcopy(rng), pos)
+        synth = cacai.synthesize(zb, lam, lane, eta, rng, pos)
+        z_tilde = lane_interpolants(zb, lam, lane, eta, pos)
         for s in range(3):  # slot s fuses batch members s, s + N, in that order
             fused = (z_tilde[:, [s, s + 3]] * coeffs[:, s, :, None]).sum(axis=1)
             assert np.array_equal(synth.z_hat.data[:, s], fused)

@@ -17,6 +17,8 @@ from hngen import cacai, cli, datakit, evalkit, trainer
 from hngen.backbone import BackboneConfig
 from hngen.errors import ConfigurationError
 
+from test_tooling import TINY
+
 REPO = Path(__file__).resolve().parent.parent
 
 # DEFAULT_CONFIG as it was written out by hand before it was derived from the
@@ -486,6 +488,31 @@ class TestCheckpointReload:
                          "--out-dir", str(tmp_path / "ev")]) == 0
         assert cli.main(["inspect", "--checkpoint", str(ckpt),
                          "--out-dir", str(tmp_path / "diag")]) == 0
+
+    def test_a_zero_embedding_row_trains_and_evals(self, tmp_path, monkeypatch):
+        # On this data and seed some sample's hidden ReLUs all read zero, so
+        # its pre-normalization embedding is the zero row: the normalization
+        # maps it to the unit vector 1/sqrt(D) where it used to exit 2.
+        data = tmp_path / "data.bin"
+        assert cli.main(["synth-data", "--classes", "4", "--per-class", "12", "--dim", "6",
+                         "--out", str(data)]) == 0
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**TINY, "dataset": {**TINY["dataset"], "path": str(data)},
+                                        "train": {**TINY["train"], "seed": 1}}))
+        zero_rows = []
+        forward = ad._l2_rows_forward
+
+        def counting_forward(x):
+            zero_rows.append(int(np.sum(~x.any(axis=-1))))
+            return forward(x)
+
+        monkeypatch.setattr(ad, "_l2_rows_forward", counting_forward)
+        assert cli.main(["train", "--config", str(cfg_path),
+                         "--out-dir", str(tmp_path / "runs")]) == 0
+        assert sum(zero_rows) > 0
+        ckpt = next((tmp_path / "runs").iterdir()) / "checkpoints" / "epoch_001"
+        assert cli.main(["eval", "--checkpoint", str(ckpt),
+                         "--out-dir", str(tmp_path / "ev")]) == 0
 
     @pytest.mark.parametrize("arm", trainer.ABLATION_ARMS)
     def test_inspect_writes_every_csv_or_refuses_an_arm_without_synthetics(

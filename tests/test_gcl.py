@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from hngen import autodiff as ad
-from hngen import gcl, kernels, losses, trainer
+from hngen import cacai, gcl, kernels, losses, trainer
 from hngen.backbone import BackboneConfig, EmbeddingBatch
 from hngen.errors import ConfigurationError, ShapeError
 
 from gradcheck import check_gradients
-from oracles import (composed_cross_attention, composed_endpoint_attention,
+from oracles import (composed_cross_attention, composed_endpoint_attention, composed_lambda_lanes,
                      composed_masked_attention, composed_node_attention, composed_tail,
                      dense_edge_step, dense_graph, layer_norm, recompute_node_attention,
                      stacked_token_cross_attention, tmean)
@@ -466,7 +466,8 @@ class TestPackedMatchesDense:
         np.testing.assert_allclose(graph.v.data, v.data, rtol=0, atol=1e-12)
         np.testing.assert_allclose(mirrored(graph.e, b), e.data, rtol=0, atol=1e-12)
         if model.cfg.uses_synthetics:
-            np.testing.assert_allclose(model.lambda_for(zb, graph).data, lam.data,
+            rows, lane = model.lambda_for(zb, graph)
+            np.testing.assert_allclose(cacai.lambda_lanes(rows.data, lane), lam.data,
                                        rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("share", [True, False])
@@ -487,7 +488,8 @@ class TestPackedMatchesDense:
 
         zb = EmbeddingBatch(z, labels, 3, 2)
         graph = model.propagate_graph(zb)
-        packed = grads((graph.v * wv).sum() + (model.lambda_for(zb, graph) * we).sum())
+        lanes = composed_lambda_lanes(*model.lambda_for(zb, graph))
+        packed = grads((graph.v * wv).sum() + (lanes * we).sum())
         v, _, lam = dense_graph(model, zb)
         dense = grads((v * wv).sum() + (lam * we).sum())
         for got, want in zip(packed, dense):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from hngen import autodiff as ad
-from hngen import cli, datakit, losses, trainer
-from hngen.cacai import SyntheticNegatives
+from hngen import cli, datakit, kernels, losses, trainer
+from hngen.cacai import SyntheticNegatives, lambda_lanes
 from hngen.errors import ConfigurationError, ShapeError
 
 from gradcheck import check_gradients
@@ -37,6 +37,12 @@ def balanced_setup(rng, n=3, m=2, d=6, c_total=5):
     z_hat = rng.standard_normal((n * m, n, d)) * 0.5 + z[:, None, :]
     synth = make_synth(z_hat, slot_labels, labels)
     return ad.Tensor(z), labels, slot_labels, codec, synth
+
+
+def packed_lambda(rng, b, d, low=0.1, high=0.9, requires_grad=False):
+    """Uniform λ rows for all B(B+1)/2 pairs and the map of every lane to its row."""
+    rows = ad.Tensor(rng.uniform(low, high, (b * (b + 1) // 2, d)), requires_grad)
+    return rows, kernels.pair_index(b)
 
 
 def softmax_ce_scalar(logits, col):
@@ -125,8 +131,8 @@ class TestJgen:
         rng = np.random.default_rng(5)
         z, labels, slots, codec, synth = balanced_setup(rng)
         head = losses.ClassifierHead(codec.num_classes, 6, rng)
-        lam = ad.Tensor(rng.uniform(0.1, 0.9, (6, 6, 6)))
-        out, parts = losses.j_gen(z, synth, lam, head, codec, gamma_s=0.0, gamma_d=0.0)
+        lam, lane = packed_lambda(rng, 6, 6)
+        out, parts = losses.j_gen(z, synth, lam, lane, head, codec, gamma_s=0.0, gamma_d=0.0)
         # literal 1/(B*N) normalization over the B*(N-1) valid lanes
         assert out.data == pytest.approx(parts["j_ce"] * synth.valid.sum() / (6 * 3))
 
@@ -134,12 +140,12 @@ class TestJgen:
         rng = np.random.default_rng(6)
         z, labels, slots, codec, synth = balanced_setup(rng)
         head = losses.ClassifierHead(codec.num_classes, 6, rng)
-        lam = ad.Tensor(rng.uniform(0.1, 0.9, (6, 6, 6)))
-        base = losses.j_gen(z, synth, lam, head, codec,
+        lam, lane = packed_lambda(rng, 6, 6)
+        base = losses.j_gen(z, synth, lam, lane, head, codec,
                             gamma_s=0.0, gamma_d=0.0)[0].data
-        one = losses.j_gen(z, synth, lam, head, codec,
+        one = losses.j_gen(z, synth, lam, lane, head, codec,
                            gamma_s=1.0, gamma_d=0.0)[0].data
-        two = losses.j_gen(z, synth, lam, head, codec,
+        two = losses.j_gen(z, synth, lam, lane, head, codec,
                            gamma_s=2.0, gamma_d=0.0)[0].data
         assert two - base == pytest.approx(2 * (one - base), rel=1e-10)
 
@@ -147,9 +153,10 @@ class TestJgen:
         rng = np.random.default_rng(7)
         z, labels, slots, codec, synth = balanced_setup(rng)
         head = losses.ClassifierHead(codec.num_classes, 6, rng)
-        lam_np = rng.uniform(0.1, 0.9, (6, 6, 6))
+        lam, lane = packed_lambda(rng, 6, 6)
+        lam_np = lambda_lanes(lam.data, lane)
         gamma_s, gamma_d = 1.3, 0.7
-        out, _ = losses.j_gen(z, synth, ad.Tensor(lam_np), head, codec,
+        out, _ = losses.j_gen(z, synth, lam, lane, head, codec,
                               gamma_s=gamma_s, gamma_d=gamma_d)
 
         w = head.linear.weight.data
@@ -173,8 +180,8 @@ class TestJgen:
         rng = np.random.default_rng(8)
         z, labels, slots, codec, synth = balanced_setup(rng)
         head = losses.ClassifierHead(codec.num_classes, 6, rng)
-        lam = ad.parameter(rng.uniform(0.1, 0.9, (6, 6, 6)))
-        out, _ = losses.j_gen(z, synth, lam, head, codec, gamma_s=1.0, gamma_d=0.01)
+        lam, lane = packed_lambda(rng, 6, 6, requires_grad=True)
+        out, _ = losses.j_gen(z, synth, lam, lane, head, codec, gamma_s=1.0, gamma_d=0.01)
         out.backward()
         assert head.linear.weight.grad is None
         assert head.linear.bias.grad is None
@@ -189,12 +196,12 @@ class TestJgen:
         codec = losses.ClassCodec(slots)
         head = losses.ClassifierHead(3, d, rng)
         z_hat = ad.parameter(rng.standard_normal((n * m, n, d)))
-        lam = ad.parameter(rng.uniform(0.2, 0.8, (n * m, n * m, d)))
+        lam, lane = packed_lambda(rng, n * m, d, 0.2, 0.8, requires_grad=True)
 
         def loss():
             synth = make_synth(z_hat.data, slots, labels)
             synth.z_hat = z_hat  # keep the tracked tensor
-            return losses.j_gen(z, synth, lam, head, codec,
+            return losses.j_gen(z, synth, lam, lane, head, codec,
                                 gamma_s=0.8, gamma_d=0.3)[0]
 
         check_gradients(loss, [z_hat, lam], tol=1e-4)
@@ -512,7 +519,7 @@ def _loss_cases(rng, z_tracked: bool):
     if z_tracked:
         z = ad.parameter(z.data)
     synth.z_hat = ad.parameter(synth.z_hat.data)
-    lam = ad.parameter(rng.uniform(0.1, 0.9, (n * m, n * m, d)))
+    lam, lane = packed_lambda(rng, n * m, d, requires_grad=True)
     head = losses.ClassifierHead(codec.num_classes, d, rng)
     bank = losses.ProxyBank(codec.num_classes, d, rng, alpha=32.0, margin=0.1)
     pos = (np.arange(n * m) + n) % (n * m)
@@ -520,8 +527,8 @@ def _loss_cases(rng, z_tracked: bool):
     head_params = [head.linear.weight, head.linear.bias]
     zs = [z] if z_tracked else []
     return {
-        "j_gen": (lambda: losses.j_gen(z, synth, lam, head, codec, **gammas)[0],
-                  lambda: composed_j_gen(z, synth, lam, head, codec, **gammas)[0],
+        "j_gen": (lambda: losses.j_gen(z, synth, lam, lane, head, codec, **gammas)[0],
+                  lambda: composed_j_gen(z, synth, lam, lane, head, codec, **gammas)[0],
                   [lam, synth.z_hat] + zs),  # the head is frozen
         "j_cz": (lambda: losses.j_cz(z, labels, head, codec),
                  lambda: COMPOSED["j_cz"](z, labels, head, codec), head_params + zs),
@@ -593,9 +600,9 @@ class TestFusedLossesMatchComposed:
     def test_j_gen_components_bitwise(self):
         rng = np.random.default_rng(41)
         z, labels, slots, codec, synth = balanced_setup(rng, n=4, m=2, d=6)
-        lam = ad.Tensor(rng.uniform(0.1, 0.9, (8, 8, 6)))
+        lam, lane = packed_lambda(rng, 8, 6)
         head = losses.ClassifierHead(codec.num_classes, 6, rng)
-        args = (z, synth, lam, head, codec)
+        args = (z, synth, lam, lane, head, codec)
         assert (losses.j_gen(*args, gamma_s=1.0, gamma_d=0.03)[1]
                 == composed_j_gen(*args, gamma_s=1.0, gamma_d=0.03)[1])
 

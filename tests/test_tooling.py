@@ -55,6 +55,30 @@ def test_tracer_target_resolves(span, module, path):
     assert callable(owner), span
 
 
+def test_one_smoke_epoch_calls_every_traced_span(tmp_path, monkeypatch):
+    # A span whose target training no longer calls reads zero calls in the
+    # per-layer table instead of failing: the synthesis node calling its
+    # distance kernel under a name the tracer does not wrap would hide that
+    # kernel's time. Each target is wrapped here as the tracer wraps it, by
+    # its attribute, and one epoch of the smoke config must call every one.
+    calls = {}
+    for span, module, path in tracer_targets():
+        owner = importlib.import_module(f"hngen.{module}")
+        *outer, attr = path.split(".")
+        for part in outer:
+            owner = getattr(owner, part)
+        calls[span] = 0
+
+        def counted(*args, _fn=getattr(owner, attr), _span=span, **kwargs):
+            calls[_span] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+    cfg = cli.resolve_config(str(REPO / "configs" / "smoke.json"), {"train": {"epochs": 1}})
+    cli._fit_one(cfg, str(tmp_path), quiet=True)
+    assert [span for span, n in calls.items() if n == 0] == []
+
+
 def test_block_probe_constructors_build():
     # the positional signatures and calls of worker.block_probes
     dim, b = 64, 4
@@ -217,13 +241,16 @@ def test_every_training_function_runs(tmp_path):
 
 
 # Tape nodes of one train_step on configs/smoke.json: one per loss term,
-# and 63 for the rest (the backbone with its one-node L2 normalization, both
-# stages' graph, stage 1's lambda head, both stages' synthetics, and the
-# sums of the loss terms). Stage 2 reads lambda as a constant, so its head
-# runs off the tape. Each stage's last edge step computes only the
+# and 50 for the rest (the backbone with its one-node L2 normalization, both
+# stages' graph, stage 1's lambda head, one synthesis node per stage, and
+# the sums of the loss terms). Stage 2 reads lambda as a constant, so its
+# head runs off the tape. Each stage's last edge step computes only the
 # cross-class rows, the ones a loss reads, so it gathers their states first:
-# one ``take`` per stage, which made 66 into 68.
-SMOKE_STEP_TAPE_NODES = 68
+# one ``take`` per stage. ``cacai.synthesize`` took 68 to 55: it replaced
+# stage 1's eight nodes (the λ lane expansion, the squared distances, their
+# square root, the d+ take, the interpolation, the group take, the mul and
+# the sum) and the seven of stage 2, which has no λ expansion, with one each.
+SMOKE_STEP_TAPE_NODES = 55
 SMOKE_STEP_LOSSES = ("j_gen", "j_cz", "j_gca", "j_syn", "np_loss")
 
 

@@ -13,7 +13,8 @@ from hngen import cacai, datakit, gcl, kernels, losses, trainer
 from hngen.backbone import BackboneConfig, EmbeddingBatch
 from hngen.errors import CheckpointError, ConfigurationError, NumericError
 
-from oracles import AllRowsTrainer, TwoStepStage1Trainer, j_m
+from oracles import (AllRowsTrainer, ComposedSynthesisTrainer, TwoStepStage1Trainer,
+                     composed_lambda_lanes, j_m)
 
 
 def tiny_dataset(seed=0, classes=4, per_class=8, dim=5):
@@ -198,9 +199,9 @@ class TestStopGradientContracts:
         zb = model.backbone.embed(batch, mode="train")
         pos = cacai.select_positives(zb.labels, tr.positive_rng)
         graph = model.propagate_graph(zb)
-        lam_sg = model.lambda_for(zb, graph, detach=True)
+        lam_sg, lane = model.lambda_for(zb, graph, detach=True)
         synth = cacai.synthesize(
-            zb, lam_sg, cacai.eta_from_avg_loss(5.0, 5.0),
+            zb, lam_sg, lane, cacai.eta_from_avg_loss(5.0, 5.0),
             np.random.default_rng(3), pos,
         )
         total = j_m(
@@ -226,9 +227,9 @@ class TestStopGradientContracts:
         def run(lam_source):
             model.zero_grad()
             graph = model.propagate_graph(zb)
-            lam = lam_source(graph)
+            lam, lane = lam_source(graph)
             synth = cacai.synthesize(
-                zb, lam, cacai.eta_from_avg_loss(5.0, 5.0),
+                zb, lam, lane, cacai.eta_from_avg_loss(5.0, 5.0),
                 np.random.default_rng(7), pos,
             )
             total = j_m(
@@ -242,8 +243,9 @@ class TestStopGradientContracts:
                     for p in model.graph.parameters()]
 
         g_sg = run(lambda graph: model.lambda_for(zb, graph, detach=True))
-        lam_const = ad.Tensor(model.lambda_for(zb, model.propagate_graph(zb)).data.copy())
-        g_ablate = run(lambda graph: lam_const)
+        lam, lane = model.lambda_for(zb, model.propagate_graph(zb))
+        lam_const = ad.Tensor(lam.data.copy())
+        g_ablate = run(lambda graph: (lam_const, lane))
         for a, b in zip(g_sg, g_ablate):
             if a is None or b is None:
                 assert a is None and b is None
@@ -259,14 +261,15 @@ class TestStopGradientContracts:
         batch = datakit.sample_balanced(tr.train_set, 3, 2, tr.sampler_rng)
         zb = model.backbone.embed(batch, mode="train")
         graph = model.propagate_graph(zb, loss_rows_only=loss_rows_only)
-        expect = model.lambda_for(zb, graph).detach()
+        expect, expect_lane = model.lambda_for(zb, graph)
         made = []
         make = ad._make
         monkeypatch.setattr(ad, "_make", lambda *args: made.append(args) or make(*args))
-        lam = model.lambda_for(zb, graph, detach=True)
+        lam, lane = model.lambda_for(zb, graph, detach=True)
         assert made == [] and not lam.requires_grad
         assert lam.shape == expect.shape and lam.data.dtype == expect.data.dtype
         assert lam.data.tobytes() == expect.data.tobytes()
+        assert np.array_equal(lane, expect_lane)
 
     def test_cz_updated_only_by_real_samples(self, tmp_path):
         tr = make_trainer(tmp_path)
@@ -276,13 +279,13 @@ class TestStopGradientContracts:
         pos = cacai.select_positives(zb.labels, tr.positive_rng)
 
         graph = tr.model.propagate_graph(zb_sg)
-        lam = tr.model.lambda_for(zb_sg, graph)
+        lam, lane = tr.model.lambda_for(zb_sg, graph)
         synth = cacai.synthesize(
-            zb_sg, lam, cacai.eta_from_avg_loss(5.0, 5.0),
+            zb_sg, lam, lane, cacai.eta_from_avg_loss(5.0, 5.0),
             np.random.default_rng(5), pos,
         )
         gen_loss, _ = losses.j_gen(
-            zb_sg.z, synth, lam, tr.model.head_cz, tr.codec, gamma_s=1.0, gamma_d=0.01
+            zb_sg.z, synth, lam, lane, tr.model.head_cz, tr.codec, gamma_s=1.0, gamma_d=0.01
         )
         gen_loss.backward()
         # synthetic-sample loss leaves the real-sample head untouched
@@ -300,9 +303,9 @@ class TestStopGradientContracts:
         zb = model.backbone.embed(batch, mode="train")
         zb_sg = EmbeddingBatch(zb.z.detach(), zb.labels, 3, 2)
         pos = cacai.select_positives(zb.labels, tr.positive_rng)
-        lam = model.lambda_for(zb_sg, model.propagate_graph(zb_sg))
-        synth = model.synthesize(zb_sg, lam, 0.8, tr.synth_rng, pos)
-        gen_loss, _ = losses.j_gen(zb_sg.z, synth, lam, model.head_cz, tr.codec,
+        lam, lane = model.lambda_for(zb_sg, model.propagate_graph(zb_sg))
+        synth = model.synthesize(zb_sg, lam, lane, 0.8, tr.synth_rng, pos)
+        gen_loss, _ = losses.j_gen(zb_sg.z, synth, lam, lane, model.head_cz, tr.codec,
                                    gamma_s=1.0, gamma_d=0.03)
         cz_loss = losses.j_cz(zb_sg.z, zb_sg.labels, model.head_cz, tr.codec)
 
@@ -417,10 +420,12 @@ class TestFinalEdgeRows:
         model = tr.model
         batch = datakit.sample_balanced(tr.train_set, 3, 2, tr.sampler_rng)
         zb = model.backbone.embed(batch, mode="train")
-        cut = model.lambda_for(zb, model.propagate_graph(zb, loss_rows_only=True))
-        full = model.lambda_for(zb, model.propagate_graph(zb))
+        # the lanes as ``cacai.synthesize`` and ``losses.j_gen`` read them
+        cut = composed_lambda_lanes(
+            *model.lambda_for(zb, model.propagate_graph(zb, loss_rows_only=True)))
+        full = composed_lambda_lanes(*model.lambda_for(zb, model.propagate_graph(zb)))
         own = zb.labels[:, None] == zb.labels[None, :]
-        assert np.all(cut.data[own] == trainer.CONSTANT_LAMBDA)
+        assert np.all(cut.data[own] == 1.0)
         assert cut.data[~own].tobytes() == full.data[~own].tobytes()
         weights = np.random.default_rng(0).standard_normal(cut.shape)
         (cut * weights).sum().backward()
@@ -428,6 +433,54 @@ class TestFinalEdgeRows:
         model.zero_grad()
         (full * (weights * ~own[:, :, None])).sum().backward()
         np.testing.assert_allclose(head, model.lambda_head.fc.weight.grad, rtol=0, atol=1e-12)
+
+
+class TestSynthesisMatchesComposed:
+    """Whole training stages with ``cacai.synthesize`` against the composed
+    synthesis chain (``oracles.ComposedSynthesisTrainer``)."""
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    @pytest.mark.parametrize("cfg", [
+        {}, {"ablation": "no_rw"}, {"ablation": "single_coeff"}, {"metric_loss": "proxy_anchor"},
+        {"k_steps": 2, "share_weights_across_steps": True},
+    ], ids=["full", "no_rw", "single_coeff", "proxy_anchor", "k2_shared"])
+    def test_stage_matches_the_composed_synthesis(self, tmp_path, cfg, stage):
+        # Every loss value and every gradient but those named here is bitwise
+        # equal. Two sums change order, and what they feed agrees to 1e-12 of
+        # its scale:
+        # * lambda_rows: stage 1 folds j_gen's share and the synthesis's to
+        #   the packed rows as two terms, where the shared expansion adds them
+        #   lane by lane and folds once; the λ head and the graph get theirs
+        #   through the rows.
+        # * z_synthesis: stage 2's synthesis hands z its share as one term,
+        #   the distances' included, and adds the interpolation's two halves
+        #   in another order; the backbone gets its gradient through z.
+        reordered = ("cacai_fc.", "gcl.") if stage == 1 else ("backbone.",)
+        runs = []
+        for kind in (trainer.Trainer, ComposedSynthesisTrainer):
+            tr = kind(tiny_dataset(), None, tiny_config(**cfg), tiny_backbone(),
+                      tmp_path / kind.__name__)
+            names = {id(p): f"{group}.{name}" for group, params in
+                     tr.model.parameter_groups().items() for name, p in params.items()}
+            batch = datakit.sample_balanced(tr.train_set, 3, 2, tr.sampler_rng)
+            zb = tr.model.backbone.embed(batch, mode="train")
+            pos = cacai.select_positives(zb.labels, tr.positive_rng)
+            applied = {}
+            tr.opt.step = lambda tr=tr, names=names, applied=applied: applied.update(
+                {names[id(p)]: p.grad.copy() for p in tr.opt.params if p.grad is not None})
+            if stage == 1:
+                zb = EmbeddingBatch(zb.z.detach(), zb.labels, 3, 2)
+            terms = (tr._stage1 if stage == 1 else tr._stage2)(zb, pos, 0.7)
+            runs.append((terms, applied))
+        (terms, grads), (ref_terms, ref) = runs
+        assert terms == ref_terms
+        assert grads.keys() == ref.keys()
+        for name in grads:
+            if name.startswith(reordered):
+                scale = max(1.0, np.max(np.abs(ref[name])))
+                assert np.max(np.abs(grads[name] - ref[name])) <= 1e-12 * scale, name
+            else:
+                assert np.array_equal(grads[name], ref[name]), name
 
 
 class TestAblationArms:
@@ -454,8 +507,9 @@ class TestAblationArms:
         assert tr.model.lambda_head is None
         batch = datakit.sample_balanced(tr.train_set, 3, 2, tr.sampler_rng)
         zb = tr.model.backbone.embed(batch, mode="eval")
-        lam = tr.model.lambda_for(zb, tr.model.propagate_graph(zb))
-        assert np.all(lam.data == 1.0)
+        lam, lane = tr.model.lambda_for(zb, tr.model.propagate_graph(zb))
+        assert lam.shape == (0, zb.z.shape[1]) and np.all(lane == -1)
+        assert np.all(cacai.lambda_lanes(lam.data, lane) == 1.0)
         report = tr.train_step(batch)
         assert report.j_div == pytest.approx(1.0)  # zero spread in constant lambda
 
