@@ -6,15 +6,17 @@ item in the top K; R-Precision scores the top R, where R is the query's
 same-class gallery count (less the query itself under self-exclusion);
 MAP@R averages precision at each relevant rank up to R. These read only the
 first ``max(max(K), max(R))`` ranks, so ``evaluate_retrieval`` has
-``RetrievalIndex.ranked_hits`` rank only that prefix, one block of query
-rows at a time, and computes every metric from its relevance flags (the
-metric functions are pure functions of those flags and of R). Each row's
-cut is the ``width``-th largest maximum over strided groups of gallery
-columns, a lower bound on its ``width``-th similarity; only the items at or
-above the cut are stably sorted by -similarity, so ties at the cut need no
-path of their own.
-The result equals the prefix of a full stable sort bit for bit, in
-O(block * n_gallery + n_queries * width) memory.
+``RetrievalIndex.ranked_hits`` rank only that prefix, block by block of
+query rows, and computes every metric from its relevance flags (the
+metric functions are pure functions of those flags and of R). The blocks
+are spread over the cores this process may run on, one thread and one
+similarity buffer per core, sized so that at most ``_BLOCK_SIMS``
+similarities are in flight. Each row's cut is the ``width``-th largest
+maximum over strided groups of gallery columns, a lower bound on its
+``width``-th similarity; only the items at or above the cut are stably
+sorted by -similarity, so ties at the cut need no path of their own.
+The result equals the prefix of a full stable sort bit for bit, whatever
+the core count, in O(_BLOCK_SIMS + n_queries * width) memory.
 Rows must be finite and unit-norm. Also per-dimension means and variances
 and a deterministic 2-D principal-component projection.
 """
@@ -22,6 +24,7 @@ and a deterministic 2-D principal-component projection.
 from __future__ import annotations
 
 import json
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -30,8 +33,16 @@ import numpy as np
 from . import kernels
 from .errors import ConfigurationError, ShapeError
 
-# similarities ranked per block of query rows (8 MiB of float64)
+# similarities in flight over all blocks being ranked (8 MiB of float64)
 _BLOCK_SIMS = 1 << 20
+
+
+def _cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 @dataclass
@@ -57,13 +68,14 @@ class RetrievalIndex:
     exclude_self: bool
 
     def __post_init__(self):
+        single = self.query_z is self.gallery_z  # one set, checked once
         self.gallery_z = np.asarray(self.gallery_z, dtype=np.float64)
-        self.query_z = np.asarray(self.query_z, dtype=np.float64)
+        self.query_z = self.gallery_z if single else np.asarray(self.query_z, dtype=np.float64)
         self.gallery_labels = np.asarray(self.gallery_labels, dtype=np.int64)
         self.query_labels = np.asarray(self.query_labels, dtype=np.int64)
         if self.gallery_z.shape[1] != self.query_z.shape[1]:
             raise ShapeError("query and gallery dims differ")
-        for z in (self.gallery_z, self.query_z):
+        for z in (self.gallery_z,) if single else (self.gallery_z, self.query_z):
             # the ranking kernel needs finite similarities (-inf aside)
             if not np.all(np.isfinite(z)):
                 raise ShapeError("retrieval index expects finite rows")
@@ -93,24 +105,52 @@ class RetrievalIndex:
 
     def ranked_hits(self, width: int) -> np.ndarray:
         """Relevance flags of each query's top ``width`` gallery items,
-        ``(n_queries, width)`` uint8, ranked one block of queries at a time."""
+        ``(n_queries, width)`` uint8.
+
+        With ``W`` workers, one per core this process may run on (at most
+        one per block), the query rows split into blocks of
+        ``_BLOCK_SIMS // (n_gallery * W)`` rows and worker ``w`` ranks
+        blocks ``w, w + W, ...`` in a similarity buffer allocated once, so
+        at most ``_BLOCK_SIMS`` similarities are in flight (one row per
+        worker where a gallery is larger). One worker runs inline. Each
+        row is ranked from its own similarities alone, so the flags do not
+        depend on the core count.
+        """
         if not 0 <= width <= self.effective_gallery_size:
             raise ValueError(
                 f"prefix width {width} outside [0, {self.effective_gallery_size}]"
             )
         nq, ng = self.query_z.shape[0], self.gallery_z.shape[0]
-        rows = max(1, _BLOCK_SIMS // max(ng, 1))
+        per_gallery = max(ng, 1)
+        one_worker_blocks = -(-nq // max(1, _BLOCK_SIMS // per_gallery))
+        workers = max(1, min(_cores(), one_worker_blocks))
+        rows = max(1, _BLOCK_SIMS // (per_gallery * workers))  # >= workers blocks
+        starts = range(0, nq, rows)
+        # allocated here, not in the workers: a thread's own malloc arena
+        # cannot reuse the heap the caller has freed
+        bufs = [np.empty((min(rows, nq), ng)) for _ in range(workers)]
         hits = np.empty((nq, width), dtype=np.uint8)
-        for q0 in range(0, nq, rows):
-            q1 = min(q0 + rows, nq)
-            sims = self.query_z[q0:q1] @ self.gallery_z.T
-            if self.exclude_self:
-                # similarities are finite and width <= n - 1, so a -inf item
-                # never reaches the prefix: the same as dropping it
-                sims[np.arange(q1 - q0), np.arange(q0, q1)] = -np.inf
-            hits[q0:q1] = kernels.ranked_hits(
-                sims, self.query_labels[q0:q1], self.gallery_labels, width
-            )
+
+        def rank(w: int) -> None:
+            for q0 in starts[w::workers]:
+                q1 = min(q0 + rows, nq)
+                sims = np.matmul(self.query_z[q0:q1], self.gallery_z.T, out=bufs[w][: q1 - q0])
+                if self.exclude_self:
+                    # similarities are finite and width <= n - 1, so a -inf
+                    # item never reaches the prefix: the same as dropping it
+                    sims[np.arange(q1 - q0), np.arange(q0, q1)] = -np.inf
+                hits[q0:q1] = kernels.ranked_hits(
+                    sims, self.query_labels[q0:q1], self.gallery_labels, width
+                )
+
+        if workers == 1:
+            rank(0)
+        else:
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                for done in [pool.submit(rank, w) for w in range(workers)]:
+                    done.result()
         return hits
 
 

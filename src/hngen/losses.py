@@ -174,8 +174,7 @@ def j_gen(
     counts = neg.sum(axis=1)
     if np.any(counts * lam.shape[-1] < 2):
         raise ShapeError("diversity loss needs at least two lambda entries")
-    if len(set(counts.tolist())) != 1:
-        raise ShapeError("diversity loss expects a balanced batch")
+    # distinct slot labels, tiled: every anchor has counts[0] negatives
     k = int(counts[0]) * lam.shape[-1]
     neg_lanes = lane[neg]
     sel = lambda_lanes(lam.data, neg_lanes).reshape(b, k)

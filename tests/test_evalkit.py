@@ -1,3 +1,6 @@
+import concurrent.futures
+import itertools
+import threading
 import tracemalloc
 import warnings
 
@@ -214,11 +217,17 @@ def quantized_rows(rng, n, d, levels=2, dup_share=0.3):
 class TestStreamingParity:
     """Streaming prefix ranking against a full stable sort, bit for bit."""
 
-    @pytest.fixture(params=[1, 7, 256])
+    @pytest.fixture(params=[(rows, cores) for rows in (1, 7, 256) for cores in (1, 2, 3)],
+                    ids=lambda p: f"rows{p[0]}-cores{p[1]}")
     def block_rows(self, request, monkeypatch):
-        # several blocks with a ragged last one (1 is one query per block)
+        # several blocks with a ragged last one (1 is one query per block),
+        # ranked on 1, 2 or 3 cores: a worker's blocks are rows // cores
+        # queries, and 3 cores is more than some cases' blocks
+        rows, cores = request.param
+        monkeypatch.setattr(ek, "_cores", lambda: cores)
+
         def set_rows(n_gallery):
-            monkeypatch.setattr(ek, "_BLOCK_SIMS", request.param * n_gallery)
+            monkeypatch.setattr(ek, "_BLOCK_SIMS", rows * n_gallery)
         return set_rows
 
     def _assert_same(self, idx, ks, set_rows):
@@ -302,6 +311,97 @@ class TestStreamingParity:
         for ks in ([0], [5]):
             with pytest.raises(ConfigurationError, match="recall K"):
                 ek.evaluate_retrieval(idx, ks)
+
+
+class BlockError(RuntimeError):
+    pass
+
+
+class TestWorkers:
+    """Query blocks ranked on one thread per core: same flags, no thread
+    left behind, errors passed on, one buffer per worker."""
+
+    @staticmethod
+    def _index(n=60):
+        rng = np.random.default_rng(21)
+        return ek.RetrievalIndex.single_set(quantized_rows(rng, n, 3), rng.integers(1, 5, size=n))
+
+    def test_gaussian_hits_equal_at_one_and_two_cores(self, monkeypatch):
+        # unquantized similarities: a GEMM over other block rows must not
+        # move a bit (two one-worker blocks of 873 rows, three at 2 cores)
+        rng = np.random.default_rng(22)
+        idx = ek.RetrievalIndex.single_set(unit_rows(rng, 1200, 32), rng.integers(0, 30, size=1200))
+        width = int(idx.relevant_counts().max()) + 8
+        hits = {}
+        for cores in (1, 2):
+            monkeypatch.setattr(ek, "_cores", lambda: cores)
+            hits[cores] = idx.ranked_hits(width)
+        assert hits[1].tobytes() == hits[2].tobytes()
+
+    def test_threads_end_with_the_call_and_errors_reach_the_caller(self, monkeypatch):
+        monkeypatch.setattr(ek, "_cores", lambda: 2)
+        monkeypatch.setattr(ek, "_BLOCK_SIMS", 7 * 60)  # nine blocks at 2 cores
+        idx = self._index()
+        before = threading.active_count()
+        expected = full_sort_report(idx, [1, 4])
+        assert ek.evaluate_retrieval(idx, [1, 4]) == expected
+        assert threading.active_count() == before
+
+        calls = itertools.count()
+        rank = kernels.ranked_hits
+
+        def failing(sim, *args):
+            if next(calls) == 3:
+                raise BlockError("block failed")
+            return rank(sim, *args)
+
+        monkeypatch.setattr(kernels, "ranked_hits", failing)
+        with pytest.raises(BlockError, match="block failed"):
+            ek.evaluate_retrieval(idx, [1, 4])
+        assert threading.active_count() == before
+
+    def test_one_core_starts_no_thread(self, monkeypatch):
+        def no_thread(self):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(ek, "_cores", lambda: 1)
+        monkeypatch.setattr(ek, "_BLOCK_SIMS", 7 * 60)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        idx = self._index()
+        assert ek.evaluate_retrieval(idx, [1, 4]) == full_sort_report(idx, [1, 4])
+
+    @pytest.mark.parametrize("n, workers", [(60, 1), (120, 2), (420, 3)])
+    def test_workers_capped_at_the_blocks(self, n, workers, monkeypatch):
+        # 3 cores; one, two and seven blocks of 60 rows at one worker
+        started = []
+
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(ek, "_cores", lambda: 3)
+        monkeypatch.setattr(ek, "_BLOCK_SIMS", 60 * n)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+        self._index(n).ranked_hits(4)
+        assert started == ([] if workers == 1 else [workers])
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_peak_allocation_under_one_and_a_half_blocks(self, cores, monkeypatch):
+        # sixteen one-worker blocks of 256 rows; a loop that builds each
+        # block's similarities before dropping the last peaks at two blocks
+        monkeypatch.setattr(ek, "_cores", lambda: cores)
+        rng = np.random.default_rng(23)
+        idx = ek.RetrievalIndex.single_set(unit_rows(rng, 4096, 8), rng.integers(0, 100, size=4096))
+        width = int(idx.relevant_counts().max())
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            idx.ranked_hits(width)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * ek._BLOCK_SIMS * 8, f"peak {peak / 2**20:.1f} MiB"
 
 
 def ranked_columns(sim, width):
@@ -426,6 +526,30 @@ def test_non_finite_rows_rejected_in_both_protocols(bad):
         ek.RetrievalIndex.query_gallery(z, labels, np.eye(4), labels)
     with pytest.raises(ShapeError, match="finite rows"):
         ek.RetrievalIndex.query_gallery(np.eye(4)[:2], labels[:2], z, labels)
+
+
+def test_non_unit_rows_rejected_in_both_protocols():
+    z = np.eye(4)
+    z[1] *= 1.5
+    labels = np.array([1, 1, 2, 2])
+    with pytest.raises(ShapeError, match="unit-norm"):
+        ek.RetrievalIndex.single_set(z, labels)
+    with pytest.raises(ShapeError, match="unit-norm"):
+        ek.RetrievalIndex.query_gallery(z, labels, np.eye(4), labels)
+    with pytest.raises(ShapeError, match="unit-norm"):
+        ek.RetrievalIndex.query_gallery(np.eye(4)[:2], labels[:2], z, labels)
+
+
+def test_single_set_rows_converted_and_checked_once(monkeypatch):
+    checked = []
+    check = kernels.check_unit_rows
+    monkeypatch.setattr(kernels, "check_unit_rows", lambda z, caller: checked.append(z) or check(z, caller))
+    z = unit_rows(np.random.default_rng(24), 6, 3).astype(np.float32)
+    idx = ek.RetrievalIndex.single_set(z, np.array([1, 1, 2, 2, 3, 3]))
+    assert idx.query_z is idx.gallery_z and idx.gallery_z.dtype == np.float64
+    assert len(checked) == 1 and checked[0] is idx.gallery_z
+    ek.RetrievalIndex.query_gallery(z, np.arange(6), z.copy(), np.arange(6))
+    assert len(checked) == 3
 
 
 class TestEmbeddingStats:
