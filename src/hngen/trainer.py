@@ -31,8 +31,8 @@ generator loss, refreshed every step. The graph network's learning rate
 follows cosine decay over epochs; like the fusion order and the raw
 synthetics of ``cacai.synthesize``, this is fixed, not a setting.
 
-Checkpoints are directories with a JSON manifest and one binary blob per
-parameter group, written beside the target and renamed into place; loading
+Checkpoints are directories with a JSON manifest and one raw float64 blob
+per parameter group, written beside the target and renamed into place; loading
 is bit-exact. A model loaded for eval or inspect records no tape.
 """
 
@@ -44,7 +44,6 @@ import json
 import math
 import os
 import shutil
-import struct
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -66,8 +65,7 @@ ABLATION_ARMS = (
     "baseline_gnn",
 )
 _SYNTH_ARMS = {"full", "single_coeff", "no_global", "no_hadamard", "no_rw"}
-CHECKPOINT_MAGIC = b"HNGP"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -560,7 +558,6 @@ class Trainer:
             "epoch": epoch,
             "metric_history": list(history),
             "class_ids": self.codec.ids.tolist(),
-            "dtype": "float64",
             "eta": self.state.eta,
             "avg_metric_loss": self.state.avg_metric_loss,
         }
@@ -579,64 +576,53 @@ def config_hash(resolved_config: dict) -> str:
 
 # -- checkpoint serialization ---------------------------------------------------
 
-# a blob's dtype code: its data is little-endian float64, the training precision
-_FLOAT64_CODE = 8
+# A group's blob is its tensors' raw little-endian float64 bytes, back to back,
+# the training precision, so reload is bit-exact. The manifest's "groups" holds
+# every tensor's name and shape; the blob holds nothing else.
+
+
+def _group_shapes(model: HngModel) -> dict[str, dict[str, list[int]]]:
+    """The manifest's "groups": each tensor's shape by group and name."""
+    return {g: {name: list(p.data.shape) for name, p in params.items()}
+            for g, params in model.parameter_groups().items()}
+
+
+def _layout(shapes: dict) -> list[tuple[str, tuple, int]]:
+    """(name, shape, item count) of each tensor of a group, in blob order."""
+    return [(name, tuple(shapes[name]), math.prod(shapes[name])) for name in sorted(shapes)]
 
 
 def _write_group(path: Path, params: dict[str, ad.Tensor]) -> None:
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        names = sorted(params)
-        fh.write(struct.pack("<III", CHECKPOINT_VERSION, _FLOAT64_CODE, len(names)))
-        for name in names:
-            data = np.ascontiguousarray(params[name].data, dtype="<f8")
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<B", data.ndim))
-            fh.write(struct.pack(f"<{data.ndim}Q", *data.shape))
-            fh.write(data.tobytes())
+        for name, _, _ in _layout({name: p.data.shape for name, p in params.items()}):
+            fh.write(np.ascontiguousarray(params[name].data, dtype="<f8").tobytes())
 
 
-def _read_group(path: Path) -> dict[str, np.ndarray]:
+def _check_blob(path: Path, shapes: dict) -> None:
+    """Raise unless ``path`` is a readable file of exactly the bytes that
+    ``shapes`` (name -> shape, from the manifest) need. It reads no data, so
+    a corrupt dim never makes anything that large be allocated."""
+    need = 8 * sum(n for _, _, n in _layout(shapes))
     try:
         with open(path, "rb") as fh:
-            return _parse_group(path, fh)
+            size = os.fstat(fh.fileno()).st_size
     except OSError as exc:  # missing, a directory, unreadable
         raise CheckpointError(f"{path}: cannot read parameter blob: {exc.strerror}") from exc
-
-
-def _parse_group(path: Path, fh) -> dict[str, np.ndarray]:
-    size = os.fstat(fh.fileno()).st_size
-
-    def read(n: int) -> bytes:
-        # a corrupt dim can ask for more than the file holds; never try
-        if n > size - fh.tell():
-            raise CheckpointError(f"{path}: truncated or corrupt parameter blob")
-        return fh.read(n)
-
-    if read(4) != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: bad parameter blob magic")
-    version, code, count = struct.unpack("<III", read(12))
-    if version != CHECKPOINT_VERSION:
+    if size != need:
         raise CheckpointError(
-            f"{path}: checkpoint version {version} needs migration "
-            f"(supported: {CHECKPOINT_VERSION})"
+            f"{path}: parameter blob holds {size} bytes, the manifest's shapes need {need}"
         )
-    if code != _FLOAT64_CODE:
-        raise CheckpointError(f"{path}: unknown dtype code {code}")
-    out: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack("<H", read(2))
-        try:
-            name = read(nlen).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CheckpointError(f"{path}: tensor name is not UTF-8") from exc
-        (ndim,) = struct.unpack("<B", read(1))
-        shape = struct.unpack(f"<{ndim}Q", read(8 * ndim)) if ndim else ()
-        n_items = math.prod(shape)
-        buf = read(n_items * 8)
-        out[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+
+
+def _read_group(path: Path, shapes: dict) -> dict[str, np.ndarray]:
+    """The tensors of the blob at ``path``, as views of one array."""
+    _check_blob(path, shapes)
+    with open(path, "rb") as fh:
+        flat = np.fromfile(fh, dtype="<f8")
+    out, start = {}, 0
+    for name, shape, n in _layout(shapes):
+        out[name] = flat[start:start + n].reshape(shape)
+        start += n
     return out
 
 
@@ -652,14 +638,9 @@ def save_checkpoint(ckpt_dir: Path, model: HngModel, manifest: dict) -> None:
         shutil.rmtree(stale, ignore_errors=True)
     tmp.mkdir()
     try:
-        groups = model.parameter_groups()
-        manifest = dict(manifest)
-        manifest["groups"] = {
-            g: {name: list(p.data.shape) for name, p in params.items()}
-            for g, params in groups.items()
-        }
+        manifest = dict(manifest, groups=_group_shapes(model))
         (tmp / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
-        for g, params in groups.items():
+        for g, params in model.parameter_groups().items():
             _write_group(tmp / f"{g}.bin", params)
         if ckpt_dir.exists():
             ckpt_dir.rename(old)
@@ -732,25 +713,26 @@ def load_frozen_model(ckpt_dir: Path, cfg: TrainConfig, backbone_cfg: BackboneCo
 
 
 def load_checkpoint(ckpt_dir: Path, model: HngModel) -> dict:
-    """Restore parameters in place; shapes and groups must match exactly."""
+    """Restore parameters in place; groups, names and shapes must match the
+    model exactly. Every blob's size is checked before the first parameter
+    changes, so a damaged checkpoint leaves the model as it was; one group
+    is in memory at a time."""
     ckpt_dir = Path(ckpt_dir)
     manifest = load_manifest(ckpt_dir)
-    groups = model.parameter_groups()
-    saved_groups = manifest["groups"]
-    if sorted(saved_groups) != sorted(groups):
+    saved, want = manifest["groups"], _group_shapes(model)
+    if sorted(saved) != sorted(want):
         raise CheckpointError(
-            f"parameter groups differ: checkpoint has {sorted(saved_groups)}, "
-            f"model needs {sorted(groups)} (different ablation arm?)"
+            f"parameter groups differ: checkpoint has {sorted(saved)}, "
+            f"model needs {sorted(want)} (different ablation arm?)"
         )
-    for g, params in groups.items():
-        stored = _read_group(ckpt_dir / f"{g}.bin")
-        if sorted(stored) != sorted(params):
-            raise CheckpointError(f"group {g!r}: parameter names differ")
+    bad = sorted(f"{g}.{name}" for g in want for name in saved[g].keys() | want[g].keys()
+                 if saved[g].get(name) != want[g].get(name))
+    if bad:
+        raise CheckpointError(f"tensors {bad} differ from the model's in name or shape")
+    for g in want:
+        _check_blob(ckpt_dir / f"{g}.bin", want[g])
+    for g, params in model.parameter_groups().items():
+        stored = _read_group(ckpt_dir / f"{g}.bin", want[g])
         for name, p in params.items():
-            if stored[name].shape != p.data.shape:
-                raise CheckpointError(
-                    f"group {g!r} tensor {name!r}: shape "
-                    f"{stored[name].shape} != {p.data.shape}"
-                )
             p.data[...] = stored[name]  # in place: optimizers hold views
     return manifest

@@ -313,22 +313,34 @@ class TestTrainEvalInspect:
         assert all(not t.requires_grad and t._parents == () for t in made)
 
     def test_eval_float32_blob_returns_2(self, trained, tmp_path, capsys):
-        # checkpoints are float64 only: a float32 blob is refused, not widened
+        # checkpoints are float64 only: the same tensors as float32 are refused
+        # by their size, not widened
         _, run_dir = trained
         ckpt = tmp_path / "ckpt"
         shutil.copytree(run_dir / "checkpoints" / "epoch_001", ckpt)
         blob = ckpt / "backbone.bin"
-        tensors = trainer._read_group(blob)
-        raw = [trainer.CHECKPOINT_MAGIC,
-               struct.pack("<III", trainer.CHECKPOINT_VERSION, 4, len(tensors))]
-        for name in sorted(tensors):
-            data = tensors[name].astype("<f4")
-            raw += [struct.pack("<H", len(name)), name.encode(), struct.pack("<B", data.ndim),
-                    struct.pack(f"<{data.ndim}Q", *data.shape), data.tobytes()]
-        blob.write_bytes(b"".join(raw))
+        wide = blob.read_bytes()
+        blob.write_bytes(np.frombuffer(wide, "<f8").astype("<f4").tobytes())
         rc = cli.main(["eval", "--checkpoint", str(ckpt), "--out-dir", str(tmp_path / "ev")])
         assert rc == 2
-        assert "unknown dtype code 4" in capsys.readouterr().err
+        err = capsys.readouterr().err.replace(str(tmp_path), "<tmp>")
+        assert f"holds {len(wide) // 2} bytes, the manifest's shapes need {len(wide)}" in err
+
+    @pytest.mark.parametrize("command", ["eval", "inspect"])
+    def test_format_version_1_checkpoint_returns_2(self, trained, tmp_path, capsys, command):
+        # blobs with a header were format 1; such a checkpoint must be retrained
+        _, run_dir = trained
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(run_dir / "checkpoints" / "epoch_001", ckpt)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        manifest["format_version"] = 1
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "out"
+        assert cli.main([command, "--checkpoint", str(ckpt), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err.replace(str(tmp_path), "<tmp>")
+        assert ("manifest version 1 needs migration "
+                f"(supported: {trainer.CHECKPOINT_VERSION})") in err
+        assert not out.exists()
 
     def test_eval_custom_ks_and_csv(self, trained):
         tmp_path, run_dir = trained

@@ -127,20 +127,24 @@ def test_same_outputs_compare_flags_one_flipped_blob_byte(tmp_path, capsys):
     assert tool.report(*tool.compare(tmp_path / "a", tmp_path / "b")) == 0
 
     blob = next((tmp_path / "b").glob("tiny/runs/*/checkpoints/epoch_001/gcl.bin"))
-    data = bytearray(blob.read_bytes())
+    original = blob.read_bytes()
+    data = bytearray(original)
     data[-1] ^= 1
     blob.write_bytes(bytes(data))
     diffs, _ = tool.compare(tmp_path / "a", tmp_path / "b")
     # the flipped byte is the last of the last tensor, in name order
-    before, after = (trainer._read_group(p) for p in (
-        next(side.glob("tiny/runs/*/checkpoints/epoch_001/gcl.bin"))
-        for side in (tmp_path / "a", tmp_path / "b")))
-    last = sorted(before)[-1]
-    gap = np.max(np.abs(before[last] - after[last]))
+    last = sorted(json.loads((blob.parent / "manifest.json").read_text())["groups"]["gcl"])[-1]
+    gap = abs(np.frombuffer(original, "<f8")[-1] - np.frombuffer(data, "<f8")[-1])
     assert diffs == [f"tiny: runs/checkpoints/epoch_001/gcl.bin differs\n"
                      f"    {last}: max abs diff {gap:.3g}"]
     assert tool.report(diffs, []) == 1
     assert "DIFFERS" in capsys.readouterr().out
+
+    blob.write_bytes(original[:-1])
+    diffs, _ = tool.compare(tmp_path / "a", tmp_path / "b")
+    assert diffs == [f"tiny: runs/checkpoints/epoch_001/gcl.bin differs\n"
+                     f"    unreadable: {blob}: parameter blob holds {len(original) - 1} bytes, "
+                     f"the manifest's shapes need {len(original)}"]
 
 
 TRAINING_MODULES = ("autodiff", "gcl", "cacai", "losses", "backbone", "kernels", "trainer",

@@ -120,11 +120,17 @@ def _outputs(root: Path, command: str) -> dict[str, Path]:
     return out
 
 
+def _read_blob(path: Path) -> dict[str, np.ndarray]:
+    """A parameter blob's tensors, laid out by its checkpoint's manifest."""
+    shapes = trainer.load_manifest(path.parent)["groups"][path.stem]
+    return trainer._read_group(path, shapes)
+
+
 def _tensor_differences(a: Path, b: Path) -> list[str]:
     """One line per tensor that differs between two parameter blobs: its
     name and largest absolute difference, or why they cannot be compared."""
     try:
-        ta, tb = trainer._read_group(a), trainer._read_group(b)
+        ta, tb = _read_blob(a), _read_blob(b)
     except CheckpointError as exc:
         return [f"unreadable: {exc}"]
     lines = []
