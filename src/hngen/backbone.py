@@ -74,18 +74,12 @@ class Backbone(ad.Module):
             h = self.layers[-1](h)
         return ad.l2_normalize(h)
 
-    def embed(self, batch: LabeledBatch, mode: str = "train") -> EmbeddingBatch:
-        """Embed a batch; eval mode returns untracked embeddings (and is
-        deterministic). A model loaded for eval or inspect
-        (``trainer.load_frozen_model``) records no tape in either mode."""
-        if mode not in ("train", "eval"):
-            raise ConfigurationError(f"unknown mode {mode!r}")
+    def embed(self, batch: LabeledBatch) -> EmbeddingBatch:
+        """Embed a batch. A model loaded for eval or inspect
+        (``trainer.load_frozen_model``) records no tape."""
         x = ad.Tensor(np.asarray(batch.features, dtype=np.float64))
-        z = self.forward(x)
-        if mode == "eval":
-            z = z.detach()
         return EmbeddingBatch(
-            z=z,
+            z=self.forward(x),
             labels=np.asarray(batch.labels, dtype=np.int64),
             n_classes=batch.n_classes,
             n_instances=batch.n_instances,

@@ -126,7 +126,8 @@ def _dataset_spec(cfg: dict) -> datakit.SyntheticDatasetSpec:
 
 
 def build_dataset(cfg: dict) -> datakit.Dataset:
-    spec = _dataset_spec(cfg)  # type-checked even for a file: the split reads its seed
+    spec = _dataset_spec(cfg)  # checked even for a file: the split reads its seed
+    spec.validate()
     source = _section(cfg, "dataset", datakit.FeatureSource)
     if source.path:
         return datakit.load_features(source.path, source.format)
@@ -318,6 +319,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_inspect(args) -> int:
+    if args.seed < 0:
+        raise ConfigurationError("--seed must be >= 0")
     ckpt_dir = Path(args.checkpoint)
     model, manifest, cfg = _model_from_checkpoint(ckpt_dir)
     if not model.cfg.uses_synthetics:
@@ -334,7 +337,7 @@ def cmd_inspect(args) -> int:
     batch = datakit.sample_balanced(
         dataset, cfg["train"]["batch_classes"], cfg["train"]["batch_instances"], rng
     )
-    zb = model.backbone.embed(batch, mode="eval")
+    zb = model.backbone.embed(batch)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -349,7 +352,7 @@ def cmd_inspect(args) -> int:
                     for j in range(b):
                         writer.writerow([step, head, i, j, repr(float(probs[head, i, j]))])
 
-    rows, lane = model.lambda_for(zb, graph, detach=True)
+    rows, lane = model.lambda_for(zb, graph, detach=True, every_row=True)
     lam = cacai.lambda_lanes(rows.data, lane)
     counts, edges = np.histogram(lam.ravel(), bins=20, range=(0.0, 1.0))
     with open(out_dir / "lambda_histogram.csv", "w", newline="", encoding="utf-8") as fh:
@@ -428,6 +431,7 @@ def cmd_ablate(args) -> int:
             cfg = resolve_config(args.config, {
                 "train": {"ablation": arm, "seed": seed},
             })
+            train_config_from(cfg).validate()  # a bad seed fails before any arm trains
             jobs.append((cfg, args.out_dir))
 
     if args.parallel:

@@ -53,6 +53,8 @@ class SyntheticDatasetSpec:
             )
         if self.input_dim < 1:
             raise ConfigurationError("input_dim must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
         if not 0 < self.within_class_stddev < np.inf:
             raise ConfigurationError("within_class_stddev must be finite and > 0")
         if not 0.0 <= self.overlap_factor <= 1.0:

@@ -21,14 +21,15 @@ A block's attention and its FFN tail are one tape node each:
 edges and ``ad.residual_ffn_tail`` for both tails. The Q/K/V/O projections
 around the attention stay ``Linear`` modules.
 
-``GraphNet.propagate`` runs the K steps in one loop. One node block and one
-edge block serve all of them, unless per-step weights are asked for (an
-ablation). Every step but the last updates every edge row, because the next
-node step's incident-edge sum reads them all. The last edge step feeds only
-the λ head, so the caller may name the rows it computes: training asks for
-the rows some loss reads (``trainer.HngModel.propagate_graph``), and no rows
-at all skips the step. The returned graph keeps each node step's attention
-weights, which ``hngen inspect`` writes out; the edge weights are not kept.
+``GraphNet.propagate`` runs the K node steps and the K-1 edge steps between
+them, on every packed pair row: each of those edge steps feeds the next node
+step's incident-edge sum, which reads every row. One node block and one edge
+block serve all of them, unless per-step weights are asked for (an ablation).
+The graph it returns keeps each node step's attention weights, which ``hngen
+inspect`` writes out; the edge weights are not kept. The K-th edge step feeds
+only the λ head, so it is the λ path's own call, ``GraphNet.final_edges``, on
+the rows that path names (``trainer.HngModel.lambda_for``): the rows some
+loss reads in training, every row in ``hngen inspect``.
 The settings themselves (K, heads, FFN width, weight sharing) have their
 defaults and range checks on ``trainer.TrainConfig``.
 """
@@ -48,26 +49,9 @@ from .errors import ConfigurationError
 @dataclass
 class CorrelationGraph:
     v: ad.Tensor          # (B, D) node states
-    e: ad.Tensor          # (R, D) edge states of the packed pair rows ``rows``
+    e: ad.Tensor          # (B(B+1)/2, D) edge states, one row per pair i <= j
     labels: np.ndarray    # (B,) class ids
     attention: tuple[np.ndarray, ...] = ()  # (H, B, B) node weights per node step
-    # the rows of ``e`` in ``kernels.pair_rows`` order, ascending; None is all
-    # B(B+1)/2 of them
-    rows: np.ndarray | None = None
-
-    @property
-    def size(self) -> int:
-        return self.v.shape[0]
-
-    def edge_of_pair(self) -> np.ndarray:
-        """(B, B) row of ``e`` that holds each ordered pair; -1 where ``e``
-        holds none."""
-        idx = kernels.pair_index(self.size)
-        if self.rows is None:
-            return idx
-        at = np.full(self.size * (self.size + 1) // 2, -1)
-        at[self.rows] = np.arange(self.rows.size)
-        return at[idx]
 
 
 def init_graph(zb: EmbeddingBatch) -> CorrelationGraph:
@@ -180,7 +164,6 @@ class GraphNet(ad.Module):
     ):
         if dim % heads != 0:
             raise ConfigurationError(f"embed dim {dim} not divisible by {heads} heads")
-        self.dim = dim
         self.k_steps = k_steps
         n_blocks = 1 if share_weights_across_steps else k_steps
         self.node_blocks = [NodeBlock(dim, heads, ffn_expansion, rng) for _ in range(n_blocks)]
@@ -195,23 +178,23 @@ class GraphNet(ad.Module):
         graph: CorrelationGraph,
         node_propagation: bool = True,
         include_edge_sum: bool = True,
-        final_rows: np.ndarray | None = None,
     ) -> CorrelationGraph:
-        """Run all K node-then-edge steps from ``graph``'s states; flags
-        implement the ablation arms (skip node propagation entirely, or drop
-        the incident-edge sum). The last edge step computes only the packed
-        pair rows ``final_rows`` (ascending; None is every row), and does not
-        run when that is empty. The returned graph's ``attention`` holds each
-        node step's attention weights, and its ``e`` the final rows."""
+        """Run the K node steps and the K-1 edge steps between them from
+        ``graph``'s states; flags implement the ablation arms (skip node
+        propagation entirely, or drop the incident-edge sum). The returned
+        graph's ``attention`` holds each node step's attention weights; the
+        K-th edge step is ``final_edges``."""
         v, e, attention = graph.v, graph.e, []
         for k in range(self.k_steps):
             node_block, edge_block = self._blocks(k)
             if node_propagation:
                 v, probs = node_block.step(v, e, graph.labels, include_edge_sum)
                 attention.append(probs.data)
-            rows = final_rows if k == self.k_steps - 1 else None
-            if rows is None or rows.size:
-                e = edge_block(e, v, rows)
-            else:  # no caller reads the final edges
-                e = ad.Tensor(np.empty((0, self.dim)))
-        return CorrelationGraph(v, e, graph.labels, tuple(attention), final_rows)
+            if k < self.k_steps - 1:
+                e = edge_block(e, v)
+        return CorrelationGraph(v, e, graph.labels, tuple(attention))
+
+    def final_edges(self, graph: CorrelationGraph, rows: np.ndarray | None = None) -> ad.Tensor:
+        """The K-th edge step on ``propagate``'s graph: the updated states of
+        the packed pair rows ``rows`` (ascending; every row when None)."""
+        return self._blocks(self.k_steps - 1)[1](graph.e, graph.v, rows)

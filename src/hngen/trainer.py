@@ -15,14 +15,16 @@ backbone never moves in stage 1, and the interpolation head, and at K=1 the
 last edge block (which feeds only the interpolation vectors), move only in
 stage 1.
 
-Both stages compute only what some loss reads. The last edge step, and the
-interpolation head after it, run on the cross-class pair rows, the
-anchor-negative pairs. An own-class lane feeds only the anchor's own-class
-synthetic slot, which no loss reads, so it reads the constant 1 through the
-lane map of ``HngModel.lambda_for``. Where no loss reads the interpolation
-vectors (``baseline_gnn``, and ``single_coeff``, whose vectors are the
-constant 1), the last edge step does not run, and ``single_coeff``'s
-stage 1 builds no graph.
+Both stages compute only what some loss reads. The last edge step belongs to
+the interpolation path: ``HngModel.lambda_for`` runs it, and the head after
+it, on the cross-class pair rows only, the anchor-negative pairs. An
+own-class lane feeds only the anchor's own-class synthetic slot, which no
+loss reads, so it reads the constant 1 through the lane map. Where no loss
+reads the interpolation vectors (``baseline_gnn``, and ``single_coeff``,
+whose vectors are the constant 1), the last edge step does not run, and
+``single_coeff``'s stage 1 builds no graph. Stage 2 reads the vectors as a
+constant, so nothing holds its last edge step's tape once they are read:
+it is freed before the backward pass.
 
 Schedules: the interpolation interval factor eta is recomputed from the
 previous epoch's mean metric loss (bootstrapped from the running mean
@@ -108,6 +110,8 @@ class TrainConfig:
                 raise ConfigurationError(f"{name} must be positive")
         if self.weight_decay < 0:
             raise ConfigurationError("weight_decay must be >= 0")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
         if self.early_stop_patience is not None and self.early_stop_patience < 1:
             raise ConfigurationError("early_stop_patience must be null or >= 1")
         if self.metric_loss not in ("np_modified", "proxy_anchor"):
@@ -272,44 +276,39 @@ class HngModel(ad.Module):
     def generator_params(self) -> list[ad.Tensor]:
         return _params_of(self.graph) + _params_of(self.lambda_head)
 
-    def propagate_graph(self, zb: EmbeddingBatch, loss_rows_only: bool = False
-                        ) -> gcl.CorrelationGraph:
-        """The arm's propagation over ``zb``'s graph. With ``loss_rows_only``
-        the last edge step computes just the packed pair rows that some
-        training loss reads: the cross-class pairs where the arm reads λ, and
-        none elsewhere. Without it every row is computed, as ``hngen
-        inspect`` reports them."""
+    def propagate_graph(self, zb: EmbeddingBatch) -> gcl.CorrelationGraph:
+        """The arm's propagation over ``zb``'s graph, up to the last edge
+        step, which ``lambda_for`` runs."""
         assert self.graph is not None
-        final_rows = None
-        if loss_rows_only:
-            final_rows = np.empty(0, dtype=np.int64)
-            if self.cfg.reads_lambda:
-                i, j = kernels.pair_rows(len(zb.labels))
-                final_rows = np.flatnonzero(zb.labels[i] != zb.labels[j])
         return self.graph.propagate(
             gcl.init_graph(zb),
             node_propagation=self.cfg.ablation != "no_global",
             include_edge_sum=self.cfg.ablation != "no_hadamard",
-            final_rows=final_rows,
         )
 
     def lambda_for(self, zb: EmbeddingBatch, graph: gcl.CorrelationGraph | None,
-                   detach: bool = False) -> tuple[ad.Tensor, np.ndarray]:
+                   detach: bool = False, every_row: bool = False
+                   ) -> tuple[ad.Tensor, np.ndarray]:
         """The packed interpolation vectors of ``zb``'s pairs and the (B, B)
-        lane map that ``cacai.lambda_lanes`` reads them through: the head's
-        output on ``graph.e`` and ``graph.edge_of_pair()``. Without a graph
-        or a head (``single_coeff``) they are zero rows and an all -1 map, so
-        every lane reads the constant 1. ``detach`` computes the rows from
-        the head's arrays, with no tape node."""
+        lane map that ``cacai.lambda_lanes`` reads them through. The last
+        edge step and the head run on the cross-class pair rows, the ones a
+        loss reads, or on every row with ``every_row`` (``hngen inspect``); a
+        lane whose row is not computed maps to -1, the constant 1. Without a
+        graph or a head (``single_coeff``) they are zero rows and an all -1
+        map. ``detach`` applies the head to the edge states' arrays, with no
+        tape node."""
         b, d = zb.z.shape
         if graph is None or self.lambda_head is None:
             return ad.Tensor(np.zeros((0, d))), np.full((b, b), -1)
+        i, j = kernels.pair_rows(b)
+        read = np.ones(i.size, dtype=bool) if every_row else zb.labels[i] != zb.labels[j]
+        e = self.graph.final_edges(graph, None if every_row else np.flatnonzero(read))
         if detach:
             fc = self.lambda_head.fc
-            rows = ad.Tensor(ad._sigmoid(ad._affine(graph.e.data, fc.weight.data, fc.bias.data)))
+            rows = ad.Tensor(ad._sigmoid(ad._affine(e.data, fc.weight.data, fc.bias.data)))
         else:
-            rows = self.lambda_head(graph.e)
-        return rows, graph.edge_of_pair()
+            rows = self.lambda_head(e)
+        return rows, np.where(read, np.cumsum(read) - 1, -1)[kernels.pair_index(b)]
 
     def synthesize(
         self, zb: EmbeddingBatch, lam: ad.Tensor, lane: np.ndarray, eta: float,
@@ -408,8 +407,8 @@ class Trainer:
         objectives share no parameter, so one backward and one step do both."""
         cfg, model = self.cfg, self.model
         # single_coeff's λ is the constant 1, which reads no graph
-        graph = model.propagate_graph(zb_sg, loss_rows_only=True) if cfg.reads_lambda else None
-        lam, lane = model.lambda_for(zb_sg, graph)
+        lam, lane = model.lambda_for(
+            zb_sg, model.propagate_graph(zb_sg) if cfg.reads_lambda else None)
         synth = model.synthesize(zb_sg, lam, lane, eta, self.synth_rng, positive_idx)
         gen_loss, parts = losses.j_gen(
             zb_sg.z, synth, lam, lane, model.head_cz, self.codec,
@@ -429,7 +428,7 @@ class Trainer:
         total = j_r
         out["j_r"] = float(j_r.data)
         if cfg.uses_graph:
-            graph = model.propagate_graph(zb, loss_rows_only=True)
+            graph = model.propagate_graph(zb)
             gca = losses.j_gca(graph.v, zb.labels, model.head_cv, self.codec)
             total = total + gca
             out["j_gca"] = float(gca.data)
@@ -451,7 +450,7 @@ class Trainer:
     def train_step(self, batch: datakit.LabeledBatch) -> losses.LossReport:
         cfg = self.cfg
         eta = self.state.eta = eta_for_batch(cfg, self.state)
-        zb = self.model.backbone.embed(batch, mode="train")
+        zb = self.model.backbone.embed(batch)
         positive_idx = cacai.select_positives(zb.labels, self.positive_rng)
         terms: dict = {}
         if cfg.uses_synthetics:

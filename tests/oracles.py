@@ -662,8 +662,9 @@ class AllRowsTrainer(trainer.Trainer):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        propagate = self.model.propagate_graph
-        self.model.propagate_graph = lambda zb, loss_rows_only=False: propagate(zb)
+        lambda_for = self.model.lambda_for
+        self.model.lambda_for = lambda zb, graph, detach=False: lambda_for(
+            zb, graph, detach, every_row=True)
 
 
 class ComposedSynthesisTrainer(trainer.Trainer):

@@ -220,7 +220,7 @@ def test_04_gradient_checks_all_losses_and_blocks():
     def graph_loss():
         zb = EmbeddingBatch(ad.Tensor(zg), labels, n, m)
         out = net.propagate(gcl.init_graph(zb))
-        return (out.v * wv).sum() + (out.e[kernels.pair_index(b)] * we).sum()
+        return (out.v * wv).sum() + (net.final_edges(out)[kernels.pair_index(b)] * we).sum()
 
     worst["gcl"] = _check(graph_loss, net.parameters(), 1e-4)
 
@@ -233,7 +233,7 @@ def test_04_gradient_checks_all_losses_and_blocks():
     batch = datakit.LabeledBatch(feats, labels, n, m)
 
     def composite():
-        zb = model.backbone.embed(batch, mode="train")
+        zb = model.backbone.embed(batch)
         graph = model.propagate_graph(zb)
         lam2, lane = model.lambda_for(zb, graph)
         synth = cacai.synthesize(
@@ -432,7 +432,7 @@ def test_08_stop_gradient_contract(tmp_path):
     tr = trainer.Trainer(ds, None, cfg, BackboneConfig(hidden_dims=[16], embed_dim=8),
                          tmp_path / "run")
     batch = datakit.sample_balanced(ds, 3, 2, tr.sampler_rng)
-    zb = tr.model.backbone.embed(batch, mode="train")
+    zb = tr.model.backbone.embed(batch)
     zb_sg = EmbeddingBatch(zb.z.detach(), zb.labels, 3, 2)
     pos = cacai.select_positives(zb.labels, tr.positive_rng)
 
@@ -490,7 +490,7 @@ def test_08_stop_gradient_contract(tmp_path):
 
     before = {i: state(i) for i in generator}
     batch2 = datakit.sample_balanced(ds, 3, 2, tr.sampler_rng)
-    zb2 = tr.model.backbone.embed(batch2, mode="train")
+    zb2 = tr.model.backbone.embed(batch2)
     tr._stage2(zb2, cacai.select_positives(zb2.labels, tr.positive_rng), eta=0.7)
     for i in generator:
         if i in held:

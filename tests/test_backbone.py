@@ -22,7 +22,7 @@ class TestIdentityBackbone:
     def test_unit_norm_input_unchanged(self):
         bb = Backbone(BackboneConfig(kind="identity", embed_dim=2), 2, np.random.default_rng(0))
         feats = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
-        out = bb.embed(make_batch(feats, [1, 2, 1, 2], 2, 2), mode="eval")
+        out = bb.embed(make_batch(feats, [1, 2, 1, 2], 2, 2))
         assert np.array_equal(out.z.data, feats)
 
     def test_dim_mismatch_reports_expected_and_actual(self):
@@ -44,21 +44,20 @@ class TestMlpBackbone:
         norms = np.linalg.norm(out.z.data, axis=1)
         assert np.all(np.abs(norms - 1.0) < 1e-6)
 
-    def test_eval_mode_deterministic_and_untracked(self):
+    def test_deterministic(self):
+        # that a model loaded for eval or inspect records no tape is
+        # test_cli.py's test_checkpoint_model_records_no_tape
         rng = np.random.default_rng(2)
         bb = Backbone(BackboneConfig(hidden_dims=[8], embed_dim=4), 3, rng)
         feats = rng.standard_normal((4, 3))
         batch = make_batch(feats, [1, 2, 1, 2], 2, 2)
-        a = bb.embed(batch, mode="eval")
-        b = bb.embed(batch, mode="eval")
-        assert np.array_equal(a.z.data, b.z.data)
-        assert not a.z.requires_grad
+        assert np.array_equal(bb.embed(batch).z.data, bb.embed(batch).z.data)
 
-    def test_train_mode_exposes_parameters(self):
+    def test_exposes_parameters(self):
         rng = np.random.default_rng(3)
         bb = Backbone(BackboneConfig(hidden_dims=[8], embed_dim=4), 3, rng)
         feats = rng.standard_normal((4, 3))
-        out = bb.embed(make_batch(feats, [1, 2, 1, 2], 2, 2), mode="train")
+        out = bb.embed(make_batch(feats, [1, 2, 1, 2], 2, 2))
         loss = (out.z * out.z).sum()
         loss.backward()
         assert all(p.grad is not None for p in bb.parameters())
@@ -81,11 +80,6 @@ class TestMlpBackbone:
         z = bb.embed(make_batch(feats, [1, 2, 1, 2], 2, 2)).z.data
         assert np.array_equal(z[1], np.full(3, 1.0 / np.sqrt(3.0)))
         assert np.array_equal(z[[0, 2, 3]], feats[[0, 2, 3]])
-
-    def test_unknown_mode_rejected(self):
-        bb = Backbone(BackboneConfig(kind="identity", embed_dim=2), 2, np.random.default_rng(0))
-        with pytest.raises(ConfigurationError):
-            bb.embed(make_batch(np.eye(2), [1, 2], 2, 1), mode="test")
 
 
 class TestConfigValidation:

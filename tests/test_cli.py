@@ -212,6 +212,14 @@ class TestSynthData:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_returns_2_without_a_file(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        rc = cli.main(["synth-data", "--classes", "3", "--per-class", "4",
+                       "--dim", "5", "--seed=-1", "--out", str(out)])
+        assert rc == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_binary_format(self, tmp_path):
         out = tmp_path / "d.bin"
         rc = cli.main(["synth-data", "--classes", "3", "--per-class", "4",
@@ -637,6 +645,9 @@ class TestTrainOverridesAndErrors:
         {"backbone": {"hidden_dims": [0]}},
         {"train": {"weight_decay": -5}},
         {"train": {"early_stop_patience": -1}},
+        {"train": {"seed": -1}},
+        {"dataset": {"seed": -3}},
+        {"dataset": {"path": "data.csv", "seed": -3}},
     ], ids=["gamma_s", "gamma_d", "gamma_d_nan", "k_steps", "heads", "ffn_expansion",
             "heads_divide_dim", "eval_ks_zero", "eval_ks_float", "eval_ks_empty",
             "eval_holdout_zero", "eval_holdout_one", "more_batch_classes_than_classes",
@@ -648,7 +659,8 @@ class TestTrainOverridesAndErrors:
             "removed_switch", "lr_f_nan", "beta_inf", "pa_alpha_minus_inf",
             "stddev_nan", "center_scale_inf", "lr_g_past_float_range",
             "hidden_dim_negative", "hidden_dim_zero", "weight_decay_negative",
-            "early_stop_patience_negative"])
+            "early_stop_patience_negative", "train_seed_negative", "dataset_seed_negative",
+            "feature_file_seed_negative"])
     def test_bad_setting_returns_2_before_any_file(self, tmp_path, config, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)  # where a config's "data.csv" is
         datakit.save_csv(datakit.make_synthetic(datakit.SyntheticDatasetSpec(
@@ -666,6 +678,13 @@ class TestTrainOverridesAndErrors:
         assert cli.main(["train", "--config", str(cfg_path), "--out-dir", str(out)]) == 2
         assert not out.exists()
         assert "error:" in capsys.readouterr().err
+
+    def test_negative_seed_flag_returns_2_before_any_file(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        assert cli.main(["train", "--config", str(write_cfg(tmp_path)), "--seed=-1",
+                         "--out-dir", str(out)]) == 2
+        assert not out.exists()
+        assert "seed must be >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fmt, value, where", [
         ("csv", np.nan, "line 8"), ("csv", -np.inf, "line 8"), ("binary", np.nan, "record 8"),
@@ -849,6 +868,14 @@ class TestMalformedManifest:
         rc = cli.main(["eval", "--checkpoint", str(ckpt), "--out-dir", str(tmp_path / "ev")])
         assert rc == (0 if value is _DROP else 2)
 
+    def test_negative_seed_exits_2_before_inspect_writes(self, trained, tmp_path, capsys):
+        _, run_dir = trained
+        out = tmp_path / "out"
+        assert cli.main(["inspect", "--checkpoint", str(run_dir / "checkpoints" / "epoch_001"),
+                         "--seed=-2", "--out-dir", str(out)]) == 2
+        assert not out.exists()
+        assert "--seed must be >= 0" in capsys.readouterr().err
+
 
 class TestAblate:
     def test_two_arm_table_schema(self, tmp_path):
@@ -895,6 +922,14 @@ class TestAblate:
                          "--seeds", seeds, "--out-dir", str(out)]) == 2
         assert not out.exists()
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seeds", ["-1", "1,-1"])
+    def test_negative_seed_returns_2_before_training(self, tmp_path, seeds, capsys):
+        out = tmp_path / "ab"
+        assert cli.main(["ablate", "--config", str(write_cfg(tmp_path)), "--arms", "full",
+                         f"--seeds={seeds}", "--out-dir", str(out)]) == 2
+        assert not out.exists()
+        assert "seed must be >= 0" in capsys.readouterr().err
 
     def test_unknown_arm_lists_valid(self, tmp_path, capsys):
         rc = cli.main(["ablate", "--arms", "full,bogus",

@@ -265,7 +265,8 @@ class TestPropagate:
         v = net.node_blocks[0](graph.v, graph.e, graph.labels)
         e = net.edge_blocks[0](graph.e, v)
         assert np.array_equal(out.v.data, v.data)
-        assert np.array_equal(out.e.data, e.data)
+        assert out.e is graph.e  # the one edge step is the last, final_edges's
+        assert np.array_equal(net.final_edges(out).data, e.data)
         assert len(out.attention) == 1
 
     def test_k2_shared_weights_composes_k1(self):
@@ -276,28 +277,23 @@ class TestPropagate:
         graph = gcl.init_graph(embed_batch(z, labels, 2, 2))
         out2 = net2.propagate(graph)
         mid = net1.propagate(graph)
+        mid = gcl.CorrelationGraph(mid.v, net1.final_edges(mid), labels)
         out_manual = net1.propagate(mid)
         assert np.allclose(out2.v.data, out_manual.v.data, atol=1e-12)
         assert np.allclose(out2.e.data, out_manual.e.data, atol=1e-12)
+        assert np.allclose(net2.final_edges(out2).data, net1.final_edges(out_manual).data,
+                           atol=1e-12)
 
     @pytest.mark.parametrize("k_steps", [1, 2, 3])
-    def test_final_rows_are_those_rows_of_the_all_rows_propagation(self, k_steps):
+    def test_final_edges_of_some_rows_are_those_rows_of_every_row(self, k_steps):
         rng = np.random.default_rng(30 + k_steps)
         labels = np.tile([1, 2, 3], 3)
         net = graph_net(8, rng, k_steps=k_steps, heads=2)
-        graph = gcl.init_graph(embed_batch(unit_rows(rng, 9, 8), labels, 3, 3))
-        full = net.propagate(graph)
+        graph = net.propagate(gcl.init_graph(embed_batch(unit_rows(rng, 9, 8), labels, 3, 3)))
+        full = net.final_edges(graph)
+        assert full.shape == (n_pairs(9), 8)
         rows = np.sort(rng.choice(n_pairs(9), size=20, replace=False))
-        cut = net.propagate(graph, final_rows=rows)
-        assert cut.v.data.tobytes() == full.v.data.tobytes()
-        assert cut.e.data.tobytes() == full.e.data[rows].tobytes()
-        lanes = cut.edge_of_pair()
-        held = lanes >= 0
-        assert np.array_equal(np.unique(kernels.pair_index(9)[held]), rows)
-        assert np.array_equal(rows[lanes[held]], kernels.pair_index(9)[held])
-        none = net.propagate(graph, final_rows=np.empty(0, dtype=np.int64))
-        assert none.v.data.tobytes() == full.v.data.tobytes()
-        assert none.e.shape == (0, 8) and np.all(none.edge_of_pair() == -1)
+        assert net.final_edges(graph, rows).data.tobytes() == full.data[rows].tobytes()
 
     def test_unshared_weights_use_per_step_blocks(self):
         rng = np.random.default_rng(21)
@@ -322,7 +318,8 @@ class TestPropagate:
         out_p = net.propagate(gcl.init_graph(
             EmbeddingBatch(ad.Tensor(zp), labels[perm], 3, 2)))
         assert np.allclose(out_p.v.data, out.v.data[perm], atol=1e-9)
-        assert np.allclose(mirrored(out_p.e, 6), mirrored(out.e, 6)[perm][:, perm], atol=1e-9)
+        for e_p, e in ((out_p.e, out.e), (net.final_edges(out_p), net.final_edges(out))):
+            assert np.allclose(mirrored(e_p, 6), mirrored(e, 6)[perm][:, perm], atol=1e-9)
 
     def test_no_global_keeps_nodes_fixed(self):
         rng = np.random.default_rng(11)
@@ -339,7 +336,7 @@ class TestPropagate:
         labels = np.array([1, 2, 1, 2])
         net = graph_net(4, rng, heads=2)
         graph = gcl.init_graph(embed_batch(z, labels, 2, 2))
-        with_sum = net.propagate(graph).v.data  # K=1: the edge step keeps v
+        with_sum = net.propagate(graph).v.data  # K=1: v after the one node step
         without = net.propagate(graph, include_edge_sum=False).v.data
         assert not np.allclose(with_sum, without)
         block = net.node_blocks[0]
@@ -401,7 +398,7 @@ class TestGradients:
         def loss():
             graph = gcl.init_graph(embed_batch(z, labels, 3, 2))
             out = net.propagate(graph)
-            return (out.v * wv).sum() + (out.e * we).sum()
+            return (out.v * wv).sum() + (net.final_edges(out) * we).sum()
 
         check_gradients(loss, net.parameters(), tol=1e-4)
 
@@ -416,7 +413,7 @@ class TestGradients:
         def loss():
             zb = EmbeddingBatch(ad.l2_normalize(z), labels, 3, 2)
             out = net.propagate(gcl.init_graph(zb))
-            return (out.v * wv).sum() + tmean(out.e)
+            return (out.v * wv).sum() + tmean(net.final_edges(out))
 
         check_gradients(loss, [z], tol=1e-4)
 
@@ -461,12 +458,13 @@ class TestPackedMatchesDense:
         b, d = 9, 8
         zb = embed_batch(unit_rows(rng, b, d), np.tile([1, 2, 3], 3), 3, 3)
         graph = model.propagate_graph(zb)
+        final = model.graph.final_edges(graph)
         v, e, lam = dense_graph(model, zb)
-        assert graph.e.shape == (n_pairs(b), d)
+        assert final.shape == (n_pairs(b), d)
         np.testing.assert_allclose(graph.v.data, v.data, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(mirrored(graph.e, b), e.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(mirrored(final, b), e.data, rtol=0, atol=1e-12)
         if model.cfg.uses_synthetics:
-            rows, lane = model.lambda_for(zb, graph)
+            rows, lane = model.lambda_for(zb, graph, every_row=True)
             np.testing.assert_allclose(cacai.lambda_lanes(rows.data, lane), lam.data,
                                        rtol=0, atol=1e-12)
 
@@ -488,7 +486,7 @@ class TestPackedMatchesDense:
 
         zb = EmbeddingBatch(z, labels, 3, 2)
         graph = model.propagate_graph(zb)
-        lanes = composed_lambda_lanes(*model.lambda_for(zb, graph))
+        lanes = composed_lambda_lanes(*model.lambda_for(zb, graph, every_row=True))
         packed = grads((graph.v * wv).sum() + (lanes * we).sum())
         v, _, lam = dense_graph(model, zb)
         dense = grads((v * wv).sum() + (lam * we).sum())
@@ -510,10 +508,11 @@ def propagate_and_backprop(model, z, labels, detach):
     for p in params:
         p.grad = None
     graph = model.propagate_graph(zb)
+    e = model.graph.final_edges(graph)
     loss = (graph.v * rng.standard_normal((b, d))).sum() \
-        + (graph.e * rng.standard_normal(graph.e.shape)).sum()
+        + (e * rng.standard_normal(e.shape)).sum()
     loss.backward()
-    return bytes_of([graph.v.data, graph.e.data, *graph.attention]) \
+    return bytes_of([graph.v.data, e.data, *graph.attention]) \
         + bytes_of([p.grad for p in params])
 
 

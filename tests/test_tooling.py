@@ -17,6 +17,7 @@ import json
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -146,6 +147,18 @@ def test_same_outputs_compare_flags_one_flipped_blob_byte(tmp_path, capsys):
                      f"    unreadable: {blob}: parameter blob holds {len(original) - 1} bytes, "
                      f"the manifest's shapes need {len(original)}"]
 
+    # each side's blobs are read by that side's own manifest, so a checkpoint
+    # format change still lists each differing tensor
+    blob.write_bytes(bytes(data))
+    manifest_path = blob.parent / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["format_version"] += 1
+    manifest_path.write_text(json.dumps(manifest))
+    diffs, _ = tool.compare(tmp_path / "a", tmp_path / "b")
+    assert diffs == [f"tiny: runs/checkpoints/epoch_001/gcl.bin differs\n"
+                     f"    {last}: max abs diff {gap:.3g}",
+                     "tiny: runs/checkpoints/epoch_001/manifest.json differs"]
+
 
 TRAINING_MODULES = ("autodiff", "gcl", "cacai", "losses", "backbone", "kernels", "trainer",
                     "datakit", "evalkit", "cli")
@@ -248,24 +261,31 @@ def test_every_training_function_runs(tmp_path):
 # and 50 for the rest (the backbone with its one-node L2 normalization, both
 # stages' graph, stage 1's lambda head, one synthesis node per stage, and
 # the sums of the loss terms). Stage 2 reads lambda as a constant, so its
-# head runs off the tape. Each stage's last edge step computes only the
-# cross-class rows, the ones a loss reads, so it gathers their states first:
-# one ``take`` per stage. ``cacai.synthesize`` took 68 to 55: it replaced
-# stage 1's eight nodes (the λ lane expansion, the squared distances, their
-# square root, the d+ take, the interpolation, the group take, the mul and
-# the sum) and the seven of stage 2, which has no λ expansion, with one each.
+# head runs off the tape; its last edge step still records its nodes, which
+# are freed before the backward pass (test_stage2_frees_its_last_edge_step).
+# Each stage's last edge step computes only the cross-class rows, the ones a
+# loss reads, so it gathers their states first: one ``take`` per stage.
+# ``cacai.synthesize`` took 68 to 55: it replaced stage 1's eight nodes (the
+# λ lane expansion, the squared distances, their square root, the d+ take,
+# the interpolation, the group take, the mul and the sum) and the seven of
+# stage 2, which has no λ expansion, with one each.
 SMOKE_STEP_TAPE_NODES = 55
 SMOKE_STEP_LOSSES = ("j_gen", "j_cz", "j_gca", "j_syn", "np_loss")
+
+
+def smoke_trainer(tmp_path) -> tuple[trainer.Trainer, datakit.LabeledBatch]:
+    """A trainer on configs/smoke.json and its first batch."""
+    cfg = cli.resolve_config(str(REPO / "configs" / "smoke.json"))
+    tr = trainer.Trainer(cli.build_dataset(cfg), None, cli.train_config_from(cfg),
+                         cli.backbone_config_from(cfg), tmp_path)
+    return tr, datakit.sample_balanced(tr.train_set, tr.cfg.batch_classes,
+                                       tr.cfg.batch_instances, tr.sampler_rng)
 
 
 def test_smoke_step_tape_size(tmp_path, monkeypatch):
     # Each loss term is one fused node; a change that splits one, or adds
     # ops elsewhere, changes the count and fails here.
-    cfg = cli.resolve_config(str(REPO / "configs" / "smoke.json"))
-    tr = trainer.Trainer(cli.build_dataset(cfg), None, cli.train_config_from(cfg),
-                         cli.backbone_config_from(cfg), tmp_path)
-    batch = datakit.sample_balanced(tr.train_set, tr.cfg.batch_classes,
-                                    tr.cfg.batch_instances, tr.sampler_rng)
+    tr, batch = smoke_trainer(tmp_path)
     made = {"outside the losses": 0, **{name: 0 for name in SMOKE_STEP_LOSSES}}
     inside = ["outside the losses"]
     make = ad._make
@@ -289,3 +309,38 @@ def test_smoke_step_tape_size(tmp_path, monkeypatch):
     tr.train_step(batch)
     assert {name: made[name] for name in SMOKE_STEP_LOSSES} == dict.fromkeys(SMOKE_STEP_LOSSES, 1)
     assert sum(made.values()) == SMOKE_STEP_TAPE_NODES
+
+
+def test_stage2_frees_its_last_edge_step(tmp_path, monkeypatch):
+    # Stage 2 reads λ as a constant, so no loss reads its last edge step's
+    # states: nothing may hold them, or their tape, through the backward pass.
+    # At K=1 that step is stage 2's only edge step. ``Tensor`` has
+    # ``__slots__``, so the weak references are to the states' arrays.
+    tr, batch = smoke_trainer(tmp_path)
+    assert tr.cfg.k_steps == 1
+    in_stage2, outputs, alive = [False], [], []
+    edge_call, backward, stage2 = gcl.EdgeBlock.__call__, ad.Tensor.backward, tr._stage2
+
+    def recording_edge_call(*args, **kwargs):
+        out = edge_call(*args, **kwargs)
+        if in_stage2[0]:
+            outputs.append(weakref.ref(out.data))
+        return out
+
+    def counting_backward(self, *args, **kwargs):
+        if in_stage2[0]:
+            alive.append(sum(ref() is not None for ref in outputs))
+        return backward(self, *args, **kwargs)
+
+    def flagged_stage2(*args, **kwargs):
+        in_stage2[0] = True
+        try:
+            return stage2(*args, **kwargs)
+        finally:
+            in_stage2[0] = False
+
+    monkeypatch.setattr(gcl.EdgeBlock, "__call__", recording_edge_call)
+    monkeypatch.setattr(ad.Tensor, "backward", counting_backward)
+    monkeypatch.setattr(tr, "_stage2", flagged_stage2)
+    tr.train_step(batch)
+    assert len(outputs) == 1 and alive == [0]

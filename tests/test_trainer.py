@@ -185,7 +185,7 @@ class TestStopGradientContracts:
     def test_stage1_leaves_backbone_bit_identical(self, tmp_path):
         tr = make_trainer(tmp_path)
         batch = datakit.sample_balanced(tr.train_set, 3, 2, tr.sampler_rng)
-        zb = tr.model.backbone.embed(batch, mode="train")
+        zb = tr.model.backbone.embed(batch)
         zb_sg = EmbeddingBatch(zb.z.detach(), zb.labels, 3, 2)
         pos = cacai.select_positives(zb.labels, tr.positive_rng)
         before = snapshot(tr.model.backbone.named_parameters())
@@ -202,7 +202,7 @@ class TestStopGradientContracts:
         tr = make_trainer(tmp_path)
         model = tr.model
         batch = datakit.sample_balanced(tr.train_set, 3, 2, tr.sampler_rng)
-        zb = model.backbone.embed(batch, mode="train")
+        zb = model.backbone.embed(batch)
         pos = cacai.select_positives(zb.labels, tr.positive_rng)
         graph = model.propagate_graph(zb)
         lam_sg, lane = model.lambda_for(zb, graph, detach=True)
@@ -227,7 +227,7 @@ class TestStopGradientContracts:
         tr = make_trainer(tmp_path)
         model = tr.model
         batch = datakit.sample_balanced(tr.train_set, 3, 2, tr.sampler_rng)
-        zb = model.backbone.embed(batch, mode="train")
+        zb = model.backbone.embed(batch)
         pos = cacai.select_positives(zb.labels, tr.positive_rng)
 
         def run(lam_source):
@@ -259,20 +259,31 @@ class TestStopGradientContracts:
                 assert np.allclose(a, b, atol=1e-12)
 
     @pytest.mark.parametrize("ablation", ["full", "single_coeff"])
-    @pytest.mark.parametrize("loss_rows_only", [True, False], ids=["stage2", "inspect"])
+    @pytest.mark.parametrize("every_row", [False, True], ids=["stage2", "inspect"])
     def test_stage2_lambda_is_the_detached_lambda_with_no_tape_node(
-            self, tmp_path, monkeypatch, ablation, loss_rows_only):
+            self, tmp_path, monkeypatch, ablation, every_row):
+        # the last edge step records its nodes, as stage 2's graph carries
+        # gradients, but the head on its output records none
         tr = make_trainer(tmp_path, ablation=ablation)
         model = tr.model
         batch = datakit.sample_balanced(tr.train_set, 3, 2, tr.sampler_rng)
-        zb = model.backbone.embed(batch, mode="train")
-        graph = model.propagate_graph(zb, loss_rows_only=loss_rows_only)
-        expect, expect_lane = model.lambda_for(zb, graph)
-        made = []
-        make = ad._make
-        monkeypatch.setattr(ad, "_make", lambda *args: made.append(args) or make(*args))
-        lam, lane = model.lambda_for(zb, graph, detach=True)
-        assert made == [] and not lam.requires_grad
+        zb = model.backbone.embed(batch)
+        graph = model.propagate_graph(zb)
+        expect, expect_lane = model.lambda_for(zb, graph, every_row=every_row)
+        made, in_edges = [], [False]
+        make, final_edges = ad._make, gcl.GraphNet.final_edges
+
+        def edges(*args):
+            in_edges[0] = True
+            try:
+                return final_edges(*args)
+            finally:
+                in_edges[0] = False
+
+        monkeypatch.setattr(ad, "_make", lambda *args: made.append(in_edges[0]) or make(*args))
+        monkeypatch.setattr(gcl.GraphNet, "final_edges", edges)
+        lam, lane = model.lambda_for(zb, graph, detach=True, every_row=every_row)
+        assert all(made) and bool(made) == (ablation == "full") and not lam.requires_grad
         assert lam.shape == expect.shape and lam.data.dtype == expect.data.dtype
         assert lam.data.tobytes() == expect.data.tobytes()
         assert np.array_equal(lane, expect_lane)
@@ -280,7 +291,7 @@ class TestStopGradientContracts:
     def test_cz_updated_only_by_real_samples(self, tmp_path):
         tr = make_trainer(tmp_path)
         batch = datakit.sample_balanced(tr.train_set, 3, 2, tr.sampler_rng)
-        zb = tr.model.backbone.embed(batch, mode="train")
+        zb = tr.model.backbone.embed(batch)
         zb_sg = EmbeddingBatch(zb.z.detach(), zb.labels, 3, 2)
         pos = cacai.select_positives(zb.labels, tr.positive_rng)
 
@@ -306,7 +317,7 @@ class TestStopGradientContracts:
         tr = make_trainer(tmp_path, ablation=ablation, metric_loss=metric_loss)
         model = tr.model
         batch = datakit.sample_balanced(tr.train_set, 3, 2, tr.sampler_rng)
-        zb = model.backbone.embed(batch, mode="train")
+        zb = model.backbone.embed(batch)
         zb_sg = EmbeddingBatch(zb.z.detach(), zb.labels, 3, 2)
         pos = cacai.select_positives(zb.labels, tr.positive_rng)
         lam, lane = model.lambda_for(zb_sg, model.propagate_graph(zb_sg))
@@ -425,11 +436,11 @@ class TestFinalEdgeRows:
         tr = make_trainer(tmp_path)
         model = tr.model
         batch = datakit.sample_balanced(tr.train_set, 3, 2, tr.sampler_rng)
-        zb = model.backbone.embed(batch, mode="train")
+        zb = model.backbone.embed(batch)
         # the lanes as ``cacai.synthesize`` and ``losses.j_gen`` read them
-        cut = composed_lambda_lanes(
-            *model.lambda_for(zb, model.propagate_graph(zb, loss_rows_only=True)))
-        full = composed_lambda_lanes(*model.lambda_for(zb, model.propagate_graph(zb)))
+        cut = composed_lambda_lanes(*model.lambda_for(zb, model.propagate_graph(zb)))
+        full = composed_lambda_lanes(
+            *model.lambda_for(zb, model.propagate_graph(zb), every_row=True))
         own = zb.labels[:, None] == zb.labels[None, :]
         assert np.all(cut.data[own] == 1.0)
         assert cut.data[~own].tobytes() == full.data[~own].tobytes()
@@ -469,7 +480,7 @@ class TestSynthesisMatchesComposed:
             names = {id(p): f"{group}.{name}" for group, params in
                      tr.model.parameter_groups().items() for name, p in params.items()}
             batch = datakit.sample_balanced(tr.train_set, 3, 2, tr.sampler_rng)
-            zb = tr.model.backbone.embed(batch, mode="train")
+            zb = tr.model.backbone.embed(batch)
             pos = cacai.select_positives(zb.labels, tr.positive_rng)
             applied = {}
             tr.opt.step = lambda tr=tr, names=names, applied=applied: applied.update(
@@ -512,7 +523,7 @@ class TestAblationArms:
         tr = make_trainer(tmp_path, ablation="single_coeff")
         assert tr.model.lambda_head is None
         batch = datakit.sample_balanced(tr.train_set, 3, 2, tr.sampler_rng)
-        zb = tr.model.backbone.embed(batch, mode="eval")
+        zb = tr.model.backbone.embed(batch)
         lam, lane = tr.model.lambda_for(zb, tr.model.propagate_graph(zb))
         assert lam.shape == (0, zb.z.shape[1]) and np.all(lane == -1)
         assert np.all(cacai.lambda_lanes(lam.data, lane) == 1.0)
