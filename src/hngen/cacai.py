@@ -15,7 +15,6 @@ and the fusion on the tape as one node with a hand-written backward.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,20 +23,6 @@ from . import autodiff as ad
 from . import kernels
 from .backbone import EmbeddingBatch
 from .errors import SamplingError, ShapeError
-
-
-def eta_from_avg_loss(alpha_pull: float, avg_metric_loss: float | None) -> float:
-    """Interval schedule eta = exp(-alpha / J_avg).
-
-    ``None`` (no history yet) means the widest interval, eta = 1. A
-    non-positive average is clamped to 1e-8 with a warning.
-    """
-    if avg_metric_loss is None or np.isinf(avg_metric_loss):
-        return 1.0
-    if avg_metric_loss <= 0.0:
-        warnings.warn("average metric loss <= 0; clamping to 1e-8 for eta")
-        avg_metric_loss = 1e-8
-    return float(np.exp(-alpha_pull / avg_metric_loss))
 
 
 @dataclass
@@ -138,7 +123,7 @@ def synthesize(
     (z_j - z_i) / d-_ij when d-_ij > d+_i, else to z_j: a constant 0/1 mask
     selects the branch, so the fallback is z_j bit for bit, and the divisor
     is 1 on inactive lanes. ``eta`` is frozen for the batch (see
-    ``eta_from_avg_loss``). ``pick_single`` replaces the fusion with a
+    ``trainer.eta_for_batch``). ``pick_single`` replaces the fusion with a
     uniformly chosen single interpolant (the no-random-weighting ablation).
     The forward pass replays the composed ops' arithmetic in their order and
     keeps two (B, B, D) arrays, the bracket and the chord; the backward pass

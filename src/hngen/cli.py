@@ -49,17 +49,10 @@ DEFAULT_CONFIG: dict = {
     "eval": asdict(evalkit.EvalConfig()),
 }
 
-ABLATE_HEADER = [
-    "arm",
-    "metric_loss",
-    "n_seeds",
-    "r_at_1_mean",
-    "r_at_1_std",
-    "r_precision_mean",
-    "r_precision_std",
-    "map_at_r_mean",
-    "map_at_r_std",
-]
+# the ablation table's scores, each as a mean and a std column over the seeds
+ABLATE_METRICS = ("r_at_1", "r_precision", "map_at_r")
+ABLATE_HEADER = ["arm", "metric_loss", "n_seeds"] + [
+    f"{name}_{stat}" for name in ABLATE_METRICS for stat in ("mean", "std")]
 
 
 def _merge_config(base: dict, override: dict, path: str = "") -> dict:
@@ -244,8 +237,6 @@ def _model_from_checkpoint(ckpt_dir: Path):
     manifest = trainer.load_manifest(ckpt_dir)
     cfg = _embedded_config(ckpt_dir, manifest)
     _section(cfg, "eval", evalkit.EvalConfig).validate()
-    if "class_ids" not in manifest:
-        raise CheckpointError(f"{ckpt_dir}: manifest has no class_ids")
     tcfg = train_config_from(cfg)
     tcfg.validate()
     bcfg = backbone_config_from(cfg)
@@ -318,6 +309,13 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def cmd_inspect(args) -> int:
     if args.seed < 0:
         raise ConfigurationError("--seed must be >= 0")
@@ -342,56 +340,50 @@ def cmd_inspect(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     graph = model.propagate_graph(zb)
-    with open(out_dir / "attention.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "head", "query_row", "key_col", "weight"])
-        for step, probs in enumerate(graph.attention, start=1):
-            h, b, _ = probs.shape
-            for head in range(h):
-                for i in range(b):
-                    for j in range(b):
-                        writer.writerow([step, head, i, j, repr(float(probs[head, i, j]))])
+    _write_csv(out_dir / "attention.csv", ["step", "head", "query_row", "key_col", "weight"], (
+        [step, head, i, j, repr(float(probs[head, i, j]))]
+        for step, probs in enumerate(graph.attention, start=1)
+        for head in range(probs.shape[0])
+        for i in range(probs.shape[1])
+        for j in range(probs.shape[2])
+    ))
 
     rows, lane = model.lambda_for(zb, graph, detach=True, every_row=True)
     lam = cacai.lambda_lanes(rows.data, lane)
     counts, edges = np.histogram(lam.ravel(), bins=20, range=(0.0, 1.0))
-    with open(out_dir / "lambda_histogram.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_left", "bin_right", "count"])
-        for lo, hi, c in zip(edges[:-1], edges[1:], counts):
-            writer.writerow([lo, hi, int(c)])
+    _write_csv(out_dir / "lambda_histogram.csv", ["bin_left", "bin_right", "count"], (
+        [lo, hi, int(c)] for lo, hi, c in zip(edges[:-1], edges[1:], counts)
+    ))
 
     pos = cacai.select_positives(zb.labels, rng)
     d_plus, d_minus = cacai.pair_distances(zb, pos)
     eta = manifest["eta"]  # what the batch after this checkpoint trains with
     occupancy = lam.mean(axis=2) * eta  # fraction of [d+, d-] gap used
-    with open(out_dir / "interval_occupancy.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["anchor", "other", "is_negative", "d_plus", "d_minus",
-                        "mean_occupancy", "eta"])
-        labels = zb.labels
-        for i in range(len(labels)):
-            for j in range(len(labels)):
-                writer.writerow([
-                    i, j, int(labels[i] != labels[j]),
-                    repr(float(d_plus[i])), repr(float(d_minus[i, j])),
-                    repr(float(occupancy[i, j])), repr(float(eta)),
-                ])
+    labels = zb.labels
+    _write_csv(out_dir / "interval_occupancy.csv", [
+        "anchor", "other", "is_negative", "d_plus", "d_minus", "mean_occupancy", "eta",
+    ], (
+        [
+            i, j, int(labels[i] != labels[j]),
+            repr(float(d_plus[i])), repr(float(d_minus[i, j])),
+            repr(float(occupancy[i, j])), repr(float(eta)),
+        ]
+        for i in range(len(labels))
+        for j in range(len(labels))
+    ))
 
     z_all = model.backbone.embed_array(dataset.features)
     stats = evalkit.embedding_stats(z_all)
-    with open(out_dir / "feature_variance.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dim", "mean", "variance"])
-        for i, (mu, var) in enumerate(zip(stats["per_dim_mean"], stats["per_dim_var"])):
-            writer.writerow([i, repr(float(mu)), repr(float(var))])
+    _write_csv(out_dir / "feature_variance.csv", ["dim", "mean", "variance"], (
+        [i, repr(float(mu)), repr(float(var))]
+        for i, (mu, var) in enumerate(zip(stats["per_dim_mean"], stats["per_dim_var"]))
+    ))
 
     coords, _ = evalkit.project_2d(z_all)
-    with open(out_dir / "projection.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pc1", "pc2", "label"])
-        for row, lab in zip(coords, dataset.labels):
-            writer.writerow([repr(float(row[0])), repr(float(row[1])), int(lab)])
+    _write_csv(out_dir / "projection.csv", ["pc1", "pc2", "label"], (
+        [repr(float(row[0])), repr(float(row[1])), int(lab)]
+        for row, lab in zip(coords, dataset.labels)
+    ))
 
     print(f"schedule state: eta={eta!r} avg_metric_loss={manifest['avg_metric_loss']!r}")
     print(f"wrote diagnostics to {out_dir}")
@@ -401,13 +393,8 @@ def cmd_inspect(args) -> int:
 def _ablate_job(payload: tuple[dict, str]) -> dict:
     cfg, out_dir = payload
     _, final = _fit_one(cfg, out_dir, quiet=True)
-    return {
-        "arm": cfg["train"]["ablation"],
-        "seed": cfg["train"]["seed"],
-        "r_at_1": final["recall_at"]["1"],
-        "r_precision": final["r_precision"],
-        "map_at_r": final["map_at_r"],
-    }
+    scores = {**final, "r_at_1": final["recall_at"]["1"]}
+    return {"arm": cfg["train"]["ablation"], **{name: scores[name] for name in ABLATE_METRICS}}
 
 
 def cmd_ablate(args) -> int:
@@ -442,22 +429,17 @@ def cmd_ablate(args) -> int:
     else:
         rows = [_ablate_job(job) for job in jobs]
 
+    table = []
+    for arm in arms:
+        vals = [r for r in rows if r["arm"] == arm]
+        cells = [arm, base.metric_loss, len(vals)]
+        for name in ABLATE_METRICS:
+            scores = np.array([v[name] for v in vals])
+            cells += [f"{scores.mean():.6f}", f"{scores.std():.6f}"]
+        table.append(cells)
     out_path = Path(args.out_dir) / "ablation_table.csv"
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ABLATE_HEADER)
-        for arm in arms:
-            vals = [r for r in rows if r["arm"] == arm]
-            r1 = np.array([v["r_at_1"] for v in vals])
-            rp = np.array([v["r_precision"] for v in vals])
-            mp = np.array([v["map_at_r"] for v in vals])
-            writer.writerow([
-                arm, base.metric_loss, len(vals),
-                f"{r1.mean():.6f}", f"{r1.std():.6f}",
-                f"{rp.mean():.6f}", f"{rp.std():.6f}",
-                f"{mp.mean():.6f}", f"{mp.std():.6f}",
-            ])
+    _write_csv(out_path, ABLATE_HEADER, table)
     print(out_path.read_text().rstrip())
     return 0
 
@@ -506,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one arm from a config")
     p.add_argument("--config")
     p.add_argument("--ablation", choices=list(trainer.ABLATION_ARMS))
-    p.add_argument("--metric-loss", choices=["np_modified", "proxy_anchor"])
+    p.add_argument("--metric-loss", choices=list(trainer.METRIC_LOSSES))
     p.add_argument("--epochs", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--out-dir", default=None)

@@ -8,7 +8,8 @@ weights gamma_s / gamma_d and averaged with the 1/(B*N) convention.
 Stage 2 trains the metric model: a metric loss on real embeddings (modified
 N-pair over the group layout, or Proxy Anchor), a node-classification term
 on final graph nodes, and the synthetic-pair term, weighted by (1 - gamma_n)
-where gamma_n = exp(-beta / smoothed generator loss).
+where gamma_n = exp(-beta / smoothed generator loss) (see
+``trainer.schedule_factor``).
 
 Each loss term is one tape node with a hand-written backward pass:
 ``cross_entropy`` (which ``j_cz`` and ``j_gca`` apply to their heads),
@@ -348,13 +349,6 @@ def pa_loss(z: ad.Tensor, labels: np.ndarray, bank: ProxyBank, codec: ClassCodec
             ad._accumulate(bank.proxies, g_div + g_sq + g_sq)
 
     return ad._make(out_data, (z, bank.proxies), backward)
-
-
-def gamma_n_from_gen(beta: float, gen_loss_smoothed: float) -> float:
-    """Balance factor gamma_n = exp(-beta / smoothed generator loss)."""
-    if gen_loss_smoothed <= 0.0:
-        gen_loss_smoothed = 1e-8
-    return float(np.exp(-beta / gen_loss_smoothed))
 
 
 @dataclass

@@ -28,10 +28,11 @@ it is freed before the backward pass.
 
 Schedules: the interpolation interval factor eta is recomputed from the
 previous epoch's mean metric loss (bootstrapped from the running mean
-during the first epoch); the synthetic-term weight uses an EMA of the
-generator loss, refreshed every step. The graph network's learning rate
-follows cosine decay over epochs; like the fusion order and the raw
-synthetics of ``cacai.synthesize``, this is fixed, not a setting.
+during the first epoch); the synthetic-term weight gamma_n uses an EMA of
+the generator loss, refreshed every step. Both apply one rule,
+``schedule_factor``: exp(-c / J) of their loss J. The graph network's
+learning rate follows cosine decay over epochs; like the fusion order and
+the raw synthetics of ``cacai.synthesize``, this is fixed, not a setting.
 
 Checkpoints are directories with a JSON manifest and one raw float64 blob
 per parameter group, written beside the target and renamed into place; loading
@@ -47,6 +48,7 @@ import math
 import os
 import shutil
 import time
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -67,6 +69,7 @@ ABLATION_ARMS = (
     "baseline_gnn",
 )
 _SYNTH_ARMS = {"full", "single_coeff", "no_global", "no_hadamard", "no_rw"}
+METRIC_LOSSES = ("np_modified", "proxy_anchor")
 CHECKPOINT_VERSION = 2
 
 
@@ -114,7 +117,7 @@ class TrainConfig:
             raise ConfigurationError("seed must be >= 0")
         if self.early_stop_patience is not None and self.early_stop_patience < 1:
             raise ConfigurationError("early_stop_patience must be null or >= 1")
-        if self.metric_loss not in ("np_modified", "proxy_anchor"):
+        if self.metric_loss not in METRIC_LOSSES:
             raise ConfigurationError(f"unknown metric_loss {self.metric_loss!r}")
         if self.ablation not in ABLATION_ARMS:
             raise ConfigurationError(
@@ -151,14 +154,28 @@ class TrainConfig:
 
 @dataclass
 class RunState:
+    """The schedules' inputs; eta and gamma_n are derived from them."""
+
     epoch: int = 0
     step: int = 0
-    eta: float = 1.0
     avg_metric_loss: float | None = None  # last finished epoch
     epoch_loss_sum: float = 0.0
     epoch_loss_count: int = 0
     gen_ema: float | None = None
-    gamma_n: float | None = None
+
+
+def schedule_factor(c: float, loss: float | None) -> float:
+    """The rule of both loss-driven schedules: exp(-c / J), in (0, 1].
+
+    ``None`` (no loss seen yet) gives 1. A non-positive loss is clamped to
+    1e-8 with a warning.
+    """
+    if loss is None:
+        return 1.0
+    if loss <= 0.0:
+        warnings.warn(f"schedule loss {loss} <= 0; clamping to 1e-8")
+        loss = 1e-8
+    return float(np.exp(-c / loss))
 
 
 def eta_for_batch(cfg: TrainConfig, state: RunState) -> float:
@@ -175,7 +192,7 @@ def eta_for_batch(cfg: TrainConfig, state: RunState) -> float:
         j_avg = state.epoch_loss_sum / state.epoch_loss_count
     else:
         j_avg = None
-    return cacai.eta_from_avg_loss(cfg.alpha_pull, j_avg)
+    return schedule_factor(cfg.alpha_pull, j_avg)
 
 
 def record_metric_loss(state: RunState, value: float) -> None:
@@ -183,24 +200,22 @@ def record_metric_loss(state: RunState, value: float) -> None:
     state.epoch_loss_count += 1
 
 
-def finish_epoch_schedules(cfg: TrainConfig, state: RunState) -> None:
+def finish_epoch_schedules(state: RunState) -> None:
     """Epoch boundary: fold the epoch's mean metric loss into the eta driver."""
     if state.epoch_loss_count > 0:
         state.avg_metric_loss = state.epoch_loss_sum / state.epoch_loss_count
     state.epoch_loss_sum = 0.0
     state.epoch_loss_count = 0
-    state.eta = cacai.eta_from_avg_loss(cfg.alpha_pull, state.avg_metric_loss)
 
 
 def update_gen_tracker(cfg: TrainConfig, state: RunState, gen_loss: float) -> float:
-    """EMA the generator loss (detached) and refresh gamma_n from it."""
+    """EMA the generator loss (detached) and return gamma_n from it."""
     if state.gen_ema is None:
         state.gen_ema = float(gen_loss)
     else:
         d = cfg.gen_ema_decay
         state.gen_ema = d * state.gen_ema + (1.0 - d) * float(gen_loss)
-    state.gamma_n = losses.gamma_n_from_gen(cfg.beta, state.gen_ema)
-    return state.gamma_n
+    return schedule_factor(cfg.beta, state.gen_ema)
 
 
 def cosine_lr(base: float, epoch: int, total_epochs: int) -> float:
@@ -420,8 +435,10 @@ class Trainer:
         self.opt.zero_grad()
         return {"j_gen": float(gen_loss.data), "j_cz": float(cz_loss.data), **parts}
 
-    def _stage2(self, zb: EmbeddingBatch, positive_idx: np.ndarray, eta: float) -> dict:
-        """Joint metric update; the lambda pathway carries no gradient."""
+    def _stage2(self, zb: EmbeddingBatch, positive_idx: np.ndarray, eta: float,
+                gamma_n: float | None) -> dict:
+        """Joint metric update; the lambda pathway carries no gradient.
+        ``gamma_n`` weighs the synthetic term; arms without one pass None."""
         cfg, model = self.cfg, self.model
         out: dict = {}
         j_r = model.metric_loss_term(zb)
@@ -436,7 +453,6 @@ class Trainer:
                 lam_sg, lane = model.lambda_for(zb, graph, detach=True)
                 synth = model.synthesize(zb, lam_sg, lane, eta, self.synth_rng, positive_idx)
                 syn = losses.j_syn(zb.z, positive_idx, synth)
-                gamma_n = self.state.gamma_n if self.state.gamma_n is not None else 0.0
                 total = total + (1.0 - gamma_n) * syn
                 out["j_syn"] = float(syn.data)
         total.backward()
@@ -449,7 +465,7 @@ class Trainer:
 
     def train_step(self, batch: datakit.LabeledBatch) -> losses.LossReport:
         cfg = self.cfg
-        eta = self.state.eta = eta_for_batch(cfg, self.state)
+        eta = eta_for_batch(cfg, self.state)
         zb = self.model.backbone.embed(batch)
         positive_idx = cacai.select_positives(zb.labels, self.positive_rng)
         terms: dict = {}
@@ -457,7 +473,7 @@ class Trainer:
             zb_sg = EmbeddingBatch(zb.z.detach(), zb.labels, zb.n_classes, zb.n_instances)
             terms = self._stage1(zb_sg, positive_idx, eta)
             terms["gamma_n"] = update_gen_tracker(cfg, self.state, terms["j_gen"])
-        terms.update(self._stage2(zb, positive_idx, eta))
+        terms.update(self._stage2(zb, positive_idx, eta, terms.get("gamma_n")))
         report = losses.LossReport(
             step=self.state.step, epoch=self.state.epoch, eta=eta,
             lr_g=self.opt.lr["lr_g"] if self.model.graph is not None else None, **terms,
@@ -524,7 +540,7 @@ class Trainer:
                     report = self.train_step(batch)
                     report.timestamp = _timestamp()
                     log.write(json.dumps(report.to_dict(), sort_keys=True) + "\n")
-                finish_epoch_schedules(cfg, self.state)
+                finish_epoch_schedules(self.state)
 
                 ckpt = ckpt_root / f"epoch_{epoch + 1:03d}"
                 save_checkpoint(ckpt, self.model, self._manifest(epoch + 1, result.history))
@@ -548,16 +564,15 @@ class Trainer:
         return result
 
     def _manifest(self, epoch: int, history: list[dict]) -> dict:
+        """The run's facts for a checkpoint; ``save_checkpoint`` adds the
+        model's. ``eta`` is what the batch after the checkpoint trains with."""
         return {
             "format_version": CHECKPOINT_VERSION,
             "config_hash": config_hash(self.resolved_config),
             "resolved_config": self.resolved_config,
-            "ablation": self.cfg.ablation,
-            "metric_loss": self.cfg.metric_loss,
             "epoch": epoch,
             "metric_history": list(history),
-            "class_ids": self.codec.ids.tolist(),
-            "eta": self.state.eta,
+            "eta": eta_for_batch(self.cfg, self.state),
             "avg_metric_loss": self.state.avg_metric_loss,
         }
 
@@ -628,7 +643,9 @@ def _read_group(path: Path, shapes: dict) -> dict[str, np.ndarray]:
 def save_checkpoint(ckpt_dir: Path, model: HngModel, manifest: dict) -> None:
     """Write the checkpoint into a hidden sibling directory, then rename it
     into place, so a killed run never leaves a torn ``ckpt_dir``. A checkpoint
-    already there is moved aside first and deleted after the rename."""
+    already there is moved aside first and deleted after the rename. Beside
+    ``manifest`` it records the model's own facts: its tensor shapes
+    ("groups"), class ids, ablation arm and metric loss."""
     ckpt_dir = Path(ckpt_dir)
     ckpt_dir.parent.mkdir(parents=True, exist_ok=True)
     tmp = ckpt_dir.with_name(f".{ckpt_dir.name}.tmp")
@@ -637,7 +654,8 @@ def save_checkpoint(ckpt_dir: Path, model: HngModel, manifest: dict) -> None:
         shutil.rmtree(stale, ignore_errors=True)
     tmp.mkdir()
     try:
-        manifest = dict(manifest, groups=_group_shapes(model))
+        manifest = dict(manifest, groups=_group_shapes(model), class_ids=model.codec.ids.tolist(),
+                        ablation=model.cfg.ablation, metric_loss=model.cfg.metric_loss)
         (tmp / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
         for g, params in model.parameter_groups().items():
             _write_group(tmp / f"{g}.bin", params)
@@ -674,8 +692,7 @@ def load_manifest(ckpt_dir: Path) -> dict:
         for shapes in groups.values()
     ):
         raise CheckpointError(f"{path}: groups must map each group to tensor shapes")
-    # only eval and inspect need class_ids, so their presence is checked there
-    if not _is_int_list(manifest.get("class_ids", []), -(2**63)):
+    if not _is_int_list(manifest.get("class_ids"), -(2**63)):
         raise CheckpointError(f"{path}: class_ids must be a list of integers")
     # only inspect reads the schedule state, so its presence is checked there
     if "eta" in manifest and not _is_finite_real(manifest["eta"]):

@@ -237,7 +237,7 @@ def test_04_gradient_checks_all_losses_and_blocks():
         graph = model.propagate_graph(zb)
         lam2, lane = model.lambda_for(zb, graph)
         synth = cacai.synthesize(
-            zb, lam2, lane, cacai.eta_from_avg_loss(5.0, 5.0),
+            zb, lam2, lane, trainer.schedule_factor(5.0, 5.0),
             np.random.default_rng(42), pos,
         )
         return j_m(
@@ -445,7 +445,7 @@ def test_08_stop_gradient_contract(tmp_path):
     # stage-2 lambda branch: zero gradient to the interpolation FC
     graph = tr.model.propagate_graph(zb)
     lam, lane = tr.model.lambda_for(zb, graph)
-    synth = cacai.synthesize(zb, lam.detach(), lane, cacai.eta_from_avg_loss(5.0, 5.0),
+    synth = cacai.synthesize(zb, lam.detach(), lane, trainer.schedule_factor(5.0, 5.0),
                              np.random.default_rng(1), pos)
     total = j_m(
         tr.model.metric_loss_term(zb),
@@ -462,7 +462,7 @@ def test_08_stop_gradient_contract(tmp_path):
     tr.model.zero_grad()
     graph1 = tr.model.propagate_graph(zb_sg)
     lam1, lane1 = tr.model.lambda_for(zb_sg, graph1)
-    synth1 = cacai.synthesize(zb_sg, lam1, lane1, cacai.eta_from_avg_loss(5.0, 5.0),
+    synth1 = cacai.synthesize(zb_sg, lam1, lane1, trainer.schedule_factor(5.0, 5.0),
                               np.random.default_rng(2), pos)
     gen_loss, _ = losses.j_gen(zb_sg.z, synth1, lam1, lane1, tr.model.head_cz, tr.codec,
                                gamma_s=1.0, gamma_d=0.01)
@@ -491,7 +491,7 @@ def test_08_stop_gradient_contract(tmp_path):
     before = {i: state(i) for i in generator}
     batch2 = datakit.sample_balanced(ds, 3, 2, tr.sampler_rng)
     zb2 = tr.model.backbone.embed(batch2)
-    tr._stage2(zb2, cacai.select_positives(zb2.labels, tr.positive_rng), eta=0.7)
+    tr._stage2(zb2, cacai.select_positives(zb2.labels, tr.positive_rng), eta=0.7, gamma_n=0.4)
     for i in generator:
         if i in held:
             assert state(i) == before[i]
@@ -504,13 +504,14 @@ def test_08_stop_gradient_contract(tmp_path):
 
 
 def test_09_schedule_sanity():
-    eta = cacai.eta_from_avg_loss(5.0, 5.0)
+    cfg = trainer.TrainConfig(alpha_pull=5.0, beta=2.0)
+    eta = trainer.eta_for_batch(cfg, trainer.RunState(avg_metric_loss=5.0))
     assert abs(eta - 0.36788) < 1e-5
-    gamma = losses.gamma_n_from_gen(2.0, 2.0)
+    gamma = trainer.update_gen_tracker(cfg, trainer.RunState(), 2.0)
     assert abs(gamma - 0.36788) < 1e-5
     grid = np.linspace(0.2, 50.0, 200)
-    etas = [cacai.eta_from_avg_loss(5.0, j) for j in grid]
-    gammas = [losses.gamma_n_from_gen(2.0, j) for j in grid]
+    etas = [trainer.eta_for_batch(cfg, trainer.RunState(avg_metric_loss=j)) for j in grid]
+    gammas = [trainer.update_gen_tracker(cfg, trainer.RunState(), j) for j in grid]
     assert all(a < b for a, b in zip(etas, etas[1:]))
     assert all(a < b for a, b in zip(gammas, gammas[1:]))
     _passline(9, "eta and gamma_n reference values and monotonicity")

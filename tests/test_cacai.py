@@ -40,23 +40,6 @@ def cross_class_lanes(labels):
     return at[kernels.pair_index(len(labels))], rows.size
 
 
-class TestEtaSchedule:
-    def test_reference_value(self):
-        assert abs(cacai.eta_from_avg_loss(5.0, 5.0) - np.exp(-1.0)) < 1e-12
-
-    def test_limits_and_monotonicity(self):
-        assert cacai.eta_from_avg_loss(5.0, None) == 1.0
-        assert cacai.eta_from_avg_loss(5.0, np.inf) == 1.0
-        vals = [cacai.eta_from_avg_loss(5.0, j) for j in (0.5, 1.0, 2.0, 8.0, 100.0)]
-        assert all(a < b for a, b in zip(vals, vals[1:]))
-        assert all(0.0 < v < 1.0 for v in vals)
-
-    def test_nonpositive_clamped_with_warning(self):
-        with pytest.warns(UserWarning):
-            v = cacai.eta_from_avg_loss(5.0, 0.0)
-        assert v == pytest.approx(0.0, abs=1e-300)
-
-
 class TestLambdaHead:
     def test_zero_fc_gives_half(self):
         head = cacai.LambdaHead(4, np.random.default_rng(0))
@@ -420,7 +403,7 @@ class TestSynthesize:
         rng = np.random.default_rng(seed)
         zb = balanced_embeddings(rng, n, m, d)
         lam, lane = packed_lambda(rng, n * m, d)
-        eta = cacai.eta_from_avg_loss(5.0, 5.0)
+        eta = float(np.exp(-1.0))
         pos = cacai.select_positives(zb.labels, rng)
         return rng, zb, lam, lane, eta, pos
 
@@ -436,7 +419,7 @@ class TestSynthesize:
         zb = balanced_embeddings(rng, 2, 3, 4)
         lam, lane = packed_lambda(rng, 6, 4)
         pos = cacai.select_positives(zb.labels, rng)
-        synth = cacai.synthesize(zb, lam, lane, cacai.eta_from_avg_loss(5.0, 5.0), rng, pos)
+        synth = cacai.synthesize(zb, lam, lane, float(np.exp(-1.0)), rng, pos)
         assert np.all(synth.valid.sum(axis=1) == 1)
 
     def test_convex_hull_per_channel(self):

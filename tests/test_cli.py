@@ -13,7 +13,7 @@ import pytest
 
 import hngen
 from hngen import autodiff as ad
-from hngen import cacai, cli, datakit, evalkit, trainer
+from hngen import cli, datakit, evalkit, trainer
 from hngen.backbone import BackboneConfig
 from hngen.errors import ConfigurationError
 
@@ -489,7 +489,7 @@ class TestCheckpointReload:
         manifest = json.loads((ckpt / "manifest.json").read_text())
         tcfg = cli.train_config_from(manifest["resolved_config"])
         assert manifest["avg_metric_loss"] is not None
-        assert manifest["eta"] == cacai.eta_from_avg_loss(tcfg.alpha_pull, manifest["avg_metric_loss"])
+        assert manifest["eta"] == trainer.schedule_factor(tcfg.alpha_pull, manifest["avg_metric_loss"])
         assert manifest["eta"] != 1.0
         out = tmp_path / "diag"
         assert cli.main(["inspect", "--checkpoint", str(ckpt), "--out-dir", str(out)]) == 0

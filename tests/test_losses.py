@@ -640,17 +640,7 @@ class TestFusedLossesMatchComposed:
         check_gradients(fused, tracked)
 
 
-class TestJmAndSchedules:
-    def test_gamma_reference_point(self):
-        assert losses.gamma_n_from_gen(2.0, 2.0) == pytest.approx(np.exp(-1.0), abs=1e-5)
-
-    def test_gamma_limit(self):
-        assert losses.gamma_n_from_gen(2.0, 1e12) == pytest.approx(1.0, abs=1e-9)
-
-    def test_gamma_monotone(self):
-        vals = [losses.gamma_n_from_gen(2.0, j) for j in (0.1, 0.5, 1.0, 4.0, 50.0)]
-        assert all(a < b for a, b in zip(vals, vals[1:]))
-
+class TestJm:
     def test_composite_weighting(self):
         jr = ad.Tensor(np.asarray(1.0))
         jg = ad.Tensor(np.asarray(2.0))

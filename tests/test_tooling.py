@@ -123,7 +123,7 @@ def test_same_outputs_compare_flags_one_flipped_blob_byte(tmp_path, capsys):
     tool = _load_tool("same_outputs")
     tool.run_side(REPO / "src", tmp_path / "a", {"tiny": TINY})
     status = json.loads((tmp_path / "a" / "tiny" / "status.json").read_text())
-    assert status == {"train": 0, "eval": 0, "inspect": 0}
+    assert status == {"train": 0, "eval": 0, "inspect": 0, "ablate": 0}
     shutil.copytree(tmp_path / "a", tmp_path / "b")
     assert tool.report(*tool.compare(tmp_path / "a", tmp_path / "b")) == 0
 

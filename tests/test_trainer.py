@@ -104,7 +104,34 @@ class TestConfigValidation:
         assert not (tmp_path / "bad").exists()
 
 
+def gamma_after_one_step(beta: float, gen_loss: float) -> float:
+    """gamma_n from a fresh generator-loss tracker's first update."""
+    return trainer.update_gen_tracker(tiny_config(beta=beta), trainer.RunState(), gen_loss)
+
+
 class TestSchedules:
+    def test_rule_reference_value(self):
+        assert abs(trainer.schedule_factor(5.0, 5.0) - np.exp(-1.0)) < 1e-12
+
+    def test_rule_limits_and_monotonicity(self):
+        assert trainer.schedule_factor(5.0, None) == 1.0
+        assert trainer.schedule_factor(5.0, np.inf) == 1.0
+        vals = [trainer.schedule_factor(5.0, j) for j in (0.5, 1.0, 2.0, 8.0, 100.0)]
+        assert all(a < b for a, b in zip(vals, vals[1:]))
+        assert all(0.0 < v < 1.0 for v in vals)
+
+    def test_rule_nonpositive_clamped_with_warning(self):
+        with pytest.warns(UserWarning):
+            v = trainer.schedule_factor(5.0, 0.0)
+        assert v == pytest.approx(0.0, abs=1e-300)
+
+    def test_gamma_limit(self):
+        assert gamma_after_one_step(2.0, 1e12) == pytest.approx(1.0, abs=1e-9)
+
+    def test_gamma_monotone(self):
+        vals = [gamma_after_one_step(2.0, j) for j in (0.1, 0.5, 1.0, 4.0, 50.0)]
+        assert all(a < b for a, b in zip(vals, vals[1:]))
+
     def test_eta_reference_value(self):
         cfg = tiny_config(alpha_pull=5.0)
         state = trainer.RunState(avg_metric_loss=5.0)
@@ -134,10 +161,10 @@ class TestSchedules:
         state = trainer.RunState()
         trainer.record_metric_loss(state, 1.0)
         trainer.record_metric_loss(state, 3.0)
-        trainer.finish_epoch_schedules(cfg, state)
+        trainer.finish_epoch_schedules(state)
         assert state.avg_metric_loss == 2.0
         assert state.epoch_loss_count == 0
-        assert state.eta == pytest.approx(np.exp(-2.5))
+        assert trainer.eta_for_batch(cfg, state) == pytest.approx(np.exp(-2.5))
 
     def test_gamma_reference_and_ema(self):
         cfg = tiny_config(beta=2.0, gen_ema_decay=0.9)
@@ -207,7 +234,7 @@ class TestStopGradientContracts:
         graph = model.propagate_graph(zb)
         lam_sg, lane = model.lambda_for(zb, graph, detach=True)
         synth = cacai.synthesize(
-            zb, lam_sg, lane, cacai.eta_from_avg_loss(5.0, 5.0),
+            zb, lam_sg, lane, trainer.schedule_factor(5.0, 5.0),
             np.random.default_rng(3), pos,
         )
         total = j_m(
@@ -235,7 +262,7 @@ class TestStopGradientContracts:
             graph = model.propagate_graph(zb)
             lam, lane = lam_source(graph)
             synth = cacai.synthesize(
-                zb, lam, lane, cacai.eta_from_avg_loss(5.0, 5.0),
+                zb, lam, lane, trainer.schedule_factor(5.0, 5.0),
                 np.random.default_rng(7), pos,
             )
             total = j_m(
@@ -298,7 +325,7 @@ class TestStopGradientContracts:
         graph = tr.model.propagate_graph(zb_sg)
         lam, lane = tr.model.lambda_for(zb_sg, graph)
         synth = cacai.synthesize(
-            zb_sg, lam, lane, cacai.eta_from_avg_loss(5.0, 5.0),
+            zb_sg, lam, lane, trainer.schedule_factor(5.0, 5.0),
             np.random.default_rng(5), pos,
         )
         gen_loss, _ = losses.j_gen(
@@ -487,7 +514,7 @@ class TestSynthesisMatchesComposed:
                 {names[id(p)]: p.grad.copy() for p in tr.opt.params if p.grad is not None})
             if stage == 1:
                 zb = EmbeddingBatch(zb.z.detach(), zb.labels, 3, 2)
-            terms = (tr._stage1 if stage == 1 else tr._stage2)(zb, pos, 0.7)
+            terms = tr._stage1(zb, pos, 0.7) if stage == 1 else tr._stage2(zb, pos, 0.7, 0.4)
             runs.append((terms, applied))
         (terms, grads), (ref_terms, ref) = runs
         assert terms == ref_terms
@@ -541,6 +568,15 @@ class TestAblationArms:
             tr = make_trainer(tmp_path / arm, ablation=arm)
             batch = datakit.sample_balanced(tr.train_set, 3, 2, tr.sampler_rng)
             tr.train_step(batch).assert_finite()
+
+    @pytest.mark.parametrize("arm", sorted(trainer._SYNTH_ARMS))
+    def test_logged_j_m_weighs_j_syn_by_the_logged_gamma_n(self, tmp_path, arm):
+        # stage 1's gamma_n is the one stage 2 weighs the synthetic term by
+        log = make_trainer(tmp_path, ablation=arm, epochs=2).fit().log_path
+        records = [json.loads(line) for line in log.read_text().splitlines()]
+        assert len(records) == 2 * (32 // 6)  # two epochs of five batches
+        for r in records:
+            assert r["j_m"] == r["j_r"] + r["j_gca"] + (1 - r["gamma_n"]) * r["j_syn"], r
 
     def test_proxy_anchor_arm(self, tmp_path):
         tr = make_trainer(tmp_path, metric_loss="proxy_anchor")
@@ -832,6 +868,24 @@ class TestCheckpointRoundTrip:
             trainer.load_checkpoint(ckpt, tr.model)
         assert f"holds {size - 3} bytes, the manifest's shapes need {size}" in message(
             info, tmp_path)
+
+    def test_bare_manifest_reads_back_with_the_models_facts(self, tmp_path):
+        tr = make_trainer(tmp_path, metric_loss="proxy_anchor")
+        ckpt = tmp_path / "ckpt"
+        trainer.save_checkpoint(ckpt, tr.model, {"format_version": trainer.CHECKPOINT_VERSION})
+        manifest = trainer.load_checkpoint(ckpt, tr.model)
+        assert manifest["class_ids"] == tr.codec.ids.tolist() == [1, 2, 3, 4]
+        assert (manifest["ablation"], manifest["metric_loss"]) == ("full", "proxy_anchor")
+
+    def test_manifest_without_class_ids_rejected(self, tmp_path):
+        tr = make_trainer(tmp_path)
+        ckpt = tmp_path / "ckpt"
+        trainer.save_checkpoint(ckpt, tr.model, tr._manifest(0, []))
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        del manifest["class_ids"]
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="class_ids must be a list of integers"):
+            trainer.load_checkpoint(ckpt, tr.model)
 
     def test_version_mismatch_migration_error(self, tmp_path):
         tr = make_trainer(tmp_path)

@@ -6,12 +6,13 @@ PARENT_SRC and CHANGE_SRC are ``src/`` directories, say of a ``git clone`` of
 the parent commit and of the working tree. Under each, with BLAS and OpenMP
 pinned to one thread, the script runs ``hngen train`` on the acceptance
 configs below, then ``hngen eval`` and ``hngen inspect`` on each run's last
-checkpoint. It then compares, config by config:
+checkpoint; on the first config it also runs ``hngen ablate`` over two arms
+with the config's seed. It then compares, config by config:
 
-* every checkpoint's ``.bin`` blobs, ``history.json`` and the inspect CSVs,
-  byte for byte; under a ``.bin`` blob that differs, each differing tensor
-  is listed with its largest absolute difference, each side's blob laid out
-  by its own checkpoint's manifest;
+* every checkpoint's ``.bin`` blobs, ``history.json``, the inspect CSVs and
+  ``ablation_table.csv``, byte for byte; under a ``.bin`` blob that
+  differs, each differing tensor is listed with its largest absolute
+  difference, each side's blob laid out by its own checkpoint's manifest;
 * ``train_log.jsonl`` without ``timestamp``, manifests without
   ``resolved_config`` and ``config_hash``, ``metric_report.json``, and
   ``metrics.csv`` without its checkpoint column;
@@ -51,7 +52,8 @@ ACCEPTANCE = {
     **{arm: {"train": {"epochs": 3, "ablation": arm}} for arm in (
         "single_coeff", "no_global", "no_hadamard", "no_rw", "baseline", "baseline_gnn")},
 }
-COMMANDS = ("train", "eval", "inspect")
+COMMANDS = ("train", "eval", "inspect", "ablate")
+ABLATE_ARMS = "full,baseline"
 
 
 def overlay(base: dict, overrides: dict) -> dict:
@@ -62,11 +64,12 @@ def overlay(base: dict, overrides: dict) -> dict:
 
 
 def run_side(src: Path, work: Path, configs: dict[str, dict]) -> None:
-    """Train, eval and inspect every config under ``src``; each config's
-    outputs and exit codes (``status.json``) go to ``work/NAME``."""
+    """Train, eval and inspect every config under ``src``, and ablate the
+    first; each config's outputs and exit codes (``status.json``) go to
+    ``work/NAME``."""
     threads = {v: "1" for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
     env = {**os.environ, **threads, "PYTHONPATH": str(Path(src).resolve())}
-    for name, cfg in configs.items():
+    for n, (name, cfg) in enumerate(configs.items()):
         out = work / name
         out.mkdir(parents=True)
         (out / "config.json").write_text(json.dumps(cfg, indent=2))
@@ -81,6 +84,9 @@ def run_side(src: Path, work: Path, configs: dict[str, dict]) -> None:
             last = str(ckpts[-1].relative_to(out))
             status["eval"] = hngen("eval", "--checkpoint", last, "--out-dir", "eval")
             status["inspect"] = hngen("inspect", "--checkpoint", last, "--out-dir", "inspect")
+        if n == 0:
+            status["ablate"] = hngen("ablate", "--config", "config.json", "--arms", ABLATE_ARMS,
+                                     "--seeds", str(cfg["train"]["seed"]), "--out-dir", "ablate")
         (out / "status.json").write_text(json.dumps(status))
         print(f"{src}: {name} {status}", flush=True)
 
@@ -108,7 +114,10 @@ def _normalized(path: Path):
 
 def _outputs(root: Path, command: str) -> dict[str, Path]:
     """Output files of one command by their path under ``root``, with the
-    run directory's name (a hash of the resolved config) left out."""
+    run directory's name (a hash of the resolved config) left out. Of
+    ``ablate``'s, only the table: its runs repeat ``train``'s."""
+    if command == "ablate":
+        return {"ablate/ablation_table.csv": root / "ablate" / "ablation_table.csv"}
     base = root / ("runs" if command == "train" else command)
     out = {}
     for p in base.rglob("*"):
