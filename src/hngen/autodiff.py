@@ -11,7 +11,8 @@ hand-written backward (the losses in :mod:`hngen.losses` and
 post-norm FFN tail (``masked_attention``, ``endpoint_attention``,
 ``residual_ffn_tail``). Each fused forward pass does the arithmetic of the
 composed ops it replaces, in their order, so its values match them bit for
-bit; ``tests/oracles.py`` keeps the composed forms. Gradient-blocking
+bit; ``tests/oracles.py`` keeps the composed forms. One stable softmax,
+``_softmax``, serves the node attention and the losses. Gradient-blocking
 (``detach``) is the primitive behind the two-stage training contract, so
 it is exact: a detached tensor shares data but carries no tape.
 """
@@ -284,6 +285,16 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def _softmax(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log-sum-exp, softmax) over the last axis, shifted by the row max, or
+    by 0 where that is not finite; an entry of -inf gets weight exactly 0."""
+    m = np.max(x, axis=-1, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    e = np.exp(x - m)
+    s = e.sum(axis=-1, keepdims=True)
+    return np.squeeze(np.log(s) + m, axis=-1), e / s
+
+
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     out_data = _sigmoid(a.data)
@@ -309,7 +320,7 @@ def masked_attention(q, k, v, blocked: np.ndarray, heads: int) -> tuple[Tensor, 
 
     ``q``, ``k`` and ``v`` are (B, D), split into ``heads`` heads of
     hd = D / heads channels. ``blocked`` (B, B) is True where query i may not
-    attend to key j: that weight is exactly zero, as if its logit were -inf.
+    attend to key j: that logit is -inf, so its weight is exactly zero.
     A query with every key blocked raises. Returns the heads' merged outputs
     ``softmax(q kᵀ / sqrt(hd)) v`` (B, D), one tape node, and the weights
     (H, B, B) as a tensor off the tape.
@@ -320,13 +331,10 @@ def masked_attention(q, k, v, blocked: np.ndarray, heads: int) -> tuple[Tensor, 
     blocked = np.asarray(blocked, dtype=bool)
     if np.any(blocked.all(axis=-1)):
         raise ShapeError("masked_attention: a query has no unmasked keys")
-    blocked = np.broadcast_to(blocked, (heads, b, b))
     qh, kh, vh = (np.swapaxes(x.data.reshape(b, heads, hd), 0, 1) for x in (q, k, v))
     scale = 1.0 / np.sqrt(hd)
     scores = (qh @ np.swapaxes(kh, 1, 2)) * scale
-    m = np.max(np.where(blocked, -np.inf, scores), axis=-1, keepdims=True)
-    e = np.where(blocked, 0.0, np.exp(np.where(blocked, 0.0, scores - m)))
-    p = e / e.sum(axis=-1, keepdims=True)
+    _, p = _softmax(np.where(blocked, -np.inf, scores))
     out_data = np.swapaxes(p @ vh, 0, 1).reshape(b, d)
 
     def merged(gh):  # (H, B, hd) -> (B, D), a C-contiguous copy

@@ -133,8 +133,6 @@ def synthesize(
     z, labels = zb.z, zb.labels
     n, m = zb.n_classes, zb.n_instances
     b, d = z.shape
-    if b != n * m:
-        raise ShapeError("embedding batch size does not match its layout")
     if lane.shape != (b, b) or lam.shape[1:] != (d,):
         raise ShapeError(f"λ rows {lam.shape} and lane map {lane.shape} do not fit {(b, d)}")
     slot_labels = labels[:n].copy()

@@ -4,7 +4,8 @@ Provides a synthetic labeled-feature generator (class centers on a sphere,
 Gaussian clouds around them, an overlap knob that contracts centers toward
 their centroid), readers/writers for the CSV and binary feature formats,
 and the N-classes x m-instances balanced sampler whose group order repeats
-across the batch.
+across the batch; ``LabeledBatch`` holds that layout rule. Each ``Dataset``
+indexes its classes once, for the sampler, the holdout split and the trainer.
 """
 
 from __future__ import annotations
@@ -64,7 +65,9 @@ class SyntheticDatasetSpec:
 
 
 class Dataset:
-    """Immutable feature matrix plus integer class labels in {1..C}."""
+    """Immutable feature matrix plus integer class labels in {1..C}, and its
+    class index from one stable argsort: the sorted ``classes`` and
+    ``class_rows[c]``, the rows of ``classes[c]`` in ascending order."""
 
     def __init__(self, features: np.ndarray, labels: np.ndarray):
         features = np.asarray(features, dtype=np.float64)
@@ -79,6 +82,13 @@ class Dataset:
         labels.setflags(write=False)
         self.features = features
         self.labels = labels
+        rows = np.argsort(labels, kind="stable")
+        rows.setflags(write=False)
+        ordered = labels[rows]
+        first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+        self.classes = ordered[first]
+        self.classes.setflags(write=False)
+        self.class_rows = tuple(np.split(rows, first[1:]))
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -87,20 +97,14 @@ class Dataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    @property
-    def classes(self) -> np.ndarray:
-        return np.unique(self.labels)
-
-    def class_indices(self, label: int) -> np.ndarray:
-        return np.flatnonzero(self.labels == label)
-
     def subset(self, indices: np.ndarray) -> "Dataset":
         return Dataset(self.features[indices].copy(), self.labels[indices].copy())
 
 
 @dataclass
 class LabeledBatch:
-    """B = N*m samples; group g holds one sample of each class, same order."""
+    """B = N*m samples; group g holds one sample of each class, same order.
+    The one check of that layout, N >= 2 and m >= 2 included."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -108,15 +112,18 @@ class LabeledBatch:
     n_instances: int
 
     def __post_init__(self):
-        b = self.n_classes * self.n_instances
-        if self.features.shape[0] != b or self.labels.shape[0] != b:
+        n, m = self.n_classes, self.n_instances
+        if n < 2:
+            raise SamplingError("n_classes must be >= 2: each anchor needs a negative")
+        if m < 2:
+            raise SamplingError("n_instances must be >= 2: each anchor needs a positive")
+        if self.features.shape[0] != n * m or self.labels.shape[0] != n * m:
             raise SamplingError("batch size does not equal n_classes * n_instances")
-        base = self.labels[: self.n_classes]
-        if len(set(base.tolist())) != self.n_classes:
+        base = self.labels[:n]
+        if np.unique(base).size != n:
             raise SamplingError("first group must contain n_classes distinct classes")
-        for g in range(self.n_instances):
-            if not np.array_equal(self.labels[g * self.n_classes : (g + 1) * self.n_classes], base):
-                raise SamplingError("class order must repeat identically across groups")
+        if np.any(self.labels.reshape(m, n) != base):
+            raise SamplingError("class order must repeat identically across groups")
 
     @property
     def size(self) -> int:
@@ -148,30 +155,23 @@ def sample_balanced(
     dataset: Dataset, n_classes: int, n_instances: int, rng: np.random.Generator
 ) -> LabeledBatch:
     """Draw an N x m balanced batch with a fresh class order per batch."""
-    if n_instances < 2:
-        raise SamplingError(
-            "n_instances must be >= 2: each anchor needs a positive for the "
-            "anchor-positive distance"
-        )
     classes = dataset.classes
     if classes.size < n_classes:
         raise SamplingError(
             f"dataset has {classes.size} classes, need {n_classes}"
         )
-    chosen = rng.choice(classes, size=n_classes, replace=False)
+    chosen = rng.choice(classes.size, size=n_classes, replace=False)
     chosen = chosen[rng.permutation(n_classes)]
     per_class_idx = []
-    for label in chosen:
-        pool = dataset.class_indices(int(label))
+    for c in chosen:
+        pool = dataset.class_rows[c]
         if pool.size < n_instances:
             raise SamplingError(
-                f"class {int(label)} has {pool.size} samples, need {n_instances}"
+                f"class {int(classes[c])} has {pool.size} samples, need {n_instances}"
             )
         per_class_idx.append(rng.choice(pool, size=n_instances, replace=False))
-    order = np.empty(n_classes * n_instances, dtype=np.int64)
-    for g in range(n_instances):
-        for s in range(n_classes):
-            order[g * n_classes + s] = per_class_idx[s][g]
+    # row s of the (N, m) draws is class slot s; the batch reads it by group
+    order = np.concatenate(per_class_idx).reshape(n_classes, n_instances).T.ravel()
     return LabeledBatch(
         features=dataset.features[order],
         labels=dataset.labels[order],
@@ -302,8 +302,7 @@ def split_holdout(
 ) -> tuple[Dataset, Dataset]:
     """Per-class split into (train, holdout) for validation retrieval."""
     train_idx, val_idx = [], []
-    for label in dataset.classes:
-        pool = dataset.class_indices(int(label))
+    for label, pool in zip(dataset.classes, dataset.class_rows):
         if pool.size <= holdout_per_class:
             raise SamplingError(
                 f"class {int(label)} has {pool.size} samples; cannot hold out "

@@ -84,12 +84,8 @@ def _softmax_ce(logits: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np
     and the softmax that its gradient reads."""
     if columns.min() < 0 or columns.max() >= logits.shape[-1]:
         raise ConfigurationError("target column outside classifier range")
-    m = np.max(logits, axis=-1, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    e = np.exp(logits - m)
-    s = e.sum(axis=-1, keepdims=True)
-    lse = np.squeeze(np.log(s) + m, axis=-1)
-    return lse - logits[np.arange(logits.shape[0]), columns], e / s
+    lse, soft = ad._softmax(logits)
+    return lse - logits[np.arange(logits.shape[0]), columns], soft
 
 
 def _softmax_ce_grad(g: np.ndarray, soft: np.ndarray, columns: np.ndarray) -> np.ndarray:
@@ -111,11 +107,8 @@ def _log1p_sum_exp(u: np.ndarray, valid: np.ndarray) -> tuple[np.ndarray, np.nda
     weights = valid.astype(np.float64)
     masked = u * weights + (~valid) * -1e9
     lanes = np.concatenate([np.zeros(u.shape[:-1] + (1,)), masked], axis=-1)
-    m = np.max(lanes, axis=-1, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    e = np.exp(lanes - m)
-    s = e.sum(axis=-1, keepdims=True)
-    return np.squeeze(np.log(s) + m, axis=-1), (e / s)[..., 1:] * weights
+    lse, soft = ad._softmax(lanes)
+    return lse, soft[..., 1:] * weights
 
 
 # -- stage 1 ---------------------------------------------------------------------

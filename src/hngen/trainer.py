@@ -108,7 +108,7 @@ class TrainConfig:
             raise ConfigurationError("batch_classes must be >= 2")
         if self.batch_instances < 2:
             raise ConfigurationError("batch_instances must be >= 2")
-        for name in ("lr_f", "lr_g", "lr_cz", "lr_cv"):
+        for name in ("lr_f", "lr_g", "lr_cz", "lr_cv", "pa_alpha"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be positive")
         if self.weight_decay < 0:
@@ -128,7 +128,8 @@ class TrainConfig:
         for name in ("k_steps", "heads", "ffn_expansion"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1")
-        for name, value in (("gamma_s", self.gamma_s), ("gamma_d", self.resolved_gamma_d())):
+        for name, value in (("gamma_s", self.gamma_s), ("gamma_d", self.resolved_gamma_d()),
+                            ("alpha_pull", self.alpha_pull), ("beta", self.beta)):
             if not (math.isfinite(value) and value >= 0):
                 raise ConfigurationError(f"{name} must be finite and >= 0")
 
@@ -382,11 +383,11 @@ class Trainer:
         cfg.validate()
         backbone_cfg.validate()
         # what datakit.sample_balanced needs to draw every batch
-        classes, counts = np.unique(train_set.labels, return_counts=True)
-        if classes.size < cfg.batch_classes or counts.min() < cfg.batch_instances:
+        n_classes, smallest = train_set.classes.size, min(map(len, train_set.class_rows))
+        if n_classes < cfg.batch_classes or smallest < cfg.batch_instances:
             raise ConfigurationError(
                 f"a batch needs {cfg.batch_classes} classes of {cfg.batch_instances} samples; the "
-                f"training split has {classes.size} classes, the smallest of {counts.min()}")
+                f"training split has {n_classes} classes, the smallest of {smallest}")
         _keep_heap_top_mapped()
         self.cfg = cfg
         self.backbone_cfg = backbone_cfg
@@ -395,7 +396,7 @@ class Trainer:
         self.run_dir = Path(run_dir)
         self.eval_ks = eval_ks or evalkit.EvalConfig().ks
         self.resolved_config = resolved_config or {}
-        self.codec = losses.ClassCodec(train_set.labels)
+        self.codec = losses.ClassCodec(train_set.classes)
 
         root = np.random.default_rng(cfg.seed)
         seeds = root.integers(0, 2**63 - 1, size=4)

@@ -701,6 +701,22 @@ def dict_columns(ids: np.ndarray, labels) -> np.ndarray:
         raise ConfigurationError(f"label {exc} has no head column/proxy") from exc
 
 
+def loop_sample_balanced(features, labels, n_classes: int, n_instances: int,
+                         rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """``datakit.sample_balanced`` from the labels alone: classes by
+    ``np.unique``, each class's rows by ``np.flatnonzero``, the batch order
+    filled slot by slot. Returns the batch's (features, labels)."""
+    chosen = rng.choice(np.unique(labels), size=n_classes, replace=False)
+    chosen = chosen[rng.permutation(n_classes)]
+    draws = [rng.choice(np.flatnonzero(labels == c), size=n_instances, replace=False)
+             for c in chosen]
+    order = np.empty(n_classes * n_instances, dtype=np.int64)
+    for g in range(n_instances):
+        for s in range(n_classes):
+            order[g * n_classes + s] = draws[s][g]
+    return features[order], labels[order]
+
+
 def loop_select_positives(labels, rng: np.random.Generator) -> np.ndarray:
     """One ``rng.choice`` per anchor over its same-class pool, in index order."""
     labels = np.asarray(labels)

@@ -6,10 +6,10 @@ from hngen import kernels
 from hngen.errors import ShapeError
 
 from gradcheck import check_gradients
-from oracles import (LoopAdamW, composed_l2_normalize, composed_residual_ffn_tail,
-                     concatenate, div, layer_norm, log1p_sum_exp, logsumexp, masked_softmax,
-                     matmul, mirror_pairs, pairwise_sqdist, pow_scalar, reshape, sqrt,
-                     sqrt_or_zero, sub, swapaxes, tmean)
+from oracles import (LoopAdamW, composed_l2_normalize, composed_masked_attention,
+                     composed_residual_ffn_tail, concatenate, div, layer_norm, log1p_sum_exp,
+                     logsumexp, masked_softmax, matmul, mirror_pairs, pairwise_sqdist,
+                     pow_scalar, reshape, sqrt, sqrt_or_zero, sub, swapaxes, tmean)
 
 
 def _param(rng, *shape):
@@ -244,6 +244,12 @@ class TestFusedSublayerOps:
         blocked = np.eye(3, dtype=bool)
         _, probs = ad.masked_attention(q, k, v, blocked, 2)
         assert probs.shape == (2, 3, 3) and not probs.requires_grad
+        assert np.all(probs.data[:, blocked] == 0.0)
+        blocked[2, 0] = True  # query 2 keeps key 1 only
+        _, probs = ad.masked_attention(q, k, v, blocked, 2)
+        _, ref = composed_masked_attention(q, k, v, blocked, 2)
+        assert probs.data.tobytes() == ref.data.tobytes()
+        assert np.all(probs.data[:, 2, 1] == 1.0) and np.all(probs.data[:, 2, [0, 2]] == 0.0)
         assert np.all(probs.data[:, blocked] == 0.0)
         blocked[1] = True
         with pytest.raises(ShapeError):

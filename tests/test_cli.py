@@ -648,6 +648,9 @@ class TestTrainOverridesAndErrors:
         {"train": {"seed": -1}},
         {"dataset": {"seed": -3}},
         {"dataset": {"path": "data.csv", "seed": -3}},
+        {"train": {"alpha_pull": -1.0}},
+        {"train": {"beta": -2.0}},
+        {"train": {"metric_loss": "proxy_anchor", "pa_alpha": 0.0}},
     ], ids=["gamma_s", "gamma_d", "gamma_d_nan", "k_steps", "heads", "ffn_expansion",
             "heads_divide_dim", "eval_ks_zero", "eval_ks_float", "eval_ks_empty",
             "eval_holdout_zero", "eval_holdout_one", "more_batch_classes_than_classes",
@@ -660,7 +663,8 @@ class TestTrainOverridesAndErrors:
             "stddev_nan", "center_scale_inf", "lr_g_past_float_range",
             "hidden_dim_negative", "hidden_dim_zero", "weight_decay_negative",
             "early_stop_patience_negative", "train_seed_negative", "dataset_seed_negative",
-            "feature_file_seed_negative"])
+            "feature_file_seed_negative", "alpha_pull_negative", "beta_negative",
+            "pa_alpha_zero"])
     def test_bad_setting_returns_2_before_any_file(self, tmp_path, config, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)  # where a config's "data.csv" is
         datakit.save_csv(datakit.make_synthetic(datakit.SyntheticDatasetSpec(

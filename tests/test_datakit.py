@@ -6,6 +6,8 @@ import pytest
 from hngen import datakit as dk
 from hngen.errors import ConfigurationError, DataFormatError, SamplingError
 
+from oracles import loop_sample_balanced
+
 
 def small_spec(**kw):
     base = dict(num_classes=2, samples_per_class=3, input_dim=4, seed=7)
@@ -145,7 +147,45 @@ class TestFeatureIO:
             dk.load_features(p, fmt="binary")
 
 
+class TestClassIndex:
+    def test_index_matches_unique_and_flatnonzero(self):
+        labels = np.array([7, -(2**63), 3, 7, 2**63 - 1, 3, 3, -(2**63), 7])
+        ds = dk.Dataset(np.zeros((labels.size, 2)), labels)
+        assert np.array_equal(ds.classes, np.unique(labels))
+        assert len(ds.class_rows) == ds.classes.size
+        for c, rows in zip(ds.classes, ds.class_rows):
+            assert np.array_equal(rows, np.flatnonzero(labels == c))
+        assert not ds.classes.flags.writeable
+        assert not any(rows.flags.writeable for rows in ds.class_rows)
+
+
+class TestLabeledBatch:
+    @pytest.mark.parametrize("labels, n, m, msg", [
+        ([1, 1, 1], 1, 3, "negative"),
+        ([1, 2, 3], 3, 1, "positive"),
+        ([1, 2, 1, 2], 2, 3, "batch size"),
+        ([1, 1, 2, 2], 2, 2, "distinct"),
+        ([1, 2, 3, 1, 3, 2], 3, 2, "repeat"),
+    ], ids=["one_class", "one_instance", "size", "first_group_repeats_a_class",
+            "group_order_changes"])
+    def test_bad_layout_refused(self, labels, n, m, msg):
+        labels = np.array(labels)
+        with pytest.raises(SamplingError, match=msg):
+            dk.LabeledBatch(np.zeros((labels.size, 2)), labels, n, m)
+
+
 class TestBalancedSampler:
+    def test_matches_the_label_scan_sampler(self):
+        ds = dk.make_synthetic(small_spec(num_classes=6, samples_per_class=7))
+        # shuffled rows and uneven classes of 5 to 7 rows
+        ds = ds.subset(np.random.default_rng(3).permutation(np.delete(np.arange(42), [0, 1, 15])))
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        for n, m in [(2, 2), (4, 3), (3, 4)] * 20:
+            batch = dk.sample_balanced(ds, n, m, rng)
+            feats, labels = loop_sample_balanced(ds.features, ds.labels, n, m, ref_rng)
+            assert batch.features.tobytes() == feats.tobytes()
+            assert np.array_equal(batch.labels, labels)
+
     def test_group_order_repeats(self):
         ds = dk.make_synthetic(small_spec(num_classes=5, samples_per_class=4))
         rng = np.random.default_rng(0)

@@ -81,6 +81,10 @@ class TestConfigValidation:
         ({"gamma_s": float("inf")}, "gamma_s"),
         ({"gamma_d": -1.0}, "gamma_d"),
         ({"gamma_d": float("nan")}, "gamma_d"),
+        ({"alpha_pull": -1.0}, "alpha_pull"),
+        ({"beta": -2.0}, "beta"),
+        ({"pa_alpha": 0.0}, "pa_alpha"),
+        ({"pa_alpha": -32.0}, "pa_alpha"),
     ])
     def test_graph_and_stage1_settings_checked(self, kw, msg):
         with pytest.raises(ConfigurationError, match=msg):
