@@ -348,7 +348,7 @@ def cmd_inspect(args) -> int:
         for j in range(probs.shape[2])
     ))
 
-    rows, lane = model.lambda_for(zb, graph, detach=True, every_row=True)
+    rows, lane = model.lambda_for(zb, graph, every_row=True)
     lam = cacai.lambda_lanes(rows.data, lane)
     counts, edges = np.histogram(lam.ravel(), bins=20, range=(0.0, 1.0))
     _write_csv(out_dir / "lambda_histogram.csv", ["bin_left", "bin_right", "count"], (

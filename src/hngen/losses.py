@@ -274,21 +274,14 @@ def j_syn(z: ad.Tensor, positive_idx: np.ndarray, synth: SyntheticNegatives) -> 
     return ad._make(terms.sum() * (1.0 / b), (z, z_hat), backward)
 
 
-def np_loss(z: ad.Tensor, labels: np.ndarray, n_classes: int, n_instances: int) -> ad.Tensor:
+def np_loss(z: ad.Tensor, n_classes: int, n_instances: int) -> ad.Tensor:
     """Modified N-pair loss over the repeating group layout, one tape node.
 
     Anchors are the first group; each later group supplies one positive and
-    N-1 negatives per anchor slot; normalized by B' = (m-1) * N.
+    N-1 negatives per anchor slot; normalized by B' = (m-1) * N. ``z`` is in
+    the balanced layout that ``datakit.LabeledBatch`` checks.
     """
     n, m = n_classes, n_instances
-    if m < 2:
-        raise ConfigurationError("modified N-pair loss needs at least 2 instances per class")
-    labels = np.asarray(labels)
-    if z.shape[0] != n * m:
-        raise ShapeError("embedding count does not match the (N, m) layout")
-    groups = labels[: n * m]
-    if groups.size != n * m or np.any(groups.reshape(m, n) != labels[:n]):
-        raise ShapeError("labels do not repeat with the group period")
     d = z.shape[1]
     diag = (slice(None), np.arange(n), np.arange(n))
     anchors = z.data[np.arange(n)]                                 # (N, D)

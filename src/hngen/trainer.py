@@ -22,9 +22,10 @@ own-class lane feeds only the anchor's own-class synthetic slot, which no
 loss reads, so it reads the constant 1 through the lane map. Where no loss
 reads the interpolation vectors (``baseline_gnn``, and ``single_coeff``,
 whose vectors are the constant 1), the last edge step does not run, and
-``single_coeff``'s stage 1 builds no graph. Stage 2 reads the vectors as a
-constant, so nothing holds its last edge step's tape once they are read:
-it is freed before the backward pass.
+``single_coeff``'s stage 1 builds no graph. Stage 2 reads the vectors
+through sg(λ): it runs the same head as stage 1 and detaches its output
+(``Tensor.detach``), so nothing holds the head's or the last edge step's tape
+once the vectors are read: both are freed before the backward pass.
 
 Schedules: the interpolation interval factor eta is recomputed from the
 previous epoch's mean metric loss (bootstrapped from the running mean
@@ -303,28 +304,22 @@ class HngModel(ad.Module):
         )
 
     def lambda_for(self, zb: EmbeddingBatch, graph: gcl.CorrelationGraph | None,
-                   detach: bool = False, every_row: bool = False
-                   ) -> tuple[ad.Tensor, np.ndarray]:
+                   every_row: bool = False) -> tuple[ad.Tensor, np.ndarray]:
         """The packed interpolation vectors of ``zb``'s pairs and the (B, B)
         lane map that ``cacai.lambda_lanes`` reads them through. The last
         edge step and the head run on the cross-class pair rows, the ones a
         loss reads, or on every row with ``every_row`` (``hngen inspect``); a
         lane whose row is not computed maps to -1, the constant 1. Without a
         graph or a head (``single_coeff``) they are zero rows and an all -1
-        map. ``detach`` applies the head to the edge states' arrays, with no
-        tape node."""
+        map. Stage 2 reads them through sg(λ), the ``Tensor.detach`` of the
+        returned rows."""
         b, d = zb.z.shape
         if graph is None or self.lambda_head is None:
             return ad.Tensor(np.zeros((0, d))), np.full((b, b), -1)
         i, j = kernels.pair_rows(b)
         read = np.ones(i.size, dtype=bool) if every_row else zb.labels[i] != zb.labels[j]
         e = self.graph.final_edges(graph, None if every_row else np.flatnonzero(read))
-        if detach:
-            fc = self.lambda_head.fc
-            rows = ad.Tensor(ad._sigmoid(ad._affine(e.data, fc.weight.data, fc.bias.data)))
-        else:
-            rows = self.lambda_head(e)
-        return rows, np.where(read, np.cumsum(read) - 1, -1)[kernels.pair_index(b)]
+        return self.lambda_head(e), np.where(read, np.cumsum(read) - 1, -1)[kernels.pair_index(b)]
 
     def synthesize(
         self, zb: EmbeddingBatch, lam: ad.Tensor, lane: np.ndarray, eta: float,
@@ -339,7 +334,7 @@ class HngModel(ad.Module):
         if self.cfg.metric_loss == "proxy_anchor":
             assert self.proxies is not None
             return losses.pa_loss(zb.z, zb.labels, self.proxies, self.codec)
-        return losses.np_loss(zb.z, zb.labels, zb.n_classes, zb.n_instances)
+        return losses.np_loss(zb.z, zb.n_classes, zb.n_instances)
 
 
 @dataclass
@@ -451,8 +446,9 @@ class Trainer:
             total = total + gca
             out["j_gca"] = float(gca.data)
             if cfg.uses_synthetics:
-                lam_sg, lane = model.lambda_for(zb, graph, detach=True)
-                synth = model.synthesize(zb, lam_sg, lane, eta, self.synth_rng, positive_idx)
+                lam, lane = model.lambda_for(zb, graph)
+                lam = lam.detach()  # sg(λ): frees the head's and the last edge step's tape
+                synth = model.synthesize(zb, lam, lane, eta, self.synth_rng, positive_idx)
                 syn = losses.j_syn(zb.z, positive_idx, synth)
                 total = total + (1.0 - gamma_n) * syn
                 out["j_syn"] = float(syn.data)

@@ -663,8 +663,7 @@ class AllRowsTrainer(trainer.Trainer):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         lambda_for = self.model.lambda_for
-        self.model.lambda_for = lambda zb, graph, detach=False: lambda_for(
-            zb, graph, detach, every_row=True)
+        self.model.lambda_for = lambda zb, graph: lambda_for(zb, graph, every_row=True)
 
 
 class ComposedSynthesisTrainer(trainer.Trainer):
@@ -678,9 +677,9 @@ class ComposedSynthesisTrainer(trainer.Trainer):
         super().__init__(*args, **kwargs)
         model, lambda_for = self.model, self.model.lambda_for
 
-        def expanded(zb, graph, detach=False):
+        def expanded(zb, graph):
             b, d = zb.z.shape
-            lanes = composed_lambda_lanes(*lambda_for(zb, graph, detach))
+            lanes = composed_lambda_lanes(*lambda_for(zb, graph))
             return reshape(lanes, (b * b, d)), np.arange(b * b).reshape(b, b)
 
         model.lambda_for = expanded

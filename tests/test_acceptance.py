@@ -201,7 +201,7 @@ def test_04_gradient_checks_all_losses_and_blocks():
 
     # Eq. 15: modified N-pair
     z_np = ad.parameter(unit_rows(rng, b, d))
-    worst["np"] = _check(lambda: losses.np_loss(z_np, labels, n, m), [z_np], 1e-4)
+    worst["np"] = _check(lambda: losses.np_loss(z_np, n, m), [z_np], 1e-4)
 
     # Eq. 16: proxy anchor
     bank = losses.ProxyBank(3, d, rng, alpha=32.0, margin=0.1)
@@ -333,7 +333,7 @@ def test_05_loss_loop_oracles():
         assert abs(got - total / b) < 1e-6
 
         # modified N-pair against the triple loop
-        got = losses.np_loss(zt, labels, n, m).data
+        got = losses.np_loss(zt, n, m).data
         total = 0.0
         for g in range(1, m):
             for j in range(n):
@@ -369,7 +369,7 @@ def test_06_np_m2_equals_original():
         z = unit_rows(rng, 2 * n, d)
         labels = np.tile(np.arange(1, n + 1), 2)
         zt = ad.Tensor(z)
-        a = losses.np_loss(zt, labels, n, 2).data
+        a = losses.np_loss(zt, n, 2).data
         b = original_np_loss(zt, labels, n).data
         assert abs(a - b) <= 1e-9
     _passline(6, "modified N-pair at m=2 equals original within 1e-9")

@@ -354,21 +354,20 @@ class TestNpLoss:
         for _ in range(20):
             z, labels = self._layout(rng, 4, 2, 6)
             zt = ad.Tensor(z)
-            a = losses.np_loss(zt, labels, 4, 2)
+            a = losses.np_loss(zt, 4, 2)
             b = original_np_loss(zt, labels, 4)
             assert a.data == pytest.approx(b.data, abs=1e-9)
 
     def test_identical_embeddings_ln_n(self):
         n, m = 5, 3
         z = np.repeat(unit_rows(np.random.default_rng(20), 1, 4), n * m, axis=0)
-        labels = np.tile(np.arange(1, n + 1), m)
-        out = losses.np_loss(ad.Tensor(z), labels, n, m)
+        out = losses.np_loss(ad.Tensor(z), n, m)
         assert out.data == pytest.approx(np.log(n), abs=1e-12)
 
     def test_matches_triple_loop_oracle(self):
         rng = np.random.default_rng(21)
-        z, labels = self._layout(rng, 3, 2, 8)
-        out = losses.np_loss(ad.Tensor(z), labels, 3, 2)
+        z, _ = self._layout(rng, 3, 2, 8)
+        out = losses.np_loss(ad.Tensor(z), 3, 2)
         n, m = 3, 2
         total = 0.0
         for g in range(1, m):
@@ -381,30 +380,20 @@ class TestNpLoss:
                 total += np.log(1.0 + acc)
         assert out.data == pytest.approx(total / ((m - 1) * n), abs=1e-9)
 
-    def test_m1_rejected(self):
-        z = unit_rows(np.random.default_rng(22), 3, 4)
-        with pytest.raises(ConfigurationError):
-            losses.np_loss(ad.Tensor(z), np.array([1, 2, 3]), 3, 1)
-
-    def test_bad_layout_rejected(self):
-        z = unit_rows(np.random.default_rng(23), 4, 4)
-        with pytest.raises(ShapeError):
-            losses.np_loss(ad.Tensor(z), np.array([1, 2, 2, 1]), 2, 2)
-
     def test_gradient(self):
         rng = np.random.default_rng(24)
-        z0, labels = self._layout(rng, 3, 3, 5)
+        z0, _ = self._layout(rng, 3, 3, 5)
         z = ad.parameter(z0)
-        check_gradients(lambda: losses.np_loss(z, labels, 3, 3), [z])
+        check_gradients(lambda: losses.np_loss(z, 3, 3), [z])
 
     def test_class_slot_order_invariance(self):
         rng = np.random.default_rng(30)
         n, m = 4, 3
-        z, labels = self._layout(rng, n, m, 6)
-        base = losses.np_loss(ad.Tensor(z), labels, n, m).data
+        z, _ = self._layout(rng, n, m, 6)
+        base = losses.np_loss(ad.Tensor(z), n, m).data
         perm = rng.permutation(n)
         order = np.concatenate([perm + g * n for g in range(m)])
-        permuted = losses.np_loss(ad.Tensor(z[order]), labels[order], n, m).data
+        permuted = losses.np_loss(ad.Tensor(z[order]), n, m).data
         assert base == pytest.approx(permuted, abs=1e-12)
 
 
@@ -506,7 +495,7 @@ COMPOSED = {
     "j_cz": lambda z, labels, head, codec: composed_cross_entropy(z, head, codec.columns(labels)),
     "j_gca": lambda v, labels, head, codec: composed_cross_entropy(v, head, codec.columns(labels)),
     "j_syn": composed_j_syn,
-    "np_loss": lambda z, labels, n, m: composed_np_loss(z, n, m),
+    "np_loss": composed_np_loss,
     "pa_loss": composed_pa_loss,
 }
 
@@ -534,7 +523,7 @@ def _loss_cases(rng, z_tracked: bool):
                  lambda: COMPOSED["j_cz"](z, labels, head, codec), head_params + zs),
         "j_syn": (lambda: losses.j_syn(z, pos, synth),
                   lambda: composed_j_syn(z, pos, synth), [synth.z_hat] + zs),
-        "np_loss": (lambda: losses.np_loss(z, labels, n, m),
+        "np_loss": (lambda: losses.np_loss(z, n, m),
                     lambda: composed_np_loss(z, n, m), zs),
         "pa_loss": (lambda: losses.pa_loss(z, labels, bank, codec),
                     lambda: composed_pa_loss(z, labels, bank, codec), [bank.proxies] + zs),
@@ -655,7 +644,7 @@ class TestJm:
         labels = np.tile(np.arange(1, n + 1), m)
         codec = losses.ClassCodec(np.arange(1, 4))
         bank = losses.ProxyBank(3, d, rng, alpha=32.0, margin=0.1)
-        assert losses.np_loss(z, labels, n, m).data >= 0
+        assert losses.np_loss(z, n, m).data >= 0
         assert losses.pa_loss(z, labels, bank, codec).data >= 0
 
     def test_report_roundtrip_and_finiteness(self):

@@ -257,19 +257,18 @@ def test_every_training_function_runs(tmp_path):
     assert NOT_RUN_IN_TRAINING.keys() - never_ran == set()  # no stale entry
 
 
-# Tape nodes of one train_step on configs/smoke.json: one per loss term,
-# and 50 for the rest (the backbone with its one-node L2 normalization, both
-# stages' graph, stage 1's lambda head, one synthesis node per stage, and
-# the sums of the loss terms). Stage 2 reads lambda as a constant, so its
-# head runs off the tape; its last edge step still records its nodes, which
-# are freed before the backward pass (test_stage2_frees_its_last_edge_step).
-# Each stage's last edge step computes only the cross-class rows, the ones a
-# loss reads, so it gathers their states first: one ``take`` per stage.
-# ``cacai.synthesize`` took 68 to 55: it replaced stage 1's eight nodes (the
-# λ lane expansion, the squared distances, their square root, the d+ take,
-# the interpolation, the group take, the mul and the sum) and the seven of
-# stage 2, which has no λ expansion, with one each.
-SMOKE_STEP_TAPE_NODES = 55
+# Tape nodes, the outputs recorded with parents, of one train_step on
+# configs/smoke.json: one per loss term, and 48 for the rest (the backbone
+# with its one-node L2 normalization, both stages' graph and λ head, one
+# synthesis node per stage, and the sums of the loss terms). Stage 1's ops on
+# the detached embeddings alone record nothing. Stage 2 reads λ through
+# sg(λ), ``Tensor.detach`` on its head's output: the head's two nodes (its
+# ``linear`` and ``sigmoid``, +2 over an untaped head) and the last edge
+# step's nodes are freed before the backward pass
+# (test_stage2_frees_its_last_edge_step). Each stage's last edge step
+# computes only the cross-class rows, the ones a loss reads, so it gathers
+# their states first: one ``take`` per stage.
+SMOKE_STEP_TAPE_NODES = 53
 SMOKE_STEP_LOSSES = ("j_gen", "j_cz", "j_gca", "j_syn", "np_loss")
 
 
@@ -291,8 +290,9 @@ def test_smoke_step_tape_size(tmp_path, monkeypatch):
     make = ad._make
 
     def counting_make(data, parents, backward):
-        made[inside[-1]] += 1
-        return make(data, parents, backward)
+        out = make(data, parents, backward)
+        made[inside[-1]] += bool(out._parents)
+        return out
 
     def attributed(name, fn):
         def call(*args, **kwargs):
@@ -312,7 +312,7 @@ def test_smoke_step_tape_size(tmp_path, monkeypatch):
 
 
 def test_stage2_frees_its_last_edge_step(tmp_path, monkeypatch):
-    # Stage 2 reads λ as a constant, so no loss reads its last edge step's
+    # Stage 2 reads λ through sg(λ), so no loss reads its last edge step's
     # states: nothing may hold them, or their tape, through the backward pass.
     # At K=1 that step is stage 2's only edge step. ``Tensor`` has
     # ``__slots__``, so the weak references are to the states' arrays.

@@ -229,29 +229,6 @@ class TestStopGradientContracts:
         )
         assert changed  # the generator itself did move
 
-    def test_stage2_lambda_branch_zero_gradient_to_fc(self, tmp_path):
-        tr = make_trainer(tmp_path)
-        model = tr.model
-        batch = datakit.sample_balanced(tr.train_set, 3, 2, tr.sampler_rng)
-        zb = model.backbone.embed(batch)
-        pos = cacai.select_positives(zb.labels, tr.positive_rng)
-        graph = model.propagate_graph(zb)
-        lam_sg, lane = model.lambda_for(zb, graph, detach=True)
-        synth = cacai.synthesize(
-            zb, lam_sg, lane, trainer.schedule_factor(5.0, 5.0),
-            np.random.default_rng(3), pos,
-        )
-        total = j_m(
-            model.metric_loss_term(zb),
-            losses.j_gca(graph.v, zb.labels, model.head_cv, tr.codec),
-            losses.j_syn(zb.z, pos, synth),
-            gamma_n=0.5,
-        )
-        total.backward()
-        assert model.lambda_head.fc.weight.grad is None
-        assert model.lambda_head.fc.bias.grad is None
-        assert all(p.grad is not None for p in model.backbone.parameters())
-
     def test_stage2_g_gradients_match_lambda_branch_ablated(self, tmp_path):
         # with sg(lambda), G's gradient must equal the gradient when the
         # synthesis consumes an unrelated constant of the same value
@@ -279,7 +256,11 @@ class TestStopGradientContracts:
             return [None if p.grad is None else p.grad.copy()
                     for p in model.graph.parameters()]
 
-        g_sg = run(lambda graph: model.lambda_for(zb, graph, detach=True))
+        def detached(graph):
+            lam, lane = model.lambda_for(zb, graph)
+            return lam.detach(), lane
+
+        g_sg = run(detached)
         lam, lane = model.lambda_for(zb, model.propagate_graph(zb))
         lam_const = ad.Tensor(lam.data.copy())
         g_ablate = run(lambda graph: (lam_const, lane))
@@ -290,34 +271,37 @@ class TestStopGradientContracts:
                 assert np.allclose(a, b, atol=1e-12)
 
     @pytest.mark.parametrize("ablation", ["full", "single_coeff"])
-    @pytest.mark.parametrize("every_row", [False, True], ids=["stage2", "inspect"])
-    def test_stage2_lambda_is_the_detached_lambda_with_no_tape_node(
-            self, tmp_path, monkeypatch, ablation, every_row):
-        # the last edge step records its nodes, as stage 2's graph carries
-        # gradients, but the head on its output records none
+    def test_stage2_synthesizes_from_the_detached_lambda(self, tmp_path, monkeypatch, ablation):
+        # sg(λ): the synthesis gets a leaf with lambda_for's bytes and lane
+        # map, and the λ head has no gradient when the optimizer steps
         tr = make_trainer(tmp_path, ablation=ablation)
         model = tr.model
         batch = datakit.sample_balanced(tr.train_set, 3, 2, tr.sampler_rng)
         zb = model.backbone.embed(batch)
-        graph = model.propagate_graph(zb)
-        expect, expect_lane = model.lambda_for(zb, graph, every_row=every_row)
-        made, in_edges = [], [False]
-        make, final_edges = ad._make, gcl.GraphNet.final_edges
+        pos = cacai.select_positives(zb.labels, tr.positive_rng)
+        expect, expect_lane = model.lambda_for(zb, model.propagate_graph(zb))
+        received, head_grads = [], []
+        synthesize, step = model.synthesize, tr.opt.step
 
-        def edges(*args):
-            in_edges[0] = True
-            try:
-                return final_edges(*args)
-            finally:
-                in_edges[0] = False
+        def spy_synthesize(zb, lam, lane, *args):
+            received.append((lam, lane))
+            return synthesize(zb, lam, lane, *args)
 
-        monkeypatch.setattr(ad, "_make", lambda *args: made.append(in_edges[0]) or make(*args))
-        monkeypatch.setattr(gcl.GraphNet, "final_edges", edges)
-        lam, lane = model.lambda_for(zb, graph, detach=True, every_row=every_row)
-        assert all(made) and bool(made) == (ablation == "full") and not lam.requires_grad
+        def spy_step():
+            head_grads.extend(p.grad for p in trainer._params_of(model.lambda_head))
+            assert all(p.grad is not None for p in model.backbone.parameters())
+            step()
+
+        monkeypatch.setattr(model, "synthesize", spy_synthesize)
+        monkeypatch.setattr(tr.opt, "step", spy_step)
+        tr._stage2(zb, pos, 0.8, 0.5)
+        [(lam, lane)] = received
+        assert not lam.requires_grad and lam._parents == ()
         assert lam.shape == expect.shape and lam.data.dtype == expect.data.dtype
         assert lam.data.tobytes() == expect.data.tobytes()
         assert np.array_equal(lane, expect_lane)
+        assert len(head_grads) == (2 if ablation == "full" else 0)
+        assert all(g is None for g in head_grads)
 
     def test_cz_updated_only_by_real_samples(self, tmp_path):
         tr = make_trainer(tmp_path)
