@@ -229,6 +229,29 @@ class TestStopGradientContracts:
         )
         assert changed  # the generator itself did move
 
+    def test_stage2_lambda_branch_zero_gradient_to_fc(self, tmp_path):
+        tr = make_trainer(tmp_path)
+        model = tr.model
+        batch = datakit.sample_balanced(tr.train_set, 3, 2, tr.sampler_rng)
+        zb = model.backbone.embed(batch)
+        pos = cacai.select_positives(zb.labels, tr.positive_rng)
+        graph = model.propagate_graph(zb)
+        lam, lane = model.lambda_for(zb, graph)
+        synth = cacai.synthesize(
+            zb, lam.detach(), lane, trainer.schedule_factor(5.0, 5.0),
+            np.random.default_rng(3), pos,
+        )
+        total = j_m(
+            model.metric_loss_term(zb),
+            losses.j_gca(graph.v, zb.labels, model.head_cv, tr.codec),
+            losses.j_syn(zb.z, pos, synth),
+            gamma_n=0.5,
+        )
+        total.backward()
+        assert model.lambda_head.fc.weight.grad is None
+        assert model.lambda_head.fc.bias.grad is None
+        assert all(p.grad is not None for p in model.backbone.parameters())
+
     def test_stage2_g_gradients_match_lambda_branch_ablated(self, tmp_path):
         # with sg(lambda), G's gradient must equal the gradient when the
         # synthesis consumes an unrelated constant of the same value
@@ -270,11 +293,12 @@ class TestStopGradientContracts:
             else:
                 assert np.allclose(a, b, atol=1e-12)
 
-    @pytest.mark.parametrize("ablation", ["full", "single_coeff"])
-    def test_stage2_synthesizes_from_the_detached_lambda(self, tmp_path, monkeypatch, ablation):
+    @pytest.mark.parametrize("ablation, metric_loss", STAGE1_ARMS)
+    def test_stage2_synthesizes_from_the_detached_lambda(
+            self, tmp_path, monkeypatch, ablation, metric_loss):
         # sg(λ): the synthesis gets a leaf with lambda_for's bytes and lane
         # map, and the λ head has no gradient when the optimizer steps
-        tr = make_trainer(tmp_path, ablation=ablation)
+        tr = make_trainer(tmp_path, ablation=ablation, metric_loss=metric_loss)
         model = tr.model
         batch = datakit.sample_balanced(tr.train_set, 3, 2, tr.sampler_rng)
         zb = model.backbone.embed(batch)
@@ -300,8 +324,37 @@ class TestStopGradientContracts:
         assert lam.shape == expect.shape and lam.data.dtype == expect.data.dtype
         assert lam.data.tobytes() == expect.data.tobytes()
         assert np.array_equal(lane, expect_lane)
-        assert len(head_grads) == (2 if ablation == "full" else 0)
+        assert len(head_grads) == (0 if ablation == "single_coeff" else 2)
         assert all(g is None for g in head_grads)
+
+    @pytest.mark.parametrize("ablation", ["full", "single_coeff"])
+    def test_inspect_lambda_records_no_tape_node(self, tmp_path, monkeypatch, ablation):
+        # hngen inspect reads every row's λ from load_frozen_model, whose
+        # parameters record no tape: the live model's bytes, and no node
+        tr = make_trainer(tmp_path, ablation=ablation)
+        tr.train_step(datakit.sample_balanced(tr.train_set, 3, 2, tr.sampler_rng))
+        ckpt = tmp_path / "ckpt"
+        trainer.save_checkpoint(ckpt, tr.model, tr._manifest(1, []))
+        frozen = trainer.load_frozen_model(
+            ckpt, tr.cfg, tr.backbone_cfg, tr.train_set.dim, tr.codec)
+        batch = datakit.sample_balanced(tr.train_set, 3, 2, tr.sampler_rng)
+        live_zb = tr.model.backbone.embed(batch)
+        expect, expect_lane = tr.model.lambda_for(
+            live_zb, tr.model.propagate_graph(live_zb), every_row=True)
+        taped, make = [], ad._make
+
+        def counting_make(*args):
+            out = make(*args)
+            taped.append(bool(out._parents))
+            return out
+
+        monkeypatch.setattr(ad, "_make", counting_make)
+        zb = frozen.backbone.embed(batch)
+        lam, lane = frozen.lambda_for(zb, frozen.propagate_graph(zb), every_row=True)
+        assert taped and not any(taped)
+        assert not lam.requires_grad and lam._parents == ()
+        assert lam.data.tobytes() == expect.data.tobytes()
+        assert np.array_equal(lane, expect_lane)
 
     def test_cz_updated_only_by_real_samples(self, tmp_path):
         tr = make_trainer(tmp_path)
