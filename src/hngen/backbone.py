@@ -2,7 +2,7 @@
 
 Either a small MLP (hidden ReLU stack plus a linear embedding head) or an
 identity pass-through for pre-extracted features. Rows are L2-normalized on
-the way out so downstream distance math can treat them as unit vectors.
+the way out; ``EmbeddingBatch`` is the one check that they are unit vectors.
 """
 
 from __future__ import annotations
@@ -12,18 +12,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from . import kernels
 from .datakit import LabeledBatch
 from .errors import ConfigurationError, ShapeError
 
 
-@dataclass
+@dataclass(frozen=True)
 class BackboneConfig:
     kind: str = "mlp"
     hidden_dims: list[int] = field(default_factory=lambda: [128])
     embed_dim: int = 64
     normalize: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.kind not in ("mlp", "identity"):
             raise ConfigurationError(f"unknown backbone kind {self.kind!r}")
         if self.embed_dim < 2:
@@ -38,16 +39,20 @@ class BackboneConfig:
 
 @dataclass
 class EmbeddingBatch:
-    """Unit-norm embeddings plus labels, keeping the batch's (N, m) layout."""
+    """Unit-norm embeddings plus labels, keeping the batch's (N, m) layout;
+    the rows are checked as it is built, so the graph and distances trust them."""
 
     z: ad.Tensor
     labels: np.ndarray
     n_classes: int
     n_instances: int
 
+    def __post_init__(self) -> None:
+        kernels.check_unit_rows(self.z.data, "embedding batch")
+
 
 class Backbone(ad.Module):
-    """``config`` must have passed ``BackboneConfig.validate``."""
+    """``config`` checked its ranges when it was built."""
 
     def __init__(self, config: BackboneConfig, input_dim: int, rng: np.random.Generator):
         self.config = config

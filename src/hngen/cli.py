@@ -103,8 +103,8 @@ def _conforms(value, hint) -> bool:
 
 
 def _section(cfg: dict, name: str, cls):
-    """Config section ``name`` as the dataclass ``cls``, whose ``validate``
-    then checks the ranges; a wrongly typed value is a ConfigurationError."""
+    """Config section ``name`` as the frozen dataclass ``cls``, which checks
+    its ranges when built; a wrongly typed value is a ConfigurationError."""
     hints = typing.get_type_hints(cls)
     values = {f.name: cfg[name][f.name] for f in fields(cls)}
     for f in fields(cls):
@@ -114,13 +114,9 @@ def _section(cfg: dict, name: str, cls):
     return cls(**copy.deepcopy(values))
 
 
-def _dataset_spec(cfg: dict) -> datakit.SyntheticDatasetSpec:
-    return _section(cfg, "dataset", datakit.SyntheticDatasetSpec)
-
-
 def build_dataset(cfg: dict) -> datakit.Dataset:
-    spec = _dataset_spec(cfg)  # checked even for a file: the split reads its seed
-    spec.validate()
+    # checked even for a file: the split reads its seed
+    spec = _section(cfg, "dataset", datakit.SyntheticDatasetSpec)
     source = _section(cfg, "dataset", datakit.FeatureSource)
     if source.path:
         return datakit.load_features(source.path, source.format)
@@ -180,7 +176,7 @@ def cmd_synth_data(args) -> int:
 
 
 def _fit_one(cfg: dict, out_dir: str, quiet: bool = False) -> tuple[trainer.FitResult, dict]:
-    _section(cfg, "eval", evalkit.EvalConfig).validate()  # a bad K fails before training
+    _section(cfg, "eval", evalkit.EvalConfig)  # a bad K fails before training
     dataset = build_dataset(cfg)
     train_set, val_set = split_for_eval(cfg, dataset)
     tcfg = train_config_from(cfg)
@@ -236,11 +232,9 @@ def _embedded_config(ckpt_dir: Path, manifest: dict) -> dict:
 def _model_from_checkpoint(ckpt_dir: Path):
     manifest = trainer.load_manifest(ckpt_dir)
     cfg = _embedded_config(ckpt_dir, manifest)
-    _section(cfg, "eval", evalkit.EvalConfig).validate()
+    _section(cfg, "eval", evalkit.EvalConfig)  # checked as for training
     tcfg = train_config_from(cfg)
-    tcfg.validate()
     bcfg = backbone_config_from(cfg)
-    bcfg.validate()
     codec = losses.ClassCodec(np.array(manifest["class_ids"]))
     # a feature file sets the input dim, not cfg["dataset"]["input_dim"]:
     # read it off the first backbone weight (out, in); identity keeps embed_dim
@@ -418,7 +412,7 @@ def cmd_ablate(args) -> int:
             cfg = resolve_config(args.config, {
                 "train": {"ablation": arm, "seed": seed},
             })
-            train_config_from(cfg).validate()  # a bad seed fails before any arm trains
+            train_config_from(cfg)  # a bad seed fails before any arm trains
             jobs.append((cfg, args.out_dir))
 
     if args.parallel:
@@ -543,7 +537,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)
         return 3
-    except HngenError as exc:
+    except (HngenError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

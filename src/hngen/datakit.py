@@ -44,7 +44,7 @@ class SyntheticDatasetSpec:
     overlap_factor: float = 0.0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.num_classes < 2:
             raise ConfigurationError("num_classes must be >= 2")
         if self.samples_per_class < 2:
@@ -137,7 +137,6 @@ def make_synthetic(spec: SyntheticDatasetSpec) -> Dataset:
     then pulled toward their centroid by ``overlap_factor`` (0 keeps them
     put, 1 collapses them); samples are isotropic Gaussian around centers.
     """
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     raw = rng.standard_normal((spec.num_classes, spec.input_dim))
     norms = np.linalg.norm(raw, axis=1, keepdims=True)
@@ -194,7 +193,7 @@ def _parse_csv(path) -> Dataset:
     labels: list[int] = []
     rows: list[list[float]] = []
     dim = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

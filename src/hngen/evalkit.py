@@ -45,14 +45,14 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvalConfig:
     """Holdout evaluation: the recall cutoffs and the per-class holdout size."""
 
     ks: list[int] = field(default_factory=lambda: [1, 2, 4, 8])
     holdout_per_class: int = 10
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.ks or not all(k >= 1 for k in self.ks):
             raise ConfigurationError(f"eval.ks must be a non-empty list of integers >= 1, got {self.ks!r}")
         if self.holdout_per_class < 2:  # each query needs a same-class gallery item

@@ -56,7 +56,6 @@ class CorrelationGraph:
 
 def init_graph(zb: EmbeddingBatch) -> CorrelationGraph:
     """Step-0 graph: V = z, E_ij = z_i * z_j for every pair i <= j."""
-    kernels.check_unit_rows(zb.z.data, "init_graph")
     return CorrelationGraph(v=zb.z, e=ad.hadamard_pairs(zb.z), labels=zb.labels)
 
 

@@ -1,6 +1,6 @@
 """Numeric kernels: pairwise products and distances, retrieval ranking,
-and the unit-norm row check that graph building, the distances and
-retrieval share.
+and the unit-norm row check, run where embeddings enter the program:
+``backbone.EmbeddingBatch`` for training and ``evalkit.RetrievalIndex``.
 
 Each kernel is one vectorized numpy function, called as
 ``kernels.<name>``: ``autodiff.hadamard_pairs`` calls the pair products,
@@ -21,7 +21,8 @@ from .errors import ShapeError
 
 
 def check_unit_rows(z: np.ndarray, caller: str) -> None:
-    """Raise unless every row of ``z`` has an L2 norm within 1e-5 of 1."""
+    """Raise unless every row of ``z`` has an L2 norm within 1e-5 of 1; run
+    as ``EmbeddingBatch`` or ``RetrievalIndex`` is built, nowhere else."""
     if np.any(np.abs(np.linalg.norm(z, axis=1) - 1.0) > 1e-5):
         raise ShapeError(f"{caller} expects unit-norm rows")
 

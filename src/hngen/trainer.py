@@ -74,7 +74,7 @@ METRIC_LOSSES = ("np_modified", "proxy_anchor")
 CHECKPOINT_VERSION = 2
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 30
     batch_classes: int = 4
@@ -100,9 +100,9 @@ class TrainConfig:
     gen_ema_decay: float = 0.9
     early_stop_patience: int | None = None
 
-    def validate(self) -> None:
-        """Every range check on a training setting; the modules that take
-        these settings assume they passed."""
+    def __post_init__(self) -> None:
+        """Every range check on a training setting, run once as the frozen
+        config is built; the modules that take these settings rely on it."""
         if self.epochs < 0:
             raise ConfigurationError("epochs must be >= 0")
         if self.batch_classes < 2:
@@ -232,8 +232,8 @@ def _params_of(module: ad.Module | None) -> list[ad.Tensor]:
 
 
 class HngModel(ad.Module):
-    """All trainable components for one ablation arm; ``cfg`` must have
-    passed ``TrainConfig.validate``."""
+    """All trainable components for one ablation arm; ``cfg`` checked its
+    ranges when it was built."""
 
     def __init__(
         self,
@@ -375,8 +375,6 @@ class Trainer:
         eval_ks: list[int] | None = None,
         resolved_config: dict | None = None,
     ):
-        cfg.validate()
-        backbone_cfg.validate()
         # what datakit.sample_balanced needs to draw every batch
         n_classes, smallest = train_set.classes.size, min(map(len, train_set.class_rows))
         if n_classes < cfg.batch_classes or smallest < cfg.batch_instances:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hngen import autodiff as ad
-from hngen.backbone import Backbone, BackboneConfig
+from hngen.backbone import Backbone, BackboneConfig, EmbeddingBatch
 from hngen.datakit import LabeledBatch
 from hngen.errors import ConfigurationError, ShapeError
 
@@ -85,8 +85,15 @@ class TestMlpBackbone:
 class TestConfigValidation:
     def test_embed_dim_floor(self):
         with pytest.raises(ConfigurationError):
-            BackboneConfig(embed_dim=1).validate()
+            BackboneConfig(embed_dim=1)
 
     def test_mlp_needs_hidden(self):
         with pytest.raises(ConfigurationError):
-            BackboneConfig(hidden_dims=[]).validate()
+            BackboneConfig(hidden_dims=[])
+
+
+class TestEmbeddingBatch:
+    def test_rejects_unnormalized(self):
+        # the one unit-row check of training: the graph and the distances trust it
+        with pytest.raises(ShapeError, match="unit-norm"):
+            EmbeddingBatch(ad.Tensor(np.array([[2.0, 0.0], [0.0, 1.0]])), np.array([1, 2]), 2, 1)

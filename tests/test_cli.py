@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -136,11 +137,20 @@ class TestConfigResolution:
 
     def test_config_sections_build_their_dataclasses(self):
         cfg = cli.resolve_config(None)
-        assert cli._dataset_spec(cfg) == datakit.SyntheticDatasetSpec()
+        assert cli._section(cfg, "dataset", datakit.SyntheticDatasetSpec) == datakit.SyntheticDatasetSpec()
         assert cli._section(cfg, "dataset", datakit.FeatureSource) == datakit.FeatureSource()
         assert cli._section(cfg, "eval", evalkit.EvalConfig) == evalkit.EvalConfig()
         assert cli.backbone_config_from(cfg) == BackboneConfig()
         assert cli.train_config_from(cfg) == trainer.TrainConfig()
+
+    @pytest.mark.parametrize("cls", [datakit.SyntheticDatasetSpec, BackboneConfig,
+                                     trainer.TrainConfig, evalkit.EvalConfig])
+    def test_configs_are_frozen(self, cls):
+        # a config is checked as it is built, so none may change afterwards
+        cfg = cls()
+        for f in dataclasses.fields(cls):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, f.name, getattr(cfg, f.name))
 
     @pytest.mark.parametrize("content", [b'{"train": ', b'{"\xff": 1}'],
                              ids=["invalid_json", "not_utf8"])
@@ -558,19 +568,44 @@ class TestCheckpointReload:
     def test_load_validates_backbone_once(self, trained, tmp_path, command, monkeypatch):
         _, run_dir = trained
         calls = []
-        real = BackboneConfig.validate
+        real = BackboneConfig.__post_init__
 
         def counted(cfg):
             calls.append(cfg)
             real(cfg)
 
-        monkeypatch.setattr(BackboneConfig, "validate", counted)
+        monkeypatch.setattr(BackboneConfig, "__post_init__", counted)
         assert cli.main([command, "--checkpoint", str(run_dir / "checkpoints" / "epoch_001"),
                          "--out-dir", str(tmp_path / "out")]) == 0
         assert len(calls) == 1
 
 
 class TestTrainOverridesAndErrors:
+    @pytest.mark.parametrize("command, target", [
+        ("train", "file"), ("ablate", "file"), ("eval", "file"), ("inspect", "file"),
+        ("synth-data", "missing/x.csv"), ("synth-data", "dir"),
+    ], ids=["train", "ablate", "eval", "inspect", "synth_missing_dir", "synth_onto_dir"])
+    def test_unwritable_output_path_returns_2_naming_it(
+        self, trained, tmp_path, command, target, capsys
+    ):
+        path = {"file": tmp_path / "taken", "dir": tmp_path}.get(target, tmp_path / target)
+        if target == "file":
+            path.write_text("")
+        ckpt = str(trained[1] / "checkpoints" / "epoch_001")
+        argv = {
+            "train": ["--config", str(write_cfg(tmp_path)), "--out-dir", str(path)],
+            "ablate": ["--config", str(write_cfg(tmp_path)), "--arms", "full", "--seeds", "1",
+                       "--out-dir", str(path)],
+            "eval": ["--checkpoint", ckpt, "--out-dir", str(path)],
+            "inspect": ["--checkpoint", ckpt, "--out-dir", str(path)],
+            "synth-data": ["--classes", "3", "--per-class", "4", "--dim", "5",
+                           "--out", str(path)],
+        }[command]
+        assert cli.main([command, *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert "Traceback" not in err
+
     def test_train_ablation_flag(self, tmp_path):
         cfg_path = write_cfg(tmp_path)
         rc = cli.main(["train", "--config", str(cfg_path), "--ablation", "baseline",

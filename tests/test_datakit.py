@@ -69,6 +69,22 @@ class TestFeatureIO:
         ds = dk.load_features(p)
         assert len(ds) == 1 and ds.labels[0] == 2
 
+    def test_csv_byte_order_mark_keeps_the_first_record(self, tmp_path):
+        ds = dk.make_synthetic(small_spec())
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        dk.save_csv(ds, plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        back = dk.load_features(marked)
+        assert np.array_equal(back.labels, dk.load_features(plain).labels)
+        assert np.array_equal(back.features, dk.load_features(plain).features)
+
+    def test_csv_byte_order_mark_before_a_header_skips_only_the_header(self, tmp_path):
+        p = tmp_path / "h.csv"
+        p.write_bytes(b"\xef\xbb\xbflabel,feat_0,feat_1\n2,1.0,2.0\n3,0.5,0.25\n")
+        ds = dk.load_features(p)
+        assert ds.labels.tolist() == [2, 3]
+        assert ds.features.tolist() == [[1.0, 2.0], [0.5, 0.25]]
+
     def test_empty_file_errors(self, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text("")

@@ -70,10 +70,6 @@ class TestInitGraph:
         packed = ad.Tensor(rows.data)
         assert gcl.pair_rows_of(packed, 5) is packed
 
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ShapeError):
-            gcl.init_graph(embed_batch([[2.0, 0.0], [0.0, 1.0]], [1, 2]))
-
 
 class TestNodePropagation:
     def test_mask_blocks_self_and_positives(self):
@@ -250,7 +246,7 @@ class TestEdgePropagation:
 class TestPropagate:
     def test_k0_rejected(self):
         with pytest.raises(ConfigurationError):
-            trainer.TrainConfig(k_steps=0).validate()
+            trainer.TrainConfig(k_steps=0)
 
     def test_dim_head_divisibility(self):
         with pytest.raises(ConfigurationError):

@@ -123,9 +123,17 @@ def test_same_outputs_compare_flags_one_flipped_blob_byte(tmp_path, capsys):
     tool = _load_tool("same_outputs")
     tool.run_side(REPO / "src", tmp_path / "a", {"tiny": TINY})
     status = json.loads((tmp_path / "a" / "tiny" / "status.json").read_text())
-    assert status == {"train": 0, "eval": 0, "inspect": 0, "ablate": 0}
+    assert status == {"train": 0, "eval": 0, "inspect": 0, "ablate": 0, "synth-data": 0}
     shutil.copytree(tmp_path / "a", tmp_path / "b")
     assert tool.report(*tool.compare(tmp_path / "a", tmp_path / "b")) == 0
+
+    # the synthetic dataset files compare byte for byte
+    for name in tool.SYNTH_OUTPUTS:
+        path = tmp_path / "b" / "tiny" / name
+        original = path.read_bytes()
+        path.write_bytes(original[:-1] + bytes([original[-1] ^ 1]))
+        assert tool.compare(tmp_path / "a", tmp_path / "b")[0] == [f"tiny: {name} differs"]
+        path.write_bytes(original)
 
     blob = next((tmp_path / "b").glob("tiny/runs/*/checkpoints/epoch_001/gcl.bin"))
     original = blob.read_bytes()

@@ -63,7 +63,7 @@ def assert_bit_identical(a, b):
 class TestConfigValidation:
     def test_unknown_ablation_lists_arms(self):
         with pytest.raises(ConfigurationError, match="baseline_gnn"):
-            tiny_config(ablation="nope").validate()
+            tiny_config(ablation="nope")
 
     def test_gamma_d_default_depends_on_loss(self):
         assert tiny_config(metric_loss="np_modified").resolved_gamma_d() == 0.03
@@ -72,7 +72,7 @@ class TestConfigValidation:
 
     def test_epochs_nonnegative(self):
         with pytest.raises(ConfigurationError):
-            tiny_config(epochs=-1).validate()
+            tiny_config(epochs=-1)
 
     @pytest.mark.parametrize("kw, msg", [
         ({"heads": 0}, "heads"),
@@ -88,16 +88,18 @@ class TestConfigValidation:
     ])
     def test_graph_and_stage1_settings_checked(self, kw, msg):
         with pytest.raises(ConfigurationError, match=msg):
-            tiny_config(**kw).validate()
+            tiny_config(**kw)
 
     def test_trainer_validates_once_before_building_anything(self, tmp_path, monkeypatch):
+        # each config checks itself once, as it is built; the trainer and its
+        # evaluation models take the checked configs as they are
         calls = []
         for cls in (trainer.TrainConfig, BackboneConfig):
-            def counted(cfg, real=cls.validate):
+            def counted(cfg, real=cls.__post_init__):
                 calls.append(cfg)
                 real(cfg)
 
-            monkeypatch.setattr(cls, "validate", counted)
+            monkeypatch.setattr(cls, "__post_init__", counted)
         tr = trainer.Trainer(tiny_dataset(), tiny_dataset(seed=1), tiny_config(),
                              tiny_backbone(), tmp_path / "run")
         assert calls == [tr.cfg, tr.backbone_cfg]

@@ -1,4 +1,4 @@
-"""Check that two source trees compute the same training, eval and inspect outputs.
+"""Check that two source trees compute the same outputs for every command.
 
     python tools/same_outputs.py PARENT_SRC CHANGE_SRC [--work DIR]
 
@@ -7,12 +7,15 @@ the parent commit and of the working tree. Under each, with BLAS and OpenMP
 pinned to one thread, the script runs ``hngen train`` on the acceptance
 configs below, then ``hngen eval`` and ``hngen inspect`` on each run's last
 checkpoint; on the first config it also runs ``hngen ablate`` over two arms
-with the config's seed. It then compares, config by config:
+with the config's seed, and ``hngen synth-data`` with flags for each of the
+config's dataset settings, writing a CSV and a ``.bin`` file. It then
+compares, config by config:
 
-* every checkpoint's ``.bin`` blobs, ``history.json``, the inspect CSVs and
-  ``ablation_table.csv``, byte for byte; under a ``.bin`` blob that
-  differs, each differing tensor is listed with its largest absolute
-  difference, each side's blob laid out by its own checkpoint's manifest;
+* every checkpoint's ``.bin`` blobs, ``history.json``, the inspect CSVs,
+  ``ablation_table.csv`` and both synth-data files, byte for byte; under a
+  checkpoint blob that differs, each differing tensor is listed with its
+  largest absolute difference, each side's blob laid out by its own
+  checkpoint's manifest;
 * ``train_log.jsonl`` without ``timestamp``, manifests without
   ``resolved_config`` and ``config_hash``, ``metric_report.json``, and
   ``metrics.csv`` without its checkpoint column;
@@ -52,8 +55,14 @@ ACCEPTANCE = {
     **{arm: {"train": {"epochs": 3, "ablation": arm}} for arm in (
         "single_coeff", "no_global", "no_hadamard", "no_rw", "baseline", "baseline_gnn")},
 }
-COMMANDS = ("train", "eval", "inspect", "ablate")
+COMMANDS = ("train", "eval", "inspect", "ablate", "synth-data")
 ABLATE_ARMS = "full,baseline"
+# the synth-data flag of each dataset setting
+SYNTH_FLAGS = {"num_classes": "--classes", "samples_per_class": "--per-class",
+               "input_dim": "--dim", "class_center_scale": "--center-scale",
+               "within_class_stddev": "--stddev", "overlap_factor": "--overlap",
+               "seed": "--seed"}
+SYNTH_OUTPUTS = ("synth-data.csv", "synth-data.bin")
 
 
 def overlay(base: dict, overrides: dict) -> dict:
@@ -65,8 +74,8 @@ def overlay(base: dict, overrides: dict) -> dict:
 
 def run_side(src: Path, work: Path, configs: dict[str, dict]) -> None:
     """Train, eval and inspect every config under ``src``, and ablate the
-    first; each config's outputs and exit codes (``status.json``) go to
-    ``work/NAME``."""
+    first and write its synthetic dataset; each config's outputs and exit
+    codes (``status.json``) go to ``work/NAME``."""
     threads = {v: "1" for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
     env = {**os.environ, **threads, "PYTHONPATH": str(Path(src).resolve())}
     for n, (name, cfg) in enumerate(configs.items()):
@@ -87,6 +96,10 @@ def run_side(src: Path, work: Path, configs: dict[str, dict]) -> None:
         if n == 0:
             status["ablate"] = hngen("ablate", "--config", "config.json", "--arms", ABLATE_ARMS,
                                      "--seeds", str(cfg["train"]["seed"]), "--out-dir", "ablate")
+            flags = [f"{SYNTH_FLAGS[k]}={v}" for k, v in cfg["dataset"].items() if k in SYNTH_FLAGS]
+            # the worse exit code of the two writes
+            status["synth-data"] = max(hngen("synth-data", *flags, "--out", name)
+                                       for name in SYNTH_OUTPUTS)
         (out / "status.json").write_text(json.dumps(status))
         print(f"{src}: {name} {status}", flush=True)
 
@@ -118,6 +131,8 @@ def _outputs(root: Path, command: str) -> dict[str, Path]:
     ``ablate``'s, only the table: its runs repeat ``train``'s."""
     if command == "ablate":
         return {"ablate/ablation_table.csv": root / "ablate" / "ablation_table.csv"}
+    if command == "synth-data":
+        return {name: root / name for name in SYNTH_OUTPUTS}
     base = root / ("runs" if command == "train" else command)
     out = {}
     for p in base.rglob("*"):
@@ -185,7 +200,8 @@ def compare(a: Path, b: Path) -> tuple[list[str], list[str]]:
                 if key not in oa or key not in ob:
                     diffs.append(f"{name}: {key} written on one side only")
                 elif _normalized(oa[key]) != _normalized(ob[key]):
-                    tensors = _tensor_differences(oa[key], ob[key]) if key.endswith(".bin") else []
+                    blob = command == "train" and key.endswith(".bin")
+                    tensors = _tensor_differences(oa[key], ob[key]) if blob else []
                     diffs.append("\n    ".join([f"{name}: {key} differs"] + tensors))
         configs = [sorted((side / name / "runs").glob("*/resolved_config.json")) for side in (a, b)]
         if all(len(c) == 1 for c in configs):
