@@ -256,22 +256,16 @@ def cmd_eval(args) -> int:
 
     ks = args.ks or cfg["eval"]["ks"]
     if args.data:
-        dataset = datakit.load_features(args.data)
-        if args.gallery:
-            gallery = datakit.load_features(args.gallery)
-            index = evalkit.RetrievalIndex.query_gallery(
-                model.backbone.embed_array(dataset.features), dataset.labels,
-                model.backbone.embed_array(gallery.features), gallery.labels,
-            )
-        else:
-            index = evalkit.RetrievalIndex.single_set(
-                model.backbone.embed_array(dataset.features), dataset.labels
-            )
+        queries = datakit.load_features(args.data)
     else:
-        _, val_set = split_for_eval(cfg, build_dataset(cfg))
-        index = evalkit.RetrievalIndex.single_set(
-            model.backbone.embed_array(val_set.features), val_set.labels
-        )
+        _, queries = split_for_eval(cfg, build_dataset(cfg))
+    embed = model.backbone.embed_array
+    if args.gallery:  # only with --data, checked above
+        gallery = datakit.load_features(args.gallery)
+        index = evalkit.RetrievalIndex.query_gallery(
+            embed(queries.features), queries.labels, embed(gallery.features), gallery.labels)
+    else:
+        index = evalkit.RetrievalIndex.single_set(embed(queries.features), queries.labels)
     ks = [k for k in ks if k <= index.effective_gallery_size]
     report = evalkit.evaluate_retrieval(index, ks)
 

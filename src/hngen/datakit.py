@@ -231,13 +231,16 @@ def _parse_csv(path) -> Dataset:
 def save_binary(dataset: Dataset, path) -> None:
     """Binary feature format: magic, version u32, count u64, dim u32, then
     per record a u32 label and dim little-endian float32 values."""
+    labels = dataset.labels
+    outside = labels[(labels < 0) | (labels >= 2**32)]
+    if outside.size:  # refused before the file is opened: a u32 cast would wrap
+        raise DataFormatError(f"{path}: label {int(outside[0])} does not fit a u32")
+    records = np.empty(len(dataset), [("label", "<u4"), ("features", "<f4", (dataset.dim,))])
+    records["label"], records["features"] = labels, dataset.features
     with open(path, "wb") as fh:
         fh.write(BINARY_MAGIC)
         fh.write(struct.pack("<IQI", BINARY_VERSION, len(dataset), dataset.dim))
-        feats32 = dataset.features.astype("<f4")
-        for label, row in zip(dataset.labels, feats32):
-            fh.write(struct.pack("<I", int(label)))
-            fh.write(row.tobytes())
+        fh.write(records.tobytes())
 
 
 def _parse_binary(path) -> Dataset:

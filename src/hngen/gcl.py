@@ -23,8 +23,10 @@ around the attention stay ``Linear`` modules.
 
 ``GraphNet.propagate`` runs the K node steps and the K-1 edge steps between
 them, on every packed pair row: each of those edge steps feeds the next node
-step's incident-edge sum, which reads every row. One node block and one edge
-block serve all of them, unless per-step weights are asked for (an ablation).
+step's incident-edge sum, which reads every row. A net holds only the blocks
+its ablation arm runs: one node and one edge block for all steps, or one per
+step with per-step weights; no node block in ``no_global``, and none for the
+K-th edge step where no λ head reads it (``single_coeff``, ``baseline_gnn``).
 The graph it returns keeps each node step's attention weights, which ``hngen
 inspect`` writes out; the edge weights are not kept. The K-th edge step feeds
 only the λ head, so it is the λ path's own call, ``GraphNet.final_edges``, on
@@ -148,8 +150,14 @@ class EdgeBlock(_Block):
         return self._tail(e + self.cross_attention(e, v, rows))
 
 
+def block_at(blocks: list, k: int):
+    """Step k's block: the one shared block, or the k-th of per-step blocks."""
+    return blocks[k if len(blocks) > 1 else 0]
+
+
 class GraphNet(ad.Module):
-    """K iterations of node-then-edge propagation over the batch graph."""
+    """K iterations of node-then-edge propagation over the batch graph, with
+    the blocks of the propagation facts it is built with and no others."""
 
     def __init__(
         self,
@@ -160,40 +168,39 @@ class GraphNet(ad.Module):
         heads: int,
         ffn_expansion: int,
         share_weights_across_steps: bool,
+        node_propagation: bool,
+        include_edge_sum: bool,
+        final_edge_step: bool,
     ):
         if dim % heads != 0:
             raise ConfigurationError(f"embed dim {dim} not divisible by {heads} heads")
         self.k_steps = k_steps
-        n_blocks = 1 if share_weights_across_steps else k_steps
-        self.node_blocks = [NodeBlock(dim, heads, ffn_expansion, rng) for _ in range(n_blocks)]
-        self.edge_blocks = [EdgeBlock(dim, heads, ffn_expansion, rng) for _ in range(n_blocks)]
+        self.include_edge_sum = include_edge_sum
+        self.final_edge_step = final_edge_step
+        n_node = k_steps if node_propagation else 0
+        n_edge = k_steps if final_edge_step else k_steps - 1
+        if share_weights_across_steps:
+            n_node, n_edge = min(n_node, 1), min(n_edge, 1)
+        self.node_blocks = [NodeBlock(dim, heads, ffn_expansion, rng) for _ in range(n_node)]
+        self.edge_blocks = [EdgeBlock(dim, heads, ffn_expansion, rng) for _ in range(n_edge)]
 
-    def _blocks(self, k: int) -> tuple[NodeBlock, EdgeBlock]:
-        i = k if len(self.node_blocks) > 1 else 0  # one shared pair, or one per step
-        return self.node_blocks[i], self.edge_blocks[i]
-
-    def propagate(
-        self,
-        graph: CorrelationGraph,
-        node_propagation: bool = True,
-        include_edge_sum: bool = True,
-    ) -> CorrelationGraph:
-        """Run the K node steps and the K-1 edge steps between them from
-        ``graph``'s states; flags implement the ablation arms (skip node
-        propagation entirely, or drop the incident-edge sum). The returned
-        graph's ``attention`` holds each node step's attention weights; the
-        K-th edge step is ``final_edges``."""
+    def propagate(self, graph: CorrelationGraph) -> CorrelationGraph:
+        """Run the node steps (none without node propagation) and the K-1
+        edge steps between them from ``graph``'s states. The returned graph's
+        ``attention`` holds each node step's attention weights; the K-th
+        edge step is ``final_edges``."""
         v, e, attention = graph.v, graph.e, []
         for k in range(self.k_steps):
-            node_block, edge_block = self._blocks(k)
-            if node_propagation:
-                v, probs = node_block.step(v, e, graph.labels, include_edge_sum)
+            if self.node_blocks:
+                v, probs = block_at(self.node_blocks, k).step(
+                    v, e, graph.labels, self.include_edge_sum)
                 attention.append(probs.data)
             if k < self.k_steps - 1:
-                e = edge_block(e, v)
+                e = block_at(self.edge_blocks, k)(e, v)
         return CorrelationGraph(v, e, graph.labels, tuple(attention))
 
     def final_edges(self, graph: CorrelationGraph, rows: np.ndarray | None = None) -> ad.Tensor:
         """The K-th edge step on ``propagate``'s graph: the updated states of
         the packed pair rows ``rows`` (ascending; every row when None)."""
-        return self._blocks(self.k_steps - 1)[1](graph.e, graph.v, rows)
+        assert self.final_edge_step, "built without the K-th edge step"
+        return block_at(self.edge_blocks, self.k_steps - 1)(graph.e, graph.v, rows)

@@ -21,7 +21,7 @@ it, on the cross-class pair rows only, the anchor-negative pairs. An
 own-class lane feeds only the anchor's own-class synthetic slot, which no
 loss reads, so it reads the constant 1 through the lane map. Where no loss
 reads the interpolation vectors (``baseline_gnn``, and ``single_coeff``,
-whose vectors are the constant 1), the last edge step does not run, and
+whose vectors are the constant 1), the last edge step is not built, and
 ``single_coeff``'s stage 1 builds no graph. Stage 2 reads the vectors
 through sg(λ): it runs the same head as stage 1 and detaches its output
 (``Tensor.detach``), so nothing holds the head's or the last edge step's tape
@@ -232,8 +232,8 @@ def _params_of(module: ad.Module | None) -> list[ad.Tensor]:
 
 
 class HngModel(ad.Module):
-    """All trainable components for one ablation arm; ``cfg`` checked its
-    ranges when it was built."""
+    """The trainable components that one ablation arm runs, and no others;
+    ``cfg`` checked its ranges when it was built."""
 
     def __init__(
         self,
@@ -260,6 +260,9 @@ class HngModel(ad.Module):
                 heads=cfg.heads,
                 ffn_expansion=cfg.ffn_expansion,
                 share_weights_across_steps=cfg.share_weights_across_steps,
+                node_propagation=cfg.ablation != "no_global",
+                include_edge_sum=cfg.ablation != "no_hadamard",
+                final_edge_step=cfg.reads_lambda,
             )
             self.head_cv = losses.ClassifierHead(codec.num_classes, dim, rng)
         if cfg.uses_synthetics:
@@ -297,11 +300,7 @@ class HngModel(ad.Module):
         """The arm's propagation over ``zb``'s graph, up to the last edge
         step, which ``lambda_for`` runs."""
         assert self.graph is not None
-        return self.graph.propagate(
-            gcl.init_graph(zb),
-            node_propagation=self.cfg.ablation != "no_global",
-            include_edge_sum=self.cfg.ablation != "no_hadamard",
-        )
+        return self.graph.propagate(gcl.init_graph(zb))
 
     def lambda_for(self, zb: EmbeddingBatch, graph: gcl.CorrelationGraph | None,
                    every_row: bool = False) -> tuple[ad.Tensor, np.ndarray]:

@@ -583,26 +583,31 @@ def dense_edge_step(block: gcl.EdgeBlock, e, v):
 
 
 def dense_propagate(net: gcl.GraphNet, z, labels, node_propagation=True,
-                    include_edge_sum=True):
-    """Final (v, e) of ``GraphNet.propagate`` from embeddings ``z``, with
-    E_ij = z_i * z_j kept for every ordered pair: (B, D) and (B, B, D)."""
+                    include_edge_sum=True, final_edge_step=True):
+    """(v, e) of ``GraphNet.propagate`` from embeddings ``z``, with
+    E_ij = z_i * z_j kept for every ordered pair: (B, D) and (B, B, D). The
+    edges are those of the K-th edge step (``final_edges``), or with
+    ``final_edge_step`` off those ``propagate`` returns."""
     z = ad.as_tensor(z)
     b, d = z.shape
     v, e = z, reshape(z, (b, 1, d)) * reshape(z, (1, b, d))
     for k in range(net.k_steps):
-        node_block, edge_block = net._blocks(k)
         if node_propagation:
-            v, _ = dense_node_step(node_block, v, e, labels, include_edge_sum)
-        e = dense_edge_step(edge_block, e, v)
+            v, _ = dense_node_step(gcl.block_at(net.node_blocks, k), v, e, labels,
+                                   include_edge_sum)
+        if k < net.k_steps - 1 or final_edge_step:
+            e = dense_edge_step(gcl.block_at(net.edge_blocks, k), e, v)
     return v, e
 
 
 def dense_graph(model: trainer.HngModel, zb):
-    """(v, e, lambda) of ``model``'s arm on ``zb`` through the dense graph."""
+    """(v, e, lambda) of ``model``'s arm on ``zb`` through the dense graph;
+    ``e`` as ``dense_propagate`` gives it for the arm."""
     v, e = dense_propagate(
         model.graph, zb.z, zb.labels,
         node_propagation=model.cfg.ablation != "no_global",
         include_edge_sum=model.cfg.ablation != "no_hadamard",
+        final_edge_step=model.cfg.reads_lambda,
     )
     if model.lambda_head is None:
         return v, e, ad.Tensor(np.ones(e.shape))
@@ -619,14 +624,15 @@ def recompute_node_attention(net: gcl.GraphNet, graph: gcl.CorrelationGraph,
     """
     maps: list[np.ndarray] = []
     for k in range(net.k_steps):
-        node_block, edge_block = net._blocks(k)
         if node_propagation:
+            node_block = gcl.block_at(net.node_blocks, k)
             _, probs = node_block.attention(graph.v, graph.labels)
             maps.append(probs.data.copy())
             v = node_block(graph.v, graph.e, graph.labels, include_edge_sum)
             graph = gcl.CorrelationGraph(v=v, e=graph.e, labels=graph.labels)
-        e = edge_block(graph.e, graph.v)
-        graph = gcl.CorrelationGraph(v=graph.v, e=e, labels=graph.labels)
+        if k < net.k_steps - 1:
+            e = gcl.block_at(net.edge_blocks, k)(graph.e, graph.v)
+            graph = gcl.CorrelationGraph(v=graph.v, e=e, labels=graph.labels)
     return maps
 
 

@@ -110,7 +110,8 @@ def test_03_mask_exactness():
         z = unit_rows(rng, b, d)
         labels = np.tile(rng.permutation(np.arange(1, n + 1)), m)
         net = gcl.GraphNet(d, rng, k_steps=1, heads=2, ffn_expansion=4,
-                           share_weights_across_steps=True)
+                           share_weights_across_steps=True, node_propagation=True,
+                           include_edge_sum=True, final_edge_step=True)
         _, probs = net.node_blocks[0].attention(ad.Tensor(z), labels)
         p = probs.data  # (H, B, B)
         same = labels[:, None] == labels[None, :]
@@ -212,7 +213,8 @@ def test_04_gradient_checks_all_losses_and_blocks():
 
     # graph blocks: scalar of V^K and E^K w.r.t. all block parameters
     net = gcl.GraphNet(d, rng, k_steps=1, heads=2, ffn_expansion=4,
-                       share_weights_across_steps=True)
+                       share_weights_across_steps=True, node_propagation=True,
+                       include_edge_sum=True, final_edge_step=True)
     zg = unit_rows(rng, b, d)
     wv = rng.standard_normal((b, d))
     we = rng.standard_normal((b, b, d))

@@ -14,7 +14,7 @@ import pytest
 
 import hngen
 from hngen import autodiff as ad
-from hngen import cli, datakit, evalkit, trainer
+from hngen import cli, datakit, evalkit, gcl, trainer
 from hngen.backbone import BackboneConfig
 from hngen.errors import ConfigurationError
 
@@ -914,6 +914,31 @@ class TestMalformedManifest:
                          "--seed=-2", "--out-dir", str(out)]) == 2
         assert not out.exists()
         assert "--seed must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("arm, dropped", [("no_global", "node_blocks"),
+                                          ("single_coeff", "edge_blocks"),
+                                          ("baseline_gnn", "edge_blocks")])
+def test_checkpoint_with_blocks_the_arm_does_not_build_exits_2(tmp_path, capsys, arm, dropped):
+    # a checkpoint written while every arm built every graph block holds
+    # tensors its arm's model no longer has: eval and inspect name them and
+    # exit 2 before writing anything
+    assert cli.main(["train", "--config", str(write_cfg(tmp_path, {"train": {"ablation": arm}})),
+                     "--out-dir", str(tmp_path / "runs")]) == 0
+    ckpt = next((tmp_path / "runs").glob("*/checkpoints/epoch_001"))
+    model, manifest, cfg = cli._model_from_checkpoint(ckpt)
+    blocks = getattr(model.graph, dropped)
+    assert blocks == []  # at K=1
+    block = gcl.NodeBlock if dropped == "node_blocks" else gcl.EdgeBlock
+    blocks.append(block(cfg["backbone"]["embed_dim"], model.cfg.heads, model.cfg.ffn_expansion,
+                        np.random.default_rng(0)))
+    trainer.save_checkpoint(ckpt, model, manifest)
+    extra = [f"gcl.{dropped}.0.{name}" for name in blocks[0].named_parameters()]
+    for command in ("eval", "inspect"):
+        out = tmp_path / command
+        assert cli.main([command, "--checkpoint", str(ckpt), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert all(name in err for name in extra) and not out.exists()
 
 
 class TestAblate:

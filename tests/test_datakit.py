@@ -141,6 +141,24 @@ class TestFeatureIO:
         assert np.array_equal(back.labels, ds.labels)
         assert np.allclose(back.features, ds.features, atol=1e-6, rtol=1e-6)
 
+    @pytest.mark.parametrize("n, dim", [(500, 7), (3, 1), (2, 0)])
+    def test_binary_bytes_are_the_record_by_record_layout(self, tmp_path, n, dim):
+        rng = np.random.default_rng(n)
+        ds = dk.Dataset(rng.standard_normal((n, dim)) * 1e3, rng.integers(0, 2**32, size=n))
+        expect = dk.BINARY_MAGIC + struct.pack("<IQI", dk.BINARY_VERSION, n, dim) + b"".join(
+            struct.pack("<I", int(label)) + row.astype("<f4").tobytes()
+            for label, row in zip(ds.labels, ds.features))
+        dk.save_binary(ds, tmp_path / "x.bin")
+        assert (tmp_path / "x.bin").read_bytes() == expect
+
+    @pytest.mark.parametrize("label", [-1, 2**32])
+    def test_binary_label_outside_u32_refused_before_writing(self, tmp_path, label):
+        # a numpy cast to u32 would wrap it silently
+        p = tmp_path / "x.bin"
+        with pytest.raises(DataFormatError, match=f"label {label} "):
+            dk.save_binary(dk.Dataset(np.zeros((2, 3)), [1, label]), p)
+        assert not p.exists()
+
     def test_binary_header_claiming_more_than_the_file_is_truncated(self, tmp_path):
         # count 2**40 of dim 2**20 would ask read() for 2**62 bytes
         p = tmp_path / "huge.bin"

@@ -15,12 +15,16 @@ from oracles import (composed_cross_attention, composed_endpoint_attention, comp
                      stacked_token_cross_attention, tmean)
 
 
-def graph_net(dim, rng, **settings):
-    """GraphNet with the TrainConfig defaults, overridden by ``settings``."""
+def graph_net(dim, rng, node_propagation=True, include_edge_sum=True, final_edge_step=True,
+              **settings):
+    """GraphNet with the TrainConfig defaults, overridden by ``settings``,
+    and the given propagation facts: every block of the ``full`` arm."""
     cfg = trainer.TrainConfig(**settings)
     return gcl.GraphNet(dim, rng, k_steps=cfg.k_steps, heads=cfg.heads,
                         ffn_expansion=cfg.ffn_expansion,
-                        share_weights_across_steps=cfg.share_weights_across_steps)
+                        share_weights_across_steps=cfg.share_weights_across_steps,
+                        node_propagation=node_propagation, include_edge_sum=include_edge_sum,
+                        final_edge_step=final_edge_step)
 
 
 def unit_rows(rng, b, d):
@@ -320,9 +324,9 @@ class TestPropagate:
     def test_no_global_keeps_nodes_fixed(self):
         rng = np.random.default_rng(11)
         z = unit_rows(rng, 4, 4)
-        net = graph_net(4, rng, k_steps=2, heads=2)
+        net = graph_net(4, rng, k_steps=2, heads=2, node_propagation=False)
         graph = gcl.init_graph(embed_batch(z, [1, 2, 1, 2], 2, 2))
-        out = net.propagate(graph, node_propagation=False)
+        out = net.propagate(graph)
         assert np.array_equal(out.v.data, z)
         assert out.attention == ()
 
@@ -330,10 +334,13 @@ class TestPropagate:
         rng = np.random.default_rng(12)
         z = unit_rows(rng, 4, 4)
         labels = np.array([1, 2, 1, 2])
+        state = rng.bit_generator.state
         net = graph_net(4, rng, heads=2)
+        rng.bit_generator.state = state  # the same blocks, without the edge sum
+        net_without = graph_net(4, rng, heads=2, include_edge_sum=False)
         graph = gcl.init_graph(embed_batch(z, labels, 2, 2))
         with_sum = net.propagate(graph).v.data  # K=1: v after the one node step
-        without = net.propagate(graph, include_edge_sum=False).v.data
+        without = net_without.propagate(graph).v.data
         assert not np.allclose(with_sum, without)
         block = net.node_blocks[0]
         attn, _ = block.attention(graph.v, labels)
@@ -348,9 +355,10 @@ class TestRecordedAttention:
         rng = np.random.default_rng(23)
         z = unit_rows(rng, 6, 4)
         labels = np.array([1, 2, 3, 1, 2, 3])
-        net = graph_net(4, rng, k_steps=2, heads=2, share_weights_across_steps=share)
+        net = graph_net(4, rng, k_steps=2, heads=2, share_weights_across_steps=share,
+                        include_edge_sum=include_edge_sum)
         graph = gcl.init_graph(embed_batch(z, labels, 3, 2))
-        out = net.propagate(graph, include_edge_sum=include_edge_sum)
+        out = net.propagate(graph)
         expect = recompute_node_attention(net, graph, include_edge_sum=include_edge_sum)
         assert len(out.attention) == len(expect) == 2
         for got, want in zip(out.attention, expect):
@@ -362,9 +370,9 @@ class TestRecordedAttention:
     def test_no_global_records_nothing(self):
         rng = np.random.default_rng(24)
         z = unit_rows(rng, 4, 4)
-        net = graph_net(4, rng, k_steps=2, heads=2)
+        net = graph_net(4, rng, k_steps=2, heads=2, node_propagation=False)
         graph = gcl.init_graph(embed_batch(z, [1, 2, 1, 2], 2, 2))
-        out = net.propagate(graph, node_propagation=False)
+        out = net.propagate(graph)
         assert out.attention == ()
         assert recompute_node_attention(net, graph, node_propagation=False) == []
 
@@ -454,7 +462,8 @@ class TestPackedMatchesDense:
         b, d = 9, 8
         zb = embed_batch(unit_rows(rng, b, d), np.tile([1, 2, 3], 3), 3, 3)
         graph = model.propagate_graph(zb)
-        final = model.graph.final_edges(graph)
+        # an arm whose λ head reads nothing has no K-th edge step
+        final = model.graph.final_edges(graph) if model.cfg.reads_lambda else graph.e
         v, e, lam = dense_graph(model, zb)
         assert final.shape == (n_pairs(b), d)
         np.testing.assert_allclose(graph.v.data, v.data, rtol=0, atol=1e-12)
@@ -504,7 +513,7 @@ def propagate_and_backprop(model, z, labels, detach):
     for p in params:
         p.grad = None
     graph = model.propagate_graph(zb)
-    e = model.graph.final_edges(graph)
+    e = model.graph.final_edges(graph) if model.cfg.reads_lambda else graph.e
     loss = (graph.v * rng.standard_normal((b, d))).sum() \
         + (e * rng.standard_normal(e.shape)).sum()
     loss.backward()

@@ -621,6 +621,37 @@ class TestAblationArms:
         for r in records:
             assert r["j_m"] == r["j_r"] + r["j_gca"] + (1 - r["gamma_n"]) * r["j_syn"], r
 
+    @pytest.mark.parametrize("arm", trainer.ABLATION_ARMS)
+    @pytest.mark.parametrize("k_steps, share", [(1, True), (2, True), (2, False)],
+                             ids=["k1", "k2_shared", "k2_unshared"])
+    def test_every_parameter_the_arm_builds_trains(self, tmp_path, arm, k_steps, share):
+        # the model builds no block its arm never runs: three steps give every
+        # parameter AdamW holds a step
+        tr = make_trainer(tmp_path, ablation=arm, k_steps=k_steps,
+                          share_weights_across_steps=share)
+        for _ in range(3):
+            tr.train_step(datakit.sample_balanced(tr.train_set, 3, 2, tr.sampler_rng))
+        name = {id(p): f"{g}.{n}" for g, params in tr.model.parameter_groups().items()
+                for n, p in params.items()}
+        assert len(name) == len(tr.opt.params)
+        assert [name[id(p)] for p, n in zip(tr.opt.params, tr.opt.steps) if n == 0] == []
+
+    @pytest.mark.parametrize("arm, k1, k2_shared, k2_unshared", [
+        ("full", (1, 1), (1, 1), (2, 2)),
+        ("no_global", (0, 1), (0, 1), (0, 2)),
+        ("single_coeff", (1, 0), (1, 1), (2, 1)),
+        ("baseline_gnn", (1, 0), (1, 1), (2, 1)),
+    ], ids=["full", "no_global", "single_coeff", "baseline_gnn"])
+    def test_graph_blocks_per_arm(self, arm, k1, k2_shared, k2_unshared):
+        # (node blocks, edge blocks): no node block without node propagation,
+        # and no block for a K-th edge step that no λ head reads
+        for (k_steps, share), want in zip([(1, True), (2, True), (2, False)],
+                                          (k1, k2_shared, k2_unshared)):
+            cfg = tiny_config(ablation=arm, k_steps=k_steps, share_weights_across_steps=share)
+            model = trainer.HngModel(cfg, tiny_backbone(), 5, losses.ClassCodec(np.arange(3)),
+                                     np.random.default_rng(0))
+            assert (len(model.graph.node_blocks), len(model.graph.edge_blocks)) == want
+
     def test_proxy_anchor_arm(self, tmp_path):
         tr = make_trainer(tmp_path, metric_loss="proxy_anchor")
         assert tr.model.proxies is not None

@@ -54,6 +54,10 @@ ACCEPTANCE = {
     "k2_shared": {"train": {"epochs": 3, "k_steps": 2, "share_weights_across_steps": True}},
     **{arm: {"train": {"epochs": 3, "ablation": arm}} for arm in (
         "single_coeff", "no_global", "no_hadamard", "no_rw", "baseline", "baseline_gnn")},
+    # per-step blocks of arms that build fewer: no node blocks, no K-th edge block
+    **{f"{arm}_k2_unshared": {"train": {"epochs": 3, "ablation": arm, "k_steps": 2,
+                                        "share_weights_across_steps": False}}
+       for arm in ("no_global", "single_coeff")},
 }
 COMMANDS = ("train", "eval", "inspect", "ablate", "synth-data")
 ABLATE_ARMS = "full,baseline"
