@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import dataclasses
 import json
 import logging
 import sys
@@ -176,14 +177,14 @@ def cmd_synth_data(args) -> int:
 
 
 def _fit_one(cfg: dict, out_dir: str, quiet: bool = False) -> tuple[trainer.FitResult, dict]:
-    _section(cfg, "eval", evalkit.EvalConfig)  # a bad K fails before training
+    eval_cfg = _section(cfg, "eval", evalkit.EvalConfig)  # a bad K fails before training
     dataset = build_dataset(cfg)
     train_set, val_set = split_for_eval(cfg, dataset)
     tcfg = train_config_from(cfg)
     run_dir = run_dir_for(cfg, out_dir)
     tr = trainer.Trainer(
         train_set, val_set, tcfg, backbone_config_from(cfg), run_dir,
-        eval_ks=cfg["eval"]["ks"], resolved_config=cfg,
+        eval_ks=eval_cfg.ks, resolved_config=cfg,
     )
 
     def show(entry: dict) -> None:
@@ -230,31 +231,34 @@ def _embedded_config(ckpt_dir: Path, manifest: dict) -> dict:
 
 
 def _model_from_checkpoint(ckpt_dir: Path):
+    """The checkpoint's frozen model, its manifest, its resolved config and
+    that config's eval section, checked as for training."""
     manifest = trainer.load_manifest(ckpt_dir)
     cfg = _embedded_config(ckpt_dir, manifest)
-    _section(cfg, "eval", evalkit.EvalConfig)  # checked as for training
+    eval_cfg = _section(cfg, "eval", evalkit.EvalConfig)
     tcfg = train_config_from(cfg)
     bcfg = backbone_config_from(cfg)
     codec = losses.ClassCodec(np.array(manifest["class_ids"]))
     # a feature file sets the input dim, not cfg["dataset"]["input_dim"]:
     # read it off the first backbone weight (out, in); identity keeps embed_dim
-    first = manifest["groups"].get("backbone", {}).get("layers.0.weight")
+    first = manifest["tensors"].get("backbone.layers.0.weight")
     input_dim = first[-1] if first else cfg["backbone"]["embed_dim"]
     model = trainer.load_frozen_model(ckpt_dir, tcfg, bcfg, input_dim, codec)
-    return model, manifest, cfg
+    return model, manifest, cfg, eval_cfg
 
 
 def cmd_eval(args) -> int:
     if args.gallery and not args.data:
         raise ConfigurationError("--gallery needs --data (the query set)")
     ckpt_dir = Path(args.checkpoint)
-    model, manifest, cfg = _model_from_checkpoint(ckpt_dir)
+    model, manifest, cfg, eval_cfg = _model_from_checkpoint(ckpt_dir)
+    if args.ks:  # the flag's Ks follow eval.ks's rule
+        eval_cfg = dataclasses.replace(eval_cfg, ks=args.ks)
     if args.config:
         current = resolve_config(args.config)
         if trainer.config_hash(current) != manifest.get("config_hash"):
             log.warning("checkpoint config hash differs from --config; evaluating anyway")
 
-    ks = args.ks or cfg["eval"]["ks"]
     if args.data:
         queries = datakit.load_features(args.data)
     else:
@@ -266,7 +270,7 @@ def cmd_eval(args) -> int:
             embed(queries.features), queries.labels, embed(gallery.features), gallery.labels)
     else:
         index = evalkit.RetrievalIndex.single_set(embed(queries.features), queries.labels)
-    ks = [k for k in ks if k <= index.effective_gallery_size]
+    ks = [k for k in eval_cfg.ks if k <= index.effective_gallery_size]
     report = evalkit.evaluate_retrieval(index, ks)
 
     out_dir = Path(args.out_dir)
@@ -308,7 +312,7 @@ def cmd_inspect(args) -> int:
     if args.seed < 0:
         raise ConfigurationError("--seed must be >= 0")
     ckpt_dir = Path(args.checkpoint)
-    model, manifest, cfg = _model_from_checkpoint(ckpt_dir)
+    model, manifest, cfg, _ = _model_from_checkpoint(ckpt_dir)
     if not model.cfg.uses_synthetics:
         raise ConfigurationError(
             f"checkpoint arm {model.cfg.ablation!r} synthesizes no negatives to inspect"

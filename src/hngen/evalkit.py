@@ -55,6 +55,8 @@ class EvalConfig:
     def __post_init__(self) -> None:
         if not self.ks or not all(k >= 1 for k in self.ks):
             raise ConfigurationError(f"eval.ks must be a non-empty list of integers >= 1, got {self.ks!r}")
+        if len(set(self.ks)) != len(self.ks):  # each K names one metrics.csv column
+            raise ConfigurationError(f"eval.ks lists a recall K more than once: {self.ks!r}")
         if self.holdout_per_class < 2:  # each query needs a same-class gallery item
             raise ConfigurationError("eval.holdout_per_class must be >= 2")
 

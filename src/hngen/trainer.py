@@ -35,9 +35,10 @@ the generator loss, refreshed every step. Both apply one rule,
 learning rate follows cosine decay over epochs; like the fusion order and
 the raw synthetics of ``cacai.synthesize``, this is fixed, not a setting.
 
-Checkpoints are directories with a JSON manifest and one raw float64 blob
-per parameter group, written beside the target and renamed into place; loading
-is bit-exact. A model loaded for eval or inspect records no tape.
+Checkpoints are directories with a JSON manifest and one raw float64 blob of
+the model's named parameters, written beside the target and renamed into
+place; loading is bit-exact. A model loaded for eval or inspect records no
+tape.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ ABLATION_ARMS = (
 )
 _SYNTH_ARMS = {"full", "single_coeff", "no_global", "no_hadamard", "no_rw"}
 METRIC_LOSSES = ("np_modified", "proxy_anchor")
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -274,25 +275,6 @@ class HngModel(ad.Module):
                 codec.num_classes, dim, rng, alpha=cfg.pa_alpha, margin=cfg.pa_margin
             )
 
-    def parameter_groups(self) -> dict[str, dict[str, ad.Tensor]]:
-        groups: dict[str, dict[str, ad.Tensor]] = {
-            "backbone": self.backbone.named_parameters()
-        }
-        if self.graph is not None:
-            groups["gcl"] = self.graph.named_parameters()
-        if self.lambda_head is not None:
-            groups["cacai_fc"] = self.lambda_head.named_parameters()
-        heads: dict[str, ad.Tensor] = {}
-        if self.head_cz is not None:
-            heads.update({f"cz.{k}": v for k, v in self.head_cz.named_parameters().items()})
-        if self.head_cv is not None:
-            heads.update({f"cv.{k}": v for k, v in self.head_cv.named_parameters().items()})
-        if heads:
-            groups["heads"] = heads
-        if self.proxies is not None:
-            groups["proxies"] = self.proxies.named_parameters()
-        return groups
-
     def generator_params(self) -> list[ad.Tensor]:
         return _params_of(self.graph) + _params_of(self.lambda_head)
 
@@ -485,11 +467,8 @@ class Trainer:
 
     def _dump_diagnostics(self, report: losses.LossReport, reason: str) -> None:
         self.run_dir.mkdir(parents=True, exist_ok=True)
-        norms = {
-            f"{g}.{name}": float(np.linalg.norm(p.data))
-            for g, params in self.model.parameter_groups().items()
-            for name, p in params.items()
-        }
+        norms = {name: float(np.linalg.norm(p.data))
+                 for name, p in self.model.named_parameters().items()}
         payload = {
             "reason": reason,
             "report": report.to_dict(),
@@ -518,7 +497,7 @@ class Trainer:
         ckpt_root = self.run_dir / "checkpoints"
         steps_per_epoch = len(self.train_set) // (cfg.batch_classes * cfg.batch_instances)
 
-        save_checkpoint(ckpt_root / "epoch_000", self.model, self._manifest(epoch=0, history=[]))
+        save_checkpoint(ckpt_root / "epoch_000", self.model, self._manifest(epoch=0))
 
         best_r1 = -1.0
         stale = 0
@@ -537,7 +516,7 @@ class Trainer:
                 finish_epoch_schedules(self.state)
 
                 ckpt = ckpt_root / f"epoch_{epoch + 1:03d}"
-                save_checkpoint(ckpt, self.model, self._manifest(epoch + 1, result.history))
+                save_checkpoint(ckpt, self.model, self._manifest(epoch + 1))
                 if self.val_set is not None:
                     metrics = self._evaluate_checkpoint(ckpt)
                     entry = {"epoch": epoch + 1, **metrics.to_dict()}
@@ -557,7 +536,7 @@ class Trainer:
         (self.run_dir / "history.json").write_text(json.dumps(result.history, indent=2))
         return result
 
-    def _manifest(self, epoch: int, history: list[dict]) -> dict:
+    def _manifest(self, epoch: int) -> dict:
         """The run's facts for a checkpoint; ``save_checkpoint`` adds the
         model's. ``eta`` is what the batch after the checkpoint trains with."""
         return {
@@ -565,7 +544,6 @@ class Trainer:
             "config_hash": config_hash(self.resolved_config),
             "resolved_config": self.resolved_config,
             "epoch": epoch,
-            "metric_history": list(history),
             "eta": eta_for_batch(self.cfg, self.state),
             "avg_metric_loss": self.state.avg_metric_loss,
         }
@@ -584,33 +562,22 @@ def config_hash(resolved_config: dict) -> str:
 
 # -- checkpoint serialization ---------------------------------------------------
 
-# A group's blob is its tensors' raw little-endian float64 bytes, back to back,
-# the training precision, so reload is bit-exact. The manifest's "groups" holds
-# every tensor's name and shape; the blob holds nothing else.
+# The blob, params.bin, is the model's named parameters' raw little-endian
+# float64 bytes, back to back in name order: the training precision, so reload
+# is bit-exact. The manifest's "tensors" holds every name's shape; the blob
+# holds nothing else.
 
 
-def _group_shapes(model: HngModel) -> dict[str, dict[str, list[int]]]:
-    """The manifest's "groups": each tensor's shape by group and name."""
-    return {g: {name: list(p.data.shape) for name, p in params.items()}
-            for g, params in model.parameter_groups().items()}
-
-
-def _layout(shapes: dict) -> list[tuple[str, tuple, int]]:
-    """(name, shape, item count) of each tensor of a group, in blob order."""
-    return [(name, tuple(shapes[name]), math.prod(shapes[name])) for name in sorted(shapes)]
-
-
-def _write_group(path: Path, params: dict[str, ad.Tensor]) -> None:
-    with open(path, "wb") as fh:
-        for name, _, _ in _layout({name: p.data.shape for name, p in params.items()}):
-            fh.write(np.ascontiguousarray(params[name].data, dtype="<f8").tobytes())
+def _shapes(model: HngModel) -> dict[str, list[int]]:
+    """The manifest's "tensors": each parameter's shape by its name."""
+    return {name: list(p.data.shape) for name, p in model.named_parameters().items()}
 
 
 def _check_blob(path: Path, shapes: dict) -> None:
     """Raise unless ``path`` is a readable file of exactly the bytes that
     ``shapes`` (name -> shape, from the manifest) need. It reads no data, so
     a corrupt dim never makes anything that large be allocated."""
-    need = 8 * sum(n for _, _, n in _layout(shapes))
+    need = 8 * sum(math.prod(shape) for shape in shapes.values())
     try:
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
@@ -622,24 +589,12 @@ def _check_blob(path: Path, shapes: dict) -> None:
         )
 
 
-def _read_group(path: Path, shapes: dict) -> dict[str, np.ndarray]:
-    """The tensors of the blob at ``path``, as views of one array."""
-    _check_blob(path, shapes)
-    with open(path, "rb") as fh:
-        flat = np.fromfile(fh, dtype="<f8")
-    out, start = {}, 0
-    for name, shape, n in _layout(shapes):
-        out[name] = flat[start:start + n].reshape(shape)
-        start += n
-    return out
-
-
 def save_checkpoint(ckpt_dir: Path, model: HngModel, manifest: dict) -> None:
     """Write the checkpoint into a hidden sibling directory, then rename it
     into place, so a killed run never leaves a torn ``ckpt_dir``. A checkpoint
     already there is moved aside first and deleted after the rename. Beside
     ``manifest`` it records the model's own facts: its tensor shapes
-    ("groups"), class ids, ablation arm and metric loss."""
+    ("tensors"), class ids, ablation arm and metric loss."""
     ckpt_dir = Path(ckpt_dir)
     ckpt_dir.parent.mkdir(parents=True, exist_ok=True)
     tmp = ckpt_dir.with_name(f".{ckpt_dir.name}.tmp")
@@ -648,11 +603,13 @@ def save_checkpoint(ckpt_dir: Path, model: HngModel, manifest: dict) -> None:
         shutil.rmtree(stale, ignore_errors=True)
     tmp.mkdir()
     try:
-        manifest = dict(manifest, groups=_group_shapes(model), class_ids=model.codec.ids.tolist(),
+        manifest = dict(manifest, tensors=_shapes(model), class_ids=model.codec.ids.tolist(),
                         ablation=model.cfg.ablation, metric_loss=model.cfg.metric_loss)
         (tmp / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
-        for g, params in model.parameter_groups().items():
-            _write_group(tmp / f"{g}.bin", params)
+        params = model.named_parameters()
+        with open(tmp / "params.bin", "wb") as fh:
+            for name in sorted(params):
+                np.ascontiguousarray(params[name].data, dtype="<f8").tofile(fh)
         if ckpt_dir.exists():
             ckpt_dir.rename(old)
         tmp.rename(ckpt_dir)
@@ -680,12 +637,9 @@ def load_manifest(ckpt_dir: Path) -> dict:
             f"{ckpt_dir}: manifest version {version} needs migration "
             f"(supported: {CHECKPOINT_VERSION})"
         )
-    groups = manifest.get("groups")
-    if not isinstance(groups, dict) or not all(
-        isinstance(shapes, dict) and all(_is_int_list(s, 0) for s in shapes.values())
-        for shapes in groups.values()
-    ):
-        raise CheckpointError(f"{path}: groups must map each group to tensor shapes")
+    tensors = manifest.get("tensors")
+    if not isinstance(tensors, dict) or not all(_is_int_list(s, 0) for s in tensors.values()):
+        raise CheckpointError(f"{path}: tensors must map each tensor name to its shape")
     if not _is_int_list(manifest.get("class_ids"), -(2**63)):
         raise CheckpointError(f"{path}: class_ids must be a list of integers")
     # only inspect reads the schedule state, so its presence is checked there
@@ -723,26 +677,22 @@ def load_frozen_model(ckpt_dir: Path, cfg: TrainConfig, backbone_cfg: BackboneCo
 
 
 def load_checkpoint(ckpt_dir: Path, model: HngModel) -> dict:
-    """Restore parameters in place; groups, names and shapes must match the
-    model exactly. Every blob's size is checked before the first parameter
-    changes, so a damaged checkpoint leaves the model as it was; one group
-    is in memory at a time."""
+    """Restore parameters in place; names and shapes must match the model
+    exactly. The blob's size is checked before the first parameter changes,
+    so a damaged checkpoint leaves the model as it was; one tensor is in
+    memory at a time."""
     ckpt_dir = Path(ckpt_dir)
     manifest = load_manifest(ckpt_dir)
-    saved, want = manifest["groups"], _group_shapes(model)
-    if sorted(saved) != sorted(want):
-        raise CheckpointError(
-            f"parameter groups differ: checkpoint has {sorted(saved)}, "
-            f"model needs {sorted(want)} (different ablation arm?)"
-        )
-    bad = sorted(f"{g}.{name}" for g in want for name in saved[g].keys() | want[g].keys()
-                 if saved[g].get(name) != want[g].get(name))
+    saved, want = manifest["tensors"], _shapes(model)
+    bad = sorted(name for name in saved.keys() | want.keys() if saved.get(name) != want.get(name))
     if bad:
-        raise CheckpointError(f"tensors {bad} differ from the model's in name or shape")
-    for g in want:
-        _check_blob(ckpt_dir / f"{g}.bin", want[g])
-    for g, params in model.parameter_groups().items():
-        stored = _read_group(ckpt_dir / f"{g}.bin", want[g])
-        for name, p in params.items():
-            p.data[...] = stored[name]  # in place: optimizers hold views
+        raise CheckpointError(
+            f"tensors {bad} differ from the model's in name or shape (different ablation arm?)")
+    blob = ckpt_dir / "params.bin"
+    _check_blob(blob, want)
+    params = model.named_parameters()
+    with open(blob, "rb") as fh:
+        for name in sorted(params):
+            data = params[name].data  # written in place: optimizers hold views
+            data[...] = np.fromfile(fh, "<f8", data.size).reshape(data.shape)
     return manifest

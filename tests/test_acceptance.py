@@ -476,9 +476,8 @@ def test_08_stop_gradient_contract(tmp_path):
     # whose output feeds only sg(lambda): data, moments and step counts hold
     tr.model.zero_grad()
     tr.train_step(datakit.sample_balanced(ds, 3, 2, tr.sampler_rng))
-    groups = tr.model.parameter_groups()
-    stage1_only = [p for name, p in groups["gcl"].items() if name.startswith("edge_blocks.")]
-    stage1_only += list(groups["cacai_fc"].values())
+    stage1_only = [p for name, p in tr.model.named_parameters().items()
+                   if name.startswith(("graph.edge_blocks.", "lambda_head."))]
     opt = tr.opt
     generator = [i for i, group in enumerate(opt.group_of) if group == "lr_g"]
     held = [i for i, p in enumerate(opt.params) if any(p is q for q in stage1_only)]
@@ -604,8 +603,5 @@ def test_12_determinism(tmp_path):
     assert [d.name for d in ckpts] == ["epoch_000", "epoch_001", "epoch_002"]
     for d1 in ckpts:
         d2 = r2.run_dir / "checkpoints" / d1.name
-        bins1 = sorted(d1.glob("*.bin"))
-        assert bins1, "checkpoint has no parameter blobs"
-        for f1 in bins1:
-            assert f1.read_bytes() == (d2 / f1.name).read_bytes()
+        assert (d1 / "params.bin").read_bytes() == (d2 / "params.bin").read_bytes()
     _passline(12, "same seed: identical logs (minus wall clock) and checkpoints")

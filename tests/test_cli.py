@@ -290,24 +290,24 @@ class TestTrainEvalInspect:
         _, run_dir = trained
         ckpt = tmp_path / "ckpt"
         shutil.copytree(run_dir / "checkpoints" / "epoch_001", ckpt)
-        blob = ckpt / "backbone.bin"
+        blob = ckpt / "params.bin"
         blob.write_bytes(blob.read_bytes()[:-1])
         rc = cli.main(["eval", "--checkpoint", str(ckpt), "--out-dir", str(tmp_path / "ev")])
         assert rc == 2
 
     @pytest.mark.parametrize("command", ["eval", "inspect"])
-    @pytest.mark.parametrize("damage", ["no_backbone_blob", "heads_blob_a_directory",
+    @pytest.mark.parametrize("damage", ["no_params_blob", "params_blob_a_directory",
                                         "manifest_a_directory"])
     def test_damaged_checkpoint_directory_returns_2(self, trained, tmp_path, capsys,
                                                     command, damage):
         _, run_dir = trained
         ckpt = tmp_path / "ckpt"
         shutil.copytree(run_dir / "checkpoints" / "epoch_001", ckpt)
-        if damage == "no_backbone_blob":
-            broken = ckpt / "backbone.bin"
+        if damage == "no_params_blob":
+            broken = ckpt / "params.bin"
             broken.unlink()
         else:
-            broken = ckpt / ("heads.bin" if damage == "heads_blob_a_directory" else "manifest.json")
+            broken = ckpt / ("params.bin" if damage == "params_blob_a_directory" else "manifest.json")
             broken.unlink()
             broken.mkdir()
         out = tmp_path / "out"
@@ -336,7 +336,7 @@ class TestTrainEvalInspect:
         _, run_dir = trained
         ckpt = tmp_path / "ckpt"
         shutil.copytree(run_dir / "checkpoints" / "epoch_001", ckpt)
-        blob = ckpt / "backbone.bin"
+        blob = ckpt / "params.bin"
         wide = blob.read_bytes()
         blob.write_bytes(np.frombuffer(wide, "<f8").astype("<f4").tobytes())
         rc = cli.main(["eval", "--checkpoint", str(ckpt), "--out-dir", str(tmp_path / "ev")])
@@ -346,19 +346,21 @@ class TestTrainEvalInspect:
 
     @pytest.mark.parametrize("command", ["eval", "inspect"])
     def test_format_version_1_checkpoint_returns_2(self, trained, tmp_path, capsys, command):
-        # blobs with a header were format 1; such a checkpoint must be retrained
+        # blobs with a header were format 1, one blob per parameter group
+        # format 2; such a checkpoint must be retrained
         _, run_dir = trained
-        ckpt = tmp_path / "ckpt"
-        shutil.copytree(run_dir / "checkpoints" / "epoch_001", ckpt)
-        manifest = json.loads((ckpt / "manifest.json").read_text())
-        manifest["format_version"] = 1
-        (ckpt / "manifest.json").write_text(json.dumps(manifest))
-        out = tmp_path / "out"
-        assert cli.main([command, "--checkpoint", str(ckpt), "--out-dir", str(out)]) == 2
-        err = capsys.readouterr().err.replace(str(tmp_path), "<tmp>")
-        assert ("manifest version 1 needs migration "
-                f"(supported: {trainer.CHECKPOINT_VERSION})") in err
-        assert not out.exists()
+        for version in (1, 2):
+            ckpt = tmp_path / f"ckpt{version}"
+            shutil.copytree(run_dir / "checkpoints" / "epoch_001", ckpt)
+            manifest = json.loads((ckpt / "manifest.json").read_text())
+            manifest["format_version"] = version
+            (ckpt / "manifest.json").write_text(json.dumps(manifest))
+            out = tmp_path / f"out{version}"
+            assert cli.main([command, "--checkpoint", str(ckpt), "--out-dir", str(out)]) == 2
+            err = capsys.readouterr().err.replace(str(tmp_path), "<tmp>")
+            assert (f"manifest version {version} needs migration "
+                    f"(supported: {trainer.CHECKPOINT_VERSION})") in err
+            assert not out.exists()
 
     def test_eval_custom_ks_and_csv(self, trained):
         tmp_path, run_dir = trained
@@ -390,6 +392,15 @@ class TestTrainEvalInspect:
         assert (out / "metrics.csv").read_bytes() == before
         assert not (out / "metric_report.json").exists()
 
+    def test_eval_repeated_k_returns_2_before_any_file(self, trained, tmp_path, capsys):
+        # --ks follows eval.ks's rule: each K names one metrics.csv column
+        _, run_dir = trained
+        out = tmp_path / "ev"
+        assert cli.main(["eval", "--checkpoint", str(run_dir / "checkpoints" / "epoch_001"),
+                         "--ks", "1,1", "--out-dir", str(out)]) == 2
+        assert "eval.ks lists a recall K more than once: [1, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_eval_gallery_without_data_returns_2_before_any_file(self, trained, tmp_path, capsys):
         _, run_dir = trained
         g = datakit.make_synthetic(datakit.SyntheticDatasetSpec(
@@ -412,7 +423,7 @@ class TestTrainEvalInspect:
         from hngen.cli import _model_from_checkpoint, build_dataset, split_for_eval
         from hngen import evalkit
 
-        model, _, cfg = _model_from_checkpoint(ckpt)
+        model, _, cfg, _ = _model_from_checkpoint(ckpt)
         _, val = split_for_eval(cfg, build_dataset(cfg))
         z = model.backbone.embed_array(val.features)
         single = evalkit.evaluate_retrieval(
@@ -616,7 +627,7 @@ class TestTrainOverridesAndErrors:
         assert resolved["train"]["ablation"] == "baseline"
         manifest = json.loads(
             (run_dir / "checkpoints" / "epoch_001" / "manifest.json").read_text())
-        assert sorted(manifest["groups"]) == ["backbone"]
+        assert {name.split(".")[0] for name in manifest["tensors"]} == {"backbone"}
 
     def test_metric_loss_flag_switches_proxy_anchor(self, tmp_path):
         cfg_path = write_cfg(tmp_path)
@@ -627,7 +638,7 @@ class TestTrainOverridesAndErrors:
         run_dir = next((tmp_path / "runs").iterdir())
         manifest = json.loads(
             (run_dir / "checkpoints" / "epoch_001" / "manifest.json").read_text())
-        assert "proxies" in manifest["groups"]
+        assert "proxies.proxies" in manifest["tensors"]
 
     def test_bad_config_returns_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -652,6 +663,7 @@ class TestTrainOverridesAndErrors:
         {"eval": {"ks": [0, 1]}},
         {"eval": {"ks": [1, 2.5]}},
         {"eval": {"ks": []}},
+        {"eval": {"ks": [1, 1, 2]}},
         {"eval": {"holdout_per_class": 0}},
         {"eval": {"holdout_per_class": 1}},
         {"train": {"batch_classes": 5}},
@@ -688,6 +700,7 @@ class TestTrainOverridesAndErrors:
         {"train": {"metric_loss": "proxy_anchor", "pa_alpha": 0.0}},
     ], ids=["gamma_s", "gamma_d", "gamma_d_nan", "k_steps", "heads", "ffn_expansion",
             "heads_divide_dim", "eval_ks_zero", "eval_ks_float", "eval_ks_empty",
+            "eval_ks_repeated",
             "eval_holdout_zero", "eval_holdout_one", "more_batch_classes_than_classes",
             "class_smaller_than_batch_instances",
             "backbone_not_normalized", "file_a_list", "train_a_number", "eval_a_number",
@@ -813,12 +826,12 @@ def _backbone_without_hidden_dims(m):
     del m["resolved_config"]["backbone"]["hidden_dims"]
 
 
-def _groups_not_an_object(m):
-    m["groups"] = 5
+def _tensors_not_an_object(m):
+    m["tensors"] = 5
 
 
-def _groups_a_list(m):
-    m["groups"] = ["backbone"]
+def _tensors_a_list(m):
+    m["tensors"] = ["backbone.layers.0.weight"]
 
 
 def _class_ids_not_integers(m):
@@ -826,7 +839,7 @@ def _class_ids_not_integers(m):
 
 
 def _first_weight_one_dim(m):
-    m["groups"]["backbone"]["layers.0.weight"] = [128]
+    m["tensors"]["backbone.layers.0.weight"] = [128]
 
 
 def _epochs_a_string(m):
@@ -845,10 +858,10 @@ class TestMalformedManifest:
     @pytest.mark.parametrize("command", ["eval", "inspect"])
     @pytest.mark.parametrize("damage", [
         None, _break_class_ids, _unknown_train_key, _backbone_without_hidden_dims,
-        _groups_not_an_object, _groups_a_list, _class_ids_not_integers,
+        _tensors_not_an_object, _tensors_a_list, _class_ids_not_integers,
         _first_weight_one_dim, _epochs_a_string, _eval_ks_a_string, _removed_switch,
     ], ids=["invalid_json", "no_class_ids", "unknown_train_key", "no_hidden_dims",
-            "groups_number", "groups_list", "class_ids_strings", "weight_one_dim",
+            "tensors_number", "tensors_list", "class_ids_strings", "weight_one_dim",
             "epochs_string", "eval_ks_string", "removed_switch"])
     def test_returns_2(self, trained, tmp_path, command, damage, capsys):
         _, run_dir = trained
@@ -920,20 +933,20 @@ class TestMalformedManifest:
                                           ("single_coeff", "edge_blocks"),
                                           ("baseline_gnn", "edge_blocks")])
 def test_checkpoint_with_blocks_the_arm_does_not_build_exits_2(tmp_path, capsys, arm, dropped):
-    # a checkpoint written while every arm built every graph block holds
-    # tensors its arm's model no longer has: eval and inspect name them and
-    # exit 2 before writing anything
+    # a checkpoint that holds tensors its arm's model does not build (as
+    # every arm's did while each built every graph block): eval and inspect
+    # name them and exit 2 before writing anything
     assert cli.main(["train", "--config", str(write_cfg(tmp_path, {"train": {"ablation": arm}})),
                      "--out-dir", str(tmp_path / "runs")]) == 0
     ckpt = next((tmp_path / "runs").glob("*/checkpoints/epoch_001"))
-    model, manifest, cfg = cli._model_from_checkpoint(ckpt)
+    model, manifest, cfg, _ = cli._model_from_checkpoint(ckpt)
     blocks = getattr(model.graph, dropped)
     assert blocks == []  # at K=1
     block = gcl.NodeBlock if dropped == "node_blocks" else gcl.EdgeBlock
     blocks.append(block(cfg["backbone"]["embed_dim"], model.cfg.heads, model.cfg.ffn_expansion,
                         np.random.default_rng(0)))
     trainer.save_checkpoint(ckpt, model, manifest)
-    extra = [f"gcl.{dropped}.0.{name}" for name in blocks[0].named_parameters()]
+    extra = [f"graph.{dropped}.0.{name}" for name in blocks[0].named_parameters()]
     for command in ("eval", "inspect"):
         out = tmp_path / command
         assert cli.main([command, "--checkpoint", str(ckpt), "--out-dir", str(out)]) == 2

@@ -545,9 +545,7 @@ def _step_gradients(tmp_path, train: dict):
     cfg = cli.resolve_config(None, {**TINY, "train": {**TINY["train"], **train}})
     tr = trainer.Trainer(cli.build_dataset(cfg), None, cli.train_config_from(cfg),
                          cli.backbone_config_from(cfg), tmp_path)
-    names = {id(p): f"{group}.{name}"
-             for group, params in tr.model.parameter_groups().items()
-             for name, p in params.items()}
+    names = {id(p): name for name, p in tr.model.named_parameters().items()}
     applied, step = [], tr.opt.step
 
     def recording_step():

@@ -135,23 +135,23 @@ def test_same_outputs_compare_flags_one_flipped_blob_byte(tmp_path, capsys):
         assert tool.compare(tmp_path / "a", tmp_path / "b")[0] == [f"tiny: {name} differs"]
         path.write_bytes(original)
 
-    blob = next((tmp_path / "b").glob("tiny/runs/*/checkpoints/epoch_001/gcl.bin"))
+    blob = next((tmp_path / "b").glob("tiny/runs/*/checkpoints/epoch_001/params.bin"))
     original = blob.read_bytes()
     data = bytearray(original)
     data[-1] ^= 1
     blob.write_bytes(bytes(data))
     diffs, _ = tool.compare(tmp_path / "a", tmp_path / "b")
     # the flipped byte is the last of the last tensor, in name order
-    last = sorted(json.loads((blob.parent / "manifest.json").read_text())["groups"]["gcl"])[-1]
+    last = sorted(json.loads((blob.parent / "manifest.json").read_text())["tensors"])[-1]
     gap = abs(np.frombuffer(original, "<f8")[-1] - np.frombuffer(data, "<f8")[-1])
-    assert diffs == [f"tiny: runs/checkpoints/epoch_001/gcl.bin differs\n"
+    assert diffs == [f"tiny: runs/checkpoints/epoch_001/params.bin differs\n"
                      f"    {last}: max abs diff {gap:.3g}"]
     assert tool.report(diffs, []) == 1
     assert "DIFFERS" in capsys.readouterr().out
 
     blob.write_bytes(original[:-1])
     diffs, _ = tool.compare(tmp_path / "a", tmp_path / "b")
-    assert diffs == [f"tiny: runs/checkpoints/epoch_001/gcl.bin differs\n"
+    assert diffs == [f"tiny: runs/checkpoints/epoch_001/params.bin differs\n"
                      f"    unreadable: {blob}: parameter blob holds {len(original) - 1} bytes, "
                      f"the manifest's shapes need {len(original)}"]
 
@@ -163,9 +163,9 @@ def test_same_outputs_compare_flags_one_flipped_blob_byte(tmp_path, capsys):
     manifest["format_version"] += 1
     manifest_path.write_text(json.dumps(manifest))
     diffs, _ = tool.compare(tmp_path / "a", tmp_path / "b")
-    assert diffs == [f"tiny: runs/checkpoints/epoch_001/gcl.bin differs\n"
-                     f"    {last}: max abs diff {gap:.3g}",
-                     "tiny: runs/checkpoints/epoch_001/manifest.json differs"]
+    assert diffs == ["tiny: runs/checkpoints/epoch_001/manifest.json differs",
+                     f"tiny: runs/checkpoints/epoch_001/params.bin differs\n"
+                     f"    {last}: max abs diff {gap:.3g}"]
 
 
 TRAINING_MODULES = ("autodiff", "gcl", "cacai", "losses", "backbone", "kernels", "trainer",

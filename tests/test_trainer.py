@@ -336,7 +336,7 @@ class TestStopGradientContracts:
         tr = make_trainer(tmp_path, ablation=ablation)
         tr.train_step(datakit.sample_balanced(tr.train_set, 3, 2, tr.sampler_rng))
         ckpt = tmp_path / "ckpt"
-        trainer.save_checkpoint(ckpt, tr.model, tr._manifest(1, []))
+        trainer.save_checkpoint(ckpt, tr.model, tr._manifest(1))
         frozen = trainer.load_frozen_model(
             ckpt, tr.cfg, tr.backbone_cfg, tr.train_set.dim, tr.codec)
         batch = datakit.sample_balanced(tr.train_set, 3, 2, tr.sampler_rng)
@@ -542,13 +542,12 @@ class TestSynthesisMatchesComposed:
         # * z_synthesis: stage 2's synthesis hands z its share as one term,
         #   the distances' included, and adds the interpolation's two halves
         #   in another order; the backbone gets its gradient through z.
-        reordered = ("cacai_fc.", "gcl.") if stage == 1 else ("backbone.",)
+        reordered = ("lambda_head.", "graph.") if stage == 1 else ("backbone.",)
         runs = []
         for kind in (trainer.Trainer, ComposedSynthesisTrainer):
             tr = kind(tiny_dataset(), None, tiny_config(**cfg), tiny_backbone(),
                       tmp_path / kind.__name__)
-            names = {id(p): f"{group}.{name}" for group, params in
-                     tr.model.parameter_groups().items() for name, p in params.items()}
+            names = {id(p): name for name, p in tr.model.named_parameters().items()}
             batch = datakit.sample_balanced(tr.train_set, 3, 2, tr.sampler_rng)
             zb = tr.model.backbone.embed(batch)
             pos = cacai.select_positives(zb.labels, tr.positive_rng)
@@ -631,8 +630,7 @@ class TestAblationArms:
                           share_weights_across_steps=share)
         for _ in range(3):
             tr.train_step(datakit.sample_balanced(tr.train_set, 3, 2, tr.sampler_rng))
-        name = {id(p): f"{g}.{n}" for g, params in tr.model.parameter_groups().items()
-                for n, p in params.items()}
+        name = {id(p): n for n, p in tr.model.named_parameters().items()}
         assert len(name) == len(tr.opt.params)
         assert [name[id(p)] for p, n in zip(tr.opt.params, tr.opt.steps) if n == 0] == []
 
@@ -760,9 +758,8 @@ class TestFit:
         ckpts = sorted((r1.run_dir / "checkpoints").glob("epoch_*"))
         assert len(ckpts) == 3  # epoch_000 to epoch_002
         for d1 in ckpts:
-            for f1 in sorted(d1.glob("*.bin")):
-                f2 = r2.run_dir / "checkpoints" / d1.name / f1.name
-                assert f1.read_bytes() == f2.read_bytes()
+            f2 = r2.run_dir / "checkpoints" / d1.name / "params.bin"
+            assert (d1 / "params.bin").read_bytes() == f2.read_bytes()
 
     def test_early_stop_patience(self, tmp_path):
         ds = tiny_dataset(per_class=10)
@@ -793,7 +790,7 @@ class TestCheckpointRoundTrip:
         batch = datakit.sample_balanced(tr.train_set, 3, 2, tr.sampler_rng)
         tr.train_step(batch)
         ckpt = tmp_path / "ckpt"
-        trainer.save_checkpoint(ckpt, tr.model, tr._manifest(1, []))
+        trainer.save_checkpoint(ckpt, tr.model, tr._manifest(1))
         fresh = trainer.HngModel(
             tr.cfg, tr.backbone_cfg, tr.train_set.dim, tr.codec,
             np.random.default_rng(999),
@@ -803,45 +800,43 @@ class TestCheckpointRoundTrip:
         assert np.array_equal(
             tr.model.backbone.embed_array(feats), fresh.backbone.embed_array(feats)
         )
-        for (g1, p1), (g2, p2) in zip(
-            sorted(tr.model.parameter_groups().items()),
-            sorted(fresh.parameter_groups().items()),
-        ):
-            assert g1 == g2
-            for name in p1:
-                assert np.array_equal(p1[name].data, p2[name].data)
+        p1, p2 = tr.model.named_parameters(), fresh.named_parameters()
+        assert p1.keys() == p2.keys()
+        for name in p1:
+            assert np.array_equal(p1[name].data, p2[name].data)
 
-    def test_failed_write_leaves_no_checkpoint_and_rerun_loads(self, tmp_path, monkeypatch):
+    def test_failed_write_leaves_no_checkpoint_and_rerun_loads(self, tmp_path):
         tr = make_trainer(tmp_path)
         ckpt = tmp_path / "run" / "checkpoints" / "epoch_001"
-        write_group = trainer._write_group
-        calls = []
+        params = tr.model.named_parameters()
+        second = params[sorted(params)[1]]  # the blob's second tensor
+        kept = second.data
 
-        def fail_on_second_group(path, params):
-            calls.append(path)
-            if len(calls) == 2:
+        class FullDisk:
+            """Data of the tensor's shape whose bytes cannot be written."""
+            shape = kept.shape
+
+            def __array__(self, *args, **kwargs):
                 raise OSError("disk full")
-            write_group(path, params)
 
-        monkeypatch.setattr(trainer, "_write_group", fail_on_second_group)
+        second.data = FullDisk()
         with pytest.raises(OSError, match="disk full"):
-            trainer.save_checkpoint(ckpt, tr.model, tr._manifest(1, []))
+            trainer.save_checkpoint(ckpt, tr.model, tr._manifest(1))
         assert list(ckpt.parent.iterdir()) == []  # no final-name or temporary directory
-        monkeypatch.setattr(trainer, "_write_group", write_group)
-        trainer.save_checkpoint(ckpt, tr.model, tr._manifest(1, []))
+        second.data = kept
+        trainer.save_checkpoint(ckpt, tr.model, tr._manifest(1))
         tr.train_step(datakit.sample_balanced(tr.train_set, 3, 2, tr.sampler_rng))
         saved = snapshot(tr.model.backbone.named_parameters())
-        trainer.save_checkpoint(ckpt, tr.model, tr._manifest(2, []))  # over the old one
+        trainer.save_checkpoint(ckpt, tr.model, tr._manifest(2))  # over the old one
         assert [p.name for p in ckpt.parent.iterdir()] == ["epoch_001"]
         fresh = trainer.HngModel(
             tr.cfg, tr.backbone_cfg, tr.train_set.dim, tr.codec, np.random.default_rng(999)
         )
         assert trainer.load_checkpoint(ckpt, fresh)["epoch"] == 2
         assert_bit_identical(saved, snapshot(fresh.backbone.named_parameters()))
-        monkeypatch.setattr(trainer, "_write_group", fail_on_second_group)
-        calls.clear()
+        second.data = FullDisk()
         with pytest.raises(OSError, match="disk full"):
-            trainer.save_checkpoint(ckpt, tr.model, tr._manifest(3, []))
+            trainer.save_checkpoint(ckpt, tr.model, tr._manifest(3))
         assert [p.name for p in ckpt.parent.iterdir()] == ["epoch_001"]
         assert trainer.load_manifest(ckpt)["epoch"] == 2  # the old checkpoint is intact
 
@@ -853,7 +848,7 @@ class TestCheckpointRoundTrip:
 
         step()
         ckpt = tmp_path / "ckpt"
-        trainer.save_checkpoint(ckpt, tr.model, tr._manifest(1, []))
+        trainer.save_checkpoint(ckpt, tr.model, tr._manifest(1))
         saved = snapshot(tr.model.backbone.named_parameters())
         step()
         trainer.load_checkpoint(ckpt, tr.model)
@@ -875,34 +870,48 @@ class TestCheckpointRoundTrip:
 
         step()
         ckpt = tmp_path / "ckpt"
-        trainer.save_checkpoint(ckpt, tr.model, tr._manifest(1, []))
+        trainer.save_checkpoint(ckpt, tr.model, tr._manifest(1))
         step()  # the live values now differ from the checkpoint's
-        groups = tr.model.parameter_groups()
-        live = {f"{g}.{name}": p for g, params in groups.items() for name, p in params.items()}
-        blob = ckpt / f"{list(groups)[-1]}.bin"
-        blob.write_bytes(blob.read_bytes()[:-8])
+        live = tr.model.named_parameters()
+        blob = ckpt / "params.bin"
+        blob.write_bytes(blob.read_bytes()[:-8])  # the last tensor's last entry
         before = snapshot(live)
         with pytest.raises(CheckpointError) as info:
             trainer.load_checkpoint(ckpt, tr.model)
         assert "the manifest's shapes need" in message(info, tmp_path)
         assert_bit_identical(before, snapshot(live))
 
+    def test_blob_is_the_named_tensors_in_name_order(self, tmp_path):
+        tr = make_trainer(tmp_path)
+        params = tr.model.named_parameters()
+        start = 0
+        for p in params.values():  # distinct values, in the model's own order
+            p.data[...] = np.arange(start, start + p.data.size).reshape(p.data.shape)
+            start += p.data.size
+        ckpt = tmp_path / "ckpt"
+        trainer.save_checkpoint(ckpt, tr.model, tr._manifest(0))
+        raw = (ckpt / "params.bin").read_bytes()
+        assert sorted(params) != list(params)  # so name order is a real reordering
+        assert raw == b"".join(np.asarray(params[name].data, "<f8").tobytes()
+                               for name in sorted(params))
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        assert manifest["tensors"] == {name: list(p.data.shape) for name, p in params.items()}
+        fresh = trainer.HngModel(tr.cfg, tr.backbone_cfg, tr.train_set.dim, tr.codec,
+                                 np.random.default_rng(999))
+        trainer.load_checkpoint(ckpt, fresh)
+        for name, p in fresh.named_parameters().items():
+            assert p.data.tobytes() == params[name].data.tobytes(), name
+
     def test_blob_of_the_wrong_size_rejected(self, tmp_path):
         blob = tmp_path / "two.bin"
-        trainer._write_group(blob, {
-            "w": ad.Tensor(np.arange(6.0).reshape(2, 3)),
-            "b": ad.Tensor(np.array([0.5, -1.0])),
-        })
+        raw = np.array([0.5, -1.0, 0, 1, 2, 3, 4, 5], "<f8").tobytes()
+        blob.write_bytes(raw)
         shapes = {"w": [2, 3], "b": [2]}
-        raw = blob.read_bytes()
-        assert raw == np.array([0.5, -1.0, 0, 1, 2, 3, 4, 5], "<f8").tobytes()  # name order
-        tensors = trainer._read_group(blob, shapes)
-        assert tensors["w"].tolist() == [[0, 1, 2], [3, 4, 5]]
-        assert tensors["b"].tolist() == [0.5, -1.0]
+        trainer._check_blob(blob, shapes)
         for bad in [raw[:cut] for cut in range(len(raw))] + [raw + b"\0"]:
             blob.write_bytes(bad)
             with pytest.raises(CheckpointError) as info:
-                trainer._read_group(blob, shapes)
+                trainer._check_blob(blob, shapes)
             assert f"holds {len(bad)} bytes, the manifest's shapes need 64" in message(
                 info, tmp_path)
 
@@ -913,7 +922,7 @@ class TestCheckpointRoundTrip:
         try:
             for shapes in ({"b": [2], "w": [2**62]}, {"w": [2**62, 2**62, 2**62]}):
                 with pytest.raises(CheckpointError) as info:
-                    trainer._read_group(blob, shapes)
+                    trainer._check_blob(blob, shapes)
                 assert "holds 64 bytes" in message(info, tmp_path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -923,9 +932,9 @@ class TestCheckpointRoundTrip:
     def test_huge_manifest_dim_rejected_by_load(self, tmp_path):
         tr = make_trainer(tmp_path)
         ckpt = tmp_path / "ckpt"
-        trainer.save_checkpoint(ckpt, tr.model, tr._manifest(0, []))
+        trainer.save_checkpoint(ckpt, tr.model, tr._manifest(0))
         manifest = json.loads((ckpt / "manifest.json").read_text())
-        manifest["groups"]["backbone"]["layers.0.weight"] = [2**62]
+        manifest["tensors"]["backbone.layers.0.weight"] = [2**62]
         (ckpt / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(CheckpointError) as info:
             trainer.load_checkpoint(ckpt, tr.model)
@@ -934,8 +943,8 @@ class TestCheckpointRoundTrip:
     def test_truncated_checkpoint_load_rejected(self, tmp_path):
         tr = make_trainer(tmp_path)
         ckpt = tmp_path / "ckpt"
-        trainer.save_checkpoint(ckpt, tr.model, tr._manifest(0, []))
-        blob = ckpt / "backbone.bin"
+        trainer.save_checkpoint(ckpt, tr.model, tr._manifest(0))
+        blob = ckpt / "params.bin"
         size = blob.stat().st_size
         blob.write_bytes(blob.read_bytes()[:-3])
         with pytest.raises(CheckpointError) as info:
@@ -954,7 +963,7 @@ class TestCheckpointRoundTrip:
     def test_manifest_without_class_ids_rejected(self, tmp_path):
         tr = make_trainer(tmp_path)
         ckpt = tmp_path / "ckpt"
-        trainer.save_checkpoint(ckpt, tr.model, tr._manifest(0, []))
+        trainer.save_checkpoint(ckpt, tr.model, tr._manifest(0))
         manifest = json.loads((ckpt / "manifest.json").read_text())
         del manifest["class_ids"]
         (ckpt / "manifest.json").write_text(json.dumps(manifest))
@@ -964,7 +973,7 @@ class TestCheckpointRoundTrip:
     def test_version_mismatch_migration_error(self, tmp_path):
         tr = make_trainer(tmp_path)
         ckpt = tmp_path / "ckpt"
-        trainer.save_checkpoint(ckpt, tr.model, tr._manifest(0, []))
+        trainer.save_checkpoint(ckpt, tr.model, tr._manifest(0))
         manifest = json.loads((ckpt / "manifest.json").read_text())
         manifest["format_version"] = 999
         (ckpt / "manifest.json").write_text(json.dumps(manifest))
@@ -975,16 +984,21 @@ class TestCheckpointRoundTrip:
     def test_cross_ablation_load_rejected(self, tmp_path):
         tr_full = make_trainer(tmp_path / "full", ablation="full")
         ckpt = tmp_path / "ckpt"
-        trainer.save_checkpoint(ckpt, tr_full.model, tr_full._manifest(0, []))
+        trainer.save_checkpoint(ckpt, tr_full.model, tr_full._manifest(0))
         tr_base = make_trainer(tmp_path / "base", ablation="baseline")
         with pytest.raises(CheckpointError) as info:
             trainer.load_checkpoint(ckpt, tr_base.model)
-        assert "parameter groups differ" in message(info, tmp_path)
+        msg = message(info, tmp_path)
+        assert "(different ablation arm?)" in msg
+        assert "'graph.edge_blocks.0.ffn.fc1.weight'" in msg and "'head_cz.linear.weight'" in msg
 
     def test_numeric_abort_dumps_diagnostics(self, tmp_path):
         tr = make_trainer(tmp_path)
-        batch = datakit.sample_balanced(tr.train_set, 3, 2, tr.sampler_rng)
         tr.model.backbone.layers[0].weight.data[:] = np.nan
         with pytest.raises(NumericError, match="non-finite"):
-            tr.train_step(batch)
-        assert (tr.run_dir / "numeric_abort.json").exists()
+            tr.fit()  # writes epoch_000, then aborts its first step
+        dump = json.loads((tr.run_dir / "numeric_abort.json").read_text())
+        last = sorted((tr.run_dir / "checkpoints").glob("epoch_*"))[-1]
+        tensors = json.loads((last / "manifest.json").read_text())["tensors"]
+        # one name per parameter: the dump's, the checkpoint's and the model's
+        assert dump["param_norms"].keys() == tensors.keys() == tr.model.named_parameters().keys()

@@ -11,7 +11,7 @@ with the config's seed, and ``hngen synth-data`` with flags for each of the
 config's dataset settings, writing a CSV and a ``.bin`` file. It then
 compares, config by config:
 
-* every checkpoint's ``.bin`` blobs, ``history.json``, the inspect CSVs,
+* every checkpoint's ``params.bin``, ``history.json``, the inspect CSVs,
   ``ablation_table.csv`` and both synth-data files, byte for byte; under a
   checkpoint blob that differs, each differing tensor is listed with its
   largest absolute difference, each side's blob laid out by its own
@@ -147,11 +147,11 @@ def _outputs(root: Path, command: str) -> dict[str, Path]:
 
 
 def _read_blob(path: Path) -> dict[str, np.ndarray]:
-    """A parameter blob's tensors, laid out by the manifest beside it: its
-    group's tensors in name order, as raw little-endian float64. Nothing else
-    of the checkpoint format is read, so the blobs of two format versions
-    still compare tensor by tensor."""
-    shapes = json.loads((path.parent / "manifest.json").read_text())["groups"][path.stem]
+    """A checkpoint's tensors, laid out by the manifest's ``tensors`` beside
+    its blob: every tensor in name order, as raw little-endian float64.
+    Nothing else of the manifest is read, so the blobs of two checkpoints
+    whose other facts differ still compare tensor by tensor."""
+    shapes = json.loads((path.parent / "manifest.json").read_text())["tensors"]
     counts = {name: math.prod(shapes[name]) for name in sorted(shapes)}
     size, need = path.stat().st_size, 8 * sum(counts.values())
     if size != need:
